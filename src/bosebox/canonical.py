@@ -4,11 +4,21 @@ The n-particle partition function obeys the power-sum recursion
 
     Z(n) = (1/n) sum_{k=1}^{n} S_k Z(n-k),      S_k = sum_j exp(-k beta E_j),
 
-run here entirely in the log domain after shifting every level by the ground
-energy (the shift multiplies Z(n) by a known factor and cancels in all
-ratios). For a box the shifted power sums factor exactly over the axes into
-rapidly converging one-dimensional theta sums, so no spectral cutoff enters
-the recursion at all.
+run after shifting every level by the ground energy (the shift multiplies
+Z(n) by a known factor and cancels in all ratios) and stored as log Z'(n).
+For a box the shifted power sums factor exactly over the axes into rapidly
+converging one-dimensional theta sums, so no spectral cutoff enters the
+recursion at all.
+
+The recursion is evaluated in blocks of rows, a simple case of relaxed
+(online) multiplication (van der Hoeven, J. Symb. Comput. 34 (2002)). The
+terms a block needs from rows well before it are one convolution of
+positive numbers, done by one FFT per block; only the terms from the block
+and the rows just before it are summed directly. That costs
+O(n_max^2 log(n_max) / B + n_max B) for block length B, against O(n_max^2)
+for the plain row-by-row sum, and stays exact to roundoff: every block's
+FFT error has a rigorous bound, and a block whose bound is too large is
+summed directly instead (see build_canonical).
 
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
@@ -45,6 +55,19 @@ __all__ = [
 ]
 
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
+
+# Blocked recursion (see build_canonical). The _NEAR rows just before a
+# block stay in its direct sum: they meet the largest power sums, which
+# would dominate the FFT error bound.
+_BLOCK = 2048
+_NEAR = 256
+# FFT convolution error bound |error|_inf <= _FFT_ERR log2(L) |x|_2 |s|_2
+# for length L = 2^p: Percival's (12.7 p + 2.3) u, u = eps/2 the unit
+# roundoff, is below 16 p eps with a factor 2 to spare for numpy's
+# real-input transform.
+_FFT_ERR = 16.0 * float(np.finfo(float).eps)
+_FFT_REL_TOL = 2e-16 * _BLOCK  # 2e-16 per row of a block
+_RESCALE = 300.0  # rebuild the direct sum's window after growth by e^300
 
 
 @dataclass(frozen=True)
@@ -160,6 +183,80 @@ def _direct_log_power_sums(gaps: np.ndarray, beta: float, n_max: int) -> np.ndar
     return out
 
 
+def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
+    """log Z'(n), n = 0..n_max, from log S'_k (index 0 unused), in blocks."""
+    lz = np.empty(n_max + 1)
+    lz[0] = 0.0
+    excess = np.expm1(ls[1:])  # excess[k - 1] = S'_k - 1 >= 0
+    s_rev = np.exp(ls[:0:-1] - ls[1])  # s_rev[n_max - k] = S'_k / S'_1 <= 1
+    window = np.empty(n_max + 1)
+    for n0 in range(0, n_max + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_max + 1)
+        if n0 > 0:
+            log_far, err, rel = _far_sums(lz, excess, n0, n1)
+            f = n0 - _NEAR
+            _fill_rows(lz, window, s_rev, ls[1], n0, n1, f, log_far)
+            # Failing the bound on the far sums, bound the error on the
+            # rows n Z'(n) themselves, summed over the block as it
+            # propagates to later rows.
+            if rel <= _FFT_REL_TOL or err * float(
+                np.sum(np.exp(lz[f - 1] - lz[n0:n1]) / np.arange(n0, n1))
+            ) <= _FFT_REL_TOL:
+                continue
+        _fill_rows(lz, window, s_rev, ls[1], n0, n1, 0, None)
+    return lz
+
+
+def _far_sums(lz: np.ndarray, excess: np.ndarray, n0: int, n1: int):
+    """Terms m < f = n0 - _NEAR of the rows n0..n1-1, by one real FFT.
+
+    With x_m = Z'(m)/Z'(f-1) <= 1 (Z' does not decrease), row n gets
+    Z'(f-1) [sum_m x_m + sum_m (S'_{n-m} - 1) x_m]: the ground mode's
+    share is one plain sum for the whole block, and only the rest is a
+    convolution. Returns the log of each row's far sum, the FFT's absolute
+    error bound on the bracket, and that bound relative to the smallest
+    bracket of the block.
+    """
+    f = n0 - _NEAR
+    x = np.exp(lz[:f] - lz[f - 1])
+    s = excess[: n1 - 1].copy()
+    s[:_NEAR] = 0.0  # k = n - m > _NEAR for every m < f
+    size = 1 << (n1 - 2).bit_length()  # >= n1 - 1, so the rows do not wrap
+    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(s, size), size)
+    conv = conv[n0 - 1 : n1 - 1]
+    # squared norms by np.sum: a threaded BLAS dot of this length leaves its
+    # threads spinning, which took a third more CPU time than wall time
+    norms = float(np.sum(x * x)) * float(np.sum(s * s))
+    err = _FFT_ERR * math.log2(size) * math.sqrt(norms)
+    ground = float(x.sum())  # >= x_{f-1} = 1
+    rel = err / (ground + max(float(conv.min()) - err, 0.0))
+    return lz[f - 1] + np.log(ground + conv), err, rel
+
+
+def _fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far) -> None:
+    """Rows n0..n1-1 from the terms m in [lo, n) plus the far sums, if any.
+
+    The terms are summed in the linear domain against the window
+    Z'(m)/Z'(ref), m in [lo, n). ref moves up, and the window is rebuilt,
+    whenever a row has grown e^_RESCALE past it; with Z'(n)/Z'(n-1) <= S'_1
+    nothing overflows while S'_1 < e^400. Each log Z' is rounded once, at
+    its own magnitude.
+    """
+    n_max = len(lz) - 1
+    start = max(n0, 1)
+    ref = start - 1
+    window[lo:start] = np.exp(lz[lo:start] - lz[ref])
+    for n in range(start, n1):
+        if lz[n - 1] - lz[ref] > _RESCALE:
+            ref = n - 1
+            window[lo:n] = np.exp(lz[lo:n] - lz[ref])
+        total = float(s_rev[n_max - n + lo : n_max] @ window[lo:n])
+        if log_far is not None:
+            total += math.exp(log_far[n - n0] - lz[ref] - ls1)
+        lz[n] = lz[ref] + (ls1 + math.log(total) - math.log(n))
+        window[n] = math.exp(lz[n] - lz[ref])
+
+
 def build_canonical(
     spectrum,
     beta: float,
@@ -173,8 +270,30 @@ def build_canonical(
     theta factorization over the full box spectrum) or a plain sequence of
     level energies (summed exactly). Raises CutoffInsufficient if a level
     list is empty.
+
+    Rows are computed in blocks [n0, n0 + B), B = 2048. Since Z' does not
+    decrease, the terms m < f = n0 - 256 of every row in a block are
+    Z'(f-1) times sum_m S'_{n-m} x_m with all x_m = Z'(m)/Z'(f-1) <= 1.
+    Writing S'_k = 1 + (S'_k - 1), the ground mode's part is the plain sum
+    of the x_m, the same for the whole block, and the rest is one real FFT
+    convolution. The terms m >= f are summed directly, in the linear domain
+    against a rescaled window of Z' values. With n_max < B the table is a
+    single block and is summed directly. Cost: O(n_max^2 log(n_max) / B) for
+    the FFTs plus O(n_max B) for the direct sums; about 0.4 s at
+    n_max = 48 102 and 2 s at n_max = 169 850 on a 2-core x86-64 VM, against
+    12 s and about 2 min for the O(n_max^2) row-by-row sum.
+
+    FFT error bound: for transform length L the computed convolution is
+    off by at most 16 eps log2(L) |x|_2 |S' - 1|_2 in every entry (Percival,
+    Math. Comp. 72 (2003) 387, with a factor 2 to spare). Each block checks
+    this bound relative to its smallest far sum, and, failing that,
+    relative to the rows it feeds (summed over the block, as the error
+    propagates to later rows). If both exceed 2e-16 per row of the block,
+    the block is summed directly over all m < n. So all blocks together
+    move a ratio Z'(n-j)/Z'(n) by at most 4e-16 n, the roundoff budget the
+    CLI reports for canonical rows.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
@@ -197,13 +316,7 @@ def build_canonical(
         log_s_shifted = _direct_log_power_sums(gaps, beta, n_max)
         table = None
         exact = True
-    log_z_shifted = np.empty(n_max + 1, dtype=float)
-    log_z_shifted[0] = 0.0
-    ls = log_s_shifted
-    for n in range(1, n_max + 1):
-        terms = ls[1 : n + 1] + log_z_shifted[n - 1 :: -1]
-        peak = terms.max()
-        log_z_shifted[n] = peak + math.log(float(np.exp(terms - peak).sum())) - math.log(n)
+    log_z_shifted = _log_partition_shifted(log_s_shifted, n_max)
     n_idx = np.arange(n_max + 1, dtype=float)
     log_z = log_z_shifted - n_idx * beta * ground
     log_power_sums = log_s_shifted - n_idx * beta * ground

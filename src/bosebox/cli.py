@@ -152,11 +152,14 @@ def _coerce_number(cfg: dict, path: str, kind=float):
         node = node[key]
     value = node[keys[-1]]
     try:
-        node[keys[-1]] = kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not math.isfinite(number):
+        noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{path} must be {noun}, got {value!r}")
-    return node[keys[-1]]
+    node[keys[-1]] = number
+    return number
 
 
 def _coerce_number_list(cfg: dict, path: str):
@@ -171,8 +174,10 @@ def _coerce_number_list(cfg: dict, path: str):
             out = [float(v) for v in value]
         except (TypeError, ValueError):
             out = None
-    if not out:
-        raise ConfigError(f"{path} must be a non-empty list of numbers, got {value!r}")
+    if not out or not all(math.isfinite(v) for v in out):
+        raise ConfigError(
+            f"{path} must be a non-empty list of finite numbers, got {value!r}"
+        )
     node[keys[-1]] = out
     return out
 
@@ -205,7 +210,7 @@ def _validate(cfg: dict) -> None:
     mode = cfg["mode"]
     try:
         entries = [int(v) for v in mode]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         entries = []
     if len(entries) != 3 or any(v < 1 for v in entries):
         raise ConfigError(f"mode must be three integers >= 1, got {mode!r}")
@@ -736,7 +741,10 @@ def main(argv=None) -> int:
         # The stdout reader went away (e.g. piped into head). Point the
         # descriptor at devnull so the interpreter's exit flush stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     return 0
 

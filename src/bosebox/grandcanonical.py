@@ -163,7 +163,7 @@ def solve_mu(
     there already exceeds rho); the lower end is pushed down geometrically
     until the density falls below rho.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     e1 = table.ground_energy
     volume = table.geometry.volume
@@ -214,7 +214,7 @@ def _density_integral(beta: float, mu_bar: float) -> tuple[float, float]:
 
 def critical_density(beta: float) -> CriticalDensity:
     """Saturation density: the density integral at vanishing chemical potential."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     value, err = _density_integral(beta, 0.0)
     return CriticalDensity(beta=beta, value=value, quadrature_error=err)
@@ -231,7 +231,7 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
         raise DomainError(
             f"density {rho!r} exceeds the saturation density {rc.value!r}"
         )
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
 
     def fn(mu_bar: float) -> float:
@@ -264,9 +264,9 @@ def solve_ladder_coefficient(
     by (1/A)(4/(beta pi^2)^2)/(3 (M-1)^3), is left unaccounted and reported.
     """
     excess = rho - rho_c
-    if excess <= 0.0:
+    if not excess > 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     m = int(truncation)
     if m < 2:

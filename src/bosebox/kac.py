@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffInsufficient, DomainError
-from .canonical import CanonicalTable, occupation_laplace
+from .canonical import CanonicalTable
 from .grandcanonical import (
     critical_density,
     grand_partition_log,
@@ -124,6 +124,16 @@ def decomposition_check(
     Returns (grand-canonical value, mixture sum, error budget). The budget
     is the weight tail bound, valid for lam >= 0 where each canonical
     transform lies in (0, 1].
+
+    The mixture sum is sum_{n <= N} w_n E_n[exp(-lam N_k)], N = n_cut, with
+    the canonical transform of occupation_laplace. Since
+    w_n Z'(n-j)/Z'(n) = w_{n-j} exp(j beta mu_bar), regrouping its double
+    sum over (n, j) by m = n - j leaves
+
+        sum_{n <= N} w_n - (e^lam - 1) sum_{m < N} w_m r (1 - r^{N-m})/(1 - r),
+
+    r = exp(-(beta (eta_k - mu_bar) + lam)) < 1: one O(N) dot product
+    instead of one O(n) transform per n.
     """
     if lam < 0.0:
         raise DomainError(f"the mixture budget requires lam >= 0, got {lam!r}")
@@ -131,9 +141,11 @@ def decomposition_check(
     eta = ct.gap_of(k)
     x = ct.beta * (eta - (mu - ct.ground_energy))
     lhs = -math.expm1(-x) / -math.expm1(-(x + lam))
-    rhs = 0.0
-    for n in range(kw.n_cut + 1):
-        rhs += float(kw.weights[n]) * occupation_laplace(ct, k, n, lam)
+    rate = x + lam  # r = exp(-rate)
+    lengths = np.arange(kw.n_cut, 0, -1, dtype=float)  # N - m, m = 0..N-1
+    geometric = math.exp(-rate) * -np.expm1(-lengths * rate) / -math.expm1(-rate)
+    w = kw.weights
+    rhs = float(w.sum()) - math.expm1(lam) * float(np.sum(w[:-1] * geometric))
     return lhs, rhs, kw.tail_bound
 
 

@@ -86,7 +86,7 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
     """Build ladder gaps and coefficients for mode n with product cutoff M."""
     n = int(n)
     m_top = int(truncation)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     if n < 1 or m_top < max(2, n):
         raise DomainError(
@@ -328,7 +328,7 @@ def g_function(
     g_d(0) = 0 exactly. Truncated at ``gap_cutoff`` (see g_tail_bound for
     the quadratic remainder estimate).
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     cutoff = _DEFAULT_GAP_CUTOFF[d] if gap_cutoff is None else float(gap_cutoff)
     gaps = _interior_gaps(d, cutoff, convention)

@@ -251,24 +251,28 @@ def enumerate_below(
             if rest < c2 + c3:
                 break
             n2_max = int(math.floor(math.sqrt((rest - c3) / c2)))
-            for n2 in range(1, n2_max + 1):
-                slack = rest - c2 * n2 * n2
-                n3_max = int(math.floor(math.sqrt(slack / c3)))
-                if n3_max < 1:
-                    continue
-                n3 = np.arange(1, n3_max + 1, dtype=np.int64)
-                block = np.empty((n3_max, 3), dtype=np.int64)
-                block[:, 0] = n1
-                block[:, 1] = n2
-                block[:, 2] = n3
-                mode_chunks.append(block)
-                energy_chunks.append(
-                    c1 * n1 * n1 + c2 * n2 * n2 + c3 * n3.astype(float) ** 2
-                )
+            n2 = np.arange(1, n2_max + 1, dtype=np.int64)
+            n2f = n2.astype(float)
+            n3_max = np.floor(np.sqrt((rest - c2 * n2f * n2f) / c3)).astype(np.int64)
+            # all (n2, n3) pairs with n3 = 1..n3_max(n2), in lexicographic order
+            n2 = np.repeat(n2, n3_max)
+            starts = np.repeat(np.cumsum(n3_max) - n3_max, n3_max)
+            n3 = np.arange(1, len(n2) + 1, dtype=np.int64) - starts
+            block = np.empty((len(n2), 3), dtype=np.int64)
+            block[:, 0] = n1
+            block[:, 1] = n2
+            block[:, 2] = n3
+            mode_chunks.append(block)
+            n2f = n2.astype(float)
+            energy_chunks.append(
+                (c1 * n1 * n1 + c2 * n2f * n2f) + c3 * n3.astype(float) ** 2
+            )
     if mode_chunks:
         modes = np.concatenate(mode_chunks, axis=0)
         energies = np.concatenate(energy_chunks)
-        order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0], energies))
+        # the rows are in lexicographic mode order already, so a stable sort
+        # by energy breaks ties by quantum numbers
+        order = np.argsort(energies, kind="stable")
         modes = np.ascontiguousarray(modes[order])
         energies = np.ascontiguousarray(energies[order])
     else:

@@ -28,6 +28,7 @@ from bosebox import (
     occupation_pmf,
     shifted_pressure,
 )
+import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
 
 
@@ -274,3 +275,84 @@ def test_mode_measure_laplace_against_closed_form(mixture_ct):
     assert value + tail >= closed - 1e-12
     assert value <= closed + 1e-12
     assert value + tail == pytest.approx(closed, rel=1e-6)
+
+
+# ------------------------------------------------------- blocked recursion
+
+
+def reference_log_z_shifted(log_power_sums, n_max):
+    """The row-by-row log-domain recursion, in extended precision.
+
+    This is the loop build_canonical ran before the blocked recursion, kept
+    as the oracle. It runs in numpy's long double (64-bit mantissa on
+    x86-64) because in double precision the loop itself drifts by about
+    0.1 eps per row: 2e-9 on log Z' = 9.4e3 at n = 8 000 (rho = 2 rho_c,
+    V = 1.45e5, regime III), where the blocked recursion is within 2.4e-11.
+    Where long double is plain double it is the double-precision loop.
+    """
+    ls = np.asarray(log_power_sums, dtype=np.longdouble)
+    lz = np.empty(n_max + 1, dtype=np.longdouble)
+    lz[0] = 0.0
+    for n in range(1, n_max + 1):
+        terms = ls[1 : n + 1] + lz[n - 1 :: -1]
+        peak = terms.max()
+        lz[n] = peak + np.log(np.exp(terms - peak).sum()) - np.log(np.longdouble(n))
+    return lz.astype(float)
+
+
+# rho = 2 rho_c at V = 2e4: n = 6 634 spans three full blocks and a partial one.
+ORACLE_VOLUME = 2.0e4
+REGIME_ALPHAS = {
+    "I": (0.4, 0.35, 0.25),
+    "II": (0.5, 0.3, 0.2),
+    "III": (0.6, 0.25, 0.15),
+}
+
+
+def _oracle_case(case, rho_c_value):
+    """(spectrum argument, volume, n, log S'_k) for one oracle case."""
+    if case == "levels":
+        table = enumerate_below(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 12.0)
+        levels = [float(e) for e in table.energies]
+        gaps = np.sort(np.array(levels)) - min(levels)
+        n = 3 * canonical._BLOCK + 300
+        return levels, 1000.0, n, canonical._direct_log_power_sums(gaps, 1.0, n)
+    geom = BoxGeometry(REGIME_ALPHAS[case], ORACLE_VOLUME)
+    table = enumerate_below(geom, 2.0)
+    n = int(round(2.0 * rho_c_value * ORACLE_VOLUME))
+    return table, None, n, canonical._theta_log_power_sums(table, 1.0, n)
+
+
+def _assert_matches_oracle(ct, log_power_sums, n):
+    assert n >= 3 * canonical._BLOCK + 1
+    want = reference_log_z_shifted(log_power_sums, n)
+    got = np.asarray(ct.log_z_shifted)
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "levels"])
+def test_blocked_recursion_matches_row_by_row_oracle(case, rho_c_value):
+    spectrum, volume, n, ls = _oracle_case(case, rho_c_value)
+    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    _assert_matches_oracle(ct, ls, n)
+
+
+def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
+    """A block whose FFT error bound is too large is summed directly."""
+    direct_blocks = []
+    fill_rows = canonical._fill_rows
+
+    def spy(lz, window, s_rev, ls1, n0, n1, lo, log_far):
+        if n0 > 0 and lo == 0:
+            direct_blocks.append(n0)
+        fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far)
+
+    spectrum, volume, n, ls = _oracle_case("III", rho_c_value)
+    monkeypatch.setattr(canonical, "_fill_rows", spy)
+    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    assert direct_blocks == []
+    monkeypatch.setattr(canonical, "_FFT_REL_TOL", 0.0)
+    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    assert direct_blocks == list(range(canonical._BLOCK, n + 1, canonical._BLOCK))
+    _assert_matches_oracle(ct, ls, n)

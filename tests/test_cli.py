@@ -113,6 +113,24 @@ def test_bad_configuration_exits_two(capsys, override):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "beta=NaN",  # used to exit 3 with a misleading CutoffTooLarge
+        "rho=Infinity",  # used to exit 1 with an OverflowError traceback
+        "lambda_grid=[NaN]",  # used to exit 0 with nan rows
+        "cutoffs.n_max=Infinity",  # used to exit 1 with an OverflowError traceback
+        "mode=[Infinity, 1, 1]",  # used to exit 1 with an OverflowError traceback
+    ],
+)
+def test_non_finite_configuration_exits_two(capsys, override):
+    code, out, err = run_cli(capsys, "canonical", "--override", override)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_oversized_particle_number_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "canonical", "--override", "rho=100.0"
@@ -446,6 +464,20 @@ def test_write_output_stdout_loops_over_short_writes(monkeypatch):
     write_output(text, None)
     assert len(buffer.chunks) > 1
     assert b"".join(buffer.chunks) == text.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_broken_pipe_leaves_no_open_descriptor(monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _StandInStdout(_BrokenBuffer(), fd))
+        assert main(["spectrum", "--emax", "1.0"]) == 1
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["spectrum", "--emax", "1.0"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(fd)
 
 
 def test_broken_pipe_on_binary_stdout_exits_1(monkeypatch, capsys, tmp_path):

@@ -20,6 +20,7 @@ from bosebox import (
     kac_weights,
     limiting_kac_density,
     limiting_kac_transform,
+    occupation_laplace,
     solve_mu,
     suggest_energy_cutoff,
 )
@@ -77,6 +78,27 @@ def test_decomposition_identity(table_aniso, mixture_ct, rc):
         lhs, rhs, tail = decomposition_check(mixture_ct, sol.mu, k, lam)
         budget = tail + 4e-16 * mixture_ct.n_max
         assert abs(lhs - rhs) <= budget
+
+
+def reference_mixture_sum(ct, mu, k, lam):
+    """sum_n w_n E_n[exp(-lam N_k)], one canonical transform per n.
+
+    The O(n_cut^2) loop decomposition_check ran before its sum was regrouped
+    into one O(n_cut) dot product; kept as the oracle.
+    """
+    kw = kac_weights(ct, mu)
+    rhs = 0.0
+    for n in range(kw.n_cut + 1):
+        rhs += float(kw.weights[n]) * occupation_laplace(ct, k, n, lam)
+    return rhs
+
+
+@pytest.mark.parametrize("rho_factor, k", [(2.0, 0), (2.0, 3), (0.6, 0), (0.6, 3)])
+def test_decomposition_sum_matches_per_n_oracle(table_aniso, mixture_ct, rc, rho_factor, k):
+    sol = solve_mu(table_aniso, rho_factor * rc, BETA)
+    for lam in (0.0, 0.05, 1.0, 20.0):
+        _, rhs, _ = decomposition_check(mixture_ct, sol.mu, k, lam)
+        assert abs(rhs - reference_mixture_sum(mixture_ct, sol.mu, k, lam)) <= 1e-13
 
 
 def test_decomposition_rejects_negative_lam(table_aniso, mixture_ct):

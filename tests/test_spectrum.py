@@ -144,6 +144,44 @@ def test_enumerate_below_table_invariants():
         assert t.index_of(n) == idx
 
 
+def reference_enumeration(geometry, e_max):
+    """One chunk per (n1, n2) and a four-key lexsort: the enumeration loop
+    enumerate_below ran before it built all (n2, n3) pairs of an n1 at once
+    and sorted stably by energy. Kept as the oracle."""
+    c1, c2, c3 = geometry.level_coefficients
+    modes, energies = [], []
+    n1 = 1
+    while e_max - c1 * n1 * n1 >= c2 + c3:
+        rest = e_max - c1 * n1 * n1
+        for n2 in range(1, int(math.floor(math.sqrt((rest - c3) / c2))) + 1):
+            slack = rest - c2 * n2 * n2
+            n3 = np.arange(1, int(math.floor(math.sqrt(slack / c3))) + 1)
+            modes += [(n1, n2, int(v)) for v in n3]
+            energies.append(c1 * n1 * n1 + c2 * n2 * n2 + c3 * n3.astype(float) ** 2)
+        n1 += 1
+    modes = np.array(modes, dtype=np.int64).reshape(-1, 3)
+    energies = np.concatenate(energies) if energies else np.empty(0)
+    order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0], energies))
+    return modes[order], energies[order]
+
+
+@pytest.mark.parametrize(
+    "alphas, volume, e_max",
+    [
+        ((0.45, 0.30, 0.25), 120.0, 25.0),
+        ((0.6, 0.25, 0.15), 8000.0, 2.0),
+        ((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 500.0, 40.0),  # degenerate levels
+        ((0.5, 0.25, 0.25), 300.0, 35.0),  # two equal axes
+    ],
+)
+def test_enumerate_below_matches_reference_loop(alphas, volume, e_max):
+    g = BoxGeometry(alphas, volume)
+    modes, energies = reference_enumeration(g, e_max)
+    t = enumerate_below(g, e_max)
+    assert np.array_equal(t.modes, modes)
+    assert t.energies.tobytes() == energies.tobytes()
+
+
 def test_enumerate_below_budget_guard():
     g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
     with pytest.raises(CutoffTooLarge):
