@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CutoffInsufficient, DomainError, NumericsError
 from .numerics import log1mexp, log_expm1
-from .spectrum import SpectrumTable, _as_mode_tuple
+from .spectrum import SpectrumTable
 
 __all__ = [
     "CanonicalTable",
@@ -77,8 +77,6 @@ class CanonicalTable:
     ``log_z[n]`` is the true log Z(n); ``log_power_sums[k]`` the true
     log S_k for k = 1..n_max (index 0 is NaN). Shifted variants (ground
     energy subtracted from every level) are exposed as cached properties.
-    ``power_sum_exact`` records that the power sums carry no truncation
-    error (theta factorization for boxes, exact finite sums otherwise).
     """
 
     spectrum: SpectrumTable | None
@@ -89,7 +87,6 @@ class CanonicalTable:
     volume: float
     log_z: np.ndarray = field(repr=False)
     log_power_sums: np.ndarray = field(repr=False)
-    power_sum_exact: bool
 
     def __post_init__(self):
         self.gaps.setflags(write=False)
@@ -110,16 +107,20 @@ class CanonicalTable:
         out.setflags(write=False)
         return out
 
+    def index_of(self, k) -> int:
+        """Row of a mode given as table index or quantum numbers."""
+        if self.spectrum is not None:
+            return self.spectrum.index_of(k)
+        if not isinstance(k, (int, np.integer)):
+            raise DomainError("mode tuples need a box spectrum table")
+        idx = int(k)
+        if idx < 0 or idx >= len(self.gaps):
+            raise DomainError(f"mode index {idx} outside table of {len(self.gaps)}")
+        return idx
+
     def gap_of(self, k) -> float:
         """Gap of a mode given as table index or quantum numbers."""
-        if isinstance(k, (int, np.integer)):
-            idx = int(k)
-            if idx < 0 or idx >= len(self.gaps):
-                raise DomainError(f"mode index {idx} outside table of {len(self.gaps)}")
-            return float(self.gaps[idx])
-        if self.spectrum is None:
-            raise DomainError("mode tuples need a box spectrum table")
-        return float(self.gaps[self.spectrum.index_of(k)])
+        return float(self.gaps[self.index_of(k)])
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,6 @@ def build_canonical(
         vol = spectrum.geometry.volume
         log_s_shifted = _theta_log_power_sums(spectrum, beta, n_max)
         table = spectrum
-        exact = True
     else:
         energies = np.sort(np.asarray(list(spectrum), dtype=float))
         if len(energies) == 0:
@@ -315,7 +315,6 @@ def build_canonical(
         vol = 1.0 if volume is None else float(volume)
         log_s_shifted = _direct_log_power_sums(gaps, beta, n_max)
         table = None
-        exact = True
     log_z_shifted = _log_partition_shifted(log_s_shifted, n_max)
     n_idx = np.arange(n_max + 1, dtype=float)
     log_z = log_z_shifted - n_idx * beta * ground
@@ -329,7 +328,6 @@ def build_canonical(
         volume=vol,
         log_z=log_z,
         log_power_sums=log_power_sums,
-        power_sum_exact=exact,
     )
 
 
@@ -411,13 +409,8 @@ def generalized_condensate(ct: CanonicalTable, n: int, epsilon: float) -> float:
 
 def _log_gap_factors(ct: CanonicalTable, k) -> tuple[np.ndarray, float]:
     """log |1 - exp(-beta (eta_j - eta_k))| over table modes j != k."""
-    if isinstance(k, (int, np.integer)):
-        idx = int(k)
-    else:
-        if ct.spectrum is None:
-            raise DomainError("mode tuples need a box spectrum table")
-        idx = ct.spectrum.index_of(k)
-    eta_k = ct.gap_of(idx)
+    idx = ct.index_of(k)
+    eta_k = float(ct.gaps[idx])
     delta = ct.beta * (np.delete(ct.gaps, idx) - eta_k)
     if np.any(delta == 0.0):
         raise DomainError(f"mode {k!r} shares its level with another mode")
@@ -502,16 +495,10 @@ class ModeMeasure:
 
 def mode_measure(ct: CanonicalTable, k, *, tail_tol: float = 1e-10) -> ModeMeasure:
     """Build the per-mode step measure on the grid r/V, r = 0..n_max."""
-    if isinstance(k, (int, np.integer)):
-        idx = int(k)
-        mode = None if ct.spectrum is None else tuple(int(v) for v in ct.spectrum.modes[idx])
-    else:
-        if ct.spectrum is None:
-            raise DomainError("mode tuples need a box spectrum table")
-        idx = ct.spectrum.index_of(k)
-        mode = _as_mode_tuple(k)
+    idx = ct.index_of(k)
+    mode = None if ct.spectrum is None else tuple(int(v) for v in ct.spectrum.modes[idx])
     pressure = shifted_pressure(ct, idx, tail_tol=tail_tol)
-    eta = ct.gap_of(idx)
+    eta = float(ct.gaps[idx])
     r = np.arange(ct.n_max + 1, dtype=float)
     log_values = ct.log_z_shifted + r * (ct.beta * eta) - ct.beta * ct.volume * pressure
     return ModeMeasure(

@@ -261,18 +261,11 @@ def _spectrum_table(cfg: dict, geom: BoxGeometry, *, mu_bar: float = 0.0):
 
 def cmd_spectrum(cfg: dict) -> list[dict]:
     geom = _geometry(cfg)
-    beta = float(cfg["beta"])
     echo = _echo(cfg, geom)
-    e_max = cfg["cutoffs"]["e_max"]
-    if e_max is None:
-        e_max = suggest_energy_cutoff(
-            geom, beta, tail_tol=float(cfg["cutoffs"]["energy_tail_tol"])
-        )
-    e_max = float(e_max)
-    table = enumerate_below(geom, e_max, mode_budget=int(cfg["cutoffs"]["mode_budget"]))
+    table = _spectrum_table(cfg, geom)
     if len(table) == 0:
         print(
-            f"warning: energy cutoff {e_max!r} lies below the ground level "
+            f"warning: energy cutoff {table.cutoff!r} lies below the ground level "
             f"{table.ground_energy!r}; spectrum table is empty",
             file=sys.stderr,
         )
@@ -292,15 +285,15 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
         }
     )
     cap = 1000
-    for (m, e) in table.entries[:cap]:
+    for m, e in zip(table.modes[:cap].tolist(), table.energies[:cap].tolist()):
         rows.append(
             {
                 **echo,
                 "quantity": "eigenvalue",
                 "label": "",
-                "n1": m.n[0],
-                "n2": m.n[1],
-                "n3": m.n[2],
+                "n1": m[0],
+                "n2": m[1],
+                "n3": m[2],
                 "eta": "",
                 "value": e,
                 "error_budget": 0.0,
@@ -336,7 +329,6 @@ def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
     echo = _echo(cfg, geom)
-    echo["volume"] = geom.volume
     rc = critical_density(beta)
     table = _spectrum_table(cfg, geom)
     sol = solve_mu(
@@ -460,13 +452,12 @@ def _mixture_n_max(cfg: dict, rho: float, rho_c: float, volume: float) -> int:
     base = volume * (min(rho, rho_c) + 35.0 * excess)
     n_max = int(math.ceil(base + 25.0 * math.sqrt(rho * volume) + 300.0))
     cap = int(cfg["cutoffs"]["n_max"])
-    if n_max > cap:
-        if not cfg["cutoffs"]["allow_large_n"]:
-            raise ConfigError(
-                f"mixture weights need n_max about {n_max}, above cutoffs.n_max="
-                f"{cap}; raise it (and allow_large_n beyond the budget)"
-            )
-    return min(n_max, cap) if not cfg["cutoffs"]["allow_large_n"] else n_max
+    if n_max > cap and not cfg["cutoffs"]["allow_large_n"]:
+        raise ConfigError(
+            f"mixture weights need n_max about {n_max}, above cutoffs.n_max="
+            f"{cap}; raise it (and allow_large_n beyond the budget)"
+        )
+    return n_max
 
 
 def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:

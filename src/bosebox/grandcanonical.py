@@ -9,6 +9,7 @@ the anisotropy-critical case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +45,6 @@ __all__ = [
     "gc_laplace_limit",
 ]
 
-# sum_{j >= 2} 2 / (pi^2 (j^2 - 1)) = 3 / (2 pi^2), the largest possible
-# drop between the ladder coefficient and the condensate excess.
-_LADDER_EXCESS_SPAN = 1.5 / math.pi**2
-
-
 @dataclass(frozen=True)
 class CriticalDensity:
     """Saturation density at inverse temperature beta."""
@@ -82,71 +78,56 @@ class LadderCoefficient:
     excess: float
 
 
-def _resolve_index(table: SpectrumTable, k) -> int:
-    if isinstance(k, (int, np.integer)):
-        idx = int(k)
-        if idx < 0 or idx >= len(table):
-            raise DomainError(f"mode index {idx} outside table of size {len(table)}")
-        return idx
-    return table.index_of(k)
+def _check_mu(table: SpectrumTable, mu: float) -> None:
+    if not mu < table.ground_energy:
+        raise DomainError(
+            f"mu must lie strictly below the ground level {table.ground_energy!r}"
+        )
 
 
 def mean_occupation(table: SpectrumTable, mu: float, k, beta: float) -> float:
     """Expected occupation 1/(exp(beta (E_k - mu)) - 1) of one mode."""
-    idx = _resolve_index(table, k)
-    e1 = table.ground_energy
-    if not mu < e1:
-        raise DomainError(f"mu must lie strictly below the ground level {e1!r}")
+    idx = table.index_of(k)
+    _check_mu(table, mu)
     x = beta * (table.energies[idx] - mu)
     return float(1.0 / np.expm1(x))
 
 
 def _exponential_mode_tail(table: SpectrumTable, beta: float, mu_bar: float) -> float:
-    """Bound on sum of exp(-beta (eta - mu_bar)) over modes above the cutoff."""
+    """Bound on the sum of 1/(exp(beta (eta - mu_bar)) - 1), and so of
+    -log(1 - exp(-beta (eta - mu_bar))), over the modes above the cutoff."""
     geom = table.geometry
     eta_max = table.cutoff - table.ground_energy
+    gap = beta * (eta_max - mu_bar)
+    if gap <= 0.0:
+        raise DomainError("table cutoff does not exceed the chemical potential")
+    decay = math.exp(-gap)
     integral = exponential_tail_integral(geom, beta, eta_max, mu_bar)
     upper_at_cut = IDS_PREFACTOR * (eta_max + table.ground_energy) ** 1.5
     excess_count = max(geom.volume * upper_at_cut - len(table), 0.0)
-    boundary = math.exp(-beta * (eta_max - mu_bar)) * excess_count
-    return geom.volume * integral + boundary
+    correction = 1.0 / (1.0 - decay)
+    return correction * (geom.volume * integral + decay * excess_count)
 
 
 def gc_density_tail(table: SpectrumTable, mu: float, beta: float) -> float:
     """Per-volume bound on the occupation sum omitted above the table cutoff."""
     mu_bar = mu - table.ground_energy
-    eta_max = table.cutoff - table.ground_energy
-    gap = beta * (eta_max - mu_bar)
-    if gap <= 0.0:
-        raise DomainError("table cutoff does not exceed the chemical potential")
-    correction = 1.0 / (1.0 - math.exp(-gap))
-    return correction * _exponential_mode_tail(table, beta, mu_bar) / table.geometry.volume
+    return _exponential_mode_tail(table, beta, mu_bar) / table.geometry.volume
 
 
 def gc_density(table: SpectrumTable, mu: float, beta: float) -> float:
     """Grand-canonical particle density (1/V) sum_k 1/(exp(beta(E_k - mu)) - 1)."""
-    if not mu < table.ground_energy:
-        raise DomainError(
-            f"mu must lie strictly below the ground level {table.ground_energy!r}"
-        )
+    _check_mu(table, mu)
     x = beta * (table.energies - mu)
     return float(np.sum(1.0 / np.expm1(x)) / table.geometry.volume)
 
 
 def grand_partition_log(table: SpectrumTable, mu: float, beta: float) -> tuple[float, float]:
     """log of the grand partition function and a bound on its cutoff tail."""
-    if not mu < table.ground_energy:
-        raise DomainError(
-            f"mu must lie strictly below the ground level {table.ground_energy!r}"
-        )
+    _check_mu(table, mu)
     x = beta * (table.energies - mu)
     value = float(-np.sum(np.log(-np.expm1(-x))))
-    mu_bar = mu - table.ground_energy
-    eta_max = table.cutoff - table.ground_energy
-    gap = beta * (eta_max - mu_bar)
-    correction = 1.0 / (1.0 - math.exp(-gap))
-    tail = correction * _exponential_mode_tail(table, beta, mu_bar)
-    return value, tail
+    return value, _exponential_mode_tail(table, beta, mu - table.ground_energy)
 
 
 def solve_mu(
@@ -262,7 +243,17 @@ def solve_ladder_coefficient(
     and completed with the telescoping tail sum_{j>M} 2/(beta pi^2 (j^2-1)) =
     (1/(beta pi^2))(1/M + 1/(M+1)); only the second-order remainder, bounded
     by (1/A)(4/(beta pi^2)^2)/(3 (M-1)^3), is left unaccounted and reported.
+
+    Results are cached, since the limit laws solve for the same root on
+    every call.
     """
+    return _ladder_coefficient(rho, rho_c, truncation, tol, beta)
+
+
+# Cached behind the public function, so that keyword and positional calls
+# share one entry and solve_ladder_coefficient stays a plain function.
+@functools.lru_cache(maxsize=64)
+def _ladder_coefficient(rho, rho_c, truncation, tol, beta) -> LadderCoefficient:
     excess = rho - rho_c
     if not excess > 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
@@ -329,11 +320,8 @@ def gc_laplace_finite(table: SpectrumTable, mu: float, k, lam: float, beta: floa
     the transform is (1 - q) / (1 - q exp(-lam)); defined for
     lam > -beta (E_k - mu).
     """
-    idx = _resolve_index(table, k)
-    if not mu < table.ground_energy:
-        raise DomainError(
-            f"mu must lie strictly below the ground level {table.ground_energy!r}"
-        )
+    idx = table.index_of(k)
+    _check_mu(table, mu)
     x = beta * (table.energies[idx] - mu)
     if lam <= -x:
         raise DomainError(

@@ -24,6 +24,7 @@ share the largest exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ from .errors import CutoffInsufficient, DomainError, PoleProximity
 from .canonical import CanonicalTable, occupation_laplace, occupation_moment
 from .numerics import omega, refined_panels
 from .spectrum import BoxGeometry, SpectrumTable, classify, unit_box_gap_values
-from .grandcanonical import _exponential_mode_tail
+from .grandcanonical import gc_density_tail
 
 __all__ = [
     "GapCoefficients",
@@ -301,16 +302,14 @@ def fluctuation_case(geometry: BoxGeometry) -> FluctuationCase:
 
 
 _DEFAULT_GAP_CUTOFF = {1: 4.0e8, 2: 4.0e6, 3: 2.5e5}
-_gap_cache: dict = {}
 
 
+# A d = 3 array holds about 6 M gaps, so only a few are kept.
+@functools.lru_cache(maxsize=8)
 def _interior_gaps(d: int, cutoff: float, convention: str) -> np.ndarray:
-    key = (d, float(cutoff), convention)
-    if key not in _gap_cache:
-        _gap_cache[key] = unit_box_gap_values(
-            d, cutoff, min_index=2, convention=convention
-        )
-    return _gap_cache[key]
+    gaps = unit_box_gap_values(d, cutoff, min_index=2, convention=convention)
+    gaps.setflags(write=False)
+    return gaps
 
 
 def g_function(
@@ -398,9 +397,7 @@ def rho_c_finite(table: SpectrumTable, beta: float, *, tail_tol: float = 1e-10) 
     if len(gaps) == 0:
         raise CutoffInsufficient("table holds no excited modes")
     value = float(np.sum(1.0 / np.expm1(beta * gaps))) / table.geometry.volume
-    eta_max = table.cutoff - table.ground_energy
-    correction = 1.0 / -math.expm1(-beta * eta_max)
-    tail = correction * _exponential_mode_tail(table, beta, 0.0) / table.geometry.volume
+    tail = gc_density_tail(table, table.ground_energy, beta)
     if tail > tail_tol:
         raise CutoffInsufficient(
             f"excited-density tail bound {tail!r} exceeds {tail_tol!r}"

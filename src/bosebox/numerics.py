@@ -1,8 +1,8 @@
 """Shared low-level numerical helpers.
 
-Everything here is elementary: stable special-function shims, signed
-log-domain summation, bracketed root finding and composite Gauss-Legendre
-rules. Model-specific formulas live in the topical modules.
+Everything here is elementary: stable special-function shims, bracketed
+root finding and composite Gauss-Legendre rules. Model-specific formulas
+live in the topical modules.
 """
 
 from __future__ import annotations
@@ -11,16 +11,13 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import NoConvergence
 
 __all__ = [
     "log1mexp",
     "log_expm1",
-    "bose_occupancy",
     "omega",
-    "signed_logsumexp",
     "solve_bracketed",
     "gauss_panels",
     "refined_panels",
@@ -51,13 +48,6 @@ def log_expm1(x):
     return out if out.ndim else float(out)
 
 
-def bose_occupancy(x):
-    """1 / (exp(x) - 1) for x > 0, stable near 0 and for large x."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0 / np.expm1(x)
-    return out if out.ndim else float(out)
-
-
 def omega(x):
     """x - log(1 + x), with a series branch protecting small |x|.
 
@@ -71,12 +61,6 @@ def omega(x):
     direct = np.where(small, 0.0, x) - np.log1p(np.where(small, 0.0, x))
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)
-
-
-def signed_logsumexp(log_terms, signs):
-    """Sum terms given as (log|t|, sign); returns (log|sum|, sign)."""
-    log_abs, sign = logsumexp(log_terms, b=signs, return_sign=True)
-    return float(log_abs), float(sign)
 
 
 def solve_bracketed(

@@ -103,6 +103,12 @@ class BoxGeometry:
             raise DomainError(
                 f"edge product {prod!r} deviates from volume {self.volume!r}"
             )
+        try:
+            self.level_coefficients
+        except OverflowError:
+            raise DomainError(
+                f"volume {self.volume!r} is too large for double-precision levels"
+            ) from None
 
     @cached_property
     def edges(self) -> tuple[float, float, float]:
@@ -163,22 +169,48 @@ def ground_energy(geometry: BoxGeometry) -> float:
     return eigenvalue(geometry, (1, 1, 1))
 
 
-def count_modes_at_most(geometry: BoxGeometry, e_max: float) -> int:
-    """Exact number of modes with energy <= e_max (no enumeration storage)."""
+def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
+    """Walk the modes with energy <= e_max one n1 at a time.
+
+    Yields n1 and the largest n3 of each n2 = 1, 2, ... in that row.
+    Raises CutoffTooLarge once the rows hold more than ``mode_budget``
+    modes, and before allocating a row that would take the count past it.
+    """
     c1, c2, c3 = geometry.level_coefficients
     if e_max < c1 + c2 + c3:
-        return 0
-    n1_max = int(math.floor(math.sqrt((e_max - c2 - c3) / c1)))
+        return
+    over = CutoffTooLarge(f"more than {mode_budget} modes lie below e_max={e_max!r}")
+    # Rows n1 <= n1_top - 1 hold a mode each, as do n2 <= n2_top - 1 of a
+    # row, so a walk that long is refused before it starts.
+    n1_top = math.sqrt((e_max - c2 - c3) / c1)
+    if n1_top - 2.0 > mode_budget:
+        raise over
     total = 0
-    for n1 in range(1, n1_max + 1):
+    for n1 in range(1, math.floor(n1_top) + 1):
         rest = e_max - c1 * n1 * n1
         if rest < c2 + c3:
             break
-        n2_max = int(math.floor(math.sqrt((rest - c3) / c2)))
-        n2 = np.arange(1, n2_max + 1, dtype=np.int64)
-        slack = rest - c2 * n2.astype(float) ** 2
-        total += int(np.floor(np.sqrt(np.maximum(slack / c3, 0.0))).sum())
-    return total
+        n2_top = math.sqrt((rest - c3) / c2)
+        if total + n2_top - 2.0 > mode_budget:
+            raise over
+        n2 = np.arange(1, math.floor(n2_top) + 1, dtype=float)
+        n3_max = np.floor(np.sqrt(np.maximum((rest - c2 * n2 * n2) / c3, 0.0)))
+        total += int(n3_max.sum())
+        if total > mode_budget:
+            raise over
+        yield n1, n3_max.astype(np.int64)
+
+
+def count_modes_at_most(
+    geometry: BoxGeometry, e_max: float, *, mode_budget: int = DEFAULT_MODE_BUDGET
+) -> int:
+    """Exact number of modes with energy <= e_max (no enumeration storage).
+
+    Raises CutoffTooLarge if it exceeds ``mode_budget``.
+    """
+    return sum(
+        int(n3_max.sum()) for _, n3_max in _lattice_rows(geometry, e_max, mode_budget)
+    )
 
 
 @dataclass(frozen=True)
@@ -204,15 +236,17 @@ class SpectrumTable:
         g.setflags(write=False)
         return g
 
-    @property
-    def entries(self) -> list[tuple[Mode, float]]:
-        return [
-            (Mode(tuple(int(v) for v in m)), float(e))
-            for m, e in zip(self.modes, self.energies)
-        ]
-
     def index_of(self, mode) -> int:
-        """Row index of a mode; DomainError if it is beyond the cutoff."""
+        """Row index of a mode given as a row index or as quantum numbers.
+
+        DomainError if the index is out of range or the mode lies beyond
+        the cutoff.
+        """
+        if isinstance(mode, (int, np.integer)):
+            idx = int(mode)
+            if idx < 0 or idx >= len(self):
+                raise DomainError(f"mode index {idx} outside table of size {len(self)}")
+            return idx
         n = _as_mode_tuple(mode)
         hits = np.nonzero(
             (self.modes[:, 0] == n[0])
@@ -235,27 +269,14 @@ def enumerate_below(
     The exact mode count is computed first; CutoffTooLarge is raised before
     any large allocation when it exceeds ``mode_budget``.
     """
-    count = count_modes_at_most(geometry, e_max)
-    if count > mode_budget:
-        raise CutoffTooLarge(
-            f"enumeration below e_max={e_max!r} holds {count} modes, "
-            f"budget is {mode_budget}"
-        )
+    count = count_modes_at_most(geometry, e_max, mode_budget=mode_budget)
     c1, c2, c3 = geometry.level_coefficients
     mode_chunks = []
     energy_chunks = []
     if count > 0:
-        n1_max = int(math.floor(math.sqrt((e_max - c2 - c3) / c1)))
-        for n1 in range(1, n1_max + 1):
-            rest = e_max - c1 * n1 * n1
-            if rest < c2 + c3:
-                break
-            n2_max = int(math.floor(math.sqrt((rest - c3) / c2)))
-            n2 = np.arange(1, n2_max + 1, dtype=np.int64)
-            n2f = n2.astype(float)
-            n3_max = np.floor(np.sqrt((rest - c2 * n2f * n2f) / c3)).astype(np.int64)
+        for n1, n3_max in _lattice_rows(geometry, e_max, mode_budget):
             # all (n2, n3) pairs with n3 = 1..n3_max(n2), in lexicographic order
-            n2 = np.repeat(n2, n3_max)
+            n2 = np.repeat(np.arange(1, len(n3_max) + 1, dtype=np.int64), n3_max)
             starts = np.repeat(np.cumsum(n3_max) - n3_max, n3_max)
             n3 = np.arange(1, len(n2) + 1, dtype=np.int64) - starts
             block = np.empty((len(n2), 3), dtype=np.int64)
@@ -345,25 +366,7 @@ def unit_box_ids(d: int, eta: float, convention: str = "relative") -> int:
     (pi^2/2) sum_j (n_j - 1)^2 under the "printed" convention. The count
     includes the all-ones mode, so unit_box_ids(d, 0) >= 1.
     """
-    if eta < 0.0:
-        raise DomainError(f"gap must be nonnegative, got {eta!r}")
-    per_axis = _unit_gap_shift(d, convention)
-    budget = eta / (0.5 * math.pi**2)
-    n_max = int(math.floor(math.sqrt(budget + 1.0))) + 2
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    u = per_axis(n)
-    u = u[u <= budget + 1e-15]
-    if d == 1:
-        return int(len(u))
-    total = 0
-    if d == 2:
-        for u1 in u:
-            total += int(np.count_nonzero(u <= budget - u1 + 1e-15))
-        return total
-    for u1 in u:
-        for u2 in u[u <= budget - u1 + 1e-15]:
-            total += int(np.count_nonzero(u <= budget - u1 - u2 + 1e-15))
-    return total
+    return len(unit_box_gap_values(d, eta, min_index=1, convention=convention))
 
 
 def unit_box_gap_values(

@@ -174,6 +174,28 @@ def test_moment_and_pmf_agree(mixture_ct):
         assert float(pmf.mass.sum()) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_index_of_box_table(mixture_ct, table_aniso):
+    for idx in (0, 5, len(table_aniso) - 1):
+        n = tuple(int(v) for v in table_aniso.modes[idx])
+        assert mixture_ct.index_of(idx) == idx
+        assert mixture_ct.index_of(n) == idx
+        assert mixture_ct.gap_of(n) == table_aniso.gaps[idx]
+    for bad in (-1, len(table_aniso)):
+        with pytest.raises(DomainError):
+            mixture_ct.index_of(bad)
+
+
+def test_index_of_level_list_table():
+    ct = build_canonical([0.0, 0.5, 1.3], 1.0, 5)
+    assert ct.index_of(2) == 2
+    assert ct.gap_of(np.int64(1)) == 0.5
+    for bad in (-1, 3, (1, 1, 1)):
+        with pytest.raises(DomainError):
+            ct.index_of(bad)
+    with pytest.raises(DomainError):
+        mode_measure(ct, (1, 1, 1))
+
+
 def test_n_out_of_range_rejected(mixture_ct):
     with pytest.raises(DomainError):
         occupation_moment(mixture_ct, 0, mixture_ct.n_max + 1, 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bosebox
+from bosebox import BoxGeometry, enumerate_below, suggest_energy_cutoff
 from bosebox.cli import (
     DEFAULT_CONFIG,
     _apply_override,
@@ -169,6 +170,24 @@ def test_fluct_needs_fast_gap_regime(capsys):
     assert "fast-gap" in err
 
 
+@pytest.mark.parametrize(
+    "alphas, expected",
+    [
+        ("[0.4, 0.35, 0.25]", 3),  # the spectrum exceeds cutoffs.mode_budget
+        ("[0.6, 0.25, 0.15]", 2),  # V**(2 a_1) overflows a double
+    ],
+)
+def test_huge_volume_exits_cleanly(capsys, alphas, expected):
+    code, out, err = run_cli(
+        capsys, "gc",
+        "--override", "geometry.volume=1e308",
+        "--override", f"geometry.alphas={alphas}",
+    )
+    assert code == expected
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_empty_spectrum_warns_but_succeeds(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--emax", "0.1")
     assert code == 0
@@ -198,6 +217,26 @@ def test_csv_output_format(capsys, tmp_path):
     for line in eig:
         assert FLOAT_CELL.match(line.split(",")[value_col])
     assert not list(tmp_path.glob(".bosebox-*"))  # temp file was renamed away
+
+
+def test_spectrum_lists_the_first_thousand_modes(capsys, tmp_path):
+    geom = BoxGeometry((0.4, 0.35, 0.25), 4000.0)
+    table = enumerate_below(geom, suggest_energy_cutoff(geom, 1.0, tail_tol=1e-12))
+    assert len(table) > 1000
+    out_path = tmp_path / "spectrum.csv"
+    code, _, _ = run_cli(
+        capsys, "spectrum", "--out", str(out_path),
+        "--override", "geometry.volume=4000.0",
+    )
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    eig = [r for r in rows if r["quantity"] == "eigenvalue"]
+    assert len(eig) == 1000
+    for row, mode, energy in zip(eig, table.modes, table.energies):
+        assert (row["n1"], row["n2"], row["n3"]) == tuple(str(int(v)) for v in mode)
+        assert row["value"] == f"{float(energy):.16e}"
 
 
 def test_json_output_parses(capsys):

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from bosebox import DomainError, NoConvergence
 from bosebox.numerics import (
-    bose_occupancy,
     gauss_panels,
     log1mexp,
     log_expm1,
     omega,
     refined_panels,
-    signed_logsumexp,
     solve_bracketed,
 )
 
@@ -49,11 +47,6 @@ def test_log_expm1_huge_argument_no_overflow():
     assert log_expm1(5000.0) == pytest.approx(5000.0)
 
 
-def test_bose_occupancy_values():
-    for x in (1e-8, 0.3, 2.0, 40.0):
-        assert bose_occupancy(x) == pytest.approx(1.0 / math.expm1(x), rel=1e-14)
-
-
 def test_omega_series_and_direct_branches_agree():
     """The series branch takes over below |x| = 1e-4; both sides must match."""
     for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
@@ -74,17 +67,6 @@ def test_omega_is_nonnegative_and_quadratic_at_origin():
 @given(st.floats(min_value=-0.99, max_value=50.0))
 def test_omega_nonnegative_property(x):
     assert omega(x) >= 0.0
-
-
-def test_signed_logsumexp_against_direct_sum():
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(-3.0, 3.0, size=20)
-    signs = np.sign(vals)
-    log_terms = np.log(np.abs(vals))
-    log_abs, sign = signed_logsumexp(log_terms, signs)
-    total = vals.sum()
-    assert sign == math.copysign(1.0, total)
-    assert math.exp(log_abs) == pytest.approx(abs(total), rel=1e-12)
 
 
 def test_solve_bracketed_finds_cosine_root():

@@ -195,6 +195,40 @@ def test_index_of_unknown_mode_raises():
         t.index_of((40, 40, 40))
 
 
+def test_index_of_takes_row_index_or_quantum_numbers():
+    g = BoxGeometry((0.4, 0.35, 0.25), 64.0)
+    t = enumerate_below(g, 10.0)
+    for idx in (0, 3, len(t) - 1):
+        n = tuple(int(v) for v in t.modes[idx])
+        assert t.index_of(idx) == idx
+        assert t.index_of(np.int64(idx)) == idx
+        assert t.index_of(n) == idx
+        assert t.index_of(Mode(n)) == idx
+    for bad in (-1, len(t)):
+        with pytest.raises(DomainError):
+            t.index_of(bad)
+
+
+def test_count_modes_at_most_respects_budget():
+    g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
+    count = count_modes_at_most(g, 45.0)
+    assert count_modes_at_most(g, 45.0, mode_budget=count) == count
+    with pytest.raises(CutoffTooLarge):
+        count_modes_at_most(g, 45.0, mode_budget=count - 1)
+
+
+def test_huge_volume_is_refused_before_allocation():
+    # levels so dense that a single row would not fit in memory
+    g = BoxGeometry((0.4, 0.35, 0.25), 1e308)
+    with pytest.raises(CutoffTooLarge):
+        count_modes_at_most(g, 30.0)
+    g = BoxGeometry((0.5, 0.3, 0.2), 1e308)  # e_max / c_1 overflows to inf
+    with pytest.raises(CutoffTooLarge):
+        count_modes_at_most(g, 30.0)
+    with pytest.raises(DomainError):
+        BoxGeometry((0.6, 0.25, 0.15), 1e308)  # V**1.2 overflows a double
+
+
 # ---------------------------------------------------- density of states
 
 
@@ -282,6 +316,12 @@ def test_unit_box_ids_printed_convention():
     assert unit_box_ids(1, 0.0, "printed") == 1
     want = len(brute_unit_gaps(2, 40.0, 1, "printed"))
     assert unit_box_ids(2, 40.0, "printed") == want
+
+
+def test_unit_box_ids_counts_lattice_point_on_the_boundary():
+    # a^2 + b^2 <= 13 has 15 solutions in a, b >= 0; 2^2 + 3^2 = 13 sits on
+    # the boundary and must be counted although eta is rounded
+    assert unit_box_ids(2, 13 * (0.5 * math.pi**2), "printed") == 15
 
 
 def test_unit_box_rejects_bad_inputs():
