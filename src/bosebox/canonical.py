@@ -6,9 +6,11 @@ The n-particle partition function obeys the power-sum recursion
 
 run after shifting every level by the ground energy (the shift multiplies
 Z(n) by a known factor and cancels in all ratios) and stored as log Z'(n).
-For a box the shifted power sums factor exactly over the axes into rapidly
-converging one-dimensional theta sums, so no spectral cutoff enters the
-recursion at all.
+For a box the shifted power sums S'_k factor exactly over the axes into
+one-dimensional theta sums, each O(1) through its Jacobi dual where it
+converges slowly (spectrum.log_power_sums, the primitive the
+grand-canonical sums read too), so no spectral cutoff enters the recursion
+at all.
 
 The recursion is evaluated in blocks of rows, a simple case of relaxed
 (online) multiplication (van der Hoeven, J. Symb. Comput. 34 (2002)). The
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import CutoffInsufficient, DomainError, NumericsError
 from .numerics import log1mexp, log_expm1
-from .spectrum import SpectrumTable
+from .spectrum import _EXP_FLOOR, SpectrumTable, log_power_sums
 
 __all__ = [
     "CanonicalTable",
@@ -53,8 +55,6 @@ __all__ = [
     "mode_measure_laplace",
     "mode_measure_reconstruct",
 ]
-
-_EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
 
 # Blocked recursion (see build_canonical). The _NEAR rows just before a
 # block stay in its direct sum: they meet the largest power sums, which
@@ -147,32 +147,6 @@ class DiscreteDistribution:
         return float(np.sum(self.support.astype(float) ** r * self.mass))
 
 
-def _theta_log_power_sums(spectrum: SpectrumTable, beta: float, n_max: int) -> np.ndarray:
-    """log of shifted power sums via the exact per-axis theta factorization.
-
-    S'_k = prod_j theta_j(k), theta_j(k) = sum_{n>=1} exp(-k beta c_j (n^2-1)),
-    where c_j are the per-axis level coefficients. Terms fall off like
-    exp(-k beta c_j n^2), so the sums self-truncate with zero error at
-    double precision.
-    """
-    k = np.arange(1, n_max + 1, dtype=float)
-    log_total = np.zeros(n_max, dtype=float)
-    for c in spectrum.geometry.level_coefficients:
-        theta = np.ones(n_max, dtype=float)
-        n = 2
-        while True:
-            scale = beta * c * (n * n - 1.0)
-            k_hi = min(n_max, int(_EXP_FLOOR / scale))
-            if k_hi < 1:
-                break
-            theta[:k_hi] += np.exp(k[:k_hi] * (-scale))
-            n += 1
-        log_total += np.log(theta)
-    out = np.full(n_max + 1, np.nan)
-    out[1:] = log_total
-    return out
-
-
 def _direct_log_power_sums(gaps: np.ndarray, beta: float, n_max: int) -> np.ndarray:
     """log of shifted power sums summed directly over a finite level list."""
     out = np.full(n_max + 1, np.nan)
@@ -240,10 +214,13 @@ def _fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far) -> None:
     The terms are summed in the linear domain against the window
     Z'(m)/Z'(ref), m in [lo, n). ref moves up, and the window is rebuilt,
     whenever a row has grown e^_RESCALE past it; with Z'(n)/Z'(n-1) <= S'_1
-    nothing overflows while S'_1 < e^400. Each log Z' is rounded once, at
-    its own magnitude.
+    nothing overflows while S'_1 < e^400. A new row enters the window as
+    S'_1 total / n, rounded relative to itself, and not through its log:
+    rounding log Z' at its own magnitude (once per row) would feed an
+    absolute error of |log Z'| eps into every later row.
     """
     n_max = len(lz) - 1
+    s1 = math.exp(ls1)
     start = max(n0, 1)
     ref = start - 1
     window[lo:start] = np.exp(lz[lo:start] - lz[ref])
@@ -254,8 +231,8 @@ def _fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far) -> None:
         total = float(s_rev[n_max - n + lo : n_max] @ window[lo:n])
         if log_far is not None:
             total += math.exp(log_far[n - n0] - lz[ref] - ls1)
-        lz[n] = lz[ref] + (ls1 + math.log(total) - math.log(n))
-        window[n] = math.exp(lz[n] - lz[ref])
+        window[n] = total / n * s1
+        lz[n] = lz[ref] + math.log(window[n])
 
 
 def build_canonical(
@@ -304,7 +281,9 @@ def build_canonical(
         gaps = np.array(spectrum.gaps, dtype=float)
         ground = spectrum.ground_energy
         vol = spectrum.geometry.volume
-        log_s_shifted = _theta_log_power_sums(spectrum, beta, n_max)
+        log_s_shifted = np.concatenate(
+            ([np.nan], log_power_sums(spectrum.geometry, beta, n_max))
+        )
         table = spectrum
     else:
         energies = np.sort(np.asarray(list(spectrum), dtype=float))
@@ -318,7 +297,6 @@ def build_canonical(
     log_z_shifted = _log_partition_shifted(log_s_shifted, n_max)
     n_idx = np.arange(n_max + 1, dtype=float)
     log_z = log_z_shifted - n_idx * beta * ground
-    log_power_sums = log_s_shifted - n_idx * beta * ground
     return CanonicalTable(
         spectrum=table,
         gaps=gaps,
@@ -327,7 +305,7 @@ def build_canonical(
         n_max=n_max,
         volume=vol,
         log_z=log_z,
-        log_power_sums=log_power_sums,
+        log_power_sums=log_s_shifted - n_idx * beta * ground,
     )
 
 

@@ -145,41 +145,29 @@ def _geometry(cfg: dict, volume: float | None = None) -> BoxGeometry:
 
 
 def _coerce_number(cfg: dict, path: str, kind=float):
-    """Convert the config entry at ``path`` in place, or raise ConfigError."""
+    """Convert the config entry at ``path`` in place, or raise ConfigError.
+
+    ``kind`` is float, int, or list (a non-empty list of floats); every
+    number must be finite.
+    """
+    *parents, last = path.split(".")
     node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
+    for key in parents:
         node = node[key]
-    value = node[keys[-1]]
+    value = node[last]
     try:
-        number = kind(value)
+        if kind is list and not (isinstance(value, (list, tuple)) and value):
+            raise ValueError
+        number = [float(v) for v in value] if kind is list else kind(value)
+        finite = all(map(math.isfinite, number if kind is list else [number]))
     except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or not math.isfinite(number):
-        noun = "an integer" if kind is int else "a finite number"
+        finite = False
+    if not finite:
+        noun = {float: "a finite number", int: "an integer",
+                list: "a non-empty list of finite numbers"}[kind]
         raise ConfigError(f"{path} must be {noun}, got {value!r}")
-    node[keys[-1]] = number
+    node[last] = number
     return number
-
-
-def _coerce_number_list(cfg: dict, path: str):
-    node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
-        node = node[key]
-    value = node[keys[-1]]
-    out = None
-    if isinstance(value, (list, tuple)):
-        try:
-            out = [float(v) for v in value]
-        except (TypeError, ValueError):
-            out = None
-    if not out or not all(math.isfinite(v) for v in out):
-        raise ConfigError(
-            f"{path} must be a non-empty list of finite numbers, got {value!r}"
-        )
-    node[keys[-1]] = out
-    return out
 
 
 def _validate(cfg: dict) -> None:
@@ -188,19 +176,34 @@ def _validate(cfg: dict) -> None:
     if _coerce_number(cfg, "rho") <= 0.0:
         raise ConfigError(f"rho must be positive, got {cfg['rho']!r}")
     _coerce_number(cfg, "geometry.volume")
-    _coerce_number_list(cfg, "geometry.alphas")
+    _coerce_number(cfg, "geometry.alphas", list)
     if cfg["geometry"]["volume_sweep"] is not None:
-        _coerce_number_list(cfg, "geometry.volume_sweep")
-    _coerce_number_list(cfg, "lambda_grid")
-    _coerce_number_list(cfg, "eta_grid")
-    _coerce_number(cfg, "ladder_count", int)
+        _coerce_number(cfg, "geometry.volume_sweep", list)
+    _coerce_number(cfg, "lambda_grid", list)
+    _coerce_number(cfg, "eta_grid", list)
+    ladder_count = _coerce_number(cfg, "ladder_count", int)
     _coerce_number(cfg, "cutoffs.energy_tail_tol")
-    _coerce_number(cfg, "cutoffs.series_M", int)
-    _coerce_number(cfg, "cutoffs.mode_budget")
+    series_m = _coerce_number(cfg, "cutoffs.series_M", int)
+    mode_budget = _coerce_number(cfg, "cutoffs.mode_budget")
+    # the ladder coefficients of modes n <= ladder_count are arrays of
+    # length series_M
+    if not 2 <= series_m <= mode_budget:
+        raise ConfigError(
+            f"cutoffs.series_M must lie between 2 and cutoffs.mode_budget, got {series_m}"
+        )
+    if ladder_count > series_m:
+        raise ConfigError(
+            f"ladder_count={ladder_count} exceeds cutoffs.series_M={series_m}"
+        )
     if cfg["cutoffs"]["e_max"] is not None:
         _coerce_number(cfg, "cutoffs.e_max")
-    _coerce_number(cfg, "solver.tol")
-    _coerce_number(cfg, "solver.max_iter", int)
+    if _coerce_number(cfg, "solver.tol") <= 0.0:
+        raise ConfigError(f"solver.tol must be positive, got {cfg['solver']['tol']!r}")
+    if not 1 <= _coerce_number(cfg, "solver.max_iter", int) < 2**31:
+        raise ConfigError(
+            f"solver.max_iter must be an integer from 1 to 2^31 - 1, "
+            f"got {cfg['solver']['max_iter']!r}"
+        )
     n_max = _coerce_number(cfg, "cutoffs.n_max", int)
     if n_max > N_MAX_HARD_CAP and not cfg["cutoffs"]["allow_large_n"]:
         raise ConfigError(
@@ -247,12 +250,12 @@ def _echo(cfg: dict, geom: BoxGeometry) -> dict:
     }
 
 
-def _spectrum_table(cfg: dict, geom: BoxGeometry, *, mu_bar: float = 0.0):
+def _spectrum_table(cfg: dict, geom: BoxGeometry):
     beta = float(cfg["beta"])
     e_max = cfg["cutoffs"]["e_max"]
     if e_max is None:
         e_max = suggest_energy_cutoff(
-            geom, beta, tail_tol=float(cfg["cutoffs"]["energy_tail_tol"]), mu_bar=mu_bar
+            geom, beta, tail_tol=float(cfg["cutoffs"]["energy_tail_tol"])
         )
     return enumerate_below(
         geom, float(e_max), mode_budget=int(cfg["cutoffs"]["mode_budget"])
@@ -270,35 +273,16 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
             file=sys.stderr,
         )
     regime = classify(geom)
-    rows = []
-    rows.append(
-        {
-            **echo,
-            "quantity": "regime",
-            "label": f"{regime.condensation}/{regime.symmetry}",
-            "n1": "",
-            "n2": "",
-            "n3": "",
-            "eta": "",
-            "value": regime.gamma,
-            "error_budget": 0.0,
-        }
-    )
+
+    def row(quantity, value, label="", n=("", "", ""), eta=""):
+        return {**echo, "quantity": quantity, "label": label, "n1": n[0],
+                "n2": n[1], "n3": n[2], "eta": eta, "value": value,
+                "error_budget": 0.0}
+
+    rows = [row("regime", regime.gamma, label=f"{regime.condensation}/{regime.symmetry}")]
     cap = 1000
     for m, e in zip(table.modes[:cap].tolist(), table.energies[:cap].tolist()):
-        rows.append(
-            {
-                **echo,
-                "quantity": "eigenvalue",
-                "label": "",
-                "n1": m[0],
-                "n2": m[1],
-                "n3": m[2],
-                "eta": "",
-                "value": e,
-                "error_budget": 0.0,
-            }
-        )
+        rows.append(row("eigenvalue", e, n=m))
     for eta in cfg["eta_grid"]:
         eta = float(eta)
         lower, upper = ids_bounds(geom, eta)
@@ -308,20 +292,24 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
             ("ids_lower", lower),
             ("ids_upper", upper),
         ):
-            rows.append(
-                {
-                    **echo,
-                    "quantity": name,
-                    "label": "",
-                    "n1": "",
-                    "n2": "",
-                    "n3": "",
-                    "eta": eta,
-                    "value": value,
-                    "error_budget": 0.0,
-                }
-            )
+            rows.append(row(name, value, eta=eta))
     return rows
+
+
+def _solve_mu(cfg: dict, geom: BoxGeometry):
+    return solve_mu(
+        geom,
+        float(cfg["rho"]),
+        float(cfg["beta"]),
+        tol=float(cfg["solver"]["tol"]),
+        max_iter=int(cfg["solver"]["max_iter"]),
+        mode_budget=int(cfg["cutoffs"]["mode_budget"]),
+    )
+
+
+def _row(echo: dict, quantity: str, value, budget, lam="") -> dict:
+    return {**echo, "quantity": quantity, "lam": lam, "value": value,
+            "error_budget": budget}
 
 
 def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
@@ -330,53 +318,28 @@ def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
     rho = float(cfg["rho"])
     echo = _echo(cfg, geom)
     rc = critical_density(beta)
-    table = _spectrum_table(cfg, geom)
-    sol = solve_mu(
-        table,
-        rho,
-        beta,
-        tol=float(cfg["solver"]["tol"]),
-        max_iter=int(cfg["solver"]["max_iter"]),
-    )
+    sol = _solve_mu(cfg, geom)
     mode = tuple(int(v) for v in cfg["mode"])
+    occupation = mean_occupation(geom, sol.mu, mode, beta)
     rows = [
-        {**echo, "quantity": "rho_c", "lam": "", "value": rc.value,
-         "error_budget": rc.quadrature_error},
-        {**echo, "quantity": "mu", "lam": "", "value": sol.mu,
-         "error_budget": sol.residual},
-        {**echo, "quantity": "mu_bar", "lam": "", "value": sol.mu_bar,
-         "error_budget": sol.residual},
-        {**echo, "quantity": "density_residual", "lam": "", "value": sol.residual,
-         "error_budget": sol.tail_bound},
-        {**echo, "quantity": "mode_occupation", "lam": "",
-         "value": mean_occupation(table, sol.mu, mode, beta),
-         "error_budget": sol.tail_bound},
+        _row(echo, "rho_c", rc.value, rc.roundoff),
+        _row(echo, "mu", sol.mu, sol.residual),
+        _row(echo, "mu_bar", sol.mu_bar, sol.residual),
+        _row(echo, "density_residual", sol.residual, sol.tail_bound),
+        _row(echo, "mode_occupation", occupation, sol.tail_bound),
     ]
     if rho <= rc.value:
-        rows.append(
-            {**echo, "quantity": "mu_bar_limit", "lam": "",
-             "value": limiting_mu_bar(rho, beta),
-             "error_budget": rc.quadrature_error}
-        )
-    else:
-        regime = classify(geom)
-        if regime.condensation == "II":
-            ladder = solve_ladder_coefficient(rho, rc.value, beta=beta)
-            rows.append(
-                {**echo, "quantity": "ladder_coefficient", "lam": "",
-                 "value": ladder.value, "error_budget": ladder.residual}
-            )
-        rows.append(
-            {**echo, "quantity": "condensate_limit", "lam": "",
-             "value": gc_occupation_limit(regime, rho, mode, beta),
-             "error_budget": rc.quadrature_error}
-        )
-        for lam in cfg["lambda_grid"]:
-            rows.append(
-                {**echo, "quantity": "laplace_limit", "lam": float(lam),
-                 "value": gc_laplace_limit(regime, rho, mode, float(lam), beta),
-                 "error_budget": rc.quadrature_error}
-            )
+        rows.append(_row(echo, "mu_bar_limit", limiting_mu_bar(rho, beta), rc.roundoff))
+        return rows
+    regime = classify(geom)
+    if regime.condensation == "II":
+        ladder = solve_ladder_coefficient(rho, rc.value, beta=beta)
+        rows.append(_row(echo, "ladder_coefficient", ladder.value, ladder.residual))
+    rows.append(_row(echo, "condensate_limit",
+                     gc_occupation_limit(regime, rho, mode, beta), rc.roundoff))
+    for lam in cfg["lambda_grid"]:
+        value = gc_laplace_limit(regime, rho, mode, float(lam), beta)
+        rows.append(_row(echo, "laplace_limit", value, rc.roundoff, lam=float(lam)))
     return rows
 
 
@@ -389,26 +352,17 @@ def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
     ct = build_canonical(table, beta, n)
     mode = tuple(int(v) for v in cfg["mode"])
     roundoff = 4e-16 * n
+    mean = occupation_moment(ct, mode, n, 1)
     rows = [
-        {**echo, "quantity": "particle_number", "lam": "", "value": float(n),
-         "error_budget": 0.0},
-        {**echo, "quantity": "occupation_mean", "lam": "",
-         "value": occupation_moment(ct, mode, n, 1), "error_budget": roundoff},
-        {**echo, "quantity": "occupation_second_moment", "lam": "",
-         "value": occupation_moment(ct, mode, n, 2), "error_budget": roundoff},
-        {**echo, "quantity": "occupation_density", "lam": "",
-         "value": occupation_moment(ct, mode, n, 1) / geom.volume,
-         "error_budget": roundoff},
-        {**echo, "quantity": "condensate_share", "lam": "",
-         "value": generalized_condensate(ct, n, 0.05),
-         "error_budget": roundoff},
+        _row(echo, "particle_number", float(n), 0.0),
+        _row(echo, "occupation_mean", mean, roundoff),
+        _row(echo, "occupation_second_moment", occupation_moment(ct, mode, n, 2), roundoff),
+        _row(echo, "occupation_density", mean / geom.volume, roundoff),
+        _row(echo, "condensate_share", generalized_condensate(ct, n, 0.05), roundoff),
     ]
     for lam in cfg["lambda_grid"]:
-        rows.append(
-            {**echo, "quantity": "occupation_laplace", "lam": float(lam),
-             "value": occupation_laplace(ct, mode, n, float(lam)),
-             "error_budget": roundoff}
-        )
+        value = occupation_laplace(ct, mode, n, float(lam))
+        rows.append(_row(echo, "occupation_laplace", value, roundoff, lam=float(lam)))
     return rows
 
 
@@ -418,7 +372,7 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     rho = float(cfg["rho"])
     echo = _echo(cfg, geom)
     table = _spectrum_table(cfg, geom)
-    sol = solve_mu(table, rho, beta, tol=float(cfg["solver"]["tol"]))
+    sol = _solve_mu(cfg, geom)
     rc = critical_density(beta).value
     n_max = _mixture_n_max(cfg, rho, rc, geom.volume)
     ct = build_canonical(table, beta, n_max)
@@ -722,7 +676,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, OverflowError) as exc:
+        # OverflowError: arithmetic on inputs that leave double range
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = render_csv(rows) if cfg["output"]["format"] == "csv" else render_json(rows)

@@ -5,6 +5,19 @@ saturation density, the chemical-potential solver at fixed density, the
 leading small-gap asymptotics of the shifted chemical potential in the three
 condensation regimes, and the self-consistent ladder coefficient that governs
 the anisotropy-critical case.
+
+Sums over all modes come from the shifted power sums S'_k of
+spectrum.log_power_sums, which the canonical recursion reads too, so no
+mode is listed. With mu_bar = mu - E_1 < 0 and the ground mode split off,
+
+    rho V = 1/(exp(-beta mu_bar) - 1) + sum_{k>=1} (S'_k - 1) exp(k beta mu_bar),
+
+and log Xi is the same with -log(1 - exp(beta mu_bar)) and a 1/k weight.
+S'_k - 1 shrinks at least by exp(-beta eta_1) per step (eta_1 = 3 c_1, the
+first gap), so the terms after K sum to at most the geometric series
+(S'_K - 1) exp(K beta mu_bar) r/(1 - r), r = exp(-beta (eta_1 - mu_bar)):
+a rigorous tail bound, taken below 2^-53 of the sum. The limiting densities
+are closed forms in zeta(3/2) and Li_{3/2}.
 """
 
 from __future__ import annotations
@@ -14,17 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import zeta
 
-from .errors import DomainError, NoConvergence
+from .errors import CutoffTooLarge, DomainError, NoConvergence
 from .numerics import solve_bracketed
 from .spectrum import (
-    IDS_PREFACTOR,
+    DEFAULT_MODE_BUDGET,
     BoxGeometry,
     RegimeLabel,
-    SpectrumTable,
     classify,
-    exponential_tail_integral,
+    eigenvalue,
+    ground_energy,
+    log_power_sums,
     _as_mode_tuple,
 )
 
@@ -34,7 +48,6 @@ __all__ = [
     "LadderCoefficient",
     "mean_occupation",
     "gc_density",
-    "gc_density_tail",
     "grand_partition_log",
     "solve_mu",
     "critical_density",
@@ -45,13 +58,26 @@ __all__ = [
     "gc_laplace_limit",
 ]
 
+_ZETA_32 = float(zeta(1.5))
+# Robinson's expansion Li_{3/2}(e^x) = -2 sqrt(pi) sqrt(-x) + sum_j zeta(3/2 - j) x^j / j!
+# (Phys. Rev. 83, 678 (1951)), used for -1 <= x <= 0; its terms fall off
+# like (x / 2 pi)^j, so 30 of them reach roundoff.
+_ROBINSON = [_ZETA_32] + [float(zeta(1.5 - j)) / math.factorial(j) for j in range(1, 30)]
+# Power-sum series are summed until their tail bound is below this share of
+# their first term, a lower bound on the whole sum.
+_SERIES_RTOL = 2.0**-53
+# solve_mu's first set of power sums is at most this long; partial sums are
+# lower bounds, so it grows only if the root needs more.
+_FIRST_SERIES = 1 << 17
+
+
 @dataclass(frozen=True)
 class CriticalDensity:
     """Saturation density at inverse temperature beta."""
 
     beta: float
     value: float
-    quadrature_error: float
+    roundoff: float
 
 
 @dataclass(frozen=True)
@@ -78,148 +104,210 @@ class LadderCoefficient:
     excess: float
 
 
-def _check_mu(table: SpectrumTable, mu: float) -> None:
-    if not mu < table.ground_energy:
-        raise DomainError(
-            f"mu must lie strictly below the ground level {table.ground_energy!r}"
+def _check_mu(ground: float, mu: float) -> None:
+    if not mu < ground:
+        raise DomainError(f"mu must lie strictly below the ground level {ground!r}")
+
+
+def _bose(x: float) -> float:
+    """1/(e^x - 1) for x > 0, as e^-x/(1 - e^-x) so that large x gives 0."""
+    return math.exp(-x) / -math.expm1(-x)
+
+
+def _geometric_laplace(x: float, lam: float) -> float:
+    """(1 - q)/(1 - q e^-lam) with q = e^-x, kept stable for tiny exponents."""
+    return -math.expm1(-x) / -math.expm1(-(x + lam))
+
+
+def mean_occupation(geometry: BoxGeometry, mu: float, mode, beta: float) -> float:
+    """Expected occupation 1/(exp(beta (E_n - mu)) - 1) of the mode n."""
+    _check_mu(ground_energy(geometry), mu)
+    return _bose(beta * (eigenvalue(geometry, mode) - mu))
+
+
+def _series_rate(geometry: BoxGeometry, beta: float, mu_bar: float) -> float:
+    """beta (eta_1 - mu_bar): each excited term shrinks by exp(-rate) per k."""
+    return beta * (3.0 * min(geometry.level_coefficients) - mu_bar)
+
+
+def _series_length(rate: float) -> float:
+    """Terms K after which the tail bound is below _SERIES_RTOL times term 1.
+
+    Since S'_K - 1 <= (S'_1 - 1) exp(-(K - 1) beta eta_1), that bound is at
+    most term 1 times exp(-(K - 1) rate)/(exp(rate) - 1). A float, possibly
+    huge or infinite: compare it with a budget before taking int().
+    """
+    target = -math.log(_SERIES_RTOL)
+    if rate >= target:
+        return 1.0
+    if not rate > 0.0:
+        return math.inf
+    steps = (target - math.log(math.expm1(rate))) / rate
+    return 1.0 + math.ceil(steps) if steps < 2.0**62 else math.inf
+
+
+def _excess_power_sums(geometry, beta, length, mode_budget) -> np.ndarray:
+    """S'_k - 1 for k = 1..length; CutoffTooLarge, before any allocation,
+    if ``length`` exceeds ``mode_budget``, and if the sums overflow."""
+    if not 1 <= length <= mode_budget:
+        raise CutoffTooLarge(
+            f"a power-sum series of {length!r} terms does not fit the budget {mode_budget}"
         )
+    with np.errstate(over="ignore"):
+        excess = np.expm1(log_power_sums(geometry, beta, int(length)))
+    if not math.isfinite(excess[0]):
+        raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    return excess
 
 
-def mean_occupation(table: SpectrumTable, mu: float, k, beta: float) -> float:
-    """Expected occupation 1/(exp(beta (E_k - mu)) - 1) of one mode."""
-    idx = table.index_of(k)
-    _check_mu(table, mu)
-    x = beta * (table.energies[idx] - mu)
-    return float(1.0 / np.expm1(x))
+def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False):
+    """sum_k (S'_k - 1) exp(k beta mu_bar), divided by k if ``over_k``.
+
+    Sums the given S'_k - 1, by default as many as _series_length asks.
+    Returns the partial sum and the geometric bound term_K r/(1 - r),
+    r = exp(-rate), on the rest (with the 1/k weight the rest shrinks at
+    least as fast). Where one excited level dominates the bound is exact,
+    so it is raised by 1e-9 of itself to cover the rounding of the terms.
+    """
+    rate = _series_rate(geometry, beta, mu_bar)
+    if excess is None:
+        length = _series_length(rate)
+        excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)
+    k = np.arange(1, len(excess) + 1, dtype=float)
+    terms = excess * np.exp(k * (beta * mu_bar))
+    if over_k:
+        terms /= k
+    return float(np.sum(terms)), float(terms[-1]) * _bose(rate) * (1.0 + 1e-9)
 
 
-def _exponential_mode_tail(table: SpectrumTable, beta: float, mu_bar: float) -> float:
-    """Bound on the sum of 1/(exp(beta (eta - mu_bar)) - 1), and so of
-    -log(1 - exp(-beta (eta - mu_bar))), over the modes above the cutoff."""
-    geom = table.geometry
-    eta_max = table.cutoff - table.ground_energy
-    gap = beta * (eta_max - mu_bar)
-    if gap <= 0.0:
-        raise DomainError("table cutoff does not exceed the chemical potential")
-    decay = math.exp(-gap)
-    integral = exponential_tail_integral(geom, beta, eta_max, mu_bar)
-    upper_at_cut = IDS_PREFACTOR * (eta_max + table.ground_energy) ** 1.5
-    excess_count = max(geom.volume * upper_at_cut - len(table), 0.0)
-    correction = 1.0 / (1.0 - decay)
-    return correction * (geom.volume * integral + decay * excess_count)
+def gc_density(geometry: BoxGeometry, mu: float, beta: float) -> float:
+    """Grand-canonical particle density (1/V) sum_n 1/(exp(beta(E_n - mu)) - 1)."""
+    ground = ground_energy(geometry)
+    _check_mu(ground, mu)
+    excited, _ = _excited_sum(geometry, beta, mu - ground)
+    return (_bose(beta * (ground - mu)) + excited) / geometry.volume
 
 
-def gc_density_tail(table: SpectrumTable, mu: float, beta: float) -> float:
-    """Per-volume bound on the occupation sum omitted above the table cutoff."""
-    mu_bar = mu - table.ground_energy
-    return _exponential_mode_tail(table, beta, mu_bar) / table.geometry.volume
-
-
-def gc_density(table: SpectrumTable, mu: float, beta: float) -> float:
-    """Grand-canonical particle density (1/V) sum_k 1/(exp(beta(E_k - mu)) - 1)."""
-    _check_mu(table, mu)
-    x = beta * (table.energies - mu)
-    return float(np.sum(1.0 / np.expm1(x)) / table.geometry.volume)
-
-
-def grand_partition_log(table: SpectrumTable, mu: float, beta: float) -> tuple[float, float]:
-    """log of the grand partition function and a bound on its cutoff tail."""
-    _check_mu(table, mu)
-    x = beta * (table.energies - mu)
-    value = float(-np.sum(np.log(-np.expm1(-x))))
-    return value, _exponential_mode_tail(table, beta, mu - table.ground_energy)
+def grand_partition_log(geometry: BoxGeometry, mu: float, beta: float) -> tuple[float, float]:
+    """log of the grand partition function and a bound on its series tail."""
+    ground = ground_energy(geometry)
+    _check_mu(ground, mu)
+    excited, tail = _excited_sum(geometry, beta, mu - ground, over_k=True)
+    return -math.log(-math.expm1(beta * (mu - ground))) + excited, tail
 
 
 def solve_mu(
-    table: SpectrumTable,
+    geometry: BoxGeometry,
     rho: float,
     beta: float,
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
+    mode_budget: int = DEFAULT_MODE_BUDGET,
 ) -> GcSolution:
     """Solve gc_density(mu) = rho for mu < E_1 at fixed volume.
 
-    The upper bracket end pins the ground term alone at rho (the density
-    there already exceeds rho); the lower end is pushed down geometrically
-    until the density falls below rho.
+    The unknown is the ground occupation N_0 = 1/(exp(-beta mu_bar) - 1),
+    in which the density is nearly linear however many decades mu_bar
+    spans. N_0 = rho V holds the density at or above rho, and
+    N_0 = rho V / (2 S'_1) below it (each excited occupation is at most
+    S'_1 - 1 times the ground one), so the bracket needs no search.
+
+    The density is summed over K power sums at a time. Partial sums are
+    lower bounds, so the root found lies at or above the true one, where
+    the series needs the most terms: if that is more than K, K grows to it
+    and the solve is repeated below that root, which then needs no more.
+    CutoffTooLarge if K would exceed ``mode_budget``.
     """
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
-    e1 = table.ground_energy
-    volume = table.geometry.volume
+    volume = geometry.volume
+    rho_v = rho * volume
+    if not 0.0 < rho_v < math.inf:
+        raise DomainError(f"rho V = {rho_v!r} is out of range for double precision")
 
-    def fn(mu_bar: float) -> float:
-        return gc_density(table, e1 + mu_bar, beta) - rho
+    def mu_bar_of(n0: float) -> float:
+        return -math.log1p(1.0 / n0) / beta
 
-    hi = -math.log1p(1.0 / (rho * volume)) / beta
-    # strictly below hi even when hi is already past -1/beta
-    lo = hi - max(1.0, -hi * beta) / beta
-    root, bracket = solve_bracketed(
-        fn, lo, hi, expand="down", max_iter=max_iter, what="chemical potential"
+    s1 = math.exp(log_power_sums(geometry, beta, 1)[0])
+    lo, hi = max(rho_v / (2.0 * s1), math.ulp(0.0)), rho_v
+    length = min(
+        _series_length(_series_rate(geometry, beta, mu_bar_of(hi))),
+        _FIRST_SERIES,
+        mode_budget,
     )
-    mu = e1 + root
-    residual = abs(gc_density(table, mu, beta) - rho)
+    while True:
+        excess = _excess_power_sums(geometry, beta, length, mode_budget)
+
+        def excess_density(n0: float) -> float:
+            excited, _ = _excited_sum(geometry, beta, mu_bar_of(n0), excess)
+            return (n0 - rho_v + excited) / volume
+
+        root, _ = solve_bracketed(
+            excess_density, lo, hi, max_iter=max_iter, what="chemical potential"
+        )
+        mu_bar = mu_bar_of(root)
+        length = _series_length(_series_rate(geometry, beta, mu_bar))
+        if length <= len(excess):
+            break
+        hi = root
+    excited, tail = _excited_sum(geometry, beta, mu_bar, excess)
+    residual = abs((_bose(-beta * mu_bar) + excited) / volume - rho)
+    bracket = (mu_bar_of(lo), mu_bar_of(hi))
     if residual > tol * rho:
         raise NoConvergence(
             f"density residual {residual!r} exceeds {tol * rho!r} on bracket {bracket!r}"
         )
     return GcSolution(
-        mu=mu,
+        mu=ground_energy(geometry) + mu_bar,
         rho=rho,
         residual=residual,
-        regime=classify(table.geometry),
-        mu_bar=root,
-        tail_bound=gc_density_tail(table, mu, beta),
+        regime=classify(geometry),
+        mu_bar=mu_bar,
+        tail_bound=tail / volume,
         bracket=bracket,
     )
 
 
-def _density_integral(beta: float, mu_bar: float) -> tuple[float, float]:
-    """Integral of the Bose weight against the limiting level density.
-
-    Substituting eta = t^2 smooths the square-root edge: the integrand
-    becomes (sqrt(2)/pi^2) t^2 / (exp(beta (t^2 - mu_bar)) - 1).
-    """
-    front = math.sqrt(2.0) / math.pi**2
-
-    def integrand(t: float) -> float:
-        x = beta * (t * t - mu_bar)
-        if x > 700.0:
-            return front * t * t * math.exp(-x)
-        return front * t * t / math.expm1(x)
-
-    value, err = quad(integrand, 0.0, math.inf, limit=200)
-    return value, err
+def _polylog_32(x: float) -> float:
+    """Li_{3/2}(e^x) for x <= 0."""
+    if x >= -1.0:
+        total = 0.0
+        for c in reversed(_ROBINSON):
+            total = total * x + c
+        return total - 2.0 * math.sqrt(-math.pi * x)
+    k = np.arange(1.0, math.ceil(40.0 / -x) + 2.0)
+    return float(np.sum(np.exp(k * x) / k**1.5))
 
 
 def critical_density(beta: float) -> CriticalDensity:
-    """Saturation density: the density integral at vanishing chemical potential."""
+    """Saturation density zeta(3/2) (2 pi beta)^(-3/2), with its roundoff."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    value, err = _density_integral(beta, 0.0)
-    return CriticalDensity(beta=beta, value=value, quadrature_error=err)
+    value = _ZETA_32 * (2.0 * math.pi * beta) ** -1.5
+    return CriticalDensity(beta=beta, value=value, roundoff=8.0 * math.ulp(value))
 
 
 def limiting_mu_bar(rho: float, beta: float) -> float:
     """Infinite-volume shifted chemical potential for a subcritical density.
 
-    Solves the limiting density equation; returns 0 at saturation and raises
-    DomainError above it.
+    Solves (2 pi beta)^(-3/2) Li_{3/2}(exp(beta mu_bar)) = rho; returns 0 at
+    saturation and raises DomainError above it.
     """
-    rc = critical_density(beta)
-    if rho > rc.value:
+    rc = critical_density(beta).value
+    if rho > rc:
         raise DomainError(
-            f"density {rho!r} exceeds the saturation density {rc.value!r}"
+            f"density {rho!r} exceeds the saturation density {rc!r}"
         )
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
+    if rho == rc:
+        return 0.0
+    front = (2.0 * math.pi * beta) ** -1.5
 
     def fn(mu_bar: float) -> float:
-        return _density_integral(beta, mu_bar)[0] - rho
+        return front * _polylog_32(beta * mu_bar) - rho
 
-    if fn(0.0) <= 0.0:
-        return 0.0
     root, _ = solve_bracketed(
         fn, -1.0 / beta, 0.0, expand="down", what="limiting chemical potential"
     )
@@ -287,6 +375,16 @@ def _is_ladder(mode: tuple[int, int, int]) -> bool:
     return mode[1] == 1 and mode[2] == 1
 
 
+def _condensate_case(rho: float, mode, beta: float):
+    """Quantum numbers of ``mode`` and rho_c; DomainError unless rho > rho_c."""
+    rc = critical_density(beta).value
+    if rho <= rc:
+        raise DomainError(
+            f"density {rho!r} is subcritical (saturation {rc!r}); no condensate"
+        )
+    return _as_mode_tuple(mode), rc
+
+
 def gc_occupation_limit(regime: RegimeLabel, rho: float, mode, beta: float) -> float:
     """Infinite-volume scaled occupation of one mode above saturation.
 
@@ -295,12 +393,7 @@ def gc_occupation_limit(regime: RegimeLabel, rho: float, mode, beta: float) -> f
     Regime III: occupations grow slower than V; at the natural scale
     V**(2(1-a_1)) every ladder mode carries 2 beta (rho - rho_c)^2.
     """
-    n = _as_mode_tuple(mode)
-    rc = critical_density(beta).value
-    if rho <= rc:
-        raise DomainError(
-            f"density {rho!r} is subcritical (saturation {rc!r}); no condensate"
-        )
+    n, rc = _condensate_case(rho, mode, beta)
     if regime.condensation == "I":
         return rho - rc if n == (1, 1, 1) else 0.0
     if regime.condensation == "II":
@@ -313,24 +406,20 @@ def gc_occupation_limit(regime: RegimeLabel, rho: float, mode, beta: float) -> f
     raise DomainError(f"unknown condensation regime {regime.condensation!r}")
 
 
-def gc_laplace_finite(table: SpectrumTable, mu: float, k, lam: float, beta: float) -> float:
+def gc_laplace_finite(geometry: BoxGeometry, mu: float, mode, lam: float, beta: float) -> float:
     """Laplace transform of one mode's occupation at finite volume.
 
-    The occupation is geometric with ratio q = exp(-beta (E_k - mu)), so
+    The occupation is geometric with ratio q = exp(-beta (E_n - mu)), so
     the transform is (1 - q) / (1 - q exp(-lam)); defined for
-    lam > -beta (E_k - mu).
+    lam > -beta (E_n - mu).
     """
-    idx = table.index_of(k)
-    _check_mu(table, mu)
-    x = beta * (table.energies[idx] - mu)
+    _check_mu(ground_energy(geometry), mu)
+    x = beta * (eigenvalue(geometry, mode) - mu)
     if lam <= -x:
         raise DomainError(
             f"lam must exceed {-x!r} for a convergent transform, got {lam!r}"
         )
-    # (1-q)/(1-q e^-lam) with q = e^-x, kept stable for tiny exponents
-    num = -math.expm1(-x)
-    den = -math.expm1(-(x + lam))
-    return num / den
+    return _geometric_laplace(x, lam)
 
 
 def gc_laplace_limit(
@@ -351,12 +440,7 @@ def gc_laplace_limit(
     (``scaled=True``). Off the relevant modes the scaled occupation vanishes
     in the limit, so the transform is 1.
     """
-    n = _as_mode_tuple(mode)
-    rc = critical_density(beta).value
-    if rho <= rc:
-        raise DomainError(
-            f"density {rho!r} is subcritical (saturation {rc!r}); no condensate"
-        )
+    n, rc = _condensate_case(rho, mode, beta)
     if regime.condensation == "I":
         if n != (1, 1, 1):
             return 1.0

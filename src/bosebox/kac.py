@@ -18,6 +18,8 @@ import numpy as np
 from .errors import CutoffInsufficient, DomainError
 from .canonical import CanonicalTable
 from .grandcanonical import (
+    _check_mu,
+    _geometric_laplace,
     critical_density,
     grand_partition_log,
     solve_ladder_coefficient,
@@ -59,12 +61,10 @@ class PointMass:
 
 
 def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
+    """log Xi and its tail bound: over the whole box, or over a level list."""
     if ct.spectrum is not None:
-        return grand_partition_log(ct.spectrum, mu, ct.beta)
-    mu_bar = mu - ct.ground_energy
-    if mu_bar >= 0.0:
-        raise DomainError("mu must lie strictly below the ground level")
-    x = ct.beta * (ct.gaps - mu_bar)
+        return grand_partition_log(ct.spectrum.geometry, mu, ct.beta)
+    x = ct.beta * (ct.gaps - (mu - ct.ground_energy))
     return float(-np.sum(np.log(-np.expm1(-x)))), 0.0
 
 
@@ -79,10 +79,7 @@ def kac_weights(
     when the table is too short. The reported tail_bound also carries the
     truncation error of the grand partition log.
     """
-    if not mu < ct.ground_energy:
-        raise DomainError(
-            f"mu must lie strictly below the ground level {ct.ground_energy!r}"
-        )
+    _check_mu(ct.ground_energy, mu)
     beta_mu_bar = ct.beta * (mu - ct.ground_energy)
     log_xi, xi_tail = _log_partition_grand(ct, mu)
     n = np.arange(ct.n_max + 1, dtype=float)
@@ -140,7 +137,7 @@ def decomposition_check(
     kw = kac_weights(ct, mu, tail_target=tail_target)
     eta = ct.gap_of(k)
     x = ct.beta * (eta - (mu - ct.ground_energy))
-    lhs = -math.expm1(-x) / -math.expm1(-(x + lam))
+    lhs = _geometric_laplace(x, lam)
     rate = x + lam  # r = exp(-rate)
     lengths = np.arange(kw.n_cut, 0, -1, dtype=float)  # N - m, m = 0..N-1
     geometric = math.exp(-rate) * -np.expm1(-lengths * rate) / -math.expm1(-rate)

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CutoffInsufficient, DomainError, PoleProximity
+from .errors import DomainError, PoleProximity
 from .canonical import CanonicalTable, occupation_laplace, occupation_moment
 from .numerics import omega, refined_panels
-from .spectrum import BoxGeometry, SpectrumTable, classify, unit_box_gap_values
-from .grandcanonical import gc_density_tail
+from .spectrum import BoxGeometry, classify, unit_box_gap_values
+from .grandcanonical import _excited_sum
 
 __all__ = [
     "GapCoefficients",
@@ -386,23 +386,13 @@ def fluctuation_law(case, lam: float, beta: float, *, convention: str = "relativ
     raise DomainError(f"unknown fluctuation case {label!r}")
 
 
-def rho_c_finite(table: SpectrumTable, beta: float, *, tail_tol: float = 1e-10) -> float:
+def rho_c_finite(geometry: BoxGeometry, beta: float) -> float:
     """Finite-volume excited-mode density at vanishing shifted potential.
 
-    (1/V) sum_{k >= 2} 1/(exp(beta eta_k) - 1) over the table, with the
-    above-cutoff remainder bounded through the counting envelope;
-    CutoffInsufficient if that bound exceeds tail_tol.
+    (1/V) sum over the excited modes of 1/(exp(beta eta) - 1), the
+    grand-canonical power-sum series at mu_bar = 0 without its ground term.
     """
-    gaps = table.gaps[1:]
-    if len(gaps) == 0:
-        raise CutoffInsufficient("table holds no excited modes")
-    value = float(np.sum(1.0 / np.expm1(beta * gaps))) / table.geometry.volume
-    tail = gc_density_tail(table, table.ground_energy, beta)
-    if tail > tail_tol:
-        raise CutoffInsufficient(
-            f"excited-density tail bound {tail!r} exceeds {tail_tol!r}"
-        )
-    return value
+    return _excited_sum(geometry, beta, 0.0)[0] / geometry.volume
 
 
 @dataclass(frozen=True)
@@ -444,7 +434,7 @@ def fluctuation_convergence_check(
         v = ct.volume
         gamma = case.gamma
         n = int(round(rho * v))
-        rc_v = rho_c_finite(ct.spectrum, ct.beta)
+        rc_v = rho_c_finite(ct.spectrum.geometry, ct.beta)
         sat_center = rho - rc_v
         mean = occupation_moment(ct, 0, n, 1)
         offset = mean / v if center == "mean" else sat_center

@@ -77,7 +77,8 @@ def solve_bracketed(
     """Find a sign change of ``fn`` on [lo, hi], expanding the bracket if asked.
 
     ``expand`` is "none", "down" (move lo away geometrically) or "up".
-    Raises NoConvergence reporting the bracket when no sign change is found.
+    Raises NoConvergence reporting the bracket when no sign change is found
+    or the root is not pinned within ``max_iter`` iterations.
     """
     flo, fhi = fn(lo), fn(hi)
     n_expand = 0
@@ -102,19 +103,20 @@ def solve_bracketed(
         return lo, (lo, hi)
     if fhi == 0.0:
         return hi, (lo, hi)
-    root = brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=max_iter)
+    root, info = brentq(
+        fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=max_iter,
+        full_output=True, disp=False,
+    )
+    if not info.converged:
+        raise NoConvergence(
+            f"{what} not found in {max_iter} iterations on bracket [{lo!r}, {hi!r}]"
+        )
     return float(root), (lo, hi)
 
 
 def gauss_panels(a, b, n_panels, n_nodes):
     """Composite Gauss-Legendre nodes/weights on [a, b] with uniform panels."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return _panel_rule(np.linspace(a, b, n_panels + 1), n_nodes)
 
 
 def refined_panels(a, b, n_nodes=24, n_refine=18):
@@ -127,8 +129,11 @@ def refined_panels(a, b, n_nodes=24, n_refine=18):
     fracs = 0.5 ** np.arange(1, n_refine + 1)
     left = a + length * 0.5 * fracs[::-1]
     right = b - length * 0.5 * fracs[::-1]
-    edges = np.concatenate(([a], left, right[::-1], [b]))
-    edges = np.unique(edges)
+    return _panel_rule(np.unique(np.concatenate(([a], left, right[::-1], [b]))), n_nodes)
+
+
+def _panel_rule(edges, n_nodes):
+    """Gauss-Legendre nodes and weights of n_nodes points on every panel."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -13,6 +13,7 @@ integrated density of states, its closed-form limit and two-sided bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,7 @@ __all__ = [
     "unit_box_gap_values",
     "suggest_energy_cutoff",
     "exponential_tail_integral",
+    "log_power_sums",
 ]
 
 ALPHA_TOL = 1e-12
@@ -52,6 +54,11 @@ IDS_PREFACTOR = math.sqrt(2.0) / (3.0 * math.pi**2)
 SANDWICH_CONSTANT = 3.0 * math.pi / math.sqrt(2.0)
 
 DEFAULT_MODE_BUDGET = 20_000_000
+
+_EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
+# log_power_sums evaluates an axis with t = k beta c_j below this through
+# the Jacobi dual of its theta series, and at or above it directly.
+_THETA_DUAL_BELOW = 1.0
 
 
 def _as_mode_tuple(mode) -> tuple[int, int, int]:
@@ -105,9 +112,9 @@ class BoxGeometry:
             )
         try:
             self.level_coefficients
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise DomainError(
-                f"volume {self.volume!r} is too large for double-precision levels"
+                f"volume {self.volume!r} is out of range for double-precision levels"
             ) from None
 
     @cached_property
@@ -417,17 +424,15 @@ def unit_box_gap_values(
     return vals
 
 
-def exponential_tail_integral(
-    geometry: BoxGeometry, beta: float, eta_max: float, mu_bar: float = 0.0
-) -> float:
-    """Per-volume bound on integral of exp(-beta (eta - mu_bar)) above eta_max.
+def exponential_tail_integral(geometry: BoxGeometry, beta: float, eta_max: float) -> float:
+    """Per-volume bound on integral of exp(-beta eta) above eta_max.
 
     Integrates the weight against the upper envelope of the counting measure,
     IDS_PREFACTOR (eta + E_1)^(3/2); closed form through the incomplete gamma
     function. Multiply by V for bounds on absolute mode sums.
     """
     e1 = ground_energy(geometry)
-    scale = 1.5 * IDS_PREFACTOR * math.exp(beta * (mu_bar + e1))
+    scale = 1.5 * IDS_PREFACTOR * math.exp(beta * e1)
     gamma_front = math.gamma(1.5) * beta ** -1.5
     return scale * gamma_front * float(gammaincc(1.5, beta * (eta_max + e1)))
 
@@ -437,23 +442,22 @@ def suggest_energy_cutoff(
     beta: float,
     *,
     tail_tol: float = 1e-12,
-    mu_bar: float = 0.0,
     eta_start: float = 1.0,
 ) -> float:
     """Smallest convenient E_max whose exponential-weight tail is below tail_tol.
 
     The tail is measured per volume against the counting upper envelope with
-    weight exp(-beta (eta - mu_bar)); monotone weights bounded by it inherit
-    the bound. Doubles the gap cutoff until the target is met.
+    weight exp(-beta eta); monotone weights bounded by it inherit the bound.
+    Doubles the gap cutoff until the target is met.
     """
     eta = float(eta_start)
     for _ in range(200):
-        if exponential_tail_integral(geometry, beta, eta, mu_bar) < tail_tol:
+        if exponential_tail_integral(geometry, beta, eta) < tail_tol:
             # refine downward a little so cutoffs do not balloon
             lo, hi = eta / 2.0, eta
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                if exponential_tail_integral(geometry, beta, mid, mu_bar) < tail_tol:
+                if exponential_tail_integral(geometry, beta, mid) < tail_tol:
                     hi = mid
                 else:
                     lo = mid
@@ -462,3 +466,42 @@ def suggest_energy_cutoff(
     raise CutoffTooLarge(
         f"no gap cutoff below {eta!r} meets tail tolerance {tail_tol!r}"
     )
+
+
+def log_power_sums(geometry: BoxGeometry, beta: float, k_max: int) -> np.ndarray:
+    """log S'_k, S'_k = sum_modes exp(-k beta eta), for k = 1..k_max (entry k-1).
+
+    eta is the gap above the ground level. S'_k factors over the axes into
+    theta sums prod_j theta(k beta c_j), theta(t) = sum_{n>=1} exp(-t (n^2-1)),
+    so no spectral cutoff enters. For t >= 1 the series is summed directly
+    down to terms of exp(-745); for t < 1 through its Jacobi dual
+
+        sum_{n>=1} exp(-t n^2) = (sqrt(pi/t) (1 + 2 sum_{m>=1} exp(-pi^2 m^2/t)) - 1)/2,
+
+    whose terms fall off as fast there. Either way each S'_k costs O(1).
+    """
+    k = np.arange(1, k_max + 1, dtype=float)
+    return sum(_log_theta_shifted(k * (beta * c)) for c in geometry.level_coefficients)
+
+
+def _log_theta_shifted(t: np.ndarray) -> np.ndarray:
+    """log sum_{n>=1} exp(-t (n^2 - 1)) for increasing t > 0."""
+    split = int(np.searchsorted(t, _THETA_DUAL_BELOW))
+    # direct: log1p of sum_{n>=2} exp(-t (n^2 - 1)), dropping exp(< -745)
+    inner = np.zeros(len(t) - split)
+    for n in itertools.count(2):
+        top = int(np.searchsorted(t, _EXP_FLOOR / (n * n - 1.0)))
+        if top <= split:
+            break
+        inner[: top - split] += np.exp(t[split:top] * -(n * n - 1.0))
+    # dual, in the log domain: t + log(sqrt(pi/t)/2) + log1p(2 sum - sqrt(t/pi))
+    small = t[:split]
+    dual = np.zeros(split)
+    for m in itertools.count(1):
+        lo = int(np.searchsorted(small, math.pi**2 * m * m / _EXP_FLOOR))
+        if lo >= split:
+            break
+        dual[lo:] += np.exp(-math.pi**2 * m * m / small[lo:])
+    head = small + 0.5 * np.log(math.pi / (4.0 * small))
+    return np.concatenate((head + np.log1p(2.0 * dual - np.sqrt(small / math.pi)),
+                           np.log1p(inner)))

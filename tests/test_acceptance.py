@@ -148,13 +148,13 @@ def test_acceptance_03_mixture_decomposition_identity(capsys, table_aniso, mixtu
     start = time.monotonic()
     modes = [tuple(int(v) for v in m) for m in table_aniso.modes[:5]]
     cases = []
-    sol_super = solve_mu(table_aniso, RHO_SUPER, BETA)
+    sol_super = solve_mu(table_aniso.geometry, RHO_SUPER, BETA)
     cases.append((mixture_ct, sol_super.mu))
     rho_sub = 0.5 * RC
     vol = table_aniso.geometry.volume
     n_sub = int(math.ceil(rho_sub * vol + 25.0 * math.sqrt(rho_sub * vol) + 300.0))
     ct_sub = build_canonical(table_aniso, BETA, n_sub)
-    cases.append((ct_sub, solve_mu(table_aniso, rho_sub, BETA).mu))
+    cases.append((ct_sub, solve_mu(table_aniso.geometry, rho_sub, BETA).mu))
     worst_margin = -math.inf
     for ct, mu in cases:
         for mode in modes:
@@ -286,10 +286,10 @@ def test_acceptance_07_slow_gap_scaled_transforms(capsys):
     for vol in volumes:
         geom = BoxGeometry(alphas, vol)
         table = enumerate_below(geom, suggest_energy_cutoff(geom, BETA))
-        sol = solve_mu(table, RHO_SUPER, BETA)
+        sol = solve_mu(geom, RHO_SUPER, BETA)
         power = vol ** (2.0 * (1.0 - alphas[0]))
         for lam in lam_grid:
-            finite = gc_laplace_finite(table, sol.mu, (1, 1, 1), lam / power, BETA)
+            finite = gc_laplace_finite(geom, sol.mu, (1, 1, 1), lam / power, BETA)
             closed = 1.0 / (1.0 + lam * scale)
             gc_gaps[lam].append(abs(finite - closed) / closed)
         n_part = int(round(RHO_SUPER * vol))
@@ -318,8 +318,7 @@ def test_acceptance_08_ladder_equation_residual_and_potential_product(capsys):
     products = []
     for vol in (1e3, 8e3, 6.4e4):
         geom = BoxGeometry((0.5, 0.3, 0.2), vol)
-        table = enumerate_below(geom, suggest_energy_cutoff(geom, BETA))
-        sol = solve_mu(table, RHO_SUPER, BETA)
+        sol = solve_mu(geom, RHO_SUPER, BETA)
         products.append(BETA * vol * ladder.value * abs(sol.mu_bar))
     dist = [abs(p - 1.0) for p in products]
     trend_ok = dist[0] > dist[1] > dist[2]

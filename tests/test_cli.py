@@ -1,5 +1,7 @@
 """Command line interface tests: config handling, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bosebox
+import bosebox.cli
+import bosebox.spectrum
 from bosebox import BoxGeometry, enumerate_below, suggest_energy_cutoff
 from bosebox.cli import (
     DEFAULT_CONFIG,
@@ -105,6 +111,13 @@ def test_missing_or_invalid_config_file(tmp_path):
         "lambda_grid=\"123\"",  # a string is not a list of numbers
         "mode=\"abc\"",
         "solver.tol=null",
+        "solver.tol=0",
+        "solver.tol=-1e-12",
+        "solver.max_iter=0",  # used to exit 1 with a brentq RuntimeError
+        "solver.max_iter=1e300",  # used to exit 1: brentq takes a C int
+        "cutoffs.series_M=1",
+        "cutoffs.series_M=1e300",  # above cutoffs.mode_budget
+        "ladder_count=1001",  # above cutoffs.series_M
         "output.path=5",
     ],
 )
@@ -186,6 +199,43 @@ def test_huge_volume_exits_cleanly(capsys, alphas, expected):
     assert code == expected
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("spectrum", "eta_grid=[1e300]"),  # ids_bounds used to overflow
+        ("gc", "beta=1e-300"),
+        ("fluct", "lambda_grid=[1e300]"),
+        ("limits", "lambda_grid=[-1e300]"),
+        ("canonical", "lambda_grid=[-1e300]"),  # used to print inf
+    ],
+)
+def test_overflowing_inputs_exit_three(capsys, command, override):
+    code, out, err = run_cli(capsys, command, "--override", override)
+    assert code == 3
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "alphas", ["[0.4, 0.35, 0.25]", "[0.5, 0.3, 0.2]", "[0.6, 0.25, 0.15]"]
+)
+def test_gc_builds_no_spectrum_table(capsys, monkeypatch, alphas):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gc listed the spectrum")
+
+    monkeypatch.setattr(bosebox.spectrum, "enumerate_below", refuse)
+    monkeypatch.setattr(bosebox.cli, "enumerate_below", refuse)
+    code, out, err = run_cli(
+        capsys, "gc",
+        "--override", f"geometry.alphas={alphas}",
+        "--override", "geometry.volume=64000",
+        "--override", "rho=0.3317384186260446",
+    )
+    assert code == 0, err
+    assert "mode_occupation" in out
 
 
 def test_empty_spectrum_warns_but_succeeds(capsys):
@@ -527,3 +577,68 @@ def test_broken_pipe_on_binary_stdout_exits_1(monkeypatch, capsys, tmp_path):
     finally:
         os.close(fd)
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzzed overrides
+
+_EXTREMES = [0, 1, -1, 1e-300, -1e-300, 1e300, -1e300, 0.5, 2.0, 100.0]
+_NON_NUMBERS = ["NaN", "Infinity", "-Infinity", "null", "true", '"abc"', "[]", "{}"]
+
+
+def _scalar():
+    return st.sampled_from(_EXTREMES).map(repr) | st.sampled_from(_NON_NUMBERS)
+
+
+def _grid():
+    items = st.lists(st.sampled_from(_EXTREMES + [0.1, 5.0]), min_size=1, max_size=3)
+    return items.map(lambda v: "[" + ", ".join(repr(x) for x in v) + "]") | _scalar()
+
+
+_FUZZED_KEYS = {
+    "beta": _scalar(),
+    "rho": _scalar(),
+    "geometry.volume": _scalar(),
+    "lambda_grid": _grid(),
+    "eta_grid": _grid(),
+    "ladder_count": _scalar(),
+    "cutoffs.series_M": _scalar(),
+    "solver.tol": _scalar(),
+    "solver.max_iter": _scalar(),
+}
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    command=st.sampled_from(["spectrum", "gc", "canonical", "limits", "fluct"]),
+    alphas=st.sampled_from(["[0.4, 0.35, 0.25]", "[0.5, 0.3, 0.2]", "[0.6, 0.25, 0.15]"]),
+    overrides=st.dictionaries(
+        st.sampled_from(sorted(_FUZZED_KEYS)), st.just(None), max_size=4
+    ).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _FUZZED_KEYS[k] for k in keys})
+    ),
+)
+def test_fuzzed_overrides_exit_cleanly(command, alphas, overrides):
+    """Any override set ends in exit 0, 2 or 3, with no traceback and with
+    finite numbers in every float cell."""
+    argv = [
+        command,
+        "--override", f"geometry.alphas={alphas}",
+        "--override", "cutoffs.mode_budget=300000",
+        "--override", "cutoffs.n_max=3000",
+    ]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines()[1:]:
+        for cell in line.split(","):
+            if FLOAT_CELL.match(cell):
+                assert math.isfinite(float(cell)), (argv, line)
+            else:
+                assert cell.lower() not in ("nan", "inf", "-inf"), (argv, line)

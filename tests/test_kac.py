@@ -37,7 +37,7 @@ def rc():
 
 
 def test_kac_weights_normalize_subcritical(table_aniso, mixture_ct):
-    sol = solve_mu(table_aniso, 0.1, BETA)
+    sol = solve_mu(table_aniso.geometry, 0.1, BETA)
     kw = kac_weights(mixture_ct, sol.mu)
     assert np.all(kw.weights >= 0.0)
     assert kw.n_cut <= mixture_ct.n_max
@@ -46,7 +46,7 @@ def test_kac_weights_normalize_subcritical(table_aniso, mixture_ct):
 
 
 def test_kac_weights_normalize_supercritical(table_aniso, mixture_ct, rc):
-    sol = solve_mu(table_aniso, 2.0 * rc, BETA)
+    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
     kw = kac_weights(mixture_ct, sol.mu)
     mass = float(kw.weights.sum())
     assert abs(mass - 1.0) <= kw.tail_bound + 1e-11
@@ -61,7 +61,7 @@ def test_kac_weights_normalize_supercritical(table_aniso, mixture_ct, rc):
 
 def test_kac_weights_need_headroom(table_aniso, rc):
     ct = build_canonical(table_aniso, BETA, 400)
-    sol = solve_mu(table_aniso, 2.0 * rc, BETA)
+    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
     with pytest.raises(CutoffInsufficient):
         kac_weights(ct, sol.mu)
 
@@ -73,7 +73,7 @@ def test_kac_weights_reject_mu_at_ground(mixture_ct):
 
 def test_decomposition_identity(table_aniso, mixture_ct, rc):
     """Grand-canonical transforms decompose exactly over the number mixture."""
-    sol = solve_mu(table_aniso, 2.0 * rc, BETA)
+    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
     for k, lam in ((0, 0.5), (1, 2.0)):
         lhs, rhs, tail = decomposition_check(mixture_ct, sol.mu, k, lam)
         budget = tail + 4e-16 * mixture_ct.n_max
@@ -95,14 +95,14 @@ def reference_mixture_sum(ct, mu, k, lam):
 
 @pytest.mark.parametrize("rho_factor, k", [(2.0, 0), (2.0, 3), (0.6, 0), (0.6, 3)])
 def test_decomposition_sum_matches_per_n_oracle(table_aniso, mixture_ct, rc, rho_factor, k):
-    sol = solve_mu(table_aniso, rho_factor * rc, BETA)
+    sol = solve_mu(table_aniso.geometry, rho_factor * rc, BETA)
     for lam in (0.0, 0.05, 1.0, 20.0):
         _, rhs, _ = decomposition_check(mixture_ct, sol.mu, k, lam)
         assert abs(rhs - reference_mixture_sum(mixture_ct, sol.mu, k, lam)) <= 1e-13
 
 
 def test_decomposition_rejects_negative_lam(table_aniso, mixture_ct):
-    sol = solve_mu(table_aniso, 0.1, BETA)
+    sol = solve_mu(table_aniso.geometry, 0.1, BETA)
     with pytest.raises(DomainError):
         decomposition_check(mixture_ct, sol.mu, 0, -0.5)
 
@@ -222,7 +222,7 @@ def _mixture(alphas, volume, rho):
     table = enumerate_below(g, e_max)
     n_max = int(36.0 * 0.17 * volume + 25.0 * math.sqrt(rho * volume) + 300.0)
     ct = build_canonical(table, BETA, n_max)
-    return solve_mu(table, rho, BETA), ct
+    return solve_mu(g, rho, BETA), ct
 
 
 @pytest.mark.parametrize(

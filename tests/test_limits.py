@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from bosebox.canonical import build_canonical
-from bosebox.errors import CutoffInsufficient, DomainError, PoleProximity
+from bosebox.errors import DomainError, PoleProximity
 from bosebox.limits import (
     FluctuationCase,
     _log_one_minus_tn,
@@ -41,7 +41,6 @@ from bosebox.numerics import gauss_panels, omega
 from bosebox.spectrum import (
     BoxGeometry,
     enumerate_below,
-    ground_energy,
     suggest_energy_cutoff,
 )
 
@@ -437,20 +436,21 @@ def cubic_tables():
 
 
 def test_saturation_density_sits_below_infinite_volume_value(cubic_tables, table_aniso):
-    small, large = (rho_c_finite(ct.spectrum, 1.0) for ct in cubic_tables)
+    small, large = (rho_c_finite(ct.spectrum.geometry, 1.0) for ct in cubic_tables)
     assert 0.0 < small < large < RC
-    assert 0.0 < rho_c_finite(table_aniso, 1.0) < RC
+    assert 0.0 < rho_c_finite(table_aniso.geometry, 1.0) < RC
 
 
-def test_saturation_density_needs_enough_spectrum():
-    geom = BoxGeometry((0.40, 0.35, 0.25), 1000.0)
-    shallow = enumerate_below(geom, 8.0)
-    with pytest.raises(CutoffInsufficient):
-        rho_c_finite(shallow, 1.0)
-    only_ground = enumerate_below(geom, ground_energy(geom) + 1e-6)
-    assert len(only_ground) == 1
-    with pytest.raises(CutoffInsufficient):
-        rho_c_finite(only_ground, 1.0)
+@pytest.mark.parametrize(
+    "alphas", [(0.4, 0.35, 0.25), (0.5, 0.3, 0.2), (0.6, 0.25, 0.15)]
+)
+def test_saturation_density_matches_table_sum(alphas):
+    """The power-sum series at mu_bar = 0 against the excited modes of a
+    table whose own cutoff tail is below 1e-17 per volume."""
+    geom = BoxGeometry(alphas, 2000.0)
+    table = enumerate_below(geom, suggest_energy_cutoff(geom, 1.0, tail_tol=1e-17))
+    brute = float(np.sum(1.0 / np.expm1(table.gaps[1:]))) / geom.volume
+    assert rho_c_finite(geom, 1.0) == pytest.approx(brute, rel=1e-13)
 
 
 def test_fluctuation_transforms_drift_toward_the_law(cubic_tables):

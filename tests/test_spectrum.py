@@ -27,6 +27,7 @@ from bosebox import (
 from bosebox.spectrum import (
     IDS_PREFACTOR,
     exponential_tail_integral,
+    log_power_sums,
     unit_box_gap_values,
 )
 
@@ -356,3 +357,57 @@ def test_suggested_cutoff_meets_tail_tolerance(vol, log_tol):
     assert exponential_tail_integral(g, 1.0, eta) < tol
     # not wastefully deep either: half the gap cutoff must violate the target
     assert exponential_tail_integral(g, 1.0, eta / 2.0) >= tol * 0.5
+
+
+# ------------------------------------------------------------ power sums
+
+
+def reference_theta_log_power_sums(geometry, beta, k_max):
+    """log S'_k, k = 1..k_max, by the direct per-axis theta loop.
+
+    The loop the canonical recursion ran before the Jacobi dual was added,
+    kept as the oracle: theta_j(k) = 1 + sum_{n>=2} exp(-k beta c_j (n^2-1))
+    over every term above exp(-745), so about sqrt(745/(beta c_j)) passes.
+    """
+    k = np.arange(1, k_max + 1, dtype=float)
+    log_total = np.zeros(k_max)
+    for c in geometry.level_coefficients:
+        theta = np.ones(k_max)
+        n = 2
+        while True:
+            scale = beta * c * (n * n - 1.0)
+            k_hi = min(k_max, int(745.0 / scale))
+            if k_hi < 1:
+                break
+            theta[:k_hi] += np.exp(k[:k_hi] * (-scale))
+            n += 1
+        log_total += np.log(theta)
+    return log_total
+
+
+@pytest.mark.parametrize(
+    "alphas", [(0.4, 0.35, 0.25), (0.5, 0.3, 0.2), (0.6, 0.25, 0.15), (1 / 3,) * 3]
+)
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_log_power_sums_match_direct_theta_loop(alphas, beta):
+    """The Jacobi dual (k beta c_j < 1) and the direct series agree with
+    the old loop on both sides of every axis's switch point."""
+    g = BoxGeometry(alphas, 2.0e4)
+    switches = [1.0 / (beta * c) for c in g.level_coefficients]
+    k_max = int(4 * max(switches)) + 10
+    assert all(1.0 < k < k_max for k in switches)
+    want = reference_theta_log_power_sums(g, beta, k_max)
+    got = log_power_sums(g, beta, k_max)
+    # |d log S'| is the relative error of S'
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_log_power_sums_is_the_box_sum():
+    """exp(log S'_k) against the mode sum over a table holding every mode
+    with weight above 1e-17."""
+    g = BoxGeometry((0.5, 0.3, 0.2), 300.0)
+    table = enumerate_below(g, ground_energy(g) + 40.0)
+    s = log_power_sums(g, 1.0, 8)
+    for k in range(1, 9):
+        brute = float(np.sum(np.exp(-k * table.gaps)))
+        assert math.exp(s[k - 1]) == pytest.approx(brute, rel=1e-14)
