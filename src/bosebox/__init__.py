@@ -82,7 +82,7 @@ from .limits import (
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,
-    g_tail_bound,
+    g_with_budget,
     gap_coefficients,
     mode_distribution_limit,
     occupation_limit_typeII,

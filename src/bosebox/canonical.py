@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffInsufficient, DomainError, NumericsError
-from .numerics import log1mexp, log_expm1
+from .numerics import log1mexp, log_expm1, sum_exp
 from .spectrum import _EXP_FLOOR, SpectrumTable, log_power_sums
 
 __all__ = [
@@ -339,9 +339,7 @@ def occupation_laplace(ct: CanonicalTable, k, n: int, lam: float) -> float:
     j = np.arange(1, n + 1, dtype=float)
     lz = ct.log_z_shifted
     terms = -j * (ct.beta * eta + lam) + lz[n - 1 :: -1] - lz[n]
-    peak = terms.max()
-    total = math.exp(peak) * float(np.exp(terms - peak).sum())
-    return 1.0 - math.expm1(lam) * total
+    return 1.0 - math.expm1(lam) * sum_exp(terms)
 
 
 def occupation_pmf(ct: CanonicalTable, k, n: int) -> DiscreteDistribution:
@@ -506,8 +504,7 @@ def mode_measure_laplace(measure: ModeMeasure, lam: float) -> tuple[float, float
     finite = np.isfinite(terms)
     if not bool(finite.any()):
         return 0.0, 0.0
-    peak = float(terms[finite].max())
-    value = math.exp(peak) * float(np.exp(terms[finite] - peak).sum())
+    value = sum_exp(terms[finite])
     if measure.gap == 0.0:
         remaining = max(-math.expm1(float(measure.log_values[-1])), 0.0)
         return value, math.exp(-lam * len(la) / v) * remaining
@@ -532,5 +529,4 @@ def mode_measure_reconstruct(
     la = measure.log_atoms[: n + 1]
     r = np.arange(n + 1, dtype=float)
     terms = la + (lam / measure.volume) * (r - n) - measure.log_values[n]
-    peak = float(terms.max())
-    return math.exp(peak) * float(np.exp(terms - peak).sum())
+    return sum_exp(terms)

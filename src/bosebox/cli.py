@@ -54,9 +54,9 @@ from .limits import (
     fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
-    g_function,
-    g_tail_bound,
+    g_with_budget,
     gap_coefficients,
+    law_weights,
     occupation_limit_typeII,
 )
 
@@ -320,7 +320,7 @@ def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
     rc = critical_density(beta)
     sol = _solve_mu(cfg, geom)
     mode = tuple(int(v) for v in cfg["mode"])
-    occupation = mean_occupation(geom, sol.mu, mode, beta)
+    occupation = mean_occupation(geom, sol.mu_bar, mode, beta)
     rows = [
         _row(echo, "rho_c", rc.value, rc.roundoff),
         _row(echo, "mu", sol.mu, sol.residual),
@@ -500,24 +500,22 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
             "fluct rows need the fast-gap regime (largest alpha below 1/2), "
             f"got alphas {geom.alpha!r}"
         )
-    weights = {"distinct": (1.0, 0.0, 0.0), "two_equal": (2.0, 1.0, 0.0),
-               "isotropic": (3.0, 3.0, 1.0)}[case.label]
+    weights = law_weights(case)
     rows = []
     for lam in cfg["lambda_grid"]:
         lam = float(lam)
-        budget = sum(
-            w * g_tail_bound(d, lam, beta) for d, w in zip((1, 2, 3), weights)
-        )
-        for d in (1, 2, 3):
+        gs = [g_with_budget(d, lam, beta) for d in (1, 2, 3)]
+        for d, (value, budget) in enumerate(gs, start=1):
             rows.append(
-                {**echo, "quantity": f"g{d}", "lam": lam,
-                 "value": g_function(d, lam, beta),
-                 "limit": "", "gap": "", "error_budget": g_tail_bound(d, lam, beta)}
+                {**echo, "quantity": f"g{d}", "lam": lam, "value": value,
+                 "limit": "", "gap": "", "error_budget": budget}
             )
+        law = fluctuation_law(case, lam, beta, sums=[g for g, _ in gs])
+        # exp(g + e) - exp(g) = exp(g) expm1(e): the exponent's budget on the law
+        spread = math.expm1(sum(w * b for w, (_, b) in zip(weights, gs)))
         rows.append(
-            {**echo, "quantity": "law", "lam": lam,
-             "value": fluctuation_law(case, lam, beta),
-             "limit": "", "gap": "", "error_budget": budget}
+            {**echo, "quantity": "law", "lam": lam, "value": law,
+             "limit": "", "gap": "", "error_budget": law * spread}
         )
     sweep = cfg["geometry"]["volume_sweep"]
     if sweep:

@@ -119,10 +119,15 @@ def _geometric_laplace(x: float, lam: float) -> float:
     return -math.expm1(-x) / -math.expm1(-(x + lam))
 
 
-def mean_occupation(geometry: BoxGeometry, mu: float, mode, beta: float) -> float:
-    """Expected occupation 1/(exp(beta (E_n - mu)) - 1) of the mode n."""
-    _check_mu(ground_energy(geometry), mu)
-    return _bose(beta * (eigenvalue(geometry, mode) - mu))
+def mean_occupation(geometry: BoxGeometry, mu_bar: float, mode, beta: float) -> float:
+    """Expected occupation 1/(exp(beta (eta_n - mu_bar)) - 1) of the mode n.
+
+    Takes mu_bar = mu - E_1, as mu itself can round to E_1; the gap
+    eta_n = sum_j c_j (n_j^2 - 1) is summed without cancellation."""
+    _check_mu(0.0, mu_bar)
+    n = _as_mode_tuple(mode)
+    eta = sum(c * (k * k - 1) for c, k in zip(geometry.level_coefficients, n))
+    return _bose(beta * (eta - mu_bar))
 
 
 def _series_rate(geometry: BoxGeometry, beta: float, mu_bar: float) -> float:

@@ -24,6 +24,7 @@ from .grandcanonical import (
     grand_partition_log,
     solve_ladder_coefficient,
 )
+from .numerics import sum_exp
 from .spectrum import RegimeLabel
 
 __all__ = [
@@ -263,9 +264,7 @@ class ConvergenceRow:
 def empirical_transform(kw: KacWeights, volume: float, lam: float) -> float:
     """sum_n w_n exp(-lam n / V) over the tabulated weights."""
     n = np.arange(kw.n_cut + 1, dtype=float)
-    terms = kw.log_weights - lam * n / volume
-    peak = float(terms.max())
-    return math.exp(peak) * float(np.exp(terms - peak).sum())
+    return sum_exp(kw.log_weights - lam * n / volume)
 
 
 def empirical_kac_convergence(

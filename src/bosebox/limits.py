@@ -19,12 +19,12 @@ fluctuates with Laplace transform exp of combinations of the lattice sums
     g_d(lam) = sum over n in {2,3,...}^d of omega(lam / (beta eta(n))),
 
 with omega(x) = x - log(1+x); the combination is picked by how many axes
-share the largest exponent.
+share the largest exponent. Each g_d is one quadrature over the per-axis
+theta sum that the power sums read, not a listing of lattice gaps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,8 +33,8 @@ from scipy.special import gammaln
 
 from .errors import DomainError, PoleProximity
 from .canonical import CanonicalTable, occupation_laplace, occupation_moment
-from .numerics import omega, refined_panels
-from .spectrum import BoxGeometry, classify, unit_box_gap_values
+from .numerics import exp_remainder, gauss_panels, refined_panels, sum_exp
+from .spectrum import BoxGeometry, _log_theta_shifted, _unit_gap_shift, classify
 from .grandcanonical import _excited_sum
 
 __all__ = [
@@ -48,9 +48,10 @@ __all__ = [
     "canonical_limit_typeI",
     "canonical_laplace_typeIII",
     "g_function",
-    "g_tail_bound",
+    "g_with_budget",
     "axis_curvature_at_zero",
     "fluctuation_law",
+    "law_weights",
     "rho_c_finite",
     "fluctuation_convergence_check",
     "FluctuationRow",
@@ -66,7 +67,10 @@ class GapCoefficients:
     ``truncation`` (closed form through factorial telescoping, evaluated
     with log-gamma); ``bs_infinite`` its exact infinite-product limit
     (-1)^(m+n+1) m^2 / (n^2 eta_{m,n}); ``product_tail`` the exact relative
-    drift between the two. Entries at m = n are NaN placeholders.
+    drift between the two. Entries at m = n are NaN placeholders. For n near
+    a truncation M of a few hundred (n = M >= 515) the truncated product
+    leaves the double range, and those entries of ``bs`` and
+    ``product_tail`` are inf.
     """
 
     n: int
@@ -105,7 +109,7 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
         - gammaln(m_top + m + 1.0)
     )
     signs = np.where((np.arange(1, m_top + 1) + n) % 2 == 0, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b_eta = signs * np.exp(log_f + 2.0 * (np.log(m) - math.log(n)))
         bs = b_eta / etas
         b_eta_inf = signs * (m / n) ** 2
@@ -190,8 +194,7 @@ def _log_integral_one_minus_tn(
     """log of integral_0^delta |1 - T_n(s)| exp(-lam (delta - s)) ds."""
     nodes, weights = refined_panels(0.0, delta, n_nodes=24, n_refine=20)
     logs = _log_one_minus_tn(n, nodes, beta) - lam * (delta - nodes) + np.log(weights)
-    peak = float(logs.max())
-    return peak + math.log(float(np.exp(logs - peak).sum()))
+    return sum_exp(logs, log=True)
 
 
 def occupation_limit_typeII(
@@ -301,67 +304,93 @@ def fluctuation_case(geometry: BoxGeometry) -> FluctuationCase:
     return FluctuationCase(label=reg.symmetry, gamma=reg.gamma)
 
 
-_DEFAULT_GAP_CUTOFF = {1: 4.0e8, 2: 4.0e6, 3: 2.5e5}
+_G_TAIL_RTOL = 2.0**-60  # each tail of g_d, relative to a lower bound of g_d
+_G_PANEL_WIDTH = 1.0  # in s = log t; 16 Gauss nodes per panel
 
 
-# A d = 3 array holds about 6 M gaps, so only a few are kept.
-@functools.lru_cache(maxsize=8)
-def _interior_gaps(d: int, cutoff: float, convention: str) -> np.ndarray:
-    gaps = unit_box_gap_values(d, cutoff, min_index=2, convention=convention)
-    gaps.setflags(write=False)
-    return gaps
+def _g_quadrature(d, x, convention, s_lo, s_hi, n_panels) -> tuple[float, float]:
+    """int k(x t) theta_2(t)^d ds over [s_lo, s_hi], t = e^s, on Gauss panels,
+    and a rounding bound: a few ulp per node plus the error of its logs."""
+    s, w = gauss_panels(s_lo, s_hi, n_panels, 16)
+    t = np.exp(s)
+    big_t = 0.5 * math.pi**2 * t
+    log_theta = _log_theta_shifted(big_t)  # log sum_{n>=1} e^{-T (n^2 - 1)}
+    if convention == "printed":
+        log_th = d * (log_theta - big_t)
+    else:  # theta_2 = expm1(log_theta), which is e^{-3T} to the last bit past T = 200
+        far = big_t > 200.0
+        log_th = d * np.where(far, -3.0 * big_t, np.log(np.expm1(np.where(far, 1.0, log_theta))))
+    y = x * t
+    steep = y < -30.0  # e^-y may overflow there; exp(log_th - y) does not
+    th = np.exp(log_th)
+    f = w * np.where(steep, np.exp(np.where(steep, log_th - y, -np.inf)) - (1.0 - y) * th,
+                     exp_remainder(np.where(steep, 0.0, y)) * th)
+    ulps = 16.0 + 2.0 * (np.abs(log_th) + np.abs(np.where(steep, y, 0.0)))
+    return float(f.sum()), 2.0**-52 * float(np.sum(np.abs(f) * ulps))
 
 
-def g_function(
-    d: int,
-    lam: float,
-    beta: float,
-    *,
-    gap_cutoff: float | None = None,
-    convention: str = "relative",
-) -> float:
-    """Lattice fluctuation sum g_d(lam) = sum omega(lam/(beta eta)).
+def g_with_budget(
+    d: int, lam: float, beta: float, *, convention: str = "relative"
+) -> tuple[float, float]:
+    """Fluctuation sum g_d(lam) and its error budget.
 
-    The sum runs over n in {2,3,...}^d with eta(n) the unit-box gap;
-    omega(x) = x - log(1+x). Defined for lam > -beta * (smallest gap);
-    g_d(0) = 0 exactly. Truncated at ``gap_cutoff`` (see g_tail_bound for
-    the quadratic remainder estimate).
+    g_d(lam) = sum over n in {2,3,...}^d of omega(lam/(beta eta(n))), the
+    infinite sum over the unit-box gaps eta (``unit_box_gap_values``), with
+    omega(x) = x - log(1+x). As omega(lam/a) = int_0^inf (e^{-lam u} - 1 +
+    lam u) e^{-a u} du/u, it is int_0^inf k(x t) theta_2(t)^d dt/t with
+    x = lam/beta, k(y) = e^-y - 1 + y, theta_2(t) = sum_{n>=2} e^{-T u(n)},
+    T = pi^2 t/2 and u(n) = n^2 - 1 ("relative") or (n - 1)^2 ("printed").
+    The budget is both truncation tails (closed-form bounds), the change
+    from halving the panel count and the rounding bound. Defined for
+    lam > -beta * (smallest gap); g_d(0) = 0 exactly.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    cutoff = _DEFAULT_GAP_CUTOFF[d] if gap_cutoff is None else float(gap_cutoff)
-    gaps = _interior_gaps(d, cutoff, convention)
-    if len(gaps) == 0:
-        raise DomainError(f"no lattice gaps below cutoff {cutoff!r}")
-    x_min = lam / (beta * gaps[0])
-    if x_min <= -1.0:
+    u2, u3 = (float(u) for u in _unit_gap_shift(d, convention)(np.arange(2, 4)))
+    a_min = d * 0.5 * math.pi**2 * u2  # the smallest gap
+    x = lam / beta
+    if not x > -a_min:
         raise DomainError(
-            f"lam={lam!r} leaves the transform domain (needs lam > {-beta * gaps[0]!r})"
+            f"lam={lam!r} leaves the transform domain (needs lam > {-beta * a_min!r})"
         )
-    if lam == 0.0:
-        return 0.0
-    return float(np.sum(omega(lam / (beta * gaps))))
+    if x == 0.0:
+        return 0.0, 0.0
+    # tails are taken over x^2; g_d/x^2 >= omega(x/a_min)/x^2 >= this/_G_TAIL_RTOL
+    target = _G_TAIL_RTOL * 0.5 / (a_min * (a_min + max(x, 0.0)))
+    # below t_lo: k(y) <= (y^2/2) max(1, e^-y), theta_2(t) <= e^T/sqrt(2 pi t)
+    # (e^T for "relative" only)
+    p = 2.0 - 0.5 * d
+    t_lo = (target * 2.0 * p * (2.0 * math.pi) ** (0.5 * d)) ** (1.0 / p)
+    if not (t_lo > 0.0 and math.isfinite(x * x)):
+        raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")
+    lead = d * 0.5 * math.pi**2 * t_lo if convention == "relative" else 0.0
+    tail_lo = (0.5 * math.exp(max(-x, 0.0) * t_lo + lead)
+               * (2.0 * math.pi) ** (-0.5 * d) * t_lo**p / p)
+    # above t_hi: e^{u(2) T} theta_2(t) <= 1 + e^{-(u(3) - u(2)) T}/(1 - e^-T)
+    rate = a_min + min(x, 0.0)
+
+    def tail_hi(t):
+        big_t = 0.5 * math.pi**2 * t
+        spread = (1.0 + math.exp(-(u3 - u2) * big_t) / -math.expm1(-big_t)) ** d
+        return spread * 0.5 * math.exp(-rate * t) * (rate * t + 1.0) / rate**2
+
+    t_hi = -math.log(target * rate**2) / rate
+    while tail_hi(t_hi) > target:
+        t_hi *= 1.25
+    s_lo, s_hi = math.log(t_lo), math.log(t_hi)
+    n = max(2, math.ceil((s_hi - s_lo) / _G_PANEL_WIDTH))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coarse, _ = _g_quadrature(d, x, convention, s_lo, s_hi, n)
+        value, rounding = _g_quadrature(d, x, convention, s_lo, s_hi, 2 * n)
+    budget = x * x * (tail_lo + tail_hi(t_hi)) + abs(value - coarse) + rounding
+    if not math.isfinite(budget):
+        raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")
+    return value, budget
 
 
-def g_tail_bound(
-    d: int, lam: float, beta: float, *, gap_cutoff: float | None = None
-) -> float:
-    """Bound on the part of g_d omitted above the gap cutoff.
-
-    omega(x) <= x^2/(2(1+min(x,0))) and the counting envelopes give
-    sum_{eta > H} eta^(-2) <= 3 C'/sqrt(H) (d=3, C' = sqrt(2)/(3 pi^2)),
-    1/(2 pi H) (d=2), and (sqrt(2)/(3 pi)) H^(-3/2) (d=1).
-    """
-    cutoff = _DEFAULT_GAP_CUTOFF[d] if gap_cutoff is None else float(gap_cutoff)
-    x_at_cut = lam / (beta * cutoff)
-    curvature = 0.5 / (1.0 + min(x_at_cut, 0.0))
-    if d == 3:
-        weight = 3.0 * (math.sqrt(2.0) / (3.0 * math.pi**2)) / math.sqrt(cutoff)
-    elif d == 2:
-        weight = 1.0 / (2.0 * math.pi * cutoff)
-    else:
-        weight = (math.sqrt(2.0) / (3.0 * math.pi)) * cutoff**-1.5
-    return curvature * (lam / beta) ** 2 * weight
+def g_function(d: int, lam: float, beta: float, *, convention: str = "relative") -> float:
+    """Lattice fluctuation sum g_d(lam); see g_with_budget."""
+    return g_with_budget(d, lam, beta, convention=convention)[0]
 
 
 def axis_curvature_at_zero(beta: float) -> float:
@@ -369,21 +398,32 @@ def axis_curvature_at_zero(beta: float) -> float:
     return 4.0 / (beta**2 * math.pi**4) * (math.pi**2 / 12.0 - 11.0 / 16.0)
 
 
-def fluctuation_law(case, lam: float, beta: float, *, convention: str = "relative") -> float:
+_LAW_WEIGHTS = {"distinct": (1.0, 0.0, 0.0), "two_equal": (2.0, 1.0, 0.0),
+                "isotropic": (3.0, 3.0, 1.0)}
+
+
+def law_weights(case) -> tuple[float, float, float]:
+    """Weights of g_1, g_2, g_3 in the exponent of the fluctuation law."""
+    label = case.label if isinstance(case, FluctuationCase) else str(case)
+    if label not in _LAW_WEIGHTS:
+        raise DomainError(f"unknown fluctuation case {label!r}")
+    return _LAW_WEIGHTS[label]
+
+
+def fluctuation_law(
+    case, lam: float, beta: float, *, convention: str = "relative", sums=None
+) -> float:
     """Laplace transform of the scaled ground-occupation fluctuation.
 
     exp(g_1), exp(2 g_1 + g_2) or exp(3 g_1 + 3 g_2 + g_3) according to how
-    many axes share the largest anisotropy exponent.
+    many axes share the largest anisotropy exponent. ``sums`` passes
+    (g_1, g_2, g_3) at this lam when they are known already.
     """
-    label = case.label if isinstance(case, FluctuationCase) else str(case)
-    g = lambda d: g_function(d, lam, beta, convention=convention)
-    if label == "distinct":
-        return math.exp(g(1))
-    if label == "two_equal":
-        return math.exp(2.0 * g(1) + g(2))
-    if label == "isotropic":
-        return math.exp(3.0 * g(1) + 3.0 * g(2) + g(3))
-    raise DomainError(f"unknown fluctuation case {label!r}")
+    weights = law_weights(case)
+    if sums is None:
+        sums = [g_function(d, lam, beta, convention=convention) if w else 0.0
+                for d, w in enumerate(weights, start=1)]
+    return math.exp(sum(w * g for w, g in zip(weights, sums) if w))
 
 
 def rho_c_finite(geometry: BoxGeometry, beta: float) -> float:

@@ -18,6 +18,8 @@ __all__ = [
     "log1mexp",
     "log_expm1",
     "omega",
+    "exp_remainder",
+    "sum_exp",
     "solve_bracketed",
     "gauss_panels",
     "refined_panels",
@@ -61,6 +63,27 @@ def omega(x):
     direct = np.where(small, 0.0, x) - np.log1p(np.where(small, 0.0, x))
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)
+
+
+def exp_remainder(x):
+    """exp(-x) - 1 + x to a few ulp. expm1(-x) + x loses 2 ulp / |x|, so for
+    |x| < 1 this sums x^2 sum_{k=2..18} (-x)^(k-2)/k!; the rest is < 2^-55."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1.0
+    xs, xd = np.where(small, x, 0.0), np.where(small, 1.0, x)
+    acc = np.zeros_like(xs)
+    for k in range(18, 1, -1):
+        acc = acc * -xs + 1.0 / math.factorial(k)
+    out = np.where(small, xs * xs * acc, np.expm1(-xd) + xd)
+    return out if out.ndim else float(out)
+
+
+def sum_exp(terms, *, log=False) -> float:
+    """sum(exp(terms)) as exp(peak) s, or its log as peak + log(s), where
+    s = sum(exp(terms - peak)) and peak is the largest term: neither overflows."""
+    peak = float(terms.max())
+    scaled = float(np.exp(terms - peak).sum())
+    return peak + math.log(scaled) if log else math.exp(peak) * scaled
 
 
 def solve_bracketed(

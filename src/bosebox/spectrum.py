@@ -387,41 +387,26 @@ def unit_box_gap_values(
     """All unit-box gap values <= gap_max (with multiplicity), sorted.
 
     ``min_index`` restricts every quantum number to n_j >= min_index; the
-    fluctuation sums use min_index=2.
+    fluctuation-sum oracle of the tests uses min_index=2. CutoffTooLarge
+    before a grid of more than ``budget`` values is formed.
     """
     if gap_max < 0.0:
         raise DomainError(f"gap must be nonnegative, got {gap_max!r}")
     per_axis = _unit_gap_shift(d, convention)
     budget_u = gap_max / (0.5 * math.pi**2)
     n_hi = int(math.floor(math.sqrt(budget_u + float(min_index) ** 2))) + 2
-    n = np.arange(min_index, n_hi + 1, dtype=np.int64)
-    u = per_axis(n)
+    u = per_axis(np.arange(min_index, n_hi + 1, dtype=np.int64))
     u = u[u <= budget_u + 1e-15]
-    if len(u) == 0:
-        return np.empty(0, dtype=float)
-    if d == 1:
-        vals = u.copy()
-    elif d == 2:
-        vals = (u[:, None] + u[None, :]).ravel()
+    vals = u
+    for _ in range(d - 1):
+        if len(vals) * len(u) > budget:
+            raise CutoffTooLarge(
+                f"unit-box enumeration grid {len(vals)} x {len(u)} exceeds budget {budget}"
+            )
+        # sums of integers: exact, so the order of the axes does not matter
+        vals = (vals[:, None] + u[None, :]).ravel()
         vals = vals[vals <= budget_u + 1e-15]
-    else:
-        if len(u) ** 2 * 8 > budget * 8:
-            raise CutoffTooLarge(
-                f"unit-box enumeration grid {len(u)}^3 exceeds budget {budget}"
-            )
-        chunks = []
-        pair = (u[:, None] + u[None, :]).ravel()
-        pair = pair[pair <= budget_u + 1e-15]
-        for u1 in u:
-            sel = pair[pair <= budget_u - u1 + 1e-15] + u1
-            chunks.append(sel)
-        vals = np.concatenate(chunks)
-        if len(vals) > budget:
-            raise CutoffTooLarge(
-                f"unit-box enumeration holds {len(vals)} modes, budget {budget}"
-            )
-    vals = np.sort(vals) * (0.5 * math.pi**2)
-    return vals
+    return np.sort(vals) * (0.5 * math.pi**2)
 
 
 def exponential_tail_integral(geometry: BoxGeometry, beta: float, eta_max: float) -> float:

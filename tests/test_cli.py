@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import bosebox
 import bosebox.cli
+import bosebox.limits
 import bosebox.spectrum
 from bosebox import BoxGeometry, enumerate_below, suggest_energy_cutoff
 from bosebox.cli import (
@@ -236,6 +237,47 @@ def test_gc_builds_no_spectrum_table(capsys, monkeypatch, alphas):
     )
     assert code == 0, err
     assert "mode_occupation" in out
+
+
+def test_fluct_lists_no_lattice_gaps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fluct listed lattice gaps")
+
+    monkeypatch.setattr(bosebox.spectrum, "unit_box_gap_values", refuse)
+    monkeypatch.setattr(bosebox.limits, "unit_box_gap_values", refuse, raising=False)
+    code, out, err = run_cli(
+        capsys, "fluct",
+        "--override", "geometry.alphas=[0.3333333333333333, 0.3333333333333333, 0.3333333333333333]",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert {r[6] for r in rows} == {"g1", "g2", "g3", "law"}
+    assert all(0.0 <= float(r[-1]) <= 1e-10 for r in rows)
+
+
+def test_gc_at_huge_beta_reports_the_ground_occupation(capsys):
+    # mu rounds to E_1 here; the occupation reads mu_bar, which does not
+    code, out, err = run_cli(capsys, "gc", "--format", "json", "--override", "beta=1e300")
+    assert code == 0, err
+    rows = {r["quantity"]: r for r in json.loads(out)}
+    assert rows["mu"]["value"] == rows["mu"]["value"] + rows["mu_bar"]["value"]
+    assert rows["mode_occupation"]["value"] == pytest.approx(300.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ladder_mode_at_the_truncation_prints_no_warnings(capsys):
+    # the truncated product of mode (600,1,1) at M = 600 leaves the double range
+    code, out, err = run_cli(
+        capsys, "limits",
+        "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", "cutoffs.series_M=600",
+        "--override", "mode=[600, 1, 1]",
+        "--override", "ladder_count=1",
+    )
+    assert code == 0
+    assert err == ""
+    assert all(math.isfinite(float(c)) for line in out.splitlines()[1:]
+               for c in line.split(",")[7:] if c)
 
 
 def test_empty_spectrum_warns_but_succeeds(capsys):

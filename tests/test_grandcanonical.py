@@ -86,22 +86,24 @@ def test_critical_density_beta_scaling():
 
 def test_mean_occupation_hand_formula(small_table):
     t = small_table
-    mu = t.ground_energy - 0.05
+    mu_bar = -0.05
     for k in (0, 1, 7):
-        x = 1.3 * (t.energies[k] - mu)
-        assert mean_occupation(t.geometry, mu, t.modes[k], 1.3) == pytest.approx(
+        x = 1.3 * (t.energies[k] - t.ground_energy - mu_bar)
+        assert mean_occupation(t.geometry, mu_bar, t.modes[k], 1.3) == pytest.approx(
             1.0 / math.expm1(x), rel=1e-14
         )
     # Mode objects are accepted too
-    assert mean_occupation(t.geometry, mu, Mode((1, 1, 1)), 1.3) == mean_occupation(
-        t.geometry, mu, (1, 1, 1), 1.3
+    assert mean_occupation(t.geometry, mu_bar, Mode((1, 1, 1)), 1.3) == mean_occupation(
+        t.geometry, mu_bar, (1, 1, 1), 1.3
     )
+    with pytest.raises(DomainError):
+        mean_occupation(t.geometry, 0.0, (1, 1, 1), 1.3)
 
 
 def test_gc_density_is_mode_sum_per_volume(small_table):
     t = small_table
     mu = t.ground_energy - 0.2
-    want = sum(mean_occupation(t.geometry, mu, m, 1.0) for m in t.modes) / 200.0
+    want = sum(mean_occupation(t.geometry, -0.2, m, 1.0) for m in t.modes) / 200.0
     assert gc_density(t.geometry, mu, 1.0) == pytest.approx(want, rel=1e-13)
 
 

@@ -8,6 +8,9 @@ Oracles used here:
   * the reciprocal-gap product representation of the occupation transform
     integral, against direct quadrature of the integrand;
   * a brute-force triple-lattice sum for the isotropic fluctuation exponent;
+  * the fluctuation sums g_d truncated at a gap cutoff (listed lattice gaps)
+    with the counting-envelope bound on what the cutoff drops, and a math.fsum
+    of the axis sum;
   * closed forms for the curvature of the axis fluctuation sum.
 """
 
@@ -17,6 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bosebox import limits
 from bosebox.canonical import build_canonical
 from bosebox.errors import DomainError, PoleProximity
 from bosebox.limits import (
@@ -31,7 +35,7 @@ from bosebox.limits import (
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,
-    g_tail_bound,
+    g_with_budget,
     gap_coefficients,
     mode_distribution_limit,
     occupation_limit_typeII,
@@ -42,6 +46,7 @@ from bosebox.spectrum import (
     BoxGeometry,
     enumerate_below,
     suggest_energy_cutoff,
+    unit_box_gap_values,
 )
 
 RC = 0.1658692093130223
@@ -335,6 +340,49 @@ def test_fluctuation_sum_rejects_arguments_past_first_gap():
         g_function(1, 0.5, 0.0)
 
 
+def accurate_omega(x):
+    """x - log(1+x) to a few ulp; numerics.omega loses 2 ulp / |x| to
+    cancellation for 1e-4 <= |x| <= 1/2, where this sums instead
+
+        omega = x z - 2 z^3 (1/3 + z^2/5 + z^4/7 + ...),  z = x/(2+x),
+
+    from log(1+x) = 2 atanh(z) and x - 2z = x z (|z| <= 1/3 there).
+    """
+    x = np.asarray(x, dtype=float)
+    out = omega(x)
+    mid = (np.abs(x) >= 1e-4) & (np.abs(x) <= 0.5)
+    xm = x[mid]
+    z = xm / (2.0 + xm)
+    series = np.zeros_like(z)
+    for k in range(20, -1, -1):
+        series = series * (z * z) + 1.0 / (2 * k + 3)
+    out[mid] = xm * z - 2.0 * z**3 * series
+    return out
+
+
+def lattice_g(d, lam, beta, cutoff, convention="relative"):
+    """g_d summed over the listed lattice gaps up to ``cutoff``."""
+    gaps = unit_box_gap_values(d, cutoff, min_index=2, convention=convention)
+    return math.fsum(accurate_omega(lam / (beta * gaps)))
+
+
+def envelope_tail(d, lam, beta, cutoff):
+    """Bound on the part of g_d above the gap cutoff.
+
+    omega(x) <= x^2/(2(1+min(x,0))) and the counting envelopes give
+    sum_{eta > H} eta^(-2) <= 3 C'/sqrt(H) (d=3, C' = sqrt(2)/(3 pi^2)),
+    1/(2 pi H) (d=2), and (sqrt(2)/(3 pi)) H^(-3/2) (d=1).
+    """
+    curvature = 0.5 / (1.0 + min(lam / (beta * cutoff), 0.0))
+    if d == 3:
+        weight = 3.0 * (math.sqrt(2.0) / (3.0 * math.pi**2)) / math.sqrt(cutoff)
+    elif d == 2:
+        weight = 1.0 / (2.0 * math.pi * cutoff)
+    else:
+        weight = (math.sqrt(2.0) / (3.0 * math.pi)) * cutoff**-1.5
+    return curvature * (lam / beta) ** 2 * weight
+
+
 def test_isotropic_exponent_matches_brute_lattice_sum():
     # sum over the full lattice {1..K}^3 minus the ground corner splits by
     # how many coordinates sit at 1: 3 axis sums, 3 plane sums, 1 interior sum
@@ -343,13 +391,49 @@ def test_isotropic_exponent_matches_brute_lattice_sum():
     cutoff = 0.5 * math.pi**2 * (k_top * k_top - 1.0) + 1.0
     u = np.arange(1, k_top + 1, dtype=float) ** 2 - 1.0
     eta = 0.5 * math.pi**2 * (u[:, None, None] + u[None, :, None] + u[None, None, :])
-    direct = float(np.sum(omega(lam / (beta * eta[(eta > 0.0) & (eta <= cutoff)]))))
-    composed = (
-        3.0 * g_function(1, lam, beta, gap_cutoff=cutoff)
-        + 3.0 * g_function(2, lam, beta, gap_cutoff=cutoff)
-        + g_function(3, lam, beta, gap_cutoff=cutoff)
-    )
+    direct = math.fsum(accurate_omega(lam / (beta * eta[(eta > 0.0) & (eta <= cutoff)])))
+    weights = (3.0, 3.0, 1.0)
+    composed = sum(w * lattice_g(d, lam, beta, cutoff) for d, w in zip((1, 2, 3), weights))
     assert composed == pytest.approx(direct, rel=1e-12)
+    # the infinite sums add what lies above the cutoff, within its envelope
+    infinite = sum(w * g_function(d, lam, beta) for d, w in zip((1, 2, 3), weights))
+    dropped = sum(w * envelope_tail(d, lam, beta, cutoff) for d, w in zip((1, 2, 3), weights))
+    assert 0.0 < infinite - direct <= dropped
+
+
+@pytest.mark.parametrize("convention", ["relative", "printed"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 11.7524])
+def test_fluctuation_sum_lies_between_lattice_sum_and_envelope(d, lam, convention):
+    value, budget = g_with_budget(d, lam, 1.0, convention=convention)
+    for cutoff in (1.0e4, {1: 4.0e8, 2: 4.0e6, 3: 1.0e5}[d]):
+        listed = lattice_g(d, lam, 1.0, cutoff, convention)
+        assert listed - budget <= value <= listed + envelope_tail(d, lam, 1.0, cutoff) + budget
+
+
+@pytest.mark.parametrize(
+    "lam, convention", [(-0.5, "relative"), (0.062, "relative"), (11.7524, "printed")]
+)
+def test_axis_sum_matches_fsum(lam, convention):
+    # n <= 2e7 leaves a tail below 1e-23 lam^2
+    parts = []
+    for start in range(2, 20_000_001, 1_000_000):
+        n = np.arange(start, min(start + 1_000_000, 20_000_001), dtype=float)
+        u = n * n - 1.0 if convention == "relative" else (n - 1.0) ** 2
+        parts.append(math.fsum(accurate_omega(lam / (0.5 * math.pi**2 * u))))
+    assert g_function(1, lam, 1.0, convention=convention) == pytest.approx(
+        math.fsum(parts), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [-0.5, 1e-4, 1.8, 11.7524])
+def test_budget_covers_doubled_panel_evaluation(monkeypatch, d, lam):
+    value, budget = g_with_budget(d, lam, 1.0)
+    assert budget <= 1e-10
+    monkeypatch.setattr(limits, "_G_PANEL_WIDTH", 0.5 * limits._G_PANEL_WIDTH)
+    finer, _ = g_with_budget(d, lam, 1.0)
+    assert abs(finer - value) <= budget
 
 
 def test_axis_curvature_closed_form_and_series():
@@ -380,9 +464,9 @@ def test_fluctuation_sums_have_flat_slope_at_origin():
 @pytest.mark.parametrize("lam", [0.5, -0.5])
 def test_tail_bound_covers_cutoff_extension(d, lam):
     low, high = 1.0e4, 1.6e5
-    g_low = g_function(d, lam, 1.0, gap_cutoff=low)
-    g_high = g_function(d, lam, 1.0, gap_cutoff=high)
-    assert abs(g_high - g_low) <= g_tail_bound(d, lam, 1.0, gap_cutoff=low)
+    g_low = lattice_g(d, lam, 1.0, low)
+    g_high = lattice_g(d, lam, 1.0, high)
+    assert abs(g_high - g_low) <= envelope_tail(d, lam, 1.0, low)
 
 
 def test_fluctuation_law_composes_symmetry_cases():

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from bosebox import DomainError, NoConvergence
 from bosebox.numerics import (
+    exp_remainder,
     gauss_panels,
     log1mexp,
     log_expm1,
     omega,
     refined_panels,
     solve_bracketed,
+    sum_exp,
 )
 
 
@@ -67,6 +69,25 @@ def test_omega_is_nonnegative_and_quadratic_at_origin():
 @given(st.floats(min_value=-0.99, max_value=50.0))
 def test_omega_nonnegative_property(x):
     assert omega(x) >= 0.0
+
+
+def test_exp_remainder_matches_mpmath_on_both_branches():
+    # the series branch ends at |x| = 1; x - expm1(x) style cancellation
+    # would lose 2 ulp / |x| below it
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    xs = np.concatenate([-np.logspace(-12, 2, 120), np.logspace(-12, 2.5, 120), [0.999999, 1.0]])
+    got = exp_remainder(xs)
+    for x, g in zip(xs, got):
+        want = mp.exp(-mp.mpf(float(x))) - 1 + mp.mpf(float(x))
+        assert abs(g - float(want)) <= 1e-15 * float(want)
+    assert exp_remainder(0.0) == 0.0
+
+
+def test_sum_exp_shifts_by_the_largest_term():
+    terms = np.array([1000.0, 1000.0, -1000.0])
+    assert sum_exp(terms, log=True) == pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
+    assert sum_exp(terms - 1000.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_solve_bracketed_finds_cosine_root():
