@@ -26,6 +26,9 @@ Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
 everything downstream (probabilities, moments, Laplace transforms, the
 per-mode step measures and their pressure-like normalizers) is built on it.
+A box table reads a mode's gap from its quantum numbers, so the only modes
+it ever lists are the few below a condensate window or, for a pressure,
+near the mode's own level.
 """
 
 from __future__ import annotations
@@ -37,8 +40,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffInsufficient, DomainError, NumericsError
+from .grandcanonical import _excess_power_sums, _excited_sum, _series_length
 from .numerics import log1mexp, log_expm1, sum_exp
-from .spectrum import _EXP_FLOOR, SpectrumTable, log_power_sums
+from .spectrum import (
+    _EXP_FLOOR,
+    DEFAULT_MODE_BUDGET,
+    BoxGeometry,
+    enumerate_below,
+    ground_energy,
+    log_power_sums,
+    mode_gap,
+    mode_gaps,
+)
 
 __all__ = [
     "CanonicalTable",
@@ -68,30 +81,37 @@ _NEAR = 256
 _FFT_ERR = 16.0 * float(np.finfo(float).eps)
 _FFT_REL_TOL = 2e-16 * _BLOCK  # 2e-16 per row of a block
 _RESCALE = 300.0  # rebuild the direct sum's window after growth by e^300
+# Terms per numpy pass of the per-mode sums (8 MB of doubles).
+_CHUNK = 1 << 20
+# Doublings of shifted_pressure's listed window before it gives up.
+_WIDEN_MAX = 20
 
 
 @dataclass(frozen=True)
 class CanonicalTable:
     """Partition-function table for 0..n_max particles at one temperature.
 
-    ``log_z[n]`` is the true log Z(n); ``log_power_sums[k]`` the true
-    log S_k for k = 1..n_max (index 0 is NaN). Shifted variants (ground
-    energy subtracted from every level) are exposed as cached properties.
+    A box table (``geometry`` set, ``gaps`` None) holds the whole box
+    spectrum through its power sums and names modes by quantum numbers; no
+    mode is listed to build it. A level-list table (``geometry`` None)
+    holds the sorted gaps of its levels above the lowest one and names
+    modes by row index. ``log_z[n]`` is the true log Z(n), and
+    ``log_z_shifted`` the same with the ground energy subtracted from every
+    level.
     """
 
-    spectrum: SpectrumTable | None
-    gaps: np.ndarray = field(repr=False)
+    geometry: BoxGeometry | None
+    gaps: np.ndarray | None = field(repr=False)
     ground_energy: float
     beta: float
     n_max: int
     volume: float
     log_z: np.ndarray = field(repr=False)
-    log_power_sums: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.gaps.setflags(write=False)
-        self.log_z.setflags(write=False)
-        self.log_power_sums.setflags(write=False)
+        for values in (self.gaps, self.log_z):
+            if values is not None:
+                values.setflags(write=False)
 
     @cached_property
     def log_z_shifted(self) -> np.ndarray:
@@ -100,27 +120,34 @@ class CanonicalTable:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def log_power_sums_shifted(self) -> np.ndarray:
-        k = np.arange(self.n_max + 1, dtype=float)
-        out = self.log_power_sums + k * self.beta * self.ground_energy
-        out.setflags(write=False)
-        return out
-
     def index_of(self, k) -> int:
-        """Row of a mode given as table index or quantum numbers."""
-        if self.spectrum is not None:
-            return self.spectrum.index_of(k)
+        """Row of a level-list mode given as its row index."""
+        if self.gaps is None:
+            raise DomainError("a box table names modes by quantum numbers, not rows")
         if not isinstance(k, (int, np.integer)):
-            raise DomainError("mode tuples need a box spectrum table")
+            raise DomainError(f"a level-list table names modes by row index, got {k!r}")
         idx = int(k)
         if idx < 0 or idx >= len(self.gaps):
             raise DomainError(f"mode index {idx} outside table of {len(self.gaps)}")
         return idx
 
     def gap_of(self, k) -> float:
-        """Gap of a mode given as table index or quantum numbers."""
+        """Gap above the ground level of a mode: quantum numbers on a box
+        table (mode_gap), a row index on a level list."""
+        if self.geometry is not None:
+            return mode_gap(self.geometry, k)
         return float(self.gaps[self.index_of(k)])
+
+    def gaps_up_to(self, eta: float) -> np.ndarray:
+        """Sorted gaps of all modes with gap <= eta; a box lists only those."""
+        if self.geometry is None:
+            gaps = self.gaps
+        else:
+            e_max = self.ground_energy + eta
+            # a few ulps of slack keep modes whose energy rounds past e_max
+            listed = enumerate_below(self.geometry, e_max + 8.0 * math.ulp(e_max))
+            gaps = np.sort(mode_gaps(self.geometry, listed.modes))
+        return gaps[: int(np.searchsorted(gaps, eta, side="right"))]
 
 
 @dataclass(frozen=True)
@@ -236,7 +263,7 @@ def _fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far) -> None:
 
 
 def build_canonical(
-    spectrum,
+    geometry,
     beta: float,
     n_max: int,
     *,
@@ -244,10 +271,12 @@ def build_canonical(
 ) -> CanonicalTable:
     """Run the power-sum recursion up to n_max particles.
 
-    ``spectrum`` is either a SpectrumTable (power sums then use the exact
-    theta factorization over the full box spectrum) or a plain sequence of
-    level energies (summed exactly). Raises CutoffInsufficient if a level
-    list is empty.
+    ``geometry`` is either a BoxGeometry or a plain sequence of level
+    energies. A box gets its power sums from the exact theta factorization
+    over the whole spectrum (spectrum.log_power_sums), so no mode is
+    listed and no spectral cutoff enters; its volume is the box's. A level
+    list is summed directly, with volume ``volume`` (default 1), and
+    CutoffInsufficient is raised if it is empty.
 
     Rows are computed in blocks [n0, n0 + B), B = 2048. Since Z' does not
     decrease, the terms m < f = n0 - 256 of every row in a block are
@@ -275,37 +304,30 @@ def build_canonical(
         raise DomainError(f"beta must be positive, got {beta!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
-    if isinstance(spectrum, SpectrumTable):
-        if len(spectrum) == 0:
-            raise CutoffInsufficient("spectrum table holds no modes")
-        gaps = np.array(spectrum.gaps, dtype=float)
-        ground = spectrum.ground_energy
-        vol = spectrum.geometry.volume
-        log_s_shifted = np.concatenate(
-            ([np.nan], log_power_sums(spectrum.geometry, beta, n_max))
-        )
-        table = spectrum
+    if isinstance(geometry, BoxGeometry):
+        box, gaps = geometry, None
+        ground = ground_energy(geometry)
+        vol = geometry.volume
+        log_s_shifted = np.concatenate(([np.nan], log_power_sums(geometry, beta, n_max)))
     else:
-        energies = np.sort(np.asarray(list(spectrum), dtype=float))
+        energies = np.sort(np.asarray(list(geometry), dtype=float))
         if len(energies) == 0:
             raise CutoffInsufficient("level list is empty")
+        box = None
         ground = float(energies[0])
         gaps = energies - ground
         vol = 1.0 if volume is None else float(volume)
         log_s_shifted = _direct_log_power_sums(gaps, beta, n_max)
-        table = None
     log_z_shifted = _log_partition_shifted(log_s_shifted, n_max)
-    n_idx = np.arange(n_max + 1, dtype=float)
-    log_z = log_z_shifted - n_idx * beta * ground
+    log_z = log_z_shifted - np.arange(n_max + 1, dtype=float) * beta * ground
     return CanonicalTable(
-        spectrum=table,
+        geometry=box,
         gaps=gaps,
         ground_energy=ground,
         beta=beta,
         n_max=n_max,
         volume=vol,
         log_z=log_z,
-        log_power_sums=log_s_shifted - n_idx * beta * ground,
     )
 
 
@@ -372,60 +394,89 @@ def occupation_moment(ct: CanonicalTable, k, n: int, r: int) -> float:
 
 
 def generalized_condensate(ct: CanonicalTable, n: int, epsilon: float) -> float:
-    """Density held by all modes with gap below epsilon at n particles."""
+    """Density held by all modes with gap below epsilon at n particles: the
+    mean occupations sum_{j=1..n} exp(-j beta eta_i) Z'(n-j)/Z'(n) of
+    occupation_moment, summed over the modes (a box lists only those)
+    before the sum over j."""
     n = _check_n(ct, n)
     if epsilon <= 0.0:
         raise DomainError(f"gap window must be positive, got {epsilon!r}")
-    hits = np.nonzero(ct.gaps < epsilon)[0]
-    total = 0.0
-    for idx in hits:
-        total += occupation_moment(ct, int(idx), n, 1)
-    return total / ct.volume
+    gaps = ct.gaps_up_to(epsilon)
+    j = np.arange(1, n + 1)
+    lz = ct.log_z_shifted
+    sums = _listed_power_sums(ct.beta * gaps[gaps < epsilon], j)
+    return float(np.sum(np.exp(lz[n - j] - lz[n]) * sums)) / ct.volume
 
 
-def _log_gap_factors(ct: CanonicalTable, k) -> tuple[np.ndarray, float]:
-    """log |1 - exp(-beta (eta_j - eta_k))| over table modes j != k."""
-    idx = ct.index_of(k)
-    eta_k = float(ct.gaps[idx])
-    delta = ct.beta * (np.delete(ct.gaps, idx) - eta_k)
-    if np.any(delta == 0.0):
-        raise DomainError(f"mode {k!r} shares its level with another mode")
-    out = np.where(delta > 0.0, log1mexp(np.abs(delta)), log_expm1(np.abs(delta)))
-    return out, eta_k
+def _listed_power_sums(scaled: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i exp(-m scaled_i) for each m, _CHUNK terms at a time, so that
+    no len(m) x len(scaled) array is held."""
+    out = np.empty(len(m))
+    step = max(1, _CHUNK // max(len(scaled), 1))
+    for i in range(0, len(m), step):
+        out[i : i + step] = np.exp(-m[i : i + step, None] * scaled).sum(axis=1)
+    return out
 
 
-def shifted_pressure(ct: CanonicalTable, k, *, tail_tol: float = 1e-10) -> float:
+def shifted_pressure(ct: CanonicalTable, k, *, rtol: float = 1e-10) -> float:
     """Pressure-like normalizer of the per-mode step measure.
 
-    p_k = -(1/(beta V)) sum_{j != k} log|1 - exp(-beta (E_j - E_k))|, with
-    the sum over the whole spectrum; the part above the table cutoff is
-    bounded through the exact power-sum tail and must stay below tail_tol
-    (on the beta V p_k scale) or CutoffInsufficient is raised.
+    p_k = -(1/(beta V)) sum_{j != k} log|1 - exp(-beta (eta_j - eta_k))|
+    over the whole spectrum. A level list sums its levels. A box sums the
+    modes with eta_j <= W explicitly and takes the rest from the power sums
+    (see _pressure_series); DomainError if another mode shares mode k's
+    level.
     """
-    factors, eta_k = _log_gap_factors(ct, k)
-    core = -float(np.sum(factors))
-    tail = _pressure_tail(ct, eta_k)
-    if tail > tail_tol:
-        raise CutoffInsufficient(
-            f"pressure tail bound {tail!r} exceeds {tail_tol!r}; raise the spectrum cutoff"
+    eta_k = ct.gap_of(k)
+    if ct.geometry is None:
+        gaps, series = ct.gaps, 0.0
+    else:
+        gaps, series = _pressure_series(ct, eta_k, rtol)
+    same = np.flatnonzero(gaps == eta_k)
+    if len(same) != 1:
+        raise DomainError(f"mode {k!r} shares its level with another mode")
+    delta = ct.beta * (np.delete(gaps, same) - eta_k)
+    factors = np.where(delta > 0.0, log1mexp(np.abs(delta)), log_expm1(np.abs(delta)))
+    return (series - float(np.sum(factors))) / (ct.beta * ct.volume)
+
+
+def _pressure_series(ct: CanonicalTable, eta_k: float, rtol: float):
+    """The gaps eta_j <= W of a box and -sum_{eta_j > W} log(1 - q_j),
+    q_j = exp(-beta (eta_j - eta_k)), as the power-sum series
+
+        sum_m (exp(m beta eta_k) / m) (S'_m - sum_{eta_j <= W} exp(-m beta eta_j)).
+
+    Its terms shrink at least by exp(-beta (W - eta_k)) per step, so the
+    series stops, as the grand-canonical ones do, once the geometric bound
+    on the rest is below 2^-53 of its first term. The subtraction cancels
+    down to the unlisted modes, and the factor exp(m beta eta_k) lifts the
+    rounding of S'_m with m: W - eta_k starts at max(3 c_min, 4 eta_k),
+    the first excited gap for the ground mode, and doubles until tail and
+    rounding bounds together are below ``rtol`` of the series;
+    CutoffInsufficient if they never are.
+    """
+    geometry, beta = ct.geometry, ct.beta
+    width = max(3.0 * min(geometry.level_coefficients), 4.0 * eta_k)
+    for _ in range(_WIDEN_MAX):
+        gaps = ct.gaps_up_to(eta_k + width)
+        rate = beta * width
+        length = _series_length(rate)
+        excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)
+        m = np.arange(1, len(excess) + 1, dtype=float)
+        listed = _listed_power_sums(beta * gaps[1:], m)  # gaps[0] is the ground
+        series, tail = _excited_sum(
+            geometry, beta, eta_k, excess - listed, over_k=True, rate=rate
         )
-    return core / (ct.beta * ct.volume)
-
-
-def _pressure_tail(ct: CanonicalTable, eta_k: float) -> float:
-    """Bound on the above-cutoff part of the log-factor sum for one mode."""
-    if ct.spectrum is None:
-        return 0.0
-    eta_max = ct.spectrum.cutoff - ct.ground_energy
-    # exact S'_1 minus the table part = the omitted sum of exp(-beta eta)
-    s1_exact = math.exp(ct.log_power_sums_shifted[1])
-    s1_table = float(np.exp(-ct.beta * ct.gaps).sum())
-    missing = max(s1_exact - s1_table, 0.0)
-    gap = ct.beta * (eta_max - eta_k)
-    if gap <= 0.0:
-        raise CutoffInsufficient("table cutoff does not exceed the requested mode")
-    correction = 1.0 / (1.0 - math.exp(-gap))
-    return correction * math.exp(ct.beta * eta_k) * missing
+        # excess is exp(log S'_m) - 1 with log S'_m good to a few ulp of itself
+        ulps = 16.0 + 2.0 * np.log1p(excess) + math.log2(len(gaps))
+        weights = np.exp(m * (beta * eta_k)) / m
+        rounding = 2.0**-52 * float(np.sum(ulps * (1.0 + excess + listed) * weights))
+        if tail + rounding <= rtol * series:
+            return gaps, series
+        width *= 2.0
+    raise CutoffInsufficient(
+        f"pressure series bounds {tail + rounding!r} exceed {rtol!r} of the series {series!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -437,8 +488,6 @@ class ModeMeasure:
     stored as logs (they overflow linearly in r for every excited mode).
     """
 
-    k: int
-    mode: tuple[int, int, int] | None
     gap: float
     pressure: float
     beta: float
@@ -469,17 +518,13 @@ class ModeMeasure:
         return out
 
 
-def mode_measure(ct: CanonicalTable, k, *, tail_tol: float = 1e-10) -> ModeMeasure:
+def mode_measure(ct: CanonicalTable, k, *, rtol: float = 1e-10) -> ModeMeasure:
     """Build the per-mode step measure on the grid r/V, r = 0..n_max."""
-    idx = ct.index_of(k)
-    mode = None if ct.spectrum is None else tuple(int(v) for v in ct.spectrum.modes[idx])
-    pressure = shifted_pressure(ct, idx, tail_tol=tail_tol)
-    eta = float(ct.gaps[idx])
+    eta = ct.gap_of(k)
+    pressure = shifted_pressure(ct, k, rtol=rtol)
     r = np.arange(ct.n_max + 1, dtype=float)
     log_values = ct.log_z_shifted + r * (ct.beta * eta) - ct.beta * ct.volume * pressure
     return ModeMeasure(
-        k=idx,
-        mode=mode,
         gap=eta,
         pressure=pressure,
         beta=ct.beta,

@@ -250,22 +250,17 @@ def _echo(cfg: dict, geom: BoxGeometry) -> dict:
     }
 
 
-def _spectrum_table(cfg: dict, geom: BoxGeometry):
-    beta = float(cfg["beta"])
-    e_max = cfg["cutoffs"]["e_max"]
-    if e_max is None:
-        e_max = suggest_energy_cutoff(
-            geom, beta, tail_tol=float(cfg["cutoffs"]["energy_tail_tol"])
-        )
-    return enumerate_below(
-        geom, float(e_max), mode_budget=int(cfg["cutoffs"]["mode_budget"])
-    )
-
-
 def cmd_spectrum(cfg: dict) -> list[dict]:
     geom = _geometry(cfg)
     echo = _echo(cfg, geom)
-    table = _spectrum_table(cfg, geom)
+    e_max = cfg["cutoffs"]["e_max"]
+    if e_max is None:
+        e_max = suggest_energy_cutoff(
+            geom, float(cfg["beta"]), tail_tol=float(cfg["cutoffs"]["energy_tail_tol"])
+        )
+    table = enumerate_below(
+        geom, float(e_max), mode_budget=int(cfg["cutoffs"]["mode_budget"])
+    )
     if len(table) == 0:
         print(
             f"warning: energy cutoff {table.cutoff!r} lies below the ground level "
@@ -348,8 +343,7 @@ def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
     beta = float(cfg["beta"])
     echo = _echo(cfg, geom)
     n = _particle_number(cfg, geom.volume)
-    table = _spectrum_table(cfg, geom)
-    ct = build_canonical(table, beta, n)
+    ct = build_canonical(geom, beta, n)
     mode = tuple(int(v) for v in cfg["mode"])
     roundoff = 4e-16 * n
     mean = occupation_moment(ct, mode, n, 1)
@@ -371,11 +365,10 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
     echo = _echo(cfg, geom)
-    table = _spectrum_table(cfg, geom)
     sol = _solve_mu(cfg, geom)
     rc = critical_density(beta).value
     n_max = _mixture_n_max(cfg, rho, rc, geom.volume)
-    ct = build_canonical(table, beta, n_max)
+    ct = build_canonical(geom, beta, n_max)
     kw = kac_weights(ct, sol.mu)
     mass = float(kw.weights.sum())
     mode = tuple(int(v) for v in cfg["mode"])
@@ -523,8 +516,7 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
         for v in sweep:
             g_v = _geometry(cfg, float(v))
             n = _particle_number(cfg, g_v.volume)
-            table = _spectrum_table(cfg, g_v)
-            tables.append(build_canonical(table, beta, n))
+            tables.append(build_canonical(g_v, beta, n))
         for lam in cfg["lambda_grid"]:
             for row in fluctuation_convergence_check(tables, rho, float(lam), case):
                 rows.append(

@@ -39,6 +39,7 @@ from .spectrum import (
     eigenvalue,
     ground_energy,
     log_power_sums,
+    mode_gap,
     _as_mode_tuple,
 )
 
@@ -122,12 +123,10 @@ def _geometric_laplace(x: float, lam: float) -> float:
 def mean_occupation(geometry: BoxGeometry, mu_bar: float, mode, beta: float) -> float:
     """Expected occupation 1/(exp(beta (eta_n - mu_bar)) - 1) of the mode n.
 
-    Takes mu_bar = mu - E_1, as mu itself can round to E_1; the gap
-    eta_n = sum_j c_j (n_j^2 - 1) is summed without cancellation."""
+    Takes mu_bar = mu - E_1, as mu itself can round to E_1, and the gap
+    eta_n of mode_gap, which does not cancel against E_1 either."""
     _check_mu(0.0, mu_bar)
-    n = _as_mode_tuple(mode)
-    eta = sum(c * (k * k - 1) for c, k in zip(geometry.level_coefficients, n))
-    return _bose(beta * (eta - mu_bar))
+    return _bose(beta * (mode_gap(geometry, mode) - mu_bar))
 
 
 def _series_rate(geometry: BoxGeometry, beta: float, mu_bar: float) -> float:
@@ -165,16 +164,19 @@ def _excess_power_sums(geometry, beta, length, mode_budget) -> np.ndarray:
     return excess
 
 
-def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False):
+def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False, rate=None):
     """sum_k (S'_k - 1) exp(k beta mu_bar), divided by k if ``over_k``.
 
     Sums the given S'_k - 1, by default as many as _series_length asks.
     Returns the partial sum and the geometric bound term_K r/(1 - r),
     r = exp(-rate), on the rest (with the 1/k weight the rest shrinks at
-    least as fast). Where one excited level dominates the bound is exact,
-    so it is raised by 1e-9 of itself to cover the rounding of the terms.
+    least as fast); ``rate`` defaults to _series_rate, and a caller that
+    passes other terms than S'_k - 1 passes the rate at which they shrink.
+    Where one excited level dominates the bound is exact, so it is raised
+    by 1e-9 of itself to cover the rounding of the terms.
     """
-    rate = _series_rate(geometry, beta, mu_bar)
+    if rate is None:
+        rate = _series_rate(geometry, beta, mu_bar)
     if excess is None:
         length = _series_length(rate)
         excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)

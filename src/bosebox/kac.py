@@ -63,8 +63,8 @@ class PointMass:
 
 def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
     """log Xi and its tail bound: over the whole box, or over a level list."""
-    if ct.spectrum is not None:
-        return grand_partition_log(ct.spectrum.geometry, mu, ct.beta)
+    if ct.geometry is not None:
+        return grand_partition_log(ct.geometry, mu, ct.beta)
     x = ct.beta * (ct.gaps - (mu - ct.ground_energy))
     return float(-np.sum(np.log(-np.expm1(-x)))), 0.0
 

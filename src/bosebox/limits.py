@@ -131,47 +131,48 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
     )
 
 
-def _log_theta(x: float) -> float:
-    """log |Theta(exp(-x))| for x > 0; Theta is negative throughout.
+def _log_theta(x):
+    """log |Theta(exp(-x))| for x > 0 (vectorized); Theta is negative throughout.
 
     Direct alternating series for x >= 1, factored as -e^(-x) (1 + inner)
     so the leading exponential never underflows the log. For x < 1 the
     modular dual Theta(e^-x) = (sqrt(pi)/x^(3/2)) sum_k (1/2 - a_k/x)
     e^(-a_k/x), a_k = pi^2 (k+1/2)^2, whose terms all share one sign
-    there; summed in the log domain for the same reason.
+    there; summed in the log domain for the same reason. Each point sums
+    its terms in the order of the scalar series, up to the first one past
+    exp(-745).
     """
-    if x <= 0.0:
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(x_arr > 0.0):
         raise DomainError(f"theta argument must be positive, got {x!r}")
-    if x >= 1.0:
-        inner = 0.0
-        m = 2
-        while True:
-            e = x * (m * m - 1.0)
-            if e > 745.0:
-                break
-            inner += (-1.0) ** (m + 1) * m * m * math.exp(-e)
-            m += 1
-        return -x + math.log1p(inner)
-    lead = math.pi**2 * 0.25 / x
-    log_lead = math.log(lead - 0.5) - lead
-    rest = 0.0
+    out = np.empty_like(x_arr)
+    direct = x_arr >= 1.0
+    xd = x_arr[direct]
+    inner = np.zeros_like(xd)
+    m = 2
+    while len(xd) and xd.min() * (m * m - 1.0) <= 745.0:
+        e = xd * (m * m - 1.0)
+        inner += np.where(e > 745.0, 0.0, (-1.0) ** (m + 1) * m * m * np.exp(-e))
+        m += 1
+    out[direct] = -xd + np.log1p(inner)
+    xs = x_arr[~direct]
+    lead = math.pi**2 * 0.25 / xs
+    log_lead = np.log(lead - 0.5) - lead
+    rest = np.zeros_like(xs)
+    live = np.ones(len(xs), dtype=bool)
     for k in range(1, 13):
-        a_over = math.pi**2 * (k + 0.5) ** 2 / x
-        step = math.log(a_over - 0.5) - a_over - log_lead
-        if step < -745.0:
-            break
-        rest += math.exp(step)
-    return 0.5 * math.log(math.pi) - 1.5 * math.log(x) + log_lead + math.log1p(rest)
+        a_over = math.pi**2 * (k + 0.5) ** 2 / xs
+        step = np.log(a_over - 0.5) - a_over - log_lead
+        live &= step >= -745.0
+        rest += np.where(live, np.exp(step), 0.0)
+    out[~direct] = 0.5 * math.log(math.pi) - 1.5 * np.log(xs) + log_lead + np.log1p(rest)
+    return out if np.ndim(x) else float(out[0])
 
 
 def _log_one_minus_tn(n: int, s, beta: float):
     """log |1 - T_n(s)| for s > 0 (vectorized); the sign is (-1)^(n+1)."""
     c = 0.5 * beta * math.pi**2
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr)
-    for i, si in enumerate(s_arr):
-        out[i] = c * si * n * n + _log_theta(c * si) - 2.0 * math.log(n)
-    return out if np.ndim(s) else float(out[0])
+    return c * s * n * n + _log_theta(c * s) - 2.0 * math.log(n)
 
 
 def mode_distribution_limit(n: int, x: float, rho_c: float, coeffs: GapCoefficients) -> float:
@@ -469,16 +470,16 @@ def fluctuation_convergence_check(
         raise DomainError(f"center must be 'mean' or 'saturation', got {center!r}")
     rows = []
     for ct in tables:
-        if ct.spectrum is None:
-            raise DomainError("fluctuation rows need box spectrum tables")
+        if ct.geometry is None:
+            raise DomainError("fluctuation rows need box tables")
         v = ct.volume
         gamma = case.gamma
         n = int(round(rho * v))
-        rc_v = rho_c_finite(ct.spectrum.geometry, ct.beta)
+        rc_v = rho_c_finite(ct.geometry, ct.beta)
         sat_center = rho - rc_v
-        mean = occupation_moment(ct, 0, n, 1)
+        mean = occupation_moment(ct, (1, 1, 1), n, 1)
         offset = mean / v if center == "mean" else sat_center
-        transform = occupation_laplace(ct, 0, n, -lam * v ** (gamma - 1.0))
+        transform = occupation_laplace(ct, (1, 1, 1), n, -lam * v ** (gamma - 1.0))
         value = math.exp(-lam * v**gamma * offset) * transform
         limit = fluctuation_law(case, lam, ct.beta, convention=convention)
         centered = v**gamma * (mean / v - sat_center)

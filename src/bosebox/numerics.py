@@ -17,7 +17,6 @@ from .errors import NoConvergence
 __all__ = [
     "log1mexp",
     "log_expm1",
-    "omega",
     "exp_remainder",
     "sum_exp",
     "solve_bracketed",
@@ -47,21 +46,6 @@ def log_expm1(x):
         x + np.log1p(-np.exp(-np.where(big, x, 1.0))),
         np.log(np.expm1(np.where(big, 1.0, x))),
     )
-    return out if out.ndim else float(out)
-
-
-def omega(x):
-    """x - log(1 + x), with a series branch protecting small |x|.
-
-    Defined for x > -1; quadratic at the origin, omega(0) = 0 exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, x, 0.0)
-    # x^2 (1/2 - x/3 + x^2/4 - x^3/5 + x^4/6): next term ~ x^5/7 < 1e-21
-    series = xs * xs * (0.5 + xs * (-1.0 / 3.0 + xs * (0.25 + xs * (-0.2 + xs / 6.0))))
-    direct = np.where(small, 0.0, x) - np.log1p(np.where(small, 0.0, x))
-    out = np.where(small, series, direct)
     return out if out.ndim else float(out)
 
 

@@ -34,6 +34,8 @@ __all__ = [
     "classify",
     "eigenvalue",
     "ground_energy",
+    "mode_gap",
+    "mode_gaps",
     "count_modes_at_most",
     "enumerate_below",
     "ids",
@@ -64,7 +66,10 @@ _THETA_DUAL_BELOW = 1.0
 def _as_mode_tuple(mode) -> tuple[int, int, int]:
     if isinstance(mode, Mode):
         return mode.n
-    t = tuple(int(v) for v in mode)
+    try:
+        t = tuple(int(v) for v in mode)
+    except TypeError:  # not a sequence
+        t = ()
     if len(t) != 3 or any(v < 1 for v in t):
         raise DomainError(f"mode must be three integers >= 1, got {mode!r}")
     return t
@@ -174,6 +179,28 @@ def eigenvalue(geometry: BoxGeometry, mode) -> float:
 def ground_energy(geometry: BoxGeometry) -> float:
     """Energy of the (1, 1, 1) mode."""
     return eigenvalue(geometry, (1, 1, 1))
+
+
+def mode_gaps(geometry: BoxGeometry, modes) -> np.ndarray:
+    """Gaps E(n) - E_1 of the rows of an (M, 3) array of quantum numbers.
+
+    Summed per axis as sum_j c_j (n_j^2 - 1), so a small gap does not
+    cancel against the ground energy.
+    """
+    u = np.asarray(modes, dtype=float) ** 2 - 1.0
+    c1, c2, c3 = geometry.level_coefficients
+    return c1 * u[:, 0] + c2 * u[:, 1] + c3 * u[:, 2]
+
+
+def mode_gap(geometry: BoxGeometry, mode) -> float:
+    """Gap E(n) - E_1 of one mode, as mode_gaps sums it; DomainError if it
+    leaves the double range."""
+    n = _as_mode_tuple(mode)
+    with np.errstate(over="ignore"):
+        gap = float(mode_gaps(geometry, [n])[0])
+    if not math.isfinite(gap):
+        raise DomainError(f"mode {n} is out of range for double-precision levels")
+    return gap
 
 
 def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):

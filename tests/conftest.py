@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-One moderately deep spectrum table and one canonical build are reused by
-several test files; both are session scoped because the canonical
-recursion is the only genuinely expensive setup in the suite.
+One canonical build on the box geometry and one moderately deep listing of
+its spectrum (for oracles that sum over listed modes) are reused by several
+test files; both are session scoped because the canonical recursion is the
+only genuinely expensive setup in the suite.
 """
 
 import pytest
@@ -12,8 +13,9 @@ from bosebox import BoxGeometry, build_canonical, critical_density, enumerate_be
 ALPHAS = (0.4, 0.35, 0.25)
 VOLUME = 1000.0
 BETA = 1.0
-# Deep cutoff: the density-based suggestion (about 27 at this volume) is not
-# enough for the shifted-pressure tail bound at tail_tol = 1e-10.
+# Deep cutoff: the listed-mode pressure sum of the oracles drops less than
+# 1e-10 of beta V p_k above it (the density-based suggestion, about 27 at
+# this volume, would not).
 EMAX = 45.0
 # Number-mixture runs in the suite go up to rho = 2 * rho_c at V = 1000;
 # the mixture weights need roughly this much headroom past the mean.
@@ -31,8 +33,8 @@ def table_aniso(geom_aniso):
 
 
 @pytest.fixture(scope="session")
-def mixture_ct(table_aniso):
-    return build_canonical(table_aniso, BETA, N_MAX)
+def mixture_ct(geom_aniso):
+    return build_canonical(geom_aniso, BETA, N_MAX)
 
 
 @pytest.fixture(scope="session")

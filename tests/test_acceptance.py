@@ -2,10 +2,10 @@
 
 Every test prints a [PASS]/[FAIL] line directly to the terminal (bypassing
 capture) before asserting, so the per-criterion report is visible in any
-pytest run. Two criteria compare finite-volume sweeps against limits whose
-approach is slower than any desk-scale grid allows; those tests assert every
-attainable clause, print the measured shortfall, and end in pytest.xfail
-instead of weakening the pinned tolerance.
+pytest run. One criterion (AC6) compares a finite-volume sweep against a
+limit whose approach is slower than any desk-scale grid allows; it asserts
+every attainable clause, prints the measured shortfall, and ends in
+pytest.xfail instead of weakening the pinned tolerance.
 """
 
 import json
@@ -38,14 +38,7 @@ from bosebox.limits import (
     gap_coefficients,
     occupation_limit_typeII,
 )
-from bosebox.spectrum import (
-    BoxGeometry,
-    classify,
-    enumerate_below,
-    ids,
-    ids_bounds,
-    suggest_energy_cutoff,
-)
+from bosebox.spectrum import BoxGeometry, ids, ids_bounds
 
 BETA = 1.0
 RC = critical_density(BETA).value
@@ -58,10 +51,8 @@ def _line(capsys, ok, label, detail):
 
 
 def _canonical_at(alphas, volume, rho):
-    geom = BoxGeometry(alphas, volume)
-    table = enumerate_below(geom, suggest_energy_cutoff(geom, BETA))
     n = int(round(rho * volume))
-    return build_canonical(table, BETA, n), table, n
+    return build_canonical(BoxGeometry(alphas, volume), BETA, n), n
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +135,19 @@ def test_acceptance_02_exhaustive_small_system_oracle(capsys):
     assert elapsed < 10.0
 
 
-def test_acceptance_03_mixture_decomposition_identity(capsys, table_aniso, mixture_ct):
+def test_acceptance_03_mixture_decomposition_identity(
+    capsys, geom_aniso, table_aniso, mixture_ct
+):
     start = time.monotonic()
     modes = [tuple(int(v) for v in m) for m in table_aniso.modes[:5]]
     cases = []
-    sol_super = solve_mu(table_aniso.geometry, RHO_SUPER, BETA)
+    sol_super = solve_mu(geom_aniso, RHO_SUPER, BETA)
     cases.append((mixture_ct, sol_super.mu))
     rho_sub = 0.5 * RC
-    vol = table_aniso.geometry.volume
+    vol = geom_aniso.volume
     n_sub = int(math.ceil(rho_sub * vol + 25.0 * math.sqrt(rho_sub * vol) + 300.0))
-    ct_sub = build_canonical(table_aniso, BETA, n_sub)
-    cases.append((ct_sub, solve_mu(table_aniso.geometry, rho_sub, BETA).mu))
+    ct_sub = build_canonical(geom_aniso, BETA, n_sub)
+    cases.append((ct_sub, solve_mu(geom_aniso, rho_sub, BETA).mu))
     worst_margin = -math.inf
     for ct, mu in cases:
         for mode in modes:
@@ -172,10 +165,11 @@ def test_acceptance_03_mixture_decomposition_identity(capsys, table_aniso, mixtu
     assert elapsed < 60.0
 
 
-def test_acceptance_04_occupation_monotonicity_scan(capsys, mixture_ct):
+def test_acceptance_04_occupation_monotonicity_scan(capsys, table_aniso, mixture_ct):
     start = time.monotonic()
     violations = 0
-    for k in range(5):
+    # the five lowest modes
+    for k in [tuple(int(v) for v in m) for m in table_aniso.modes[:5]]:
         prev_m = {1: -math.inf, 2: -math.inf}
         prev_t = {0.5: math.inf, 2.0: math.inf}
         for n in range(1, 2001):
@@ -204,30 +198,25 @@ def test_acceptance_05_fast_gap_condensate_convergence(capsys):
     target = RHO_SUPER - RC
     rel_gaps = []
     excited = math.nan
-    for vol in (2e3, 1e4, 5e4):
-        ct, table, n = _canonical_at((0.40, 0.35, 0.25), vol, RHO_SUPER)
+    for vol in (2e3, 1e4, 5e4, 2.5e5):
+        ct, n = _canonical_at((0.40, 0.35, 0.25), vol, RHO_SUPER)
         ground = occupation_moment(ct, (1, 1, 1), n, 1) / vol
         rel_gaps.append(abs(ground - target) / target)
-        excited = occupation_moment(ct, 1, n, 1) / vol
-    decreasing = rel_gaps[0] > rel_gaps[1] > rel_gaps[2]
+        excited = occupation_moment(ct, (2, 1, 1), n, 1) / vol
+    decreasing = all(a > b for a, b in zip(rel_gaps, rel_gaps[1:]))
     excited_ok = excited < 0.01
     final_ok = rel_gaps[-1] < 0.10
     elapsed = time.monotonic() - start
     _line(
         capsys, decreasing and excited_ok and final_ok,
         "AC5 ground-mode density approach to the condensate value",
-        f"rel gaps {rel_gaps[0]:.4f} -> {rel_gaps[1]:.4f} -> {rel_gaps[2]:.4f} "
+        f"rel gaps {' -> '.join(f'{g:.4f}' for g in rel_gaps)} "
         f"(tol 10% at last), first-excited density {excited:.5f} (tol 0.01), "
         f"{elapsed:.0f}s",
     )
     assert decreasing
     assert excited_ok
-    if not final_ok:
-        pytest.xfail(
-            f"pinned grid tops out at V=5e4 where the gap is still "
-            f"{rel_gaps[-1]:.1%}; the O(V^(gamma-1)) approach needs volumes "
-            "two orders larger to cross 10%"
-        )
+    assert final_ok
 
 
 def test_acceptance_06_critical_ladder_occupations(capsys):
@@ -247,7 +236,7 @@ def test_acceptance_06_critical_ladder_occupations(capsys):
     budget = ladder.residual + 1e-9
     gaps = {1: [], 2: [], 3: []}
     for vol in (2e3, 1e4, 5e4):
-        ct, table, n_part = _canonical_at((0.5, 0.3, 0.2), vol, RHO_SUPER)
+        ct, n_part = _canonical_at((0.5, 0.3, 0.2), vol, RHO_SUPER)
         for n in (1, 2, 3):
             density = occupation_moment(ct, (n, 1, 1), n_part, 1) / vol
             gaps[n].append(abs(density - limits[n]) / limits[n])
@@ -269,8 +258,9 @@ def test_acceptance_06_critical_ladder_occupations(capsys):
     if not final_ok:
         pytest.xfail(
             f"ladder occupations converge at the slow condensate scale; at the "
-            f"largest feasible V=5e4 the worst mode is still {final:.1%} from "
-            "its limit (10% needs V around 1e8)"
+            f"grid's largest V=5e4 the worst mode is still {final:.1%} from its "
+            "limit. Mode (1,1,1) measured 65.4% -> 45.7% -> 32.2% at V = 5e4, "
+            "2.5e5, 1.25e6, about x0.7 per x5 in V, so 10% needs V around 2.5e8"
         )
 
 
@@ -285,7 +275,6 @@ def test_acceptance_07_slow_gap_scaled_transforms(capsys):
     mean_gaps = []
     for vol in volumes:
         geom = BoxGeometry(alphas, vol)
-        table = enumerate_below(geom, suggest_energy_cutoff(geom, BETA))
         sol = solve_mu(geom, RHO_SUPER, BETA)
         power = vol ** (2.0 * (1.0 - alphas[0]))
         for lam in lam_grid:
@@ -293,7 +282,7 @@ def test_acceptance_07_slow_gap_scaled_transforms(capsys):
             closed = 1.0 / (1.0 + lam * scale)
             gc_gaps[lam].append(abs(finite - closed) / closed)
         n_part = int(round(RHO_SUPER * vol))
-        ct = build_canonical(table, BETA, n_part)
+        ct = build_canonical(geom, BETA, n_part)
         scaled_mean = occupation_moment(ct, (1, 1, 1), n_part, 1) / power
         mean_gaps.append(abs(scaled_mean - scale))
     gc_ok = all(gc_gaps[lam][-1] < 0.05 for lam in lam_grid)
@@ -348,7 +337,7 @@ def test_acceptance_09_fluctuation_generating_functions(capsys):
     case = fluctuation_case(BoxGeometry((1 / 3, 1 / 3, 1 / 3), 1e3))
     tables = []
     for vol in (1e3, 8e3, 6.4e4):
-        ct, _, _ = _canonical_at((1 / 3, 1 / 3, 1 / 3), vol, RHO_SUPER)
+        ct, _ = _canonical_at((1 / 3, 1 / 3, 1 / 3), vol, RHO_SUPER)
         tables.append(ct)
     sweeps_ok = True
     gap_text = []

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from bosebox import (
     BoxGeometry,
-    CutoffInsufficient,
     DomainError,
     build_canonical,
     enumerate_below,
@@ -134,16 +133,16 @@ def test_energy_shift_invariance():
             )
 
 
-def test_table_route_equals_raw_energy_route(table_aniso):
-    """Theta-function power sums against direct sums over the same levels."""
-    ct_table = build_canonical(table_aniso, 1.0, 40)
+def test_table_route_equals_raw_energy_route(geom_aniso, table_aniso):
+    """Theta-function power sums against direct sums over listed levels."""
+    ct_table = build_canonical(geom_aniso, 1.0, 40)
     ct_raw = build_canonical(
         [float(e) for e in table_aniso.energies],
         1.0,
         40,
-        volume=table_aniso.geometry.volume,
+        volume=geom_aniso.volume,
     )
-    # the table route sums the *full* spectrum; at this cutoff the difference
+    # the box route sums the *full* spectrum; at this cutoff the difference
     # is bounded by the exp(-beta eta_max) tail, far below the tolerance
     np.testing.assert_allclose(ct_raw.log_z, ct_table.log_z, rtol=1e-10, atol=1e-10)
 
@@ -168,7 +167,7 @@ def test_ground_occupation_grows_with_n():
 
 def test_moment_and_pmf_agree(mixture_ct):
     n = 500
-    for k in (0, 1, 5):
+    for k in ((1, 1, 1), (2, 1, 1), (3, 2, 1)):
         pmf = occupation_pmf(mixture_ct, k, n)
         direct = float(np.sum(pmf.support * pmf.mass))
         assert direct == pytest.approx(occupation_moment(mixture_ct, k, n, 1), rel=1e-10)
@@ -176,14 +175,19 @@ def test_moment_and_pmf_agree(mixture_ct):
 
 
 def test_index_of_box_table(mixture_ct, table_aniso):
-    for idx in (0, 5, len(table_aniso) - 1):
+    """A box table names modes by quantum numbers only; its gaps agree with
+    the listed table's energy differences, and are exact at the ground."""
+    for idx in (0, 5, 100, len(table_aniso) - 1):
         n = tuple(int(v) for v in table_aniso.modes[idx])
-        assert mixture_ct.index_of(idx) == idx
-        assert mixture_ct.index_of(n) == idx
-        assert mixture_ct.gap_of(n) == table_aniso.gaps[idx]
-    for bad in (-1, len(table_aniso)):
+        assert mixture_ct.gap_of(n) == pytest.approx(
+            table_aniso.gaps[idx], rel=1e-14, abs=4 * np.spacing(table_aniso.ground_energy)
+        )
+    assert mixture_ct.gap_of((1, 1, 1)) == 0.0
+    for bad in (0, -1, (0, 1, 1), (1, 1)):
         with pytest.raises(DomainError):
-            mixture_ct.index_of(bad)
+            mixture_ct.gap_of(bad)
+    with pytest.raises(DomainError):
+        mixture_ct.index_of(0)
 
 
 def test_index_of_level_list_table():
@@ -199,11 +203,11 @@ def test_index_of_level_list_table():
 
 def test_n_out_of_range_rejected(mixture_ct):
     with pytest.raises(DomainError):
-        occupation_moment(mixture_ct, 0, mixture_ct.n_max + 1, 1)
+        occupation_moment(mixture_ct, (1, 1, 1), mixture_ct.n_max + 1, 1)
     with pytest.raises(DomainError):
-        occupation_moment(mixture_ct, 0, -1, 1)
+        occupation_moment(mixture_ct, (1, 1, 1), -1, 1)
     with pytest.raises(DomainError):
-        occupation_moment(mixture_ct, 0, 10, 5)
+        occupation_moment(mixture_ct, (1, 1, 1), 10, 5)
 
 
 # ------------------------------------------------------- condensate window
@@ -225,7 +229,77 @@ def test_generalized_condensate_counts_low_gap_modes():
         generalized_condensate(ct, n, 0.0)
 
 
+def reference_condensate(ct, modes, n, epsilon):
+    """generalized_condensate as the per-mode loop of occupation moments."""
+    hits = [m for m in modes if ct.gap_of(m) < epsilon]
+    return sum(occupation_moment(ct, m, n, 1) for m in hits) / ct.volume, len(hits)
+
+
+@pytest.mark.parametrize("epsilon, n", [(0.06, 6000), (0.3, 400), (1.0, 2500)])
+def test_box_condensate_matches_per_mode_loop(
+    monkeypatch, mixture_ct, table_aniso, epsilon, n
+):
+    modes = [tuple(int(v) for v in m) for m in table_aniso.modes]
+    want, count = reference_condensate(mixture_ct, modes, n, epsilon)
+    assert count >= 2
+    # small chunks, so that the sum runs over several blocks of j
+    monkeypatch.setattr(canonical, "_CHUNK", 997)
+    got = generalized_condensate(mixture_ct, n, epsilon)
+    assert abs(got - want) <= 1e-13 * want
+
+
 # --------------------------------------------------------- shifted pressure
+
+
+def listed_pressure(table, beta, mode):
+    """beta V p_k summed over a listed table, and a bound on the part above
+    its cutoff: the exact S'_1 minus the listed part, times
+    exp(beta eta_k)/(1 - exp(-beta (eta_max - eta_k)))."""
+    idx = table.index_of(mode)
+    eta_k = float(table.gaps[idx])
+    delta = beta * (np.delete(table.gaps, idx) - eta_k)
+    factors = np.where(
+        delta > 0.0, np.log(-np.expm1(-np.abs(delta))), np.log(np.expm1(np.abs(delta)))
+    )
+    s1_exact = math.exp(box_log_power_sums(table.geometry, beta, 1)[0])
+    missing = max(s1_exact - float(np.exp(-beta * table.gaps).sum()), 0.0)
+    gap = beta * (table.cutoff - table.ground_energy - eta_k)
+    tail = math.exp(beta * eta_k) * missing / -math.expm1(-gap)
+    return -math.fsum(factors), tail
+
+
+@pytest.mark.parametrize("mode", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 2, 1), (1, 1, 2)])
+def test_box_pressure_matches_listed_sum(mixture_ct, table_aniso, mode):
+    listed, tail = listed_pressure(table_aniso, 1.0, mode)
+    assert tail < 1e-10
+    got = shifted_pressure(mixture_ct, mode) * mixture_ct.volume
+    assert abs(got - listed) <= tail + 1e-13 * abs(listed)
+
+
+def test_box_pressure_lists_few_modes(monkeypatch, mixture_ct, table_aniso):
+    """The ground mode's pressure lists the modes up to the first excited
+    gap and nothing more; an excited mode's lists those up to a few times
+    its own gap."""
+    listed_sizes = []
+    enumerate_below = canonical.enumerate_below
+
+    def spy(geometry, e_max, **kwargs):
+        table = enumerate_below(geometry, e_max, **kwargs)
+        listed_sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(canonical, "enumerate_below", spy)
+    shifted_pressure(mixture_ct, (1, 1, 1))
+    assert listed_sizes == [2]
+    shifted_pressure(mixture_ct, (1, 2, 1))
+    assert listed_sizes[1] < 50 < len(table_aniso)
+
+
+def test_box_pressure_rejects_shared_levels():
+    ct = build_canonical(BoxGeometry((1 / 3, 1 / 3, 1 / 3), 1000.0), 1.0, 50)
+    assert shifted_pressure(ct, (1, 1, 1)) > 0.0
+    with pytest.raises(DomainError):
+        shifted_pressure(ct, (2, 1, 1))
 
 
 def test_shifted_pressure_two_mode_hand_formula():
@@ -238,21 +312,13 @@ def test_shifted_pressure_two_mode_hand_formula():
     assert shifted_pressure(ct, 1) == pytest.approx(p1, rel=1e-13)
 
 
-def test_shifted_pressure_needs_deep_cutoff():
-    g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
-    shallow = enumerate_below(g, 12.0)
-    ct = build_canonical(shallow, 1.0, 50)
-    with pytest.raises(CutoffInsufficient):
-        shifted_pressure(ct, 0)
-
-
 # ------------------------------------------------------------ mode measure
 
 
 def test_mode_measure_reconstructs_laplace(mixture_ct):
     """The measure route and the recursion route give the same transform."""
     n = 400
-    for k, lam in ((0, 0.8), (0, 5.0), (2, 2.0)):
+    for k, lam in (((1, 1, 1), 0.8), ((1, 1, 1), 5.0), ((1, 2, 1), 2.0)):
         m = mode_measure(mixture_ct, k)
         direct = occupation_laplace(mixture_ct, k, n, lam / mixture_ct.volume)
         assert mode_measure_reconstruct(m, mixture_ct, n, lam) == pytest.approx(
@@ -261,7 +327,7 @@ def test_mode_measure_reconstructs_laplace(mixture_ct):
 
 
 def test_mode_measure_ground_saturates_at_one(mixture_ct):
-    m = mode_measure(mixture_ct, 0)
+    m = mode_measure(mixture_ct, (1, 1, 1))
     vals = np.exp(m.log_values)
     # the saturated plateau carries ~1e-13 recursion jitter around 1
     assert np.all(np.diff(vals) >= -1e-12)
@@ -272,7 +338,7 @@ def test_mode_measure_ground_saturates_at_one(mixture_ct):
 
 
 def test_mode_measure_value_at_cell_convention(mixture_ct):
-    m = mode_measure(mixture_ct, 0)
+    m = mode_measure(mixture_ct, (1, 1, 1))
     v = mixture_ct.volume
     assert m.value_at(0.0) == 0.0
     assert m.value_at(0.5 / v) == pytest.approx(math.exp(m.log_values[0]))
@@ -287,13 +353,12 @@ def test_mode_measure_laplace_against_closed_form(mixture_ct):
     (1 - e^(-lam/V)) e^(-beta V p) Xi(E_1 - lam/(beta V))."""
     from bosebox import grand_partition_log
 
-    m = mode_measure(mixture_ct, 0)
-    t = mixture_ct.spectrum
+    m = mode_measure(mixture_ct, (1, 1, 1))
     lam = 60.0
     v = mixture_ct.volume
     value, tail = mode_measure_laplace(m, lam)
-    mu = t.ground_energy - lam / (1.0 * v)
-    log_xi, _ = grand_partition_log(t.geometry, mu, 1.0)
+    mu = mixture_ct.ground_energy - lam / (1.0 * v)
+    log_xi, _ = grand_partition_log(mixture_ct.geometry, mu, 1.0)
     closed = -math.expm1(-lam / v) * math.exp(log_xi - 1.0 * v * m.pressure)
     assert value + tail >= closed - 1e-12
     assert value <= closed + 1e-12
@@ -341,9 +406,8 @@ def _oracle_case(case, rho_c_value):
         n = 3 * canonical._BLOCK + 300
         return levels, 1000.0, n, canonical._direct_log_power_sums(gaps, 1.0, n)
     geom = BoxGeometry(REGIME_ALPHAS[case], ORACLE_VOLUME)
-    table = enumerate_below(geom, 2.0)
     n = int(round(2.0 * rho_c_value * ORACLE_VOLUME))
-    return table, None, n, np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
+    return geom, None, n, np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
 
 
 def _assert_matches_oracle(ct, log_power_sums, n):

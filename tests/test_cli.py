@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bosebox
+import bosebox.canonical
 import bosebox.cli
 import bosebox.limits
 import bosebox.spectrum
@@ -237,6 +238,63 @@ def test_gc_builds_no_spectrum_table(capsys, monkeypatch, alphas):
     )
     assert code == 0, err
     assert "mode_occupation" in out
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("canonical", []),
+        ("kac", []),
+        ("fluct", ["geometry.volume_sweep=[1000, 4000]"]),
+    ],
+)
+def test_canonical_tables_list_only_the_condensate_window(
+    capsys, monkeypatch, command, overrides
+):
+    """Canonical, mixture and fluctuation rows ask for no spectral cutoff and
+    list no mode above ground + 0.05, the condensate window of `canonical`."""
+    def no_cutoff(*args, **kwargs):
+        raise AssertionError(f"{command} asked for a spectral cutoff")
+
+    listed = []
+    enumerate_below = bosebox.spectrum.enumerate_below
+
+    def window_only(geometry, e_max, **kwargs):
+        ground = bosebox.spectrum.ground_energy(geometry)
+        assert e_max <= (ground + 0.05) * (1.0 + 1e-12), f"{command} listed up to {e_max!r}"
+        table = enumerate_below(geometry, e_max, **kwargs)
+        listed.append(len(table))
+        return table
+
+    for module in (bosebox.spectrum, bosebox.cli):
+        monkeypatch.setattr(module, "suggest_energy_cutoff", no_cutoff)
+    for module in (bosebox.spectrum, bosebox.cli, bosebox.canonical):
+        monkeypatch.setattr(module, "enumerate_below", window_only)
+    argv = [command, "--override", "rho=0.3317384186260446"]
+    for entry in overrides:
+        argv += ["--override", entry]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(out.splitlines()) > 1
+    # at V = 1000 only the ground mode lies below ground + 0.05
+    assert listed == ([1] if command == "canonical" else [])
+
+
+def test_canonical_runs_beyond_the_old_mode_budget(capsys):
+    # listing the spectrum up to the suggested cutoff at V = 5e4 exceeds
+    # 1000 modes; the table reads the power sums and lists only the few
+    # modes below ground + 0.05
+    code, out, err = run_cli(
+        capsys, "canonical",
+        "--override", "geometry.volume=50000",
+        "--override", "rho=0.3317384186260446",
+        "--override", "cutoffs.mode_budget=1000",
+    )
+    assert code == 0, err
+    rows = {line.split(",")[6]: line.split(",") for line in out.splitlines()[1:]}
+    assert float(rows["particle_number"][8]) == 16587.0
+    ground, share = (float(rows[q][8]) for q in ("occupation_density", "condensate_share"))
+    assert 0.0 < ground < share < 0.3317384186260446
 
 
 def test_fluct_lists_no_lattice_gaps(capsys, monkeypatch):

@@ -16,13 +16,11 @@ from bosebox import (
     critical_density,
     decomposition_check,
     empirical_kac_convergence,
-    enumerate_below,
     kac_weights,
     limiting_kac_density,
     limiting_kac_transform,
     occupation_laplace,
     solve_mu,
-    suggest_energy_cutoff,
 )
 
 BETA = 1.0
@@ -36,8 +34,8 @@ def rc():
 # ------------------------------------------------------------ finite volume
 
 
-def test_kac_weights_normalize_subcritical(table_aniso, mixture_ct):
-    sol = solve_mu(table_aniso.geometry, 0.1, BETA)
+def test_kac_weights_normalize_subcritical(geom_aniso, mixture_ct):
+    sol = solve_mu(geom_aniso, 0.1, BETA)
     kw = kac_weights(mixture_ct, sol.mu)
     assert np.all(kw.weights >= 0.0)
     assert kw.n_cut <= mixture_ct.n_max
@@ -45,8 +43,8 @@ def test_kac_weights_normalize_subcritical(table_aniso, mixture_ct):
     assert abs(mass - 1.0) <= kw.tail_bound + 1e-11
 
 
-def test_kac_weights_normalize_supercritical(table_aniso, mixture_ct, rc):
-    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
+def test_kac_weights_normalize_supercritical(geom_aniso, mixture_ct, rc):
+    sol = solve_mu(geom_aniso, 2.0 * rc, BETA)
     kw = kac_weights(mixture_ct, sol.mu)
     mass = float(kw.weights.sum())
     assert abs(mass - 1.0) <= kw.tail_bound + 1e-11
@@ -59,9 +57,9 @@ def test_kac_weights_normalize_supercritical(table_aniso, mixture_ct, rc):
     assert int(np.argmax(kw.weights)) < mean
 
 
-def test_kac_weights_need_headroom(table_aniso, rc):
-    ct = build_canonical(table_aniso, BETA, 400)
-    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
+def test_kac_weights_need_headroom(geom_aniso, rc):
+    ct = build_canonical(geom_aniso, BETA, 400)
+    sol = solve_mu(geom_aniso, 2.0 * rc, BETA)
     with pytest.raises(CutoffInsufficient):
         kac_weights(ct, sol.mu)
 
@@ -71,10 +69,10 @@ def test_kac_weights_reject_mu_at_ground(mixture_ct):
         kac_weights(mixture_ct, mixture_ct.ground_energy)
 
 
-def test_decomposition_identity(table_aniso, mixture_ct, rc):
+def test_decomposition_identity(geom_aniso, mixture_ct, rc):
     """Grand-canonical transforms decompose exactly over the number mixture."""
-    sol = solve_mu(table_aniso.geometry, 2.0 * rc, BETA)
-    for k, lam in ((0, 0.5), (1, 2.0)):
+    sol = solve_mu(geom_aniso, 2.0 * rc, BETA)
+    for k, lam in (((1, 1, 1), 0.5), ((2, 1, 1), 2.0)):
         lhs, rhs, tail = decomposition_check(mixture_ct, sol.mu, k, lam)
         budget = tail + 4e-16 * mixture_ct.n_max
         assert abs(lhs - rhs) <= budget
@@ -94,17 +92,20 @@ def reference_mixture_sum(ct, mu, k, lam):
 
 
 @pytest.mark.parametrize("rho_factor, k", [(2.0, 0), (2.0, 3), (0.6, 0), (0.6, 3)])
-def test_decomposition_sum_matches_per_n_oracle(table_aniso, mixture_ct, rc, rho_factor, k):
-    sol = solve_mu(table_aniso.geometry, rho_factor * rc, BETA)
+def test_decomposition_sum_matches_per_n_oracle(
+    geom_aniso, table_aniso, mixture_ct, rc, rho_factor, k
+):
+    k = tuple(int(v) for v in table_aniso.modes[k])  # the k-th lowest mode
+    sol = solve_mu(geom_aniso, rho_factor * rc, BETA)
     for lam in (0.0, 0.05, 1.0, 20.0):
         _, rhs, _ = decomposition_check(mixture_ct, sol.mu, k, lam)
         assert abs(rhs - reference_mixture_sum(mixture_ct, sol.mu, k, lam)) <= 1e-13
 
 
-def test_decomposition_rejects_negative_lam(table_aniso, mixture_ct):
-    sol = solve_mu(table_aniso.geometry, 0.1, BETA)
+def test_decomposition_rejects_negative_lam(geom_aniso, mixture_ct):
+    sol = solve_mu(geom_aniso, 0.1, BETA)
     with pytest.raises(DomainError):
-        decomposition_check(mixture_ct, sol.mu, 0, -0.5)
+        decomposition_check(mixture_ct, sol.mu, (1, 1, 1), -0.5)
 
 
 # ------------------------------------------------------------- limit laws
@@ -218,10 +219,8 @@ def test_unknown_convention_rejected(rc):
 
 def _mixture(alphas, volume, rho):
     g = BoxGeometry(alphas, volume)
-    e_max = max(suggest_energy_cutoff(g, BETA), 45.0 * (1000.0 / volume) ** 0.25)
-    table = enumerate_below(g, e_max)
     n_max = int(36.0 * 0.17 * volume + 25.0 * math.sqrt(rho * volume) + 300.0)
-    ct = build_canonical(table, BETA, n_max)
+    ct = build_canonical(g, BETA, n_max)
     return solve_mu(g, rho, BETA), ct
 
 

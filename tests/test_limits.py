@@ -41,7 +41,7 @@ from bosebox.limits import (
     occupation_limit_typeII,
     rho_c_finite,
 )
-from bosebox.numerics import gauss_panels, omega
+from bosebox.numerics import gauss_panels
 from bosebox.spectrum import (
     BoxGeometry,
     enumerate_below,
@@ -151,6 +151,45 @@ def log_theta_high_precision(x):
 )
 def test_theta_log_matches_high_precision_series(x):
     assert _log_theta(x) == pytest.approx(log_theta_high_precision(x), rel=1e-13)
+
+
+def scalar_log_theta(x):
+    """The per-point loop _log_theta ran before it was vectorized over the
+    quadrature nodes, kept as the oracle: the same series, split at x = 1."""
+    if x >= 1.0:
+        inner = 0.0
+        m = 2
+        while True:
+            e = x * (m * m - 1.0)
+            if e > 745.0:
+                break
+            inner += (-1.0) ** (m + 1) * m * m * math.exp(-e)
+            m += 1
+        return -x + math.log1p(inner)
+    lead = math.pi**2 * 0.25 / x
+    log_lead = math.log(lead - 0.5) - lead
+    rest = 0.0
+    for k in range(1, 13):
+        a_over = math.pi**2 * (k + 0.5) ** 2 / x
+        step = math.log(a_over - 0.5) - a_over - log_lead
+        if step < -745.0:
+            break
+        rest += math.exp(step)
+    return 0.5 * math.log(math.pi) - 1.5 * math.log(x) + log_lead + math.log1p(rest)
+
+
+def test_vectorized_theta_log_matches_scalar_loop():
+    x = np.concatenate((
+        np.logspace(-4.0, 3.0, 2001),
+        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 744.9, 745.0, 745.1],
+    ))
+    got = _log_theta(x)
+    want = np.array([scalar_log_theta(float(v)) for v in x])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert all(_log_theta(float(v)) == g for v, g in zip(x[::50], got[::50]))
+    for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            _log_theta(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +380,20 @@ def test_fluctuation_sum_rejects_arguments_past_first_gap():
 
 
 def accurate_omega(x):
-    """x - log(1+x) to a few ulp; numerics.omega loses 2 ulp / |x| to
-    cancellation for 1e-4 <= |x| <= 1/2, where this sums instead
+    """x - log(1+x) to a few ulp. The direct difference loses 2 ulp / |x|
+    to cancellation, so |x| < 1e-4 takes its Taylor series and
+    1e-4 <= |x| <= 1/2 the series
 
         omega = x z - 2 z^3 (1/3 + z^2/5 + z^4/7 + ...),  z = x/(2+x),
 
     from log(1+x) = 2 atanh(z) and x - 2z = x z (|z| <= 1/3 there).
     """
     x = np.asarray(x, dtype=float)
-    out = omega(x)
+    out = x - np.log1p(x)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    # x^2 (1/2 - x/3 + x^2/4 - x^3/5 + x^4/6): next term ~ x^5/7 < 1e-21
+    out[small] = xs * xs * (0.5 + xs * (-1.0 / 3.0 + xs * (0.25 + xs * (-0.2 + xs / 6.0))))
     mid = (np.abs(x) >= 1e-4) & (np.abs(x) <= 0.5)
     xm = x[mid]
     z = xm / (2.0 + xm)
@@ -512,17 +556,15 @@ def cubic_tables():
     tables = []
     for v in (400.0, 1600.0):
         geom = BoxGeometry((1 / 3, 1 / 3, 1 / 3), v)
-        emax = max(suggest_energy_cutoff(geom, 1.0), 40.0 * (1000.0 / v) ** (2 / 3))
-        tab = enumerate_below(geom, emax)
         n_max = int(RHO_SUPER * v) + int(25.0 * math.sqrt(RHO_SUPER * v)) + 200
-        tables.append(build_canonical(tab, 1.0, n_max))
+        tables.append(build_canonical(geom, 1.0, n_max))
     return tables
 
 
-def test_saturation_density_sits_below_infinite_volume_value(cubic_tables, table_aniso):
-    small, large = (rho_c_finite(ct.spectrum.geometry, 1.0) for ct in cubic_tables)
+def test_saturation_density_sits_below_infinite_volume_value(cubic_tables, geom_aniso):
+    small, large = (rho_c_finite(ct.geometry, 1.0) for ct in cubic_tables)
     assert 0.0 < small < large < RC
-    assert 0.0 < rho_c_finite(table_aniso.geometry, 1.0) < RC
+    assert 0.0 < rho_c_finite(geom_aniso, 1.0) < RC
 
 
 @pytest.mark.parametrize(
@@ -538,7 +580,7 @@ def test_saturation_density_matches_table_sum(alphas):
 
 
 def test_fluctuation_transforms_drift_toward_the_law(cubic_tables):
-    case = fluctuation_case(cubic_tables[0].spectrum.geometry)
+    case = fluctuation_case(cubic_tables[0].geometry)
     rows = fluctuation_convergence_check(
         list(reversed(cubic_tables)), RHO_SUPER, 0.4, case
     )
@@ -554,7 +596,7 @@ def test_fluctuation_transforms_drift_toward_the_law(cubic_tables):
 
 
 def test_fluctuation_comparison_rejects_bad_inputs(cubic_tables):
-    case = fluctuation_case(cubic_tables[0].spectrum.geometry)
+    case = fluctuation_case(cubic_tables[0].geometry)
     with pytest.raises(DomainError):
         fluctuation_convergence_check(cubic_tables, RHO_SUPER, 0.4, case, center="mode")
     raw = build_canonical([0.0, 0.5, 0.9], 1.0, 20)

@@ -13,7 +13,6 @@ from bosebox.numerics import (
     gauss_panels,
     log1mexp,
     log_expm1,
-    omega,
     refined_panels,
     solve_bracketed,
     sum_exp,
@@ -47,28 +46,6 @@ def test_log_expm1_inverts_expm1(x):
 
 def test_log_expm1_huge_argument_no_overflow():
     assert log_expm1(5000.0) == pytest.approx(5000.0)
-
-
-def test_omega_series_and_direct_branches_agree():
-    """The series branch takes over below |x| = 1e-4; both sides must match."""
-    for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
-        direct = x - math.log1p(x)
-        assert omega(x) == pytest.approx(direct, rel=1e-9, abs=1e-25)
-
-
-def test_omega_zero_is_exact():
-    assert omega(0.0) == 0.0
-
-
-def test_omega_is_nonnegative_and_quadratic_at_origin():
-    for x in (-0.5, -1e-3, 1e-3, 0.5, 10.0):
-        assert omega(x) >= 0.0
-    assert omega(1e-6) == pytest.approx(0.5e-12, rel=1e-5)
-
-
-@given(st.floats(min_value=-0.99, max_value=50.0))
-def test_omega_nonnegative_property(x):
-    assert omega(x) >= 0.0
 
 
 def test_exp_remainder_matches_mpmath_on_both_branches():
