@@ -396,16 +396,26 @@ def occupation_moment(ct: CanonicalTable, k, n: int, r: int) -> float:
 def generalized_condensate(ct: CanonicalTable, n: int, epsilon: float) -> float:
     """Density held by all modes with gap below epsilon at n particles: the
     mean occupations sum_{j=1..n} exp(-j beta eta_i) Z'(n-j)/Z'(n) of
-    occupation_moment, summed over the modes (a box lists only those)
-    before the sum over j."""
+    occupation_moment, summed over the modes (a box lists only those).
+
+    The ratios Z'(n-j)/Z'(n) fall with j (a particle added to the ground
+    mode maps the states of n-j-1 particles into those of n-j), so the terms
+    of a mode with s = beta eta_i > 0 past j = J sum to at most
+    exp(-J s)/(1 - exp(-s)) of its first term. Each mode stops at the
+    first J where that is below 2^-53; the ground mode keeps all n."""
     n = _check_n(ct, n)
     if epsilon <= 0.0:
         raise DomainError(f"gap window must be positive, got {epsilon!r}")
     gaps = ct.gaps_up_to(epsilon)
-    j = np.arange(1, n + 1)
+    scaled = ct.beta * gaps[gaps < epsilon]
     lz = ct.log_z_shifted
-    sums = _listed_power_sums(ct.beta * gaps[gaps < epsilon], j)
-    return float(np.sum(np.exp(lz[n - j] - lz[n]) * sums)) / ct.volume
+    ratios = np.exp(lz[n - 1 :: -1] - lz[n])  # j = 1..n
+    with np.errstate(divide="ignore"):
+        reach = (53.0 * math.log(2.0) - log1mexp(scaled)) / scaled
+    cuts = np.where(scaled > 0.0, np.minimum(np.floor(reach) + 1.0, n), n).astype(np.int64)
+    j = np.arange(1.0, n + 1.0)
+    per_mode = (np.sum(ratios[:c] * np.exp(-s * j[:c])) for s, c in zip(scaled, cuts))
+    return math.fsum(per_mode) / ct.volume
 
 
 def _listed_power_sums(scaled: np.ndarray, m: np.ndarray) -> np.ndarray:

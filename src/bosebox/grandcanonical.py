@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import CutoffTooLarge, DomainError, NoConvergence
 from .numerics import solve_bracketed
@@ -59,11 +58,25 @@ __all__ = [
     "gc_laplace_limit",
 ]
 
-_ZETA_32 = float(zeta(1.5))
+# zeta(3/2 - j) for j = 0..29 in double precision (the tests check each
+# value against an independent evaluation).
+_ZETA = (
+    2.612375348685488, -1.4603545088095866, -0.2078862249773546,
+    -0.025485201889833053, 0.00851692877785033, 0.004441011335479434,
+    -0.0030916692472158364, -0.002671458019899229, 0.0027467679395368704,
+    0.0032690395726002216, -0.004416032873004892, -0.00667217229646665,
+    0.011146122473942834, 0.020396978715942822, -0.040574967481194636,
+    -0.08717525590621737, 0.20117404938422698, 0.4962712199120593,
+    -1.3032292507051177, -3.6297592997745847, 10.68732706902202,
+    33.16832578569471, -108.21747505877623, -370.3018783754793,
+    1326.0458117490175, 4959.598315043067, -19338.9419883747,
+    -78486.148569218, 331023.6487454514, 1448811.370582732,
+)
+_ZETA_32 = _ZETA[0]
 # Robinson's expansion Li_{3/2}(e^x) = -2 sqrt(pi) sqrt(-x) + sum_j zeta(3/2 - j) x^j / j!
 # (Phys. Rev. 83, 678 (1951)), used for -1 <= x <= 0; its terms fall off
 # like (x / 2 pi)^j, so 30 of them reach roundoff.
-_ROBINSON = [_ZETA_32] + [float(zeta(1.5 - j)) / math.factorial(j) for j in range(1, 30)]
+_ROBINSON = [z / math.factorial(j) for j, z in enumerate(_ZETA)]
 # Power-sum series are summed until their tail bound is below this share of
 # their first term, a lower bound on the whole sum.
 _SERIES_RTOL = 2.0**-53

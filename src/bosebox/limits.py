@@ -25,11 +25,11 @@ theta sum that the power sums read, not a listing of lattice gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, PoleProximity
 from .canonical import CanonicalTable, occupation_laplace, occupation_moment
@@ -65,7 +65,7 @@ class GapCoefficients:
     ``etas[m-1]`` = beta (eps_m - eps_n) with eps_m = pi^2 m^2 / 2;
     ``bs[m-1]`` the coefficient with the interpolation product truncated at
     ``truncation`` (closed form through factorial telescoping, evaluated
-    with log-gamma); ``bs_infinite`` its exact infinite-product limit
+    with log-factorials); ``bs_infinite`` its exact infinite-product limit
     (-1)^(m+n+1) m^2 / (n^2 eta_{m,n}); ``product_tail`` the exact relative
     drift between the two. Entries at m = n are NaN placeholders. For n near
     a truncation M of a few hundred (n = M >= 515) the truncated product
@@ -97,18 +97,20 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
         raise DomainError(
             f"need 1 <= n <= truncation and truncation >= 2, got n={n}, M={m_top}"
         )
-    m = np.arange(1, m_top + 1, dtype=float)
+    m_int = np.arange(1, m_top + 1)
+    m = m_int.astype(float)
     eps = 0.5 * math.pi**2 * m * m
     etas = beta * (eps - 0.5 * math.pi**2 * n * n)
     # truncated product in closed form:
     # b eta = (-1)^(n+m+1) (m^2/n^2) (M-n)!(M+n)!/((M-m)!(M+m)!)
+    log_fact = _log_factorials(m_top)
     log_f = (
-        gammaln(m_top - n + 1.0)
-        + gammaln(m_top + n + 1.0)
-        - gammaln(m_top - m + 1.0)
-        - gammaln(m_top + m + 1.0)
+        log_fact[m_top - n]
+        + log_fact[m_top + n]
+        - log_fact[m_top - m_int]
+        - log_fact[m_top + m_int]
     )
-    signs = np.where((np.arange(1, m_top + 1) + n) % 2 == 0, -1.0, 1.0)
+    signs = np.where((m_int + n) % 2 == 0, -1.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b_eta = signs * np.exp(log_f + 2.0 * (np.log(m) - math.log(n)))
         bs = b_eta / etas
@@ -129,6 +131,15 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
         bs_infinite=bs_inf,
         product_tail=drift,
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _log_factorials(m_top: int) -> np.ndarray:
+    """log k! for k = 0..2 m_top (read-only), shared by every ladder mode of
+    one truncation."""
+    out = np.fromiter(map(math.lgamma, range(1, 2 * m_top + 2)), float, 2 * m_top + 1)
+    out.setflags(write=False)
+    return out
 
 
 def _log_theta(x):

@@ -7,10 +7,10 @@ live in the topical modules.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoConvergence
 
@@ -110,15 +110,55 @@ def solve_bracketed(
         return lo, (lo, hi)
     if fhi == 0.0:
         return hi, (lo, hi)
-    root, info = brentq(
-        fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=max_iter,
-        full_output=True, disp=False,
-    )
-    if not info.converged:
-        raise NoConvergence(
-            f"{what} not found in {max_iter} iterations on bracket [{lo!r}, {hi!r}]"
-        )
-    return float(root), (lo, hi)
+    return _brent(fn, lo, hi, float(flo), float(fhi), max_iter, what), (lo, hi)
+
+
+# Brent's tolerance on the root is xtol + rtol |x|; rtol is 4 eps rounded up.
+_XTOL = 1e-300
+_RTOL = 8.9e-16
+
+
+def _brent(fn, xpre, xcur, fpre, fcur, max_iter, what):
+    """Root of fn on [xpre, xcur], where fpre = fn(xpre) and fcur = fn(xcur)
+    are nonzero and of opposite sign: Brent's method (R. P. Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4), step
+    for step as in the widely used C routine brentq.c, so that both return
+    the same root to the bit. Where C divides by zero in a trial step it
+    gets inf or nan and bisects; here the ZeroDivisionError bisects."""
+    bracket = f"[{xpre!r}, {xcur!r}]"
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if math.isnan(fpre) or math.isnan(fcur):
+            raise NoConvergence(f"{what}: function value is nan on bracket {bracket}")
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short interpolation step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(fn(xcur))
+    raise NoConvergence(f"{what} not found in {max_iter} iterations on bracket {bracket}")
 
 
 def gauss_panels(a, b, n_panels, n_nodes):
@@ -141,9 +181,19 @@ def refined_panels(a, b, n_nodes=24, n_refine=18):
 
 def _panel_rule(edges, n_nodes):
     """Gauss-Legendre nodes and weights of n_nodes points on every panel."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n_nodes):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; the limit laws
+    ask for the same rule once per ladder mode."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import CutoffTooLarge, DomainError
 
@@ -446,7 +445,13 @@ def exponential_tail_integral(geometry: BoxGeometry, beta: float, eta_max: float
     e1 = ground_energy(geometry)
     scale = 1.5 * IDS_PREFACTOR * math.exp(beta * e1)
     gamma_front = math.gamma(1.5) * beta ** -1.5
-    return scale * gamma_front * float(gammaincc(1.5, beta * (eta_max + e1)))
+    return scale * gamma_front * _gamma_upper_32(beta * (eta_max + e1))
+
+
+def _gamma_upper_32(x: float) -> float:
+    """Regularized upper incomplete gamma Q(3/2, x) for x >= 0, in closed
+    form: erfc(sqrt x) + 2 sqrt(x / pi) exp(-x)."""
+    return math.erfc(math.sqrt(x)) + 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
 
 
 def suggest_energy_cutoff(

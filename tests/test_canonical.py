@@ -236,16 +236,33 @@ def reference_condensate(ct, modes, n, epsilon):
 
 
 @pytest.mark.parametrize("epsilon, n", [(0.06, 6000), (0.3, 400), (1.0, 2500)])
-def test_box_condensate_matches_per_mode_loop(
-    monkeypatch, mixture_ct, table_aniso, epsilon, n
-):
+def test_box_condensate_matches_per_mode_loop(mixture_ct, table_aniso, epsilon, n):
     modes = [tuple(int(v) for v in m) for m in table_aniso.modes]
     want, count = reference_condensate(mixture_ct, modes, n, epsilon)
     assert count >= 2
-    # small chunks, so that the sum runs over several blocks of j
-    monkeypatch.setattr(canonical, "_CHUNK", 997)
     got = generalized_condensate(mixture_ct, n, epsilon)
     assert abs(got - want) <= 1e-13 * want
+
+
+def full_condensate(ct, n, epsilon):
+    """generalized_condensate with all n x M terms: the power sums of the
+    modes below epsilon at every j = 1..n, weighted by Z'(n-j)/Z'(n)."""
+    gaps = ct.gaps_up_to(epsilon)
+    j = np.arange(1, n + 1)
+    lz = ct.log_z_shifted
+    sums = canonical._listed_power_sums(ct.beta * gaps[gaps < epsilon], j)
+    return float(np.sum(np.exp(lz[n - j] - lz[n]) * sums)) / ct.volume
+
+
+@pytest.mark.parametrize("volume", [8000.0, 64000.0, 145000.0])
+def test_cut_condensate_matches_full_sum(rho_c_value, volume):
+    """The per-mode cut drops only terms below 2^-53 of each mode's sum, at
+    the sizes of the canonical benchmark sweep (n = 2654, 21231, 48102)."""
+    geometry = BoxGeometry((0.6, 0.25, 0.15), volume)
+    n = round(2.0 * rho_c_value * volume)
+    ct = build_canonical(geometry, 1.0, n)
+    want = full_condensate(ct, n, 0.05)
+    assert abs(generalized_condensate(ct, n, 0.05) - want) <= 1e-15 * want
 
 
 # --------------------------------------------------------- shifted pressure

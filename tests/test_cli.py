@@ -576,6 +576,40 @@ def test_console_entry_point_runs():
         assert proc.stdout.splitlines()[0].startswith("alpha1,")
 
 
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from bosebox.cli import main
+runs = [
+    ["canonical"],
+    ["gc"],
+    ["gc", "--override", "rho=0.08"],
+    ["kac"],
+    ["limits", "--override", "geometry.alphas=[0.5, 0.3, 0.2]", "--override", "ladder_count=3"],
+    ["fluct"],
+    ["spectrum", "--emax", "1.0"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy():
+    """The library needs numpy only: every command, root solves and ladder
+    coefficients included, runs in a fresh process that never imports
+    scipy, not even lazily."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _close_pipe_early(env):
     # The table here is ~200 KiB, several times the pipe capacity, so the
     # writer is still blocked when the reader disappears.

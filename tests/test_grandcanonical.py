@@ -76,6 +76,12 @@ def test_critical_density_zeta_oracle():
         critical_density(0.0)
 
 
+def test_zeta_table_matches_scipy_to_the_bit():
+    want = [float(zeta(1.5 - j)) for j in range(30)]
+    assert list(grandcanonical._ZETA) == want
+    assert grandcanonical._ZETA_32 == float(zeta(1.5))
+
+
 def test_critical_density_beta_scaling():
     base = critical_density(1.0).value
     assert critical_density(4.0).value == pytest.approx(base / 8.0, rel=1e-11)

@@ -19,6 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bosebox import limits
 from bosebox.canonical import build_canonical
@@ -103,6 +104,15 @@ def test_truncated_coefficients_approach_infinite_product_limit():
     d_far = abs(far.bs[m - 1] - expected_inf)
     assert d_far < 0.2 * d_near
     assert far.product_tail[m - 1] < 0.2 * near.product_tail[m - 1]
+
+
+@pytest.mark.parametrize("m_top", [2, 1000, 100_000])
+def test_log_factorials_match_gammaln(m_top):
+    got = limits._log_factorials(m_top)
+    want = gammaln(np.arange(2 * m_top + 1) + 1.0)
+    assert np.all(np.abs(got - want) <= 8.0 * np.spacing(np.abs(want)))
+    assert limits._log_factorials(m_top) is got
+    assert not got.flags.writeable
 
 
 def test_gap_coefficients_scale_with_inverse_temperature():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from bosebox import DomainError, NoConvergence
+from bosebox import BoxGeometry, DomainError, NoConvergence, grandcanonical, numerics
 from bosebox.numerics import (
     exp_remainder,
     gauss_panels,
@@ -86,6 +87,52 @@ def test_solve_bracketed_no_sign_change_raises():
         solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
+def _scipy_root(fn, lo, hi):
+    return brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+
+
+def test_brent_matches_scipy_brentq_on_cosine():
+    root, _ = solve_bracketed(math.cos, 1.0, 2.0)
+    assert root == _scipy_root(math.cos, 1.0, 2.0)
+
+
+def test_brent_matches_scipy_brentq_on_the_solver_closures(monkeypatch):
+    """Every root grandcanonical finds (solve_mu, limiting_mu_bar and the
+    ladder equation) is the root scipy's brentq finds on the same bracket."""
+    seen = []
+
+    def checked(fn, lo, hi, **kwargs):
+        root, bracket = solve_bracketed(fn, lo, hi, **kwargs)
+        seen.append((kwargs.get("what"), root, _scipy_root(fn, *bracket)))
+        return root, bracket
+
+    monkeypatch.setattr(grandcanonical, "solve_bracketed", checked)
+    for alphas in ((0.4, 0.35, 0.25), (0.5, 0.3, 0.2), (0.6, 0.25, 0.15)):
+        for rho in (0.08, 0.3317384186260446):
+            grandcanonical.solve_mu(BoxGeometry(alphas, 64000.0), rho, 1.0)
+    for rho in (1e-6, 0.01, 0.08, 0.1658):
+        grandcanonical.limiting_mu_bar(rho, 1.0)
+    rho_c = grandcanonical.critical_density(1.0).value
+    for rho in (1.1 * rho_c, 2.0 * rho_c, 10.0 * rho_c):
+        # the uncached solve, so that every call runs the root finder
+        grandcanonical._ladder_coefficient.__wrapped__(rho, rho_c, 100_000, 1e-12, 1.0)
+    assert {what for what, _, _ in seen} == {
+        "chemical potential", "limiting chemical potential", "ladder coefficient"
+    }
+    for what, got, want in seen:
+        assert got == want, what
+
+
+def test_brent_out_of_iterations_raises():
+    with pytest.raises(NoConvergence, match="not found in 3 iterations"):
+        solve_bracketed(lambda x: x**3 - 2.0, 0.0, 2.0, max_iter=3)
+
+
+def test_brent_nan_raises():
+    with pytest.raises(NoConvergence, match="nan"):
+        solve_bracketed(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0)
+
+
 def test_gauss_panels_integrates_polynomial_exactly():
     nodes, weights = gauss_panels(0.0, 2.0, 4, 8)
     # degree-7 polynomial is exact for 8-node Gauss-Legendre
@@ -105,6 +152,14 @@ def test_refined_panels_handles_huge_dynamic_range():
     nodes, weights = refined_panels(0.0, 1.0)
     approx = float(np.sum(weights * np.exp(-1.0 / nodes) / nodes**2))
     assert approx == pytest.approx(math.exp(-1.0), rel=1e-13)
+
+
+def test_panel_rules_share_one_read_only_legendre_rule():
+    first = numerics._legendre_rule(24)
+    assert numerics._legendre_rule(24) is first
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    x, w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(first[0], x) and np.array_equal(first[1], w)
 
 
 def test_refined_panels_log_singularity():

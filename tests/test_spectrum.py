@@ -26,6 +26,7 @@ from bosebox import (
 )
 from bosebox.spectrum import (
     IDS_PREFACTOR,
+    _gamma_upper_32,
     exponential_tail_integral,
     log_power_sums,
     unit_box_gap_values,
@@ -342,6 +343,15 @@ def test_exponential_tail_integral_decreases_in_cutoff():
     vals = [exponential_tail_integral(g, 1.0, eta) for eta in (2.0, 5.0, 10.0, 20.0)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_upper_incomplete_gamma_closed_form_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for x in np.logspace(-8.0, math.log10(700.0), 400):
+        with mp.workdps(40):
+            want = float(mp.gammainc(1.5, a=mp.mpf(float(x)), regularized=True))
+        assert abs(_gamma_upper_32(float(x)) - want) <= 1e-15 * want
+    assert _gamma_upper_32(0.0) == 1.0
 
 
 @settings(max_examples=25, deadline=None)
