@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffInsufficient, DomainError, NumericsError
+from .errors import CutoffInsufficient, CutoffTooLarge, DomainError, NumericsError
 from .grandcanonical import _excess_power_sums, _excited_sum, _series_length
 from .numerics import log1mexp, log_expm1, sum_exp
 from .spectrum import (
@@ -186,10 +186,17 @@ def _direct_log_power_sums(gaps: np.ndarray, beta: float, n_max: int) -> np.ndar
 
 
 def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
-    """log Z'(n), n = 0..n_max, from log S'_k (index 0 unused), in blocks."""
+    """log Z'(n), n = 0..n_max, from log S'_k (index 0 unused), in blocks.
+
+    CutoffTooLarge if some S'_k overflows a double.
+    """
+    with np.errstate(over="ignore"):
+        excess = np.expm1(ls[1:])  # excess[k - 1] = S'_k - 1 >= 0
+    # the max is inf or nan if any entry is, and needs no temporary array
+    if not math.isfinite(excess.max()):
+        raise CutoffTooLarge("power sums overflow a double at this volume and beta")
     lz = np.empty(n_max + 1)
     lz[0] = 0.0
-    excess = np.expm1(ls[1:])  # excess[k - 1] = S'_k - 1 >= 0
     s_rev = np.exp(ls[:0:-1] - ls[1])  # s_rev[n_max - k] = S'_k / S'_1 <= 1
     window = np.empty(n_max + 1)
     for n0 in range(0, n_max + 1, _BLOCK):

@@ -25,7 +25,9 @@ from .errors import ConfigError, NumericsError
 from .spectrum import (
     BoxGeometry,
     classify,
+    count_modes_at_most,
     enumerate_below,
+    ground_energy,
     ids,
     ids_bounds,
     ids_limit,
@@ -61,6 +63,17 @@ from .limits import (
 )
 
 N_MAX_HARD_CAP = 50_000
+
+# `spectrum` prints the SPECTRUM_ROWS lowest modes up to e_max (by energy,
+# ties in lexicographic order), but lists only those up to a cutoff
+# e_list <= e_max below which at least SPECTRUM_ROWS modes lie. The listed
+# modes are a subset of the full table and hold every mode of it up to the
+# SPECTRUM_ROWS-th energy, so both tables sort to the same first
+# SPECTRUM_ROWS rows. e_list is padded by _LIST_PAD of itself, far more
+# than the few ulps by which the lattice walk's edge test and a mode's
+# computed energy can disagree.
+SPECTRUM_ROWS = 1000
+_LIST_PAD = 1e-9
 
 DEFAULT_CONFIG = {
     "geometry": {
@@ -250,6 +263,27 @@ def _echo(cfg: dict, geom: BoxGeometry) -> dict:
     }
 
 
+def _listing_cutoff(geom: BoxGeometry, e_max: float, mode_budget: int) -> float:
+    """Cutoff up to which `spectrum` lists modes.
+
+    CutoffTooLarge if more than ``mode_budget`` modes lie up to e_max.
+    Otherwise the gap above the ground level starts at 3 min(c_j) and
+    doubles until at least SPECTRUM_ROWS modes lie below it or it reaches
+    e_max (see SPECTRUM_ROWS for why the first rows are those of the full
+    table).
+    """
+    if count_modes_at_most(geom, e_max, mode_budget=mode_budget) <= SPECTRUM_ROWS:
+        return e_max
+    ground = ground_energy(geom)
+    width = 3.0 * min(geom.level_coefficients)
+    while ground + width < e_max:
+        e_list = ground + width
+        if count_modes_at_most(geom, e_list) >= SPECTRUM_ROWS:
+            return min(e_list * (1.0 + _LIST_PAD), e_max)
+        width *= 2.0
+    return e_max
+
+
 def cmd_spectrum(cfg: dict) -> list[dict]:
     geom = _geometry(cfg)
     echo = _echo(cfg, geom)
@@ -258,9 +292,10 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
         e_max = suggest_energy_cutoff(
             geom, float(cfg["beta"]), tail_tol=float(cfg["cutoffs"]["energy_tail_tol"])
         )
-    table = enumerate_below(
-        geom, float(e_max), mode_budget=int(cfg["cutoffs"]["mode_budget"])
-    )
+    # the budget counts every mode up to e_max, though only the lowest
+    # SPECTRUM_ROWS are printed
+    e_list = _listing_cutoff(geom, float(e_max), int(cfg["cutoffs"]["mode_budget"]))
+    table = enumerate_below(geom, e_list)
     if len(table) == 0:
         print(
             f"warning: energy cutoff {table.cutoff!r} lies below the ground level "
@@ -275,8 +310,8 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
                 "error_budget": 0.0}
 
     rows = [row("regime", regime.gamma, label=f"{regime.condensation}/{regime.symmetry}")]
-    cap = 1000
-    for m, e in zip(table.modes[:cap].tolist(), table.energies[:cap].tolist()):
+    for m, e in zip(table.modes[:SPECTRUM_ROWS].tolist(),
+                    table.energies[:SPECTRUM_ROWS].tolist()):
         rows.append(row("eigenvalue", e, n=m))
     for eta in cfg["eta_grid"]:
         eta = float(eta)

@@ -263,33 +263,6 @@ class SpectrumTable:
     def __len__(self) -> int:
         return len(self.energies)
 
-    @cached_property
-    def gaps(self) -> np.ndarray:
-        g = self.energies - self.ground_energy
-        g.setflags(write=False)
-        return g
-
-    def index_of(self, mode) -> int:
-        """Row index of a mode given as a row index or as quantum numbers.
-
-        DomainError if the index is out of range or the mode lies beyond
-        the cutoff.
-        """
-        if isinstance(mode, (int, np.integer)):
-            idx = int(mode)
-            if idx < 0 or idx >= len(self):
-                raise DomainError(f"mode index {idx} outside table of size {len(self)}")
-            return idx
-        n = _as_mode_tuple(mode)
-        hits = np.nonzero(
-            (self.modes[:, 0] == n[0])
-            & (self.modes[:, 1] == n[1])
-            & (self.modes[:, 2] == n[2])
-        )[0]
-        if len(hits) == 0:
-            raise DomainError(f"mode {n} lies above the table cutoff {self.cutoff!r}")
-        return int(hits[0])
-
 
 def enumerate_below(
     geometry: BoxGeometry,

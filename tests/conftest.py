@@ -3,12 +3,21 @@
 One canonical build on the box geometry and one moderately deep listing of
 its spectrum (for oracles that sum over listed modes) are reused by several
 test files; both are session scoped because the canonical recursion is the
-only genuinely expensive setup in the suite.
+only genuinely expensive setup in the suite. ``index_of`` and ``gaps`` look
+a mode's row and the gaps up in such a listing for those oracles.
 """
 
+import numpy as np
 import pytest
 
-from bosebox import BoxGeometry, build_canonical, critical_density, enumerate_below
+from bosebox import (
+    BoxGeometry,
+    DomainError,
+    Mode,
+    build_canonical,
+    critical_density,
+    enumerate_below,
+)
 
 ALPHAS = (0.4, 0.35, 0.25)
 VOLUME = 1000.0
@@ -40,3 +49,24 @@ def mixture_ct(geom_aniso):
 @pytest.fixture(scope="session")
 def rho_c_value():
     return critical_density(BETA).value
+
+
+def index_of(table, mode) -> int:
+    """Row of a mode in a spectrum table, given as a row index or as quantum
+    numbers; DomainError if the index is out of range or the mode lies
+    beyond the cutoff."""
+    if isinstance(mode, (int, np.integer)):
+        idx = int(mode)
+        if idx < 0 or idx >= len(table):
+            raise DomainError(f"mode index {idx} outside table of size {len(table)}")
+        return idx
+    n = Mode(mode).n
+    hits = np.nonzero(np.all(table.modes == np.asarray(n), axis=1))[0]
+    if len(hits) == 0:
+        raise DomainError(f"mode {n} lies above the table cutoff {table.cutoff!r}")
+    return int(hits[0])
+
+
+def gaps(table) -> np.ndarray:
+    """Energies of a spectrum table above its ground level."""
+    return table.energies - table.ground_energy

@@ -30,6 +30,7 @@ from bosebox import (
 import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
 from bosebox.spectrum import log_power_sums as box_log_power_sums
+from conftest import gaps, index_of
 
 
 def compositions(total, parts):
@@ -180,7 +181,7 @@ def test_index_of_box_table(mixture_ct, table_aniso):
     for idx in (0, 5, 100, len(table_aniso) - 1):
         n = tuple(int(v) for v in table_aniso.modes[idx])
         assert mixture_ct.gap_of(n) == pytest.approx(
-            table_aniso.gaps[idx], rel=1e-14, abs=4 * np.spacing(table_aniso.ground_energy)
+            gaps(table_aniso)[idx], rel=1e-14, abs=4 * np.spacing(table_aniso.ground_energy)
         )
     assert mixture_ct.gap_of((1, 1, 1)) == 0.0
     for bad in (0, -1, (0, 1, 1), (1, 1)):
@@ -272,14 +273,15 @@ def listed_pressure(table, beta, mode):
     """beta V p_k summed over a listed table, and a bound on the part above
     its cutoff: the exact S'_1 minus the listed part, times
     exp(beta eta_k)/(1 - exp(-beta (eta_max - eta_k)))."""
-    idx = table.index_of(mode)
-    eta_k = float(table.gaps[idx])
-    delta = beta * (np.delete(table.gaps, idx) - eta_k)
+    idx = index_of(table, mode)
+    table_gaps = gaps(table)
+    eta_k = float(table_gaps[idx])
+    delta = beta * (np.delete(table_gaps, idx) - eta_k)
     factors = np.where(
         delta > 0.0, np.log(-np.expm1(-np.abs(delta))), np.log(np.expm1(np.abs(delta)))
     )
     s1_exact = math.exp(box_log_power_sums(table.geometry, beta, 1)[0])
-    missing = max(s1_exact - float(np.exp(-beta * table.gaps).sum()), 0.0)
+    missing = max(s1_exact - float(np.exp(-beta * table_gaps).sum()), 0.0)
     gap = beta * (table.cutoff - table.ground_energy - eta_k)
     tail = math.exp(beta * eta_k) * missing / -math.expm1(-gap)
     return -math.fsum(factors), tail

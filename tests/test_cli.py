@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,22 @@ def test_ladder_mode_at_the_truncation_prints_no_warnings(capsys):
                for c in line.split(",")[7:] if c)
 
 
+def test_recursion_power_sum_overflow_exits_three(capsys):
+    # S'_1 leaves the double range at this beta; the recursion used to warn
+    # from np.expm1 and then fail in math.exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "canonical",
+            "--override", "beta=1e-250",
+            "--override", "geometry.volume=1000",
+        )
+    assert code == 3
+    assert "CutoffTooLarge: power sums overflow a double at this volume and beta" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_empty_spectrum_warns_but_succeeds(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--emax", "0.1")
     assert code == 0
@@ -369,16 +386,34 @@ def test_csv_output_format(capsys, tmp_path):
     assert not list(tmp_path.glob(".bosebox-*"))  # temp file was renamed away
 
 
-def test_spectrum_lists_the_first_thousand_modes(capsys, tmp_path):
-    geom = BoxGeometry((0.4, 0.35, 0.25), 4000.0)
-    table = enumerate_below(geom, suggest_energy_cutoff(geom, 1.0, tail_tol=1e-12))
+@pytest.mark.parametrize(
+    "alphas, volume, emax, tie_at_row_1000",
+    [
+        ((0.4, 0.35, 0.25), 4000.0, None, False),
+        ((0.4, 0.3, 0.3), 2000.0, None, True),
+        ((0.35, 0.35, 0.3), 4000.0, None, True),
+        ((0.4, 0.35, 0.25), 64000.0, 2.0, False),
+    ],
+    ids=["regime-I", "two-equal-small", "two-equal-large", "emax-2"],
+)
+def test_spectrum_lists_the_first_thousand_modes(
+    capsys, tmp_path, alphas, volume, emax, tie_at_row_1000
+):
+    """The printed rows are the first 1000 of the full table up to e_max,
+    also where equal energies straddle the last printed row."""
+    geom = BoxGeometry(alphas, volume)
+    e_max = emax if emax is not None else suggest_energy_cutoff(geom, 1.0, tail_tol=1e-12)
+    table = enumerate_below(geom, e_max)
     assert len(table) > 1000
+    assert (table.energies[999] == table.energies[1000]) == tie_at_row_1000
     out_path = tmp_path / "spectrum.csv"
-    code, _, _ = run_cli(
-        capsys, "spectrum", "--out", str(out_path),
-        "--override", "geometry.volume=4000.0",
-    )
-    assert code == 0
+    argv = ["spectrum", "--out", str(out_path),
+            "--override", f"geometry.alphas={list(alphas)}",
+            "--override", f"geometry.volume={volume}"]
+    if emax is not None:
+        argv += ["--emax", str(emax)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
     lines = out_path.read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
@@ -387,6 +422,38 @@ def test_spectrum_lists_the_first_thousand_modes(capsys, tmp_path):
     for row, mode, energy in zip(eig, table.modes, table.energies):
         assert (row["n1"], row["n2"], row["n3"]) == tuple(str(int(v)) for v in mode)
         assert row["value"] == f"{float(energy):.16e}"
+
+
+def test_spectrum_lists_only_the_printed_window(capsys, monkeypatch):
+    """Regime II at V = 6.4e4 holds 402 118 modes below the suggested
+    cutoff; only a window around the 1000 printed ones is listed."""
+    listed = []
+    enumerate_below = bosebox.cli.enumerate_below
+
+    def counting(geometry, e_max, **kwargs):
+        table = enumerate_below(geometry, e_max, **kwargs)
+        listed.append(len(table))
+        return table
+
+    monkeypatch.setattr(bosebox.cli, "enumerate_below", counting)
+    code, out, err = run_cli(
+        capsys, "spectrum",
+        "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", "geometry.volume=64000",
+    )
+    assert code == 0, err
+    assert sum(",eigenvalue," in line for line in out.splitlines()) == 1000
+    assert len(listed) == 1 and 1000 <= listed[0] < 5000
+
+
+def test_spectrum_mode_budget_counts_every_mode_below_the_cutoff(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--override", "cutoffs.mode_budget=1000"
+    )
+    assert code == 3
+    assert "more than 1000 modes lie below e_max=" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_json_output_parses(capsys):

@@ -49,6 +49,7 @@ from bosebox.spectrum import (
     suggest_energy_cutoff,
     unit_box_gap_values,
 )
+from conftest import gaps
 
 RC = 0.1658692093130223
 
@@ -585,7 +586,7 @@ def test_saturation_density_matches_table_sum(alphas):
     table whose own cutoff tail is below 1e-17 per volume."""
     geom = BoxGeometry(alphas, 2000.0)
     table = enumerate_below(geom, suggest_energy_cutoff(geom, 1.0, tail_tol=1e-17))
-    brute = float(np.sum(1.0 / np.expm1(table.gaps[1:]))) / geom.volume
+    brute = float(np.sum(1.0 / np.expm1(gaps(table)[1:]))) / geom.volume
     assert rho_c_finite(geom, 1.0) == pytest.approx(brute, rel=1e-13)
 
 
