@@ -371,8 +371,11 @@ def _ladder_coefficient(rho, rho_c, truncation, tol, beta) -> LadderCoefficient:
     if m < 2:
         raise DomainError(f"truncation must be at least 2, got {truncation!r}")
     j = np.arange(2, m + 1, dtype=float)
-    base = 0.5 * beta * math.pi**2 * (j * j - 1.0)
-    tail_sum = (1.0 / m + 1.0 / (m + 1)) / (beta * math.pi**2)
+    scale = beta * math.pi**2
+    # at a huge beta the top terms overflow to inf and add 1/inf = 0, their limit
+    with np.errstate(over="ignore"):
+        base = 0.5 * scale * (j * j - 1.0)
+    tail_sum = (1.0 / m + 1.0 / (m + 1)) / scale
 
     def fn(a: float) -> float:
         return a + float(np.sum(1.0 / (base + 1.0 / a))) + tail_sum - excess
@@ -380,7 +383,7 @@ def _ladder_coefficient(rho, rho_c, truncation, tol, beta) -> LadderCoefficient:
     root, _ = solve_bracketed(
         fn, 1e-300, excess * (1.0 + 1e-12), what="ladder coefficient"
     )
-    remainder = (4.0 / (3.0 * (beta * math.pi**2) ** 2)) / (root * (m - 1.0) ** 3)
+    remainder = (4.0 / 3.0) / scale / scale / (root * (m - 1.0) ** 3)
     residual = abs(fn(root)) + remainder
     if residual > tol:
         raise NoConvergence(

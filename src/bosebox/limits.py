@@ -100,7 +100,9 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
     m_int = np.arange(1, m_top + 1)
     m = m_int.astype(float)
     eps = 0.5 * math.pi**2 * m * m
-    etas = beta * (eps - 0.5 * math.pi**2 * n * n)
+    # at a huge beta the top gaps overflow to inf, as the ladder's do
+    with np.errstate(over="ignore"):
+        etas = beta * (eps - 0.5 * math.pi**2 * n * n)
     # truncated product in closed form:
     # b eta = (-1)^(n+m+1) (m^2/n^2) (M-n)!(M+n)!/((M-m)!(M+m)!)
     log_fact = _log_factorials(m_top)

@@ -198,7 +198,7 @@ def test_acceptance_05_fast_gap_condensate_convergence(capsys):
     target = RHO_SUPER - RC
     rel_gaps = []
     excited = math.nan
-    for vol in (2e3, 1e4, 5e4, 2.5e5):
+    for vol in (2e3, 1e4, 5e4, 2.5e5, 1.25e6):
         ct, n = _canonical_at((0.40, 0.35, 0.25), vol, RHO_SUPER)
         ground = occupation_moment(ct, (1, 1, 1), n, 1) / vol
         rel_gaps.append(abs(ground - target) / target)

@@ -5,6 +5,7 @@ tiny spectra: every identity the recursion provides must agree with the
 direct Boltzmann sum to near machine precision.
 """
 
+import functools
 import itertools
 import math
 
@@ -384,18 +385,19 @@ def test_mode_measure_laplace_against_closed_form(mixture_ct):
     assert value + tail == pytest.approx(closed, rel=1e-6)
 
 
-# ------------------------------------------------------- blocked recursion
+# ------------------------------------------------- semi-relaxed recursion
 
 
-def reference_log_z_shifted(log_power_sums, n_max):
+def reference_log_z_shifted(log_power_sums, n_max, dtype=float):
     """The row-by-row log-domain recursion, in extended precision.
 
     This is the loop build_canonical ran before the blocked recursion, kept
     as the oracle. It runs in numpy's long double (64-bit mantissa on
     x86-64) because in double precision the loop itself drifts by about
     0.1 eps per row: 2e-9 on log Z' = 9.4e3 at n = 8 000 (rho = 2 rho_c,
-    V = 1.45e5, regime III), where the blocked recursion is within 2.4e-11.
+    V = 1.45e5, regime III), where the FFT recursions are within 2.4e-11.
     Where long double is plain double it is the double-precision loop.
+    The rows are returned as ``dtype``.
     """
     ls = np.asarray(log_power_sums, dtype=np.longdouble)
     lz = np.empty(n_max + 1, dtype=np.longdouble)
@@ -404,10 +406,73 @@ def reference_log_z_shifted(log_power_sums, n_max):
         terms = ls[1 : n + 1] + lz[n - 1 :: -1]
         peak = terms.max()
         lz[n] = peak + np.log(np.exp(terms - peak).sum()) - np.log(np.longdouble(n))
-    return lz.astype(float)
+    return lz.astype(dtype)
 
 
-# rho = 2 rho_c at V = 2e4: n = 6 634 spans three full blocks and a partial one.
+# The blocked recursion build_canonical ran before the semi-relaxed one,
+# kept as the oracle at sizes the O(n^2) loop cannot reach. Rows come in
+# blocks of _BLOCK; one FFT per block gives the terms m < n0 - _NEAR of
+# all its rows, and the rest is summed directly.
+_BLOCK = 2048
+_NEAR = 256
+_BLOCK_REL_TOL = 2e-16 * _BLOCK
+
+
+def blocked_log_z_shifted(ls, n_max):
+    """log Z'(n), n = 0..n_max, by the fixed-block recursion."""
+    excess = np.expm1(ls[1:])
+    lz = np.empty(n_max + 1)
+    lz[0] = 0.0
+    s_rev = np.exp(ls[:0:-1] - ls[1])
+    window = np.empty(n_max + 1)
+    for n0 in range(0, n_max + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_max + 1)
+        if n0 > 0:
+            log_far, err, rel = _blocked_far_sums(lz, excess, n0, n1)
+            f = n0 - _NEAR
+            _blocked_fill_rows(lz, window, s_rev, ls[1], n0, n1, f, log_far)
+            if rel <= _BLOCK_REL_TOL or err * float(
+                np.sum(np.exp(lz[f - 1] - lz[n0:n1]) / np.arange(n0, n1))
+            ) <= _BLOCK_REL_TOL:
+                continue
+        _blocked_fill_rows(lz, window, s_rev, ls[1], n0, n1, 0, None)
+    return lz
+
+
+def _blocked_far_sums(lz, excess, n0, n1):
+    f = n0 - _NEAR
+    x = np.exp(lz[:f] - lz[f - 1])
+    s = excess[: n1 - 1].copy()
+    s[:_NEAR] = 0.0
+    size = 1 << (n1 - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(s, size), size)
+    conv = conv[n0 - 1 : n1 - 1]
+    norms = float(np.sum(x * x)) * float(np.sum(s * s))
+    err = canonical._FFT_ERR * math.log2(size) * math.sqrt(norms)
+    ground = float(x.sum())
+    rel = err / (ground + max(float(conv.min()) - err, 0.0))
+    return lz[f - 1] + np.log(ground + conv), err, rel
+
+
+def _blocked_fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far):
+    n_max = len(lz) - 1
+    s1 = math.exp(ls1)
+    start = max(n0, 1)
+    ref = start - 1
+    window[lo:start] = np.exp(lz[lo:start] - lz[ref])
+    for n in range(start, n1):
+        if lz[n - 1] - lz[ref] > canonical._RESCALE:
+            ref = n - 1
+            window[lo:n] = np.exp(lz[lo:n] - lz[ref])
+        total = float(s_rev[n_max - n + lo : n_max] @ window[lo:n])
+        if log_far is not None:
+            total += math.exp(log_far[n - n0] - lz[ref] - ls1)
+        window[n] = total / n * s1
+        lz[n] = lz[ref] + math.log(window[n])
+
+
+# rho = 2 rho_c at V = 2e4: n = 6 634 runs tiles of five levels, P = 256
+# to 4096, several of them more than once.
 ORACLE_VOLUME = 2.0e4
 REGIME_ALPHAS = {
     "I": (0.4, 0.35, 0.25),
@@ -416,49 +481,92 @@ REGIME_ALPHAS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _oracle_case(case, rho_c_value):
     """(spectrum argument, volume, n, log S'_k) for one oracle case."""
     if case == "levels":
         table = enumerate_below(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 12.0)
         levels = [float(e) for e in table.energies]
         gaps = np.sort(np.array(levels)) - min(levels)
-        n = 3 * canonical._BLOCK + 300
+        n = 6444
         return levels, 1000.0, n, canonical._direct_log_power_sums(gaps, 1.0, n)
     geom = BoxGeometry(REGIME_ALPHAS[case], ORACLE_VOLUME)
     n = int(round(2.0 * rho_c_value * ORACLE_VOLUME))
     return geom, None, n, np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
 
 
-def _assert_matches_oracle(ct, log_power_sums, n):
-    assert n >= 3 * canonical._BLOCK + 1
-    want = reference_log_z_shifted(log_power_sums, n)
-    got = np.asarray(ct.log_z_shifted)
+@functools.lru_cache(maxsize=None)
+def _oracle_rows(case, rho_c_value):
+    """The long-double loop's rows for one oracle case, in long double."""
+    _, _, n, ls = _oracle_case(case, rho_c_value)
+    return reference_log_z_shifted(ls, n, dtype=np.longdouble)
+
+
+def _assert_close(got, want):
     scale = np.maximum(1.0, np.abs(want))
     assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+def _assert_matches_oracle(ct, case, rho_c_value):
+    _, _, n, ls = _oracle_case(case, rho_c_value)
+    assert n >= 16 * canonical._P0
+    got = np.asarray(ct.log_z_shifted)
+    _assert_close(got, _oracle_rows(case, rho_c_value).astype(float))
+    _assert_close(got, blocked_log_z_shifted(ls, n))
 
 
 @pytest.mark.parametrize("case", ["I", "II", "III", "levels"])
 def test_blocked_recursion_matches_row_by_row_oracle(case, rho_c_value):
     spectrum, volume, n, ls = _oracle_case(case, rho_c_value)
     ct = build_canonical(spectrum, 1.0, n, volume=volume)
-    _assert_matches_oracle(ct, ls, n)
+    _assert_matches_oracle(ct, case, rho_c_value)
+
+
+@pytest.mark.parametrize("volume", [8000.0, 64000.0, 145000.0])
+def test_recursion_matches_blocked_oracle_at_benchmark_sizes(rho_c_value, volume):
+    """The canonical benchmark sweep: regime III, n = 2654, 21231, 48102."""
+    geom = BoxGeometry(REGIME_ALPHAS["III"], volume)
+    n = int(round(2.0 * rho_c_value * volume))
+    ls = np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
+    _assert_close(canonical._log_partition_shifted(ls, n), blocked_log_z_shifted(ls, n))
+
+
+@pytest.mark.parametrize("case", ["I", "III", "levels"])
+def test_recursion_ratios_within_roundoff_budget(case, rho_c_value):
+    """Every ratio log Z'(n) - log Z'(n-j) is within the CLI's budget
+    4e-16 n of the long-double loop, plus the rounding of the two logs
+    as doubles (half an ulp each, already more than 4e-16 n on the first
+    few hundred rows, where log Z'(n) grows fastest)."""
+    _, _, n, ls = _oracle_case(case, rho_c_value)
+    want = _oracle_rows(case, rho_c_value)
+    got = canonical._log_partition_shifted(ls, n).astype(np.longdouble)
+    for j in (1, 10, 100, 1000):
+        rows = np.arange(j, n + 1)
+        drift = np.abs((got[j:] - got[:-j]) - (want[j:] - want[:-j]))
+        rounding = 2.0**-53 * (np.abs(want[j:]) + np.abs(want[:-j]))
+        assert np.all(drift <= 4e-16 * rows + rounding)
 
 
 def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
-    """A block whose FFT error bound is too large is summed directly."""
-    direct_blocks = []
-    fill_rows = canonical._fill_rows
+    """A tile whose FFT error bound is too large is convolved directly."""
+    calls = {"fft": 0, "direct": 0}
 
-    def spy(lz, window, s_rev, ls1, n0, n1, lo, log_far):
-        if n0 > 0 and lo == 0:
-            direct_blocks.append(n0)
-        fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far)
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
+        return spy
+
+    monkeypatch.setattr(np.fft, "irfft", counted("fft", np.fft.irfft))
+    monkeypatch.setattr(np, "convolve", counted("direct", np.convolve))
     spectrum, volume, n, ls = _oracle_case("III", rho_c_value)
-    monkeypatch.setattr(canonical, "_fill_rows", spy)
+    canonical._log_partition_shifted(ls, n)
+    tiles = calls["fft"]
+    assert tiles > 0 and calls["direct"] == 0
+    calls["fft"] = 0
+    monkeypatch.setattr(canonical, "_TILE_TOL", 0.0)
     ct = build_canonical(spectrum, 1.0, n, volume=volume)
-    assert direct_blocks == []
-    monkeypatch.setattr(canonical, "_FFT_REL_TOL", 0.0)
-    ct = build_canonical(spectrum, 1.0, n, volume=volume)
-    assert direct_blocks == list(range(canonical._BLOCK, n + 1, canonical._BLOCK))
-    _assert_matches_oracle(ct, ls, n)
+    assert calls == {"fft": 0, "direct": tiles}
+    monkeypatch.undo()
+    _assert_matches_oracle(ct, "III", rho_c_value)

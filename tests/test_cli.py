@@ -108,7 +108,7 @@ def test_missing_or_invalid_config_file(tmp_path):
         "rho=0.0",
         "mode=[0, 1, 1]",
         "output.format=\"xml\"",
-        "cutoffs.n_max=60000",  # beyond the budget without allow_large_n
+        "cutoffs.n_max=2000001",  # beyond the budget without allow_large_n
         "rho=",  # empty value falls back to the empty string
         "lambda_grid=5",  # scalar where a list is required
         "lambda_grid=\"123\"",  # a string is not a list of numbers
@@ -150,7 +150,7 @@ def test_non_finite_configuration_exits_two(capsys, override):
 
 def test_oversized_particle_number_exits_two(capsys):
     code, _, err = run_cli(
-        capsys, "canonical", "--override", "rho=100.0"
+        capsys, "canonical", "--override", "rho=3000.0"  # n = 3e6, past n_max
     )
     assert code == 2
     assert "n_max" in err
@@ -321,6 +321,22 @@ def test_gc_at_huge_beta_reports_the_ground_occupation(capsys):
     rows = {r["quantity"]: r for r in json.loads(out)}
     assert rows["mu"]["value"] == rows["mu"]["value"] + rows["mu_bar"]["value"]
     assert rows["mode_occupation"]["value"] == pytest.approx(300.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, beta", [("gc", "1e300"), ("limits", "1e306")])
+def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta):
+    # the ladder terms overflow here: gc used to warn from numpy and then exit
+    # 3 on an OverflowError in the ladder remainder, and limits warned from
+    # gap_coefficients
+    code, out, err = run_cli(
+        capsys, command,
+        "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", f"beta={beta}",
+    )
+    assert code == 0, err
+    assert err == ""
+    assert out
 
 
 @pytest.mark.filterwarnings("error")
@@ -687,10 +703,11 @@ def _close_pipe_early(env):
         stderr=subprocess.PIPE,
         env=env,
     )
-    proc.stdout.read(200)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    return proc.wait(timeout=120), err
+    with proc:  # closes stderr too on the way out
+        proc.stdout.read(200)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), err
 
 
 def test_closed_stdout_pipe_exits_quietly():
