@@ -18,7 +18,6 @@ from .errors import (
 )
 from .spectrum import (
     BoxGeometry,
-    Mode,
     RegimeLabel,
     SpectrumTable,
     classify,
@@ -51,24 +50,16 @@ from .grandcanonical import (
 from .canonical import (
     CanonicalTable,
     DiscreteDistribution,
-    ModeMeasure,
     build_canonical,
     generalized_condensate,
-    mode_measure,
-    mode_measure_laplace,
-    mode_measure_reconstruct,
     occupation_laplace,
     occupation_moment,
     occupation_pmf,
-    shifted_pressure,
 )
 from .kac import (
     KacWeights,
-    PointMass,
     decomposition_check,
-    empirical_kac_convergence,
     kac_weights,
-    limiting_kac_density,
     limiting_kac_transform,
 )
 from .limits import (
@@ -84,7 +75,6 @@ from .limits import (
     g_function,
     g_with_budget,
     gap_coefficients,
-    mode_distribution_limit,
     occupation_limit_typeII,
     rho_c_finite,
 )

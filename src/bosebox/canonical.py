@@ -24,11 +24,10 @@ convolved directly instead (see build_canonical).
 
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
-everything downstream (probabilities, moments, Laplace transforms, the
-per-mode step measures and their pressure-like normalizers) is built on it.
-A box table reads a mode's gap from its quantum numbers, so the only modes
-it ever lists are the few below a condensate window or, for a pressure,
-near the mode's own level.
+everything downstream (probabilities, moments, Laplace transforms and the
+condensate below a gap window) is built on it. A box table reads a mode's
+gap from its quantum numbers, so the only modes it ever lists are the few
+below a condensate window.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffInsufficient, CutoffTooLarge, DomainError, NumericsError
-from .grandcanonical import _excess_power_sums, _excited_sum, _series_length
-from .numerics import log1mexp, log_expm1, sum_exp
+from .numerics import log1mexp, sum_exp
 from .spectrum import (
     _EXP_FLOOR,
-    DEFAULT_MODE_BUDGET,
     BoxGeometry,
     enumerate_below,
     ground_energy,
@@ -56,17 +53,12 @@ from .spectrum import (
 __all__ = [
     "CanonicalTable",
     "DiscreteDistribution",
-    "ModeMeasure",
     "build_canonical",
     "occupation_survival_log",
     "occupation_laplace",
     "occupation_pmf",
     "occupation_moment",
     "generalized_condensate",
-    "shifted_pressure",
-    "mode_measure",
-    "mode_measure_laplace",
-    "mode_measure_reconstruct",
 ]
 
 # Semi-relaxed recursion (see build_canonical): the terms k < _P0 of a row
@@ -79,10 +71,6 @@ _P0 = 256
 _FFT_ERR = 16.0 * float(np.finfo(float).eps)
 _TILE_TOL = 2e-16  # FFT error a tile may add per row it spans
 _RESCALE = 300.0  # rebuild the direct sum's window after growth by e^300
-# Terms per numpy pass of the per-mode sums (8 MB of doubles).
-_CHUNK = 1 << 20
-# Doublings of shifted_pressure's listed window before it gives up.
-_WIDEN_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -470,172 +458,3 @@ def generalized_condensate(ct: CanonicalTable, n: int, epsilon: float) -> float:
     j = np.arange(1.0, n + 1.0)
     per_mode = (np.sum(ratios[:c] * np.exp(-s * j[:c])) for s, c in zip(scaled, cuts))
     return math.fsum(per_mode) / ct.volume
-
-
-def _listed_power_sums(scaled: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_i exp(-m scaled_i) for each m, _CHUNK terms at a time, so that
-    no len(m) x len(scaled) array is held."""
-    out = np.empty(len(m))
-    step = max(1, _CHUNK // max(len(scaled), 1))
-    for i in range(0, len(m), step):
-        out[i : i + step] = np.exp(-m[i : i + step, None] * scaled).sum(axis=1)
-    return out
-
-
-def shifted_pressure(ct: CanonicalTable, k, *, rtol: float = 1e-10) -> float:
-    """Pressure-like normalizer of the per-mode step measure.
-
-    p_k = -(1/(beta V)) sum_{j != k} log|1 - exp(-beta (eta_j - eta_k))|
-    over the whole spectrum. A level list sums its levels. A box sums the
-    modes with eta_j <= W explicitly and takes the rest from the power sums
-    (see _pressure_series); DomainError if another mode shares mode k's
-    level.
-    """
-    eta_k = ct.gap_of(k)
-    if ct.geometry is None:
-        gaps, series = ct.gaps, 0.0
-    else:
-        gaps, series = _pressure_series(ct, eta_k, rtol)
-    same = np.flatnonzero(gaps == eta_k)
-    if len(same) != 1:
-        raise DomainError(f"mode {k!r} shares its level with another mode")
-    delta = ct.beta * (np.delete(gaps, same) - eta_k)
-    factors = np.where(delta > 0.0, log1mexp(np.abs(delta)), log_expm1(np.abs(delta)))
-    return (series - float(np.sum(factors))) / (ct.beta * ct.volume)
-
-
-def _pressure_series(ct: CanonicalTable, eta_k: float, rtol: float):
-    """The gaps eta_j <= W of a box and -sum_{eta_j > W} log(1 - q_j),
-    q_j = exp(-beta (eta_j - eta_k)), as the power-sum series
-
-        sum_m (exp(m beta eta_k) / m) (S'_m - sum_{eta_j <= W} exp(-m beta eta_j)).
-
-    Its terms shrink at least by exp(-beta (W - eta_k)) per step, so the
-    series stops, as the grand-canonical ones do, once the geometric bound
-    on the rest is below 2^-53 of its first term. The subtraction cancels
-    down to the unlisted modes, and the factor exp(m beta eta_k) lifts the
-    rounding of S'_m with m: W - eta_k starts at max(3 c_min, 4 eta_k),
-    the first excited gap for the ground mode, and doubles until tail and
-    rounding bounds together are below ``rtol`` of the series;
-    CutoffInsufficient if they never are.
-    """
-    geometry, beta = ct.geometry, ct.beta
-    width = max(3.0 * min(geometry.level_coefficients), 4.0 * eta_k)
-    for _ in range(_WIDEN_MAX):
-        gaps = ct.gaps_up_to(eta_k + width)
-        rate = beta * width
-        length = _series_length(rate)
-        excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)
-        m = np.arange(1, len(excess) + 1, dtype=float)
-        listed = _listed_power_sums(beta * gaps[1:], m)  # gaps[0] is the ground
-        series, tail = _excited_sum(
-            geometry, beta, eta_k, excess - listed, over_k=True, rate=rate
-        )
-        # excess is exp(log S'_m) - 1 with log S'_m good to a few ulp of itself
-        ulps = 16.0 + 2.0 * np.log1p(excess) + math.log2(len(gaps))
-        weights = np.exp(m * (beta * eta_k)) / m
-        rounding = 2.0**-52 * float(np.sum(ulps * (1.0 + excess + listed) * weights))
-        if tail + rounding <= rtol * series:
-            return gaps, series
-        width *= 2.0
-    raise CutoffInsufficient(
-        f"pressure series bounds {tail + rounding!r} exceed {rtol!r} of the series {series!r}"
-    )
-
-
-@dataclass(frozen=True)
-class ModeMeasure:
-    """Step-function measure of one mode's occupation per volume.
-
-    The value on the half-open cell (r/V, (r+1)/V] is
-    Z(r) exp(-beta (V p_k - r E_k)); it vanishes for x <= 0. Values are
-    stored as logs (they overflow linearly in r for every excited mode).
-    """
-
-    gap: float
-    pressure: float
-    beta: float
-    volume: float
-    log_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.log_values.setflags(write=False)
-
-    def value_at(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        r = math.ceil(x * self.volume) - 1
-        if r >= len(self.log_values):
-            raise DomainError(f"point {x!r} lies beyond the tabulated range")
-        return math.exp(self.log_values[r])
-
-    @cached_property
-    def log_atoms(self) -> np.ndarray:
-        """log of the jumps m_r = value(r) - value(r-1); all jumps are >= 0."""
-        lv = self.log_values
-        out = np.empty_like(lv)
-        out[0] = lv[0]
-        rise = lv[1:] - lv[:-1]  # >= 0 by the ratio monotonicity
-        with np.errstate(divide="ignore"):
-            out[1:] = lv[1:] + log1mexp(np.maximum(rise, 0.0))
-        out.setflags(write=False)
-        return out
-
-
-def mode_measure(ct: CanonicalTable, k, *, rtol: float = 1e-10) -> ModeMeasure:
-    """Build the per-mode step measure on the grid r/V, r = 0..n_max."""
-    eta = ct.gap_of(k)
-    pressure = shifted_pressure(ct, k, rtol=rtol)
-    r = np.arange(ct.n_max + 1, dtype=float)
-    log_values = ct.log_z_shifted + r * (ct.beta * eta) - ct.beta * ct.volume * pressure
-    return ModeMeasure(
-        gap=eta,
-        pressure=pressure,
-        beta=ct.beta,
-        volume=ct.volume,
-        log_values=log_values,
-    )
-
-
-def mode_measure_laplace(measure: ModeMeasure, lam: float) -> tuple[float, float]:
-    """Transform sum_r exp(-lam r/V) m_r over the tabulated atoms.
-
-    Converges (as the table grows) only for lam above beta V times the mode
-    gap. Returns the partial sum plus a tail figure: for the ground mode the
-    omitted mass is exactly 1 - a(r_max) and the bound is rigorous; for
-    excited modes it is a geometric estimate from the last observed step
-    ratio (inf when that ratio has not yet dropped below one).
-    """
-    la = measure.log_atoms
-    v = measure.volume
-    r = np.arange(len(la), dtype=float)
-    terms = la - lam * r / v
-    finite = np.isfinite(terms)
-    if not bool(finite.any()):
-        return 0.0, 0.0
-    value = sum_exp(terms[finite])
-    if measure.gap == 0.0:
-        remaining = max(-math.expm1(float(measure.log_values[-1])), 0.0)
-        return value, math.exp(-lam * len(la) / v) * remaining
-    idx = np.nonzero(finite)[0]
-    if len(idx) < 2:
-        return value, math.inf
-    ratio = math.exp(float(terms[idx[-1]] - terms[idx[-2]]))
-    if ratio >= 1.0:
-        return value, math.inf
-    return value, math.exp(float(terms[idx[-1]])) * ratio / (1.0 - ratio)
-
-
-def mode_measure_reconstruct(
-    measure: ModeMeasure, ct: CanonicalTable, n: int, lam: float
-) -> float:
-    """Recover the canonical transform at n particles from the step measure.
-
-    exp(-lam n/V) sum_{r=0..n} exp(lam r/V) m_r, normalized by the step
-    value at r = n; equals occupation_laplace(ct, k, n, lam/V) identically.
-    """
-    n = _check_n(ct, n)
-    la = measure.log_atoms[: n + 1]
-    r = np.arange(n + 1, dtype=float)
-    terms = la + (lam / measure.volume) * (r - n) - measure.log_values[n]
-    return sum_exp(terms)

@@ -445,6 +445,13 @@ def _mixture_n_max(cfg: dict, rho: float, rho_c: float, volume: float) -> int:
     return n_max
 
 
+def _limit_row(echo: dict, quantity: str, n, lam, canonical, grand, difference,
+               budget) -> dict:
+    return {**echo, "quantity": quantity, "n": n, "lam": lam,
+            "canonical_value": canonical, "grand_value": grand,
+            "difference": difference, "error_budget": budget}
+
+
 def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
@@ -452,71 +459,46 @@ def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
     echo = _echo(cfg, geom)
     regime = classify(geom)
     rc = critical_density(beta).value
-    rows = []
     if rho <= rc:
-        rows.append(
-            {**echo, "quantity": "mu_bar_limit", "n": "", "lam": "",
-             "canonical_value": "", "grand_value": limiting_mu_bar(rho, beta),
-             "difference": "", "error_budget": 0.0}
-        )
-        return rows
+        return [_limit_row(echo, "mu_bar_limit", "", "", "", limiting_mu_bar(rho, beta),
+                           "", 0.0)]
     mode = tuple(int(v) for v in cfg["mode"])
+    lams = [float(lam) for lam in cfg["lambda_grid"]]
     if regime.condensation == "I":
-        rows.append(
-            {**echo, "quantity": "condensate", "n": 1, "lam": "",
-             "canonical_value": canonical_limit_typeI(mode, 0.0, rho, rc, quantity="mean"),
-             "grand_value": gc_occupation_limit(regime, rho, mode, beta),
-             "difference": 0.0, "error_budget": 0.0}
-        )
-        for lam in cfg["lambda_grid"]:
-            lam = float(lam)
+        rows = [_limit_row(echo, "condensate", 1, "",
+                           canonical_limit_typeI(mode, 0.0, rho, rc, quantity="mean"),
+                           gc_occupation_limit(regime, rho, mode, beta), 0.0, 0.0)]
+        for lam in lams:
             ce = canonical_limit_typeI(mode, lam, rho, rc)
             gc = gc_laplace_limit(regime, rho, mode, lam, beta)
-            rows.append(
-                {**echo, "quantity": "laplace", "n": mode[0], "lam": lam,
-                 "canonical_value": ce, "grand_value": gc,
-                 "difference": abs(ce - gc), "error_budget": 0.0}
-            )
+            rows.append(_limit_row(echo, "laplace", mode[0], lam, ce, gc, abs(ce - gc), 0.0))
         return rows
     if regime.condensation == "III":
-        for lam in cfg["lambda_grid"]:
-            lam = float(lam)
+        rows = []
+        for lam in lams:
             ce = canonical_laplace_typeIII(mode, lam, rho, rc, beta)
             gc = gc_laplace_limit(regime, rho, mode, lam, beta)
             rows.append(
-                {**echo, "quantity": "laplace_scaled", "n": mode[0], "lam": lam,
-                 "canonical_value": ce, "grand_value": gc,
-                 "difference": abs(ce - gc), "error_budget": 0.0}
+                _limit_row(echo, "laplace_scaled", mode[0], lam, ce, gc, abs(ce - gc), 0.0)
             )
-        rows.append(
-            {**echo, "quantity": "scaled_mean", "n": mode[0], "lam": "",
-             "canonical_value": 2.0 * (rho - rc) ** 2,
-             "grand_value": gc_occupation_limit(regime, rho, mode, beta),
-             "difference": 0.0, "error_budget": 0.0}
-        )
+        rows.append(_limit_row(echo, "scaled_mean", mode[0], "", 2.0 * (rho - rc) ** 2,
+                               gc_occupation_limit(regime, rho, mode, beta), 0.0, 0.0))
         return rows
     # critical ladder: canonical and grand-canonical side by side
     ladder = solve_ladder_coefficient(rho, rc, beta=beta)
-    count = int(cfg["ladder_count"])
-    for n in range(1, count + 1):
-        coeffs = gap_coefficients(n, int(cfg["cutoffs"]["series_M"]), beta)
-        ce = occupation_limit_typeII(n, rho, rc, coeffs)
+    series_m = int(cfg["cutoffs"]["series_M"])
+    rows = []
+    for n in range(1, int(cfg["ladder_count"]) + 1):
+        ce = occupation_limit_typeII(n, rho, rc, gap_coefficients(n, series_m, beta))
         gc = 1.0 / (0.5 * math.pi**2 * (n * n - 1.0) + 1.0 / ladder.value)
-        rows.append(
-            {**echo, "quantity": "ladder_occupation", "n": n, "lam": "",
-             "canonical_value": ce, "grand_value": gc,
-             "difference": abs(ce - gc), "error_budget": ladder.residual}
-        )
-    coeffs = gap_coefficients(mode[0], int(cfg["cutoffs"]["series_M"]), beta)
-    for lam in cfg["lambda_grid"]:
-        lam = float(lam)
+        rows.append(_limit_row(echo, "ladder_occupation", n, "", ce, gc, abs(ce - gc),
+                               ladder.residual))
+    coeffs = gap_coefficients(mode[0], series_m, beta)
+    for lam in lams:
         ce = canonical_laplace_typeII(mode[0], lam, rho, rc, coeffs)
         gc = gc_laplace_limit(regime, rho, mode, lam, beta)
-        rows.append(
-            {**echo, "quantity": "laplace", "n": mode[0], "lam": lam,
-             "canonical_value": ce, "grand_value": gc,
-             "difference": abs(ce - gc), "error_budget": ladder.residual}
-        )
+        rows.append(_limit_row(echo, "laplace", mode[0], lam, ce, gc, abs(ce - gc),
+                               ladder.residual))
     return rows
 
 

@@ -177,19 +177,17 @@ def _excess_power_sums(geometry, beta, length, mode_budget) -> np.ndarray:
     return excess
 
 
-def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False, rate=None):
+def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False):
     """sum_k (S'_k - 1) exp(k beta mu_bar), divided by k if ``over_k``.
 
     Sums the given S'_k - 1, by default as many as _series_length asks.
     Returns the partial sum and the geometric bound term_K r/(1 - r),
-    r = exp(-rate), on the rest (with the 1/k weight the rest shrinks at
-    least as fast); ``rate`` defaults to _series_rate, and a caller that
-    passes other terms than S'_k - 1 passes the rate at which they shrink.
-    Where one excited level dominates the bound is exact, so it is raised
-    by 1e-9 of itself to cover the rounding of the terms.
+    r = exp(-rate), rate = _series_rate, on the rest (with the 1/k weight
+    the rest shrinks at least as fast). Where one excited level dominates
+    the bound is exact, so it is raised by 1e-9 of itself to cover the
+    rounding of the terms.
     """
-    if rate is None:
-        rate = _series_rate(geometry, beta, mu_bar)
+    rate = _series_rate(geometry, beta, mu_bar)
     if excess is None:
         length = _series_length(rate)
         excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)

@@ -24,18 +24,13 @@ from .grandcanonical import (
     grand_partition_log,
     solve_ladder_coefficient,
 )
-from .numerics import sum_exp
 from .spectrum import RegimeLabel
 
 __all__ = [
     "KacWeights",
-    "PointMass",
     "kac_weights",
     "decomposition_check",
-    "limiting_kac_density",
     "limiting_kac_transform",
-    "empirical_kac_convergence",
-    "ConvergenceRow",
 ]
 
 
@@ -52,13 +47,6 @@ class KacWeights:
     def __post_init__(self):
         self.weights.setflags(write=False)
         self.log_weights.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PointMass:
-    """Descriptor of a degenerate limit law concentrated at one density."""
-
-    location: float
 
 
 def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
@@ -166,53 +154,6 @@ def _ladder_prefactor(a: float, beta: float, convention: str) -> float:
     raise DomainError(f"unknown prefactor convention {convention!r}")
 
 
-def limiting_kac_density(
-    regime: RegimeLabel,
-    rho: float,
-    x: float,
-    beta: float = 1.0,
-    *,
-    convention: str = "printed",
-    series_tol: float = 1e-16,
-):
-    """Density of the limiting particle-number law at the point x.
-
-    Below saturation, and in the slow-gap regime III, the law is degenerate
-    and a PointMass descriptor is returned instead of a float. Regime I has
-    the exponential density on (rho_c, inf); regime II the alternating
-    ladder series with prefactor chosen by ``convention`` ("printed" keeps
-    the sinh argument 2/(beta A) - pi; "normalized" uses 2/(beta A) - pi^2,
-    which makes the total mass exactly 1).
-    """
-    rc = critical_density(beta).value
-    if rho <= rc or regime.condensation == "III":
-        return PointMass(location=rho)
-    if regime.condensation == "I":
-        scale = rho - rc
-        if x <= rc:
-            return 0.0
-        return math.exp(-(x - rc) / scale) / scale
-    if regime.condensation != "II":
-        raise DomainError(f"unknown condensation regime {regime.condensation!r}")
-    if x <= rc:
-        return 0.0
-    a = solve_ladder_coefficient(rho, rc, beta=beta).value
-    front = _ladder_prefactor(a, beta, convention)
-    s = x - rc
-    total = 0.0
-    n = 1
-    while True:
-        decay = 0.5 * beta * math.pi**2 * (n * n - 1.0) + 1.0 / a
-        term = (-1.0) ** (n - 1) * n * n * math.exp(-s * decay)
-        total += term
-        if abs(term) < series_tol * max(abs(total), 1e-300) and n > 2:
-            break
-        if s * decay > 750.0:
-            break
-        n += 1
-    return front * total
-
-
 def limiting_kac_transform(
     regime: RegimeLabel,
     rho: float,
@@ -248,54 +189,3 @@ def limiting_kac_transform(
         * _entire_sinc_ratio(2.0 / (beta * a) - math.pi**2 + 2.0 * lam / beta)
     )
     return math.exp(-lam * rc) * front / denominator
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One volume of an empirical-versus-limit transform comparison."""
-
-    volume: float
-    empirical: float
-    limit: float
-    gap: float
-    tail_bound: float
-
-
-def empirical_transform(kw: KacWeights, volume: float, lam: float) -> float:
-    """sum_n w_n exp(-lam n / V) over the tabulated weights."""
-    n = np.arange(kw.n_cut + 1, dtype=float)
-    return sum_exp(kw.log_weights - lam * n / volume)
-
-
-def empirical_kac_convergence(
-    solutions,
-    tables,
-    rho: float,
-    lam: float,
-    beta: float = 1.0,
-    *,
-    convention: str = "printed",
-) -> list[ConvergenceRow]:
-    """Finite-volume transforms of the mixing weights against the limit law.
-
-    ``solutions`` are chemical-potential solutions (one per volume) and
-    ``tables`` the matching canonical tables; rows come back sorted by
-    volume with the absolute transform gap and the weight tail bound.
-    """
-    rows = []
-    for sol, ct in zip(solutions, tables):
-        regime = sol.regime
-        kw = kac_weights(ct, sol.mu)
-        emp = empirical_transform(kw, ct.volume, lam)
-        lim = limiting_kac_transform(regime, rho, lam, beta, convention=convention)
-        rows.append(
-            ConvergenceRow(
-                volume=ct.volume,
-                empirical=emp,
-                limit=lim,
-                gap=abs(emp - lim),
-                tail_bound=kw.tail_bound,
-            )
-        )
-    rows.sort(key=lambda r: r.volume)
-    return rows

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleProximity
-from .canonical import CanonicalTable, occupation_laplace, occupation_moment
+from .canonical import occupation_laplace, occupation_moment
 from .numerics import exp_remainder, gauss_panels, refined_panels, sum_exp
 from .spectrum import BoxGeometry, _log_theta_shifted, _unit_gap_shift, classify
 from .grandcanonical import _excited_sum
@@ -42,7 +42,6 @@ __all__ = [
     "FluctuationCase",
     "fluctuation_case",
     "gap_coefficients",
-    "mode_distribution_limit",
     "occupation_limit_typeII",
     "canonical_laplace_typeII",
     "canonical_limit_typeI",
@@ -186,20 +185,6 @@ def _log_one_minus_tn(n: int, s, beta: float):
     """log |1 - T_n(s)| for s > 0 (vectorized); the sign is (-1)^(n+1)."""
     c = 0.5 * beta * math.pi**2
     return c * s * n * n + _log_theta(c * s) - 2.0 * math.log(n)
-
-
-def mode_distribution_limit(n: int, x: float, rho_c: float, coeffs: GapCoefficients) -> float:
-    """Limiting renormalized distribution value of ladder mode n at point x.
-
-    Vanishes for x <= rho_c; above it equals |1 - T_n(x - rho_c)|, which for
-    n = 1 climbs from 0 to 1 (a distribution function) and for n >= 2 grows
-    without bound (the renormalization overshoots).
-    """
-    if n != coeffs.n:
-        raise DomainError(f"coefficients were built for n={coeffs.n}, got {n}")
-    if x <= rho_c:
-        return 0.0
-    return math.exp(_log_one_minus_tn(n, x - rho_c, coeffs.beta))
 
 
 def _log_integral_one_minus_tn(

@@ -16,7 +16,6 @@ from .errors import NoConvergence
 
 __all__ = [
     "log1mexp",
-    "log_expm1",
     "exp_remainder",
     "sum_exp",
     "solve_bracketed",
@@ -33,18 +32,6 @@ def log1mexp(x):
         small,
         np.log(-np.expm1(-np.where(small, x, 1.0))),
         np.log1p(-np.exp(-np.where(small, 1.0, x))),
-    )
-    return out if out.ndim else float(out)
-
-
-def log_expm1(x):
-    """log(exp(x) - 1) for x > 0 without overflow."""
-    x = np.asarray(x, dtype=float)
-    big = x > 30.0
-    out = np.where(
-        big,
-        x + np.log1p(-np.exp(-np.where(big, x, 1.0))),
-        np.log(np.expm1(np.where(big, 1.0, x))),
     )
     return out if out.ndim else float(out)
 

@@ -27,7 +27,6 @@ __all__ = [
     "IDS_PREFACTOR",
     "SANDWICH_CONSTANT",
     "BoxGeometry",
-    "Mode",
     "RegimeLabel",
     "SpectrumTable",
     "classify",
@@ -63,8 +62,6 @@ _THETA_DUAL_BELOW = 1.0
 
 
 def _as_mode_tuple(mode) -> tuple[int, int, int]:
-    if isinstance(mode, Mode):
-        return mode.n
     try:
         t = tuple(int(v) for v in mode)
     except TypeError:  # not a sequence
@@ -72,16 +69,6 @@ def _as_mode_tuple(mode) -> tuple[int, int, int]:
     if len(t) != 3 or any(v < 1 for v in t):
         raise DomainError(f"mode must be three integers >= 1, got {mode!r}")
     return t
-
-
-@dataclass(frozen=True)
-class Mode:
-    """Quantum numbers (n_1, n_2, n_3) of one box level, each >= 1."""
-
-    n: tuple[int, int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _as_mode_tuple(self.n))
 
 
 @dataclass(frozen=True)

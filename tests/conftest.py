@@ -13,18 +13,17 @@ import pytest
 from bosebox import (
     BoxGeometry,
     DomainError,
-    Mode,
     build_canonical,
     critical_density,
     enumerate_below,
 )
+from bosebox.spectrum import _as_mode_tuple
 
 ALPHAS = (0.4, 0.35, 0.25)
 VOLUME = 1000.0
 BETA = 1.0
-# Deep cutoff: the listed-mode pressure sum of the oracles drops less than
-# 1e-10 of beta V p_k above it (the density-based suggestion, about 27 at
-# this volume, would not).
+# Listing cutoff of the shared spectrum table (13 254 modes), deeper than
+# the density-based suggestion (about 27 at this volume).
 EMAX = 45.0
 # Number-mixture runs in the suite go up to rho = 2 * rho_c at V = 1000;
 # the mixture weights need roughly this much headroom past the mean.
@@ -60,7 +59,7 @@ def index_of(table, mode) -> int:
         if idx < 0 or idx >= len(table):
             raise DomainError(f"mode index {idx} outside table of size {len(table)}")
         return idx
-    n = Mode(mode).n
+    n = _as_mode_tuple(mode)
     hits = np.nonzero(np.all(table.modes == np.asarray(n), axis=1))[0]
     if len(hits) == 0:
         raise DomainError(f"mode {n} lies above the table cutoff {table.cutoff!r}")

@@ -20,18 +20,14 @@ from bosebox import (
     build_canonical,
     enumerate_below,
     generalized_condensate,
-    mode_measure,
-    mode_measure_laplace,
-    mode_measure_reconstruct,
     occupation_laplace,
     occupation_moment,
     occupation_pmf,
-    shifted_pressure,
 )
 import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
 from bosebox.spectrum import log_power_sums as box_log_power_sums
-from conftest import gaps, index_of
+from conftest import gaps
 
 
 def compositions(total, parts):
@@ -199,8 +195,6 @@ def test_index_of_level_list_table():
     for bad in (-1, 3, (1, 1, 1)):
         with pytest.raises(DomainError):
             ct.index_of(bad)
-    with pytest.raises(DomainError):
-        mode_measure(ct, (1, 1, 1))
 
 
 def test_n_out_of_range_rejected(mixture_ct):
@@ -246,13 +240,27 @@ def test_box_condensate_matches_per_mode_loop(mixture_ct, table_aniso, epsilon, 
     assert abs(got - want) <= 1e-13 * want
 
 
+# Terms per numpy pass of the per-mode sums (8 MB of doubles).
+_CHUNK = 1 << 20
+
+
+def _listed_power_sums(scaled: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i exp(-m scaled_i) for each m, _CHUNK terms at a time, so that
+    no len(m) x len(scaled) array is held."""
+    out = np.empty(len(m))
+    step = max(1, _CHUNK // max(len(scaled), 1))
+    for i in range(0, len(m), step):
+        out[i : i + step] = np.exp(-m[i : i + step, None] * scaled).sum(axis=1)
+    return out
+
+
 def full_condensate(ct, n, epsilon):
     """generalized_condensate with all n x M terms: the power sums of the
     modes below epsilon at every j = 1..n, weighted by Z'(n-j)/Z'(n)."""
     gaps = ct.gaps_up_to(epsilon)
     j = np.arange(1, n + 1)
     lz = ct.log_z_shifted
-    sums = canonical._listed_power_sums(ct.beta * gaps[gaps < epsilon], j)
+    sums = _listed_power_sums(ct.beta * gaps[gaps < epsilon], j)
     return float(np.sum(np.exp(lz[n - j] - lz[n]) * sums)) / ct.volume
 
 
@@ -265,124 +273,6 @@ def test_cut_condensate_matches_full_sum(rho_c_value, volume):
     ct = build_canonical(geometry, 1.0, n)
     want = full_condensate(ct, n, 0.05)
     assert abs(generalized_condensate(ct, n, 0.05) - want) <= 1e-15 * want
-
-
-# --------------------------------------------------------- shifted pressure
-
-
-def listed_pressure(table, beta, mode):
-    """beta V p_k summed over a listed table, and a bound on the part above
-    its cutoff: the exact S'_1 minus the listed part, times
-    exp(beta eta_k)/(1 - exp(-beta (eta_max - eta_k)))."""
-    idx = index_of(table, mode)
-    table_gaps = gaps(table)
-    eta_k = float(table_gaps[idx])
-    delta = beta * (np.delete(table_gaps, idx) - eta_k)
-    factors = np.where(
-        delta > 0.0, np.log(-np.expm1(-np.abs(delta))), np.log(np.expm1(np.abs(delta)))
-    )
-    s1_exact = math.exp(box_log_power_sums(table.geometry, beta, 1)[0])
-    missing = max(s1_exact - float(np.exp(-beta * table_gaps).sum()), 0.0)
-    gap = beta * (table.cutoff - table.ground_energy - eta_k)
-    tail = math.exp(beta * eta_k) * missing / -math.expm1(-gap)
-    return -math.fsum(factors), tail
-
-
-@pytest.mark.parametrize("mode", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 2, 1), (1, 1, 2)])
-def test_box_pressure_matches_listed_sum(mixture_ct, table_aniso, mode):
-    listed, tail = listed_pressure(table_aniso, 1.0, mode)
-    assert tail < 1e-10
-    got = shifted_pressure(mixture_ct, mode) * mixture_ct.volume
-    assert abs(got - listed) <= tail + 1e-13 * abs(listed)
-
-
-def test_box_pressure_lists_few_modes(monkeypatch, mixture_ct, table_aniso):
-    """The ground mode's pressure lists the modes up to the first excited
-    gap and nothing more; an excited mode's lists those up to a few times
-    its own gap."""
-    listed_sizes = []
-    enumerate_below = canonical.enumerate_below
-
-    def spy(geometry, e_max, **kwargs):
-        table = enumerate_below(geometry, e_max, **kwargs)
-        listed_sizes.append(len(table))
-        return table
-
-    monkeypatch.setattr(canonical, "enumerate_below", spy)
-    shifted_pressure(mixture_ct, (1, 1, 1))
-    assert listed_sizes == [2]
-    shifted_pressure(mixture_ct, (1, 2, 1))
-    assert listed_sizes[1] < 50 < len(table_aniso)
-
-
-def test_box_pressure_rejects_shared_levels():
-    ct = build_canonical(BoxGeometry((1 / 3, 1 / 3, 1 / 3), 1000.0), 1.0, 50)
-    assert shifted_pressure(ct, (1, 1, 1)) > 0.0
-    with pytest.raises(DomainError):
-        shifted_pressure(ct, (2, 1, 1))
-
-
-def test_shifted_pressure_two_mode_hand_formula():
-    beta, volume = 1.7, 3.0
-    energies = [0.3, 0.9]
-    ct = build_canonical(energies, beta, 4, volume=volume)
-    p0 = -math.log(1.0 - math.exp(-beta * 0.6)) / (beta * volume)
-    p1 = -math.log(abs(1.0 - math.exp(beta * 0.6))) / (beta * volume)
-    assert shifted_pressure(ct, 0) == pytest.approx(p0, rel=1e-13)
-    assert shifted_pressure(ct, 1) == pytest.approx(p1, rel=1e-13)
-
-
-# ------------------------------------------------------------ mode measure
-
-
-def test_mode_measure_reconstructs_laplace(mixture_ct):
-    """The measure route and the recursion route give the same transform."""
-    n = 400
-    for k, lam in (((1, 1, 1), 0.8), ((1, 1, 1), 5.0), ((1, 2, 1), 2.0)):
-        m = mode_measure(mixture_ct, k)
-        direct = occupation_laplace(mixture_ct, k, n, lam / mixture_ct.volume)
-        assert mode_measure_reconstruct(m, mixture_ct, n, lam) == pytest.approx(
-            direct, rel=1e-11
-        )
-
-
-def test_mode_measure_ground_saturates_at_one(mixture_ct):
-    m = mode_measure(mixture_ct, (1, 1, 1))
-    vals = np.exp(m.log_values)
-    # the saturated plateau carries ~1e-13 recursion jitter around 1
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert vals[-1] <= 1.0 + 1e-12
-    # atoms add back up to the step values (same jitter, accumulated)
-    atoms = np.exp(m.log_atoms)
-    assert np.cumsum(atoms)[-1] == pytest.approx(vals[-1], abs=1e-9)
-
-
-def test_mode_measure_value_at_cell_convention(mixture_ct):
-    m = mode_measure(mixture_ct, (1, 1, 1))
-    v = mixture_ct.volume
-    assert m.value_at(0.0) == 0.0
-    assert m.value_at(0.5 / v) == pytest.approx(math.exp(m.log_values[0]))
-    assert m.value_at(1.0 / v) == pytest.approx(math.exp(m.log_values[0]))
-    assert m.value_at(1.5 / v) == pytest.approx(math.exp(m.log_values[1]))
-    with pytest.raises(DomainError):
-        m.value_at(10.0)
-
-
-def test_mode_measure_laplace_against_closed_form(mixture_ct):
-    """Independent identity: the full transform of the ground measure equals
-    (1 - e^(-lam/V)) e^(-beta V p) Xi(E_1 - lam/(beta V))."""
-    from bosebox import grand_partition_log
-
-    m = mode_measure(mixture_ct, (1, 1, 1))
-    lam = 60.0
-    v = mixture_ct.volume
-    value, tail = mode_measure_laplace(m, lam)
-    mu = mixture_ct.ground_energy - lam / (1.0 * v)
-    log_xi, _ = grand_partition_log(mixture_ct.geometry, mu, 1.0)
-    closed = -math.expm1(-lam / v) * math.exp(log_xi - 1.0 * v * m.pressure)
-    assert value + tail >= closed - 1e-12
-    assert value <= closed + 1e-12
-    assert value + tail == pytest.approx(closed, rel=1e-6)
 
 
 # ------------------------------------------------- semi-relaxed recursion

@@ -13,7 +13,6 @@ from bosebox import (
     BoxGeometry,
     CutoffTooLarge,
     DomainError,
-    Mode,
     classify,
     critical_density,
     enumerate_below,
@@ -98,10 +97,6 @@ def test_mean_occupation_hand_formula(small_table):
         assert mean_occupation(t.geometry, mu_bar, t.modes[k], 1.3) == pytest.approx(
             1.0 / math.expm1(x), rel=1e-14
         )
-    # Mode objects are accepted too
-    assert mean_occupation(t.geometry, mu_bar, Mode((1, 1, 1)), 1.3) == mean_occupation(
-        t.geometry, mu_bar, (1, 1, 1), 1.3
-    )
     with pytest.raises(DomainError):
         mean_occupation(t.geometry, 0.0, (1, 1, 1), 1.3)
 

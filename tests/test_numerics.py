@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bosebox import BoxGeometry, DomainError, NoConvergence, grandcanonical, numerics
@@ -13,7 +11,6 @@ from bosebox.numerics import (
     exp_remainder,
     gauss_panels,
     log1mexp,
-    log_expm1,
     refined_panels,
     solve_bracketed,
     sum_exp,
@@ -38,15 +35,6 @@ def test_log1mexp_vectorized():
     assert out.shape == (3,)
     for xi, oi in zip(x, out):
         assert oi == pytest.approx(log1mexp(float(xi)), rel=1e-15)
-
-
-@given(st.floats(min_value=1e-9, max_value=700.0))
-def test_log_expm1_inverts_expm1(x):
-    assert log_expm1(x) == pytest.approx(math.log(math.expm1(x)), rel=1e-13)
-
-
-def test_log_expm1_huge_argument_no_overflow():
-    assert log_expm1(5000.0) == pytest.approx(5000.0)
 
 
 def test_exp_remainder_matches_mpmath_on_both_branches():

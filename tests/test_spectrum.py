@@ -11,7 +11,6 @@ from bosebox import (
     BoxGeometry,
     CutoffTooLarge,
     DomainError,
-    Mode,
     SpectrumTable,
     classify,
     count_modes_at_most,
@@ -56,14 +55,6 @@ def test_geometry_rejects_bad_exponents():
         BoxGeometry((0.4, 0.35, 0.25), math.inf)
 
 
-def test_mode_validation():
-    assert Mode((2, 1, 1)).n == (2, 1, 1)
-    with pytest.raises(DomainError):
-        Mode((0, 1, 1))
-    with pytest.raises(DomainError):
-        Mode((1, 1))
-
-
 def test_eigenvalue_matches_hand_formula():
     g = BoxGeometry((0.4, 0.35, 0.25), 64.0)
     for n in ((1, 1, 1), (2, 1, 1), (1, 2, 3)):
@@ -72,6 +63,9 @@ def test_eigenvalue_matches_hand_formula():
         )
         assert eigenvalue(g, n) == pytest.approx(expect, rel=1e-14)
     assert ground_energy(g) == eigenvalue(g, (1, 1, 1))
+    for bad in ((0, 1, 1), (1, 1)):
+        with pytest.raises(DomainError):
+            eigenvalue(g, bad)
 
 
 def test_eigenvalue_is_anisotropic():
@@ -206,7 +200,6 @@ def test_index_of_takes_row_index_or_quantum_numbers():
         assert index_of(t, idx) == idx
         assert index_of(t, np.int64(idx)) == idx
         assert index_of(t, n) == idx
-        assert index_of(t, Mode(n)) == idx
     for bad in (-1, len(t)):
         with pytest.raises(DomainError):
             index_of(t, bad)
