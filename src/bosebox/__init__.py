@@ -30,7 +30,6 @@ from .spectrum import (
     ids_limit,
     suggest_energy_cutoff,
     unit_box_gap_values,
-    unit_box_ids,
 )
 from .grandcanonical import (
     CriticalDensity,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooLarge, DomainError, NoConvergence
+from .errors import CutoffTooLarge, DomainError, NoConvergence, NumericsError
 from .numerics import solve_bracketed
 from .spectrum import (
     DEFAULT_MODE_BUDGET,
@@ -269,6 +269,10 @@ def solve_mu(
         if length <= len(excess):
             break
         hi = root
+    if not mu_bar < 0.0:
+        raise NumericsError(
+            f"mu - E_1 = -log1p(1/N_0)/beta underflows a double at N_0 = {root!r}, beta = {beta!r}"
+        )
     excited, tail = _excited_sum(geometry, beta, mu_bar, excess)
     residual = abs((_bose(-beta * mu_bar) + excited) / volume - rho)
     bracket = (mu_bar_of(lo), mu_bar_of(hi))

@@ -39,7 +39,6 @@ __all__ = [
     "ids",
     "ids_limit",
     "ids_bounds",
-    "unit_box_ids",
     "unit_box_gap_values",
     "suggest_energy_cutoff",
     "exponential_tail_integral",
@@ -350,16 +349,6 @@ def _unit_gap_shift(d: int, convention: str):
         # gap = (pi^2/2) sum (n_j - 1)^2
         return lambda n: (n.astype(float) - 1.0) ** 2
     raise DomainError(f"unknown gap convention {convention!r}")
-
-
-def unit_box_ids(d: int, eta: float, convention: str = "relative") -> int:
-    """Count modes of the d-dimensional unit box with gap <= eta.
-
-    The gap of n is (pi^2/2)(sum_j n_j^2 - d) by default ("relative"), or
-    (pi^2/2) sum_j (n_j - 1)^2 under the "printed" convention. The count
-    includes the all-ones mode, so unit_box_ids(d, 0) >= 1.
-    """
-    return len(unit_box_gap_values(d, eta, min_index=1, convention=convention))
 
 
 def unit_box_gap_values(

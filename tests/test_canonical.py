@@ -8,6 +8,7 @@ direct Boltzmann sum to near machine precision.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ def test_laplace_transform_bounds(lam, n):
     val = occupation_laplace(ct, 0, n, lam)
     assert 0.0 < val < 1.0
     assert occupation_laplace(ct, 0, n, 0.0) == pytest.approx(1.0)
+
+
+def test_laplace_transform_of_macroscopic_mode_stays_in_unit_interval(rho_c_value):
+    """Regime I at rho = 2 rho_c holds about 16 600 particles in the ground
+    mode, so its transform drops to P(N = 0) ~ 2e-21 at large lam, far
+    below the rounding of 1 - (e^lam - 1) sum_j ...; it must still lie in
+    [0, 1], not increase with lam, and stay at least P(N = 0)."""
+    geom = BoxGeometry(REGIME_ALPHAS["I"], 1.0e5)
+    n = int(round(2.0 * rho_c_value * geom.volume))
+    ct = build_canonical(geom, 1.0, n)
+    lams = (0.0, 1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0)
+    values = [occupation_laplace(ct, (1, 1, 1), n, lam) for lam in lams]
+    assert values[0] == 1.0
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    assert values[-1] >= occupation_pmf(ct, (1, 1, 1), n).mass[0] * (1.0 - 1e-12)
 
 
 def test_ground_occupation_grows_with_n():
@@ -460,3 +477,52 @@ def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
     assert calls == {"fft": 0, "direct": tiles}
     monkeypatch.undo()
     _assert_matches_oracle(ct, "III", rho_c_value)
+
+
+# (alphas, volume, beta, n): a box with log S'_1 = 28.3, where the near
+# field solves 14-row blocks and rescales its window inside every chunk;
+# tables shorter than one chunk; a single row past n = 0.
+EDGE_CASES = {
+    "large-S1": (REGIME_ALPHAS["I"], 1.0e9, 1.0e-3, 700),
+    "n-255": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 255),
+    "n-100": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 100),
+    "n-1": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_recursion_edge_cases_match_long_double_oracle(case):
+    alphas, volume, beta, n = EDGE_CASES[case]
+    geom = BoxGeometry(alphas, volume)
+    ls = np.concatenate(([np.nan], box_log_power_sums(geom, beta, n)))
+    want = reference_log_z_shifted(ls, n, dtype=np.longdouble)
+    got = np.asarray(build_canonical(geom, beta, n).log_z_shifted)
+    if case == "large-S1":  # blocks of fewer than 16 rows, many rescales per chunk
+        assert canonical._BLOCK * ls[1] > 400.0
+        assert got[canonical._P0 - 1] > 10.0 * canonical._RESCALE
+    _assert_close(got, want.astype(float))
+    # the ratio budget 4e-16 n of test_recursion_ratios_within_roundoff_budget
+    got = got.astype(np.longdouble)
+    for j in (1, 10, 100, 1000):
+        if j > n:
+            break
+        rows = np.arange(j, n + 1)
+        drift = np.abs((got[j:] - got[:-j]) - (want[j:] - want[:-j]))
+        rounding = 2.0**-53 * (np.abs(want[j:]) + np.abs(want[:-j]))
+        assert np.all(drift <= 4e-16 * rows + rounding)
+
+
+def test_recursion_peak_memory_per_row(rho_c_value):
+    """No buffer of the recursion beyond its O(n) arrays grows with n:
+    regime II at V = 6e5 (n = 199 043) peaks at 72 bytes per row."""
+    geom = BoxGeometry(REGIME_ALPHAS["II"], 6.0e5)
+    n = int(round(2.0 * rho_c_value * geom.volume))
+    ls = np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        canonical._log_partition_shifted(ls, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72.0 * n

@@ -13,6 +13,7 @@ from bosebox import (
     BoxGeometry,
     CutoffTooLarge,
     DomainError,
+    NumericsError,
     classify,
     critical_density,
     enumerate_below,
@@ -169,6 +170,14 @@ def test_solve_mu_refuses_a_series_past_the_budget():
     g = BoxGeometry(REGIME_ALPHAS["III"], 5.12e5)
     with pytest.raises(CutoffTooLarge):
         solve_mu(g, 0.3, 1.0, mode_budget=10_000)
+
+
+def test_solve_mu_reports_a_gap_that_underflows():
+    """At V = beta = 1e300, N_0 ~ 1e299 and mu - E_1 ~ -1e-599 is not a
+    double: a numerical failure, not a division by zero."""
+    g = BoxGeometry(REGIME_ALPHAS["I"], 1e300)
+    with pytest.raises(NumericsError, match="underflows"):
+        solve_mu(g, 0.33, 1e300)
 
 
 def test_solve_mu_roundtrip(small_table):

@@ -21,7 +21,6 @@ from bosebox import (
     ids_bounds,
     ids_limit,
     suggest_energy_cutoff,
-    unit_box_ids,
 )
 from bosebox.spectrum import (
     IDS_PREFACTOR,
@@ -289,6 +288,16 @@ def brute_unit_gaps(d, gap_max, min_index, convention):
         if val <= budget + 1e-15:
             out.append(val * 0.5 * math.pi**2)
     return np.sort(np.array(out))
+
+
+def unit_box_ids(d, eta, convention="relative"):
+    """Count modes of the d-dimensional unit box with gap <= eta.
+
+    The gap of n is (pi^2/2)(sum_j n_j^2 - d) by default ("relative"), or
+    (pi^2/2) sum_j (n_j - 1)^2 under the "printed" convention. The count
+    includes the all-ones mode, so unit_box_ids(d, 0) >= 1.
+    """
+    return len(unit_box_gap_values(d, eta, min_index=1, convention=convention))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -19,7 +19,7 @@ KEEP = {
     "gc_laplace_finite": "AC7 compares it with the slow-gap limit",
     "axis_curvature_at_zero": "AC9 compares the second difference of g_1 at 0 with it",
     "gc_density": "perfbench traces it by name as the grand-canonical density",
-    "unit_box_ids": "the public count of unit-box modes below a gap, in bosebox.__all__",
+    "unit_box_gap_values": "perfbench traces it by name as the lattice gap listing",
 }
 
 
