@@ -29,14 +29,12 @@ from .spectrum import (
     ids_bounds,
     ids_limit,
     suggest_energy_cutoff,
-    unit_box_gap_values,
 )
 from .grandcanonical import (
     CriticalDensity,
     GcSolution,
     LadderCoefficient,
     critical_density,
-    gc_density,
     gc_laplace_finite,
     gc_laplace_limit,
     gc_occupation_limit,

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from .errors import CutoffInsufficient, CutoffTooLarge, DomainError, NumericsError
@@ -91,9 +89,10 @@ class CanonicalTable:
     spectrum through its power sums and names modes by quantum numbers; no
     mode is listed to build it. A level-list table (``geometry`` None)
     holds the sorted gaps of its levels above the lowest one and names
-    modes by row index. ``log_z[n]`` is the true log Z(n), and
-    ``log_z_shifted`` the same with the ground energy subtracted from every
-    level.
+    modes by row index. ``log_z_shifted[n]`` is log Z'(n), the log
+    partition function with the ground energy subtracted from every level,
+    as the recursion computes it; ``log_z`` is the true log Z(n), derived
+    from it on each read.
     """
 
     geometry: BoxGeometry | None
@@ -102,19 +101,17 @@ class CanonicalTable:
     beta: float
     n_max: int
     volume: float
-    log_z: np.ndarray = field(repr=False)
+    log_z_shifted: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for values in (self.gaps, self.log_z):
+        for values in (self.gaps, self.log_z_shifted):
             if values is not None:
                 values.setflags(write=False)
 
-    @cached_property
-    def log_z_shifted(self) -> np.ndarray:
+    @property
+    def log_z(self) -> np.ndarray:
         n = np.arange(self.n_max + 1, dtype=float)
-        out = self.log_z + n * self.beta * self.ground_energy
-        out.setflags(write=False)
-        return out
+        return self.log_z_shifted - n * self.beta * self.ground_energy
 
     def index_of(self, k) -> int:
         """Row of a level-list mode given as its row index."""
@@ -419,8 +416,6 @@ def build_canonical(
         gaps = energies - ground
         vol = 1.0 if volume is None else float(volume)
         log_s_shifted = _direct_log_power_sums(gaps, beta, n_max)
-    log_z_shifted = _log_partition_shifted(log_s_shifted, n_max)
-    log_z = log_z_shifted - np.arange(n_max + 1, dtype=float) * beta * ground
     return CanonicalTable(
         geometry=box,
         gaps=gaps,
@@ -428,7 +423,7 @@ def build_canonical(
         beta=beta,
         n_max=n_max,
         volume=vol,
-        log_z=log_z,
+        log_z_shifted=_log_partition_shifted(log_s_shifted, n_max),
     )
 
 

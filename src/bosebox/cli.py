@@ -201,8 +201,7 @@ def _validate(cfg: dict) -> None:
     _coerce_number(cfg, "cutoffs.energy_tail_tol")
     series_m = _coerce_number(cfg, "cutoffs.series_M", int)
     mode_budget = _coerce_number(cfg, "cutoffs.mode_budget")
-    # the ladder coefficients of modes n <= ladder_count are arrays of
-    # length series_M
+    # the ladder gap tables of modes n <= ladder_count hold series_M gaps
     if not 2 <= series_m <= mode_budget:
         raise ConfigError(
             f"cutoffs.series_M must lie between 2 and cutoffs.mode_budget, got {series_m}"
@@ -297,8 +296,9 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
         )
     # the budget counts every mode up to e_max, though only the lowest
     # SPECTRUM_ROWS are printed
-    e_list = _listing_cutoff(geom, float(e_max), int(cfg["cutoffs"]["mode_budget"]))
-    table = enumerate_below(geom, e_list)
+    mode_budget = int(cfg["cutoffs"]["mode_budget"])
+    e_list = _listing_cutoff(geom, float(e_max), mode_budget)
+    table = enumerate_below(geom, e_list, mode_budget=mode_budget)
     if len(table) == 0:
         print(
             f"warning: energy cutoff {table.cutoff!r} lies below the ground level "

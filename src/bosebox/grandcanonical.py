@@ -47,7 +47,6 @@ __all__ = [
     "GcSolution",
     "LadderCoefficient",
     "mean_occupation",
-    "gc_density",
     "grand_partition_log",
     "solve_mu",
     "critical_density",
@@ -198,14 +197,6 @@ def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False):
     return float(np.sum(terms)), float(terms[-1]) * _bose(rate) * (1.0 + 1e-9)
 
 
-def gc_density(geometry: BoxGeometry, mu: float, beta: float) -> float:
-    """Grand-canonical particle density (1/V) sum_n 1/(exp(beta(E_n - mu)) - 1)."""
-    ground = ground_energy(geometry)
-    _check_mu(ground, mu)
-    excited, _ = _excited_sum(geometry, beta, mu - ground)
-    return (_bose(beta * (ground - mu)) + excited) / geometry.volume
-
-
 def grand_partition_log(geometry: BoxGeometry, mu: float, beta: float) -> tuple[float, float]:
     """log of the grand partition function and a bound on its series tail."""
     ground = ground_energy(geometry)
@@ -223,7 +214,8 @@ def solve_mu(
     max_iter: int = 200,
     mode_budget: int = DEFAULT_MODE_BUDGET,
 ) -> GcSolution:
-    """Solve gc_density(mu) = rho for mu < E_1 at fixed volume.
+    """Solve for the mu < E_1 at which the grand-canonical density
+    (1/V) sum_n 1/(exp(beta (E_n - mu)) - 1) is rho, at fixed volume.
 
     The unknown is the ground occupation N_0 = 1/(exp(-beta mu_bar) - 1),
     in which the density is nearly linear however many decades mu_bar
@@ -448,22 +440,15 @@ def gc_laplace_finite(geometry: BoxGeometry, mu: float, mode, lam: float, beta: 
 
 
 def gc_laplace_limit(
-    regime: RegimeLabel,
-    rho: float,
-    mode,
-    lam: float,
-    beta: float,
-    *,
-    scaled: bool = True,
+    regime: RegimeLabel, rho: float, mode, lam: float, beta: float
 ) -> float:
     """Infinite-volume Laplace transform of a scaled mode occupation.
 
     Regime I at scale V: 1/(1 + lam (rho - rho_c)) on (1,1,1). Regime II at
     scale V: c_n/(c_n + lam) on the ladder with c_n the inverse limiting
-    occupation. Regime III: 1 at scale V (``scaled=False``), and
-    1/(1 + 2 lam beta (rho - rho_c)^2) on the ladder at scale V**(2(1-a_1))
-    (``scaled=True``). Off the relevant modes the scaled occupation vanishes
-    in the limit, so the transform is 1.
+    occupation. Regime III: 1/(1 + 2 lam beta (rho - rho_c)^2) on the
+    ladder at scale V**(2(1-a_1)). Off the relevant modes the scaled
+    occupation vanishes in the limit, so the transform is 1.
     """
     n, rc = _condensate_case(rho, mode, beta)
     if regime.condensation == "I":
@@ -482,7 +467,7 @@ def gc_laplace_limit(
             raise DomainError(f"lam must exceed {-c_n!r}, got {lam!r}")
         return c_n / (c_n + lam)
     if regime.condensation == "III":
-        if not scaled or not _is_ladder(n):
+        if not _is_ladder(n):
             return 1.0
         scale = 2.0 * beta * (rho - rc) ** 2
         if lam <= -1.0 / scale:

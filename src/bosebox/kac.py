@@ -33,6 +33,10 @@ __all__ = [
     "limiting_kac_transform",
 ]
 
+# kac_weights stops where the geometric bound on the weights left out is
+# below this
+_TAIL_TARGET = 1e-12
+
 
 @dataclass(frozen=True)
 class KacWeights:
@@ -57,14 +61,12 @@ def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
     return float(-np.sum(np.log(-np.expm1(-x)))), 0.0
 
 
-def kac_weights(
-    ct: CanonicalTable, mu: float, *, tail_target: float = 1e-12
-) -> KacWeights:
+def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     """Mixture weights w_n for n = 0..n_cut with a geometric tail bound.
 
     n_cut is the first index past the weight peak where the step ratio has
     dropped below 1 and the geometric remainder w_n r/(1-r) is below
-    ``tail_target``; CutoffInsufficient reports the best achievable bound
+    _TAIL_TARGET; CutoffInsufficient reports the best achievable bound
     when the table is too short. The reported tail_bound also carries the
     truncation error of the grand partition log.
     """
@@ -84,13 +86,13 @@ def kac_weights(
             continue
         r = math.exp(lr)
         tail = math.exp(log_w[m]) * r / (1.0 - r)
-        if tail < tail_target:
+        if tail < _TAIL_TARGET:
             n_cut = m
             break
     if n_cut is None:
         raise CutoffInsufficient(
             f"weights reach tail bound {tail!r} at n_max={ct.n_max}, "
-            f"target {tail_target!r}"
+            f"target {_TAIL_TARGET!r}"
         )
     log_w = log_w[: n_cut + 1]
     return KacWeights(
@@ -103,7 +105,7 @@ def kac_weights(
 
 
 def decomposition_check(
-    ct: CanonicalTable, mu: float, k, lam: float, *, tail_target: float = 1e-12
+    ct: CanonicalTable, mu: float, k, lam: float
 ) -> tuple[float, float, float]:
     """Both sides of the mixture identity for one mode's transform.
 
@@ -123,7 +125,7 @@ def decomposition_check(
     """
     if lam < 0.0:
         raise DomainError(f"the mixture budget requires lam >= 0, got {lam!r}")
-    kw = kac_weights(ct, mu, tail_target=tail_target)
+    kw = kac_weights(ct, mu)
     eta = ct.gap_of(k)
     x = ct.beta * (eta - (mu - ct.ground_energy))
     lhs = _geometric_laplace(x, lam)

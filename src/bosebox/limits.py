@@ -1,10 +1,9 @@
 """Limit laws of single-mode occupations and ground-state fluctuations.
 
 Critical-anisotropy ladder (largest exponent exactly 1/2): the canonical
-occupation of ladder mode (n,1,1) has an explicit limit built from the
-one-dimensional gaps eta_{m,n} and interpolation coefficients b_{m,n}. The
-coefficient series is only Abel-summable, so it is resummed here in closed
-form: with q = exp(-c s), c = beta pi^2 / 2,
+occupation of ladder mode (n,1,1) has an explicit limit, a series over the
+one-dimensional gaps eta_{m,n} that is only Abel-summable, so it is
+resummed here in closed form: with q = exp(-c s), c = beta pi^2 / 2,
 
     1 - T_n(s) = (-1)^n exp(c s n^2) Theta(q) / n^2,
     Theta(q) = sum_{m>=1} (-1)^m m^2 q^(m^2)  < 0,
@@ -25,7 +24,6 @@ theta sum that the power sums read, not a listing of lattice gaps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +32,7 @@ import numpy as np
 from .errors import DomainError, PoleProximity
 from .canonical import occupation_laplace, occupation_moment
 from .numerics import exp_remainder, gauss_panels, refined_panels, sum_exp
-from .spectrum import BoxGeometry, _log_theta_shifted, _unit_gap_shift, classify
+from .spectrum import BoxGeometry, _log_theta_shifted, classify
 from .grandcanonical import _excited_sum
 
 __all__ = [
@@ -59,35 +57,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GapCoefficients:
-    """One-dimensional ladder gaps and interpolation coefficients.
+    """One-dimensional gaps of the ladder seen from mode n.
 
-    ``etas[m-1]`` = beta (eps_m - eps_n) with eps_m = pi^2 m^2 / 2;
-    ``bs[m-1]`` the coefficient with the interpolation product truncated at
-    ``truncation`` (closed form through factorial telescoping, evaluated
-    with log-factorials); ``bs_infinite`` its exact infinite-product limit
-    (-1)^(m+n+1) m^2 / (n^2 eta_{m,n}); ``product_tail`` the exact relative
-    drift between the two. Entries at m = n are NaN placeholders. For n near
-    a truncation M of a few hundred (n = M >= 515) the truncated product
-    leaves the double range, and those entries of ``bs`` and
-    ``product_tail`` are inf.
+    ``etas[m-1]`` = beta (eps_m - eps_n) with eps_m = pi^2 m^2 / 2, for
+    m = 1..``truncation``; the entry at m = n is 0. The limit values use
+    only ``n`` and ``beta``. The gaps are the apparent poles of the ladder
+    series, which canonical_laplace_typeII refuses to sit on, so
+    ``truncation`` sets only how many of them it checks.
     """
 
     n: int
     truncation: int
     beta: float
-    epsilons: np.ndarray = field(repr=False)
     etas: np.ndarray = field(repr=False)
-    bs: np.ndarray = field(repr=False)
-    bs_infinite: np.ndarray = field(repr=False)
-    product_tail: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("epsilons", "etas", "bs", "bs_infinite", "product_tail"):
-            getattr(self, name).setflags(write=False)
+        self.etas.setflags(write=False)
 
 
 def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
-    """Build ladder gaps and coefficients for mode n with product cutoff M."""
+    """Build the ladder gaps of mode n up to m = truncation."""
     n = int(n)
     m_top = int(truncation)
     if not beta > 0.0:
@@ -96,51 +85,12 @@ def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
         raise DomainError(
             f"need 1 <= n <= truncation and truncation >= 2, got n={n}, M={m_top}"
         )
-    m_int = np.arange(1, m_top + 1)
-    m = m_int.astype(float)
+    m = np.arange(1, m_top + 1, dtype=float)
     eps = 0.5 * math.pi**2 * m * m
     # at a huge beta the top gaps overflow to inf, as the ladder's do
     with np.errstate(over="ignore"):
         etas = beta * (eps - 0.5 * math.pi**2 * n * n)
-    # truncated product in closed form:
-    # b eta = (-1)^(n+m+1) (m^2/n^2) (M-n)!(M+n)!/((M-m)!(M+m)!)
-    log_fact = _log_factorials(m_top)
-    log_f = (
-        log_fact[m_top - n]
-        + log_fact[m_top + n]
-        - log_fact[m_top - m_int]
-        - log_fact[m_top + m_int]
-    )
-    signs = np.where((m_int + n) % 2 == 0, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b_eta = signs * np.exp(log_f + 2.0 * (np.log(m) - math.log(n)))
-        bs = b_eta / etas
-        b_eta_inf = signs * (m / n) ** 2
-        bs_inf = b_eta_inf / etas
-        drift = np.abs(np.expm1(log_f))
-    idx = n - 1
-    bs[idx] = np.nan
-    bs_inf[idx] = np.nan
-    drift[idx] = np.nan
-    return GapCoefficients(
-        n=n,
-        truncation=m_top,
-        beta=beta,
-        epsilons=eps,
-        etas=etas,
-        bs=bs,
-        bs_infinite=bs_inf,
-        product_tail=drift,
-    )
-
-
-@functools.lru_cache(maxsize=4)
-def _log_factorials(m_top: int) -> np.ndarray:
-    """log k! for k = 0..2 m_top (read-only), shared by every ladder mode of
-    one truncation."""
-    out = np.fromiter(map(math.lgamma, range(1, 2 * m_top + 2)), float, 2 * m_top + 1)
-    out.setflags(write=False)
-    return out
+    return GapCoefficients(n=n, truncation=m_top, beta=beta, etas=etas)
 
 
 def _log_theta(x):
@@ -231,7 +181,7 @@ def canonical_laplace_typeII(
     delta = rho - rho_c
     if delta <= 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
-    gaps = coeffs.etas[~np.isnan(coeffs.bs)]
+    gaps = np.delete(coeffs.etas, n - 1)  # eta_{n,n} = 0 is no pole
     if np.any(np.abs(gaps - lam) < 1e-9):
         raise PoleProximity(
             f"lam={lam!r} sits within 1e-9 of a ladder gap; the series "
@@ -307,18 +257,16 @@ _G_TAIL_RTOL = 2.0**-60  # each tail of g_d, relative to a lower bound of g_d
 _G_PANEL_WIDTH = 1.0  # in s = log t; 16 Gauss nodes per panel
 
 
-def _g_quadrature(d, x, convention, s_lo, s_hi, n_panels) -> tuple[float, float]:
+def _g_quadrature(d, x, s_lo, s_hi, n_panels) -> tuple[float, float]:
     """int k(x t) theta_2(t)^d ds over [s_lo, s_hi], t = e^s, on Gauss panels,
     and a rounding bound: a few ulp per node plus the error of its logs."""
     s, w = gauss_panels(s_lo, s_hi, n_panels, 16)
     t = np.exp(s)
     big_t = 0.5 * math.pi**2 * t
     log_theta = _log_theta_shifted(big_t)  # log sum_{n>=1} e^{-T (n^2 - 1)}
-    if convention == "printed":
-        log_th = d * (log_theta - big_t)
-    else:  # theta_2 = expm1(log_theta), which is e^{-3T} to the last bit past T = 200
-        far = big_t > 200.0
-        log_th = d * np.where(far, -3.0 * big_t, np.log(np.expm1(np.where(far, 1.0, log_theta))))
+    # theta_2 = expm1(log_theta), which is e^{-3T} to the last bit past T = 200
+    far = big_t > 200.0
+    log_th = d * np.where(far, -3.0 * big_t, np.log(np.expm1(np.where(far, 1.0, log_theta))))
     y = x * t
     steep = y < -30.0  # e^-y may overflow there; exp(log_th - y) does not
     th = np.exp(log_th)
@@ -328,24 +276,25 @@ def _g_quadrature(d, x, convention, s_lo, s_hi, n_panels) -> tuple[float, float]
     return float(f.sum()), 2.0**-52 * float(np.sum(np.abs(f) * ulps))
 
 
-def g_with_budget(
-    d: int, lam: float, beta: float, *, convention: str = "relative"
-) -> tuple[float, float]:
+def g_with_budget(d: int, lam: float, beta: float) -> tuple[float, float]:
     """Fluctuation sum g_d(lam) and its error budget.
 
     g_d(lam) = sum over n in {2,3,...}^d of omega(lam/(beta eta(n))), the
-    infinite sum over the unit-box gaps eta (``unit_box_gap_values``), with
-    omega(x) = x - log(1+x). As omega(lam/a) = int_0^inf (e^{-lam u} - 1 +
-    lam u) e^{-a u} du/u, it is int_0^inf k(x t) theta_2(t)^d dt/t with
-    x = lam/beta, k(y) = e^-y - 1 + y, theta_2(t) = sum_{n>=2} e^{-T u(n)},
-    T = pi^2 t/2 and u(n) = n^2 - 1 ("relative") or (n - 1)^2 ("printed").
+    infinite sum over the unit-box gaps eta(n) = (pi^2/2) sum_j u(n_j),
+    u(n) = n^2 - 1, with omega(x) = x - log(1+x). As omega(lam/a) =
+    int_0^inf (e^{-lam u} - 1 + lam u) e^{-a u} du/u, it is
+    int_0^inf k(x t) theta_2(t)^d dt/t with x = lam/beta,
+    k(y) = e^-y - 1 + y, theta_2(t) = sum_{n>=2} e^{-T u(n)} and
+    T = pi^2 t/2.
     The budget is both truncation tails (closed-form bounds), the change
     from halving the panel count and the rounding bound. Defined for
     lam > -beta * (smallest gap); g_d(0) = 0 exactly.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    u2, u3 = (float(u) for u in _unit_gap_shift(d, convention)(np.arange(2, 4)))
+    if d not in (1, 2, 3):
+        raise DomainError(f"dimension must be 1, 2 or 3, got {d!r}")
+    u2, u3 = 3.0, 8.0  # u(2), u(3)
     a_min = d * 0.5 * math.pi**2 * u2  # the smallest gap
     x = lam / beta
     if not x > -a_min:
@@ -357,12 +306,11 @@ def g_with_budget(
     # tails are taken over x^2; g_d/x^2 >= omega(x/a_min)/x^2 >= this/_G_TAIL_RTOL
     target = _G_TAIL_RTOL * 0.5 / (a_min * (a_min + max(x, 0.0)))
     # below t_lo: k(y) <= (y^2/2) max(1, e^-y), theta_2(t) <= e^T/sqrt(2 pi t)
-    # (e^T for "relative" only)
     p = 2.0 - 0.5 * d
     t_lo = (target * 2.0 * p * (2.0 * math.pi) ** (0.5 * d)) ** (1.0 / p)
     if not (t_lo > 0.0 and math.isfinite(x * x)):
         raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")
-    lead = d * 0.5 * math.pi**2 * t_lo if convention == "relative" else 0.0
+    lead = d * 0.5 * math.pi**2 * t_lo
     tail_lo = (0.5 * math.exp(max(-x, 0.0) * t_lo + lead)
                * (2.0 * math.pi) ** (-0.5 * d) * t_lo**p / p)
     # above t_hi: e^{u(2) T} theta_2(t) <= 1 + e^{-(u(3) - u(2)) T}/(1 - e^-T)
@@ -379,17 +327,17 @@ def g_with_budget(
     s_lo, s_hi = math.log(t_lo), math.log(t_hi)
     n = max(2, math.ceil((s_hi - s_lo) / _G_PANEL_WIDTH))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        coarse, _ = _g_quadrature(d, x, convention, s_lo, s_hi, n)
-        value, rounding = _g_quadrature(d, x, convention, s_lo, s_hi, 2 * n)
+        coarse, _ = _g_quadrature(d, x, s_lo, s_hi, n)
+        value, rounding = _g_quadrature(d, x, s_lo, s_hi, 2 * n)
     budget = x * x * (tail_lo + tail_hi(t_hi)) + abs(value - coarse) + rounding
     if not math.isfinite(budget):
         raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")
     return value, budget
 
 
-def g_function(d: int, lam: float, beta: float, *, convention: str = "relative") -> float:
+def g_function(d: int, lam: float, beta: float) -> float:
     """Lattice fluctuation sum g_d(lam); see g_with_budget."""
-    return g_with_budget(d, lam, beta, convention=convention)[0]
+    return g_with_budget(d, lam, beta)[0]
 
 
 def axis_curvature_at_zero(beta: float) -> float:
@@ -409,9 +357,7 @@ def law_weights(case) -> tuple[float, float, float]:
     return _LAW_WEIGHTS[label]
 
 
-def fluctuation_law(
-    case, lam: float, beta: float, *, convention: str = "relative", sums=None
-) -> float:
+def fluctuation_law(case, lam: float, beta: float, *, sums=None) -> float:
     """Laplace transform of the scaled ground-occupation fluctuation.
 
     exp(g_1), exp(2 g_1 + g_2) or exp(3 g_1 + 3 g_2 + g_3) according to how
@@ -420,7 +366,7 @@ def fluctuation_law(
     """
     weights = law_weights(case)
     if sums is None:
-        sums = [g_function(d, lam, beta, convention=convention) if w else 0.0
+        sums = [g_function(d, lam, beta) if w else 0.0
                 for d, w in enumerate(weights, start=1)]
     return math.exp(sum(w * g for w, g in zip(weights, sums) if w))
 
@@ -446,26 +392,17 @@ class FluctuationRow:
 
 
 def fluctuation_convergence_check(
-    tables,
-    rho: float,
-    lam: float,
-    case: FluctuationCase,
-    *,
-    convention: str = "relative",
-    center: str = "mean",
+    tables, rho: float, lam: float, case: FluctuationCase
 ) -> list[FluctuationRow]:
     """Finite-volume fluctuation transforms against the limit law.
 
     For each canonical table: n = round(rho V), the centered transform
-    <exp{lam V^gamma (N_1/V - c_V)}> evaluated through the occupation
-    transform at argument -lam V^(gamma-1). The centering c_V is the exact
-    canonical mean <N_1>/V (``center="mean"``, pure shape convergence) or
-    rho - rho_c^V with the finite-volume excited density at zero shifted
-    potential (``center="saturation"``). ``centered_mean`` reports
-    V^gamma (<N_1>/V - (rho - rho_c^V)), which must drift to 0 either way.
+    <exp{lam V^gamma (N_1/V - <N_1>/V)}> evaluated through the occupation
+    transform at argument -lam V^(gamma-1), centered on the exact canonical
+    mean (pure shape convergence). ``centered_mean`` reports
+    V^gamma (<N_1>/V - (rho - rho_c^V)), with rho_c^V the finite-volume
+    excited density at zero shifted potential; it must drift to 0.
     """
-    if center not in ("mean", "saturation"):
-        raise DomainError(f"center must be 'mean' or 'saturation', got {center!r}")
     rows = []
     for ct in tables:
         if ct.geometry is None:
@@ -473,13 +410,11 @@ def fluctuation_convergence_check(
         v = ct.volume
         gamma = case.gamma
         n = int(round(rho * v))
-        rc_v = rho_c_finite(ct.geometry, ct.beta)
-        sat_center = rho - rc_v
+        sat_center = rho - rho_c_finite(ct.geometry, ct.beta)
         mean = occupation_moment(ct, (1, 1, 1), n, 1)
-        offset = mean / v if center == "mean" else sat_center
         transform = occupation_laplace(ct, (1, 1, 1), n, -lam * v ** (gamma - 1.0))
-        value = math.exp(-lam * v**gamma * offset) * transform
-        limit = fluctuation_law(case, lam, ct.beta, convention=convention)
+        value = math.exp(-lam * v**gamma * (mean / v)) * transform
+        limit = fluctuation_law(case, lam, ct.beta)
         centered = v**gamma * (mean / v - sat_center)
         rows.append(
             FluctuationRow(

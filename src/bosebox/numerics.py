@@ -57,40 +57,30 @@ def sum_exp(terms, *, log=False) -> float:
     return peak + math.log(scaled) if log else math.exp(peak) * scaled
 
 
-def solve_bracketed(
-    fn,
-    lo,
-    hi,
-    *,
-    expand="none",
-    factor=2.0,
-    max_expand=200,
-    max_iter=200,
-    what="root",
-):
+# solve_bracketed doubles the bracket at most this many times
+_MAX_EXPAND = 200
+
+
+def solve_bracketed(fn, lo, hi, *, expand="none", max_iter=200, what="root"):
     """Find a sign change of ``fn`` on [lo, hi], expanding the bracket if asked.
 
-    ``expand`` is "none", "down" (move lo away geometrically) or "up".
-    Raises NoConvergence reporting the bracket when no sign change is found
-    or the root is not pinned within ``max_iter`` iterations.
+    ``expand`` is "none" or "down" (double the bracket's length by moving
+    lo). Raises NoConvergence reporting the bracket when no sign change is
+    found or the root is not pinned within ``max_iter`` iterations.
     """
     flo, fhi = fn(lo), fn(hi)
     n_expand = 0
     while flo * fhi > 0.0:
-        if expand == "down":
-            lo = hi - factor * (hi - lo)
-            flo = fn(lo)
-        elif expand == "up":
-            hi = lo + factor * (hi - lo)
-            fhi = fn(hi)
-        else:
+        if expand != "down":
             raise NoConvergence(
                 f"no sign change for {what} on bracket [{lo!r}, {hi!r}]"
             )
+        lo = hi - 2.0 * (hi - lo)
+        flo = fn(lo)
         n_expand += 1
-        if n_expand > max_expand:
+        if n_expand > _MAX_EXPAND:
             raise NoConvergence(
-                f"bracket expansion for {what} exhausted after {max_expand} "
+                f"bracket expansion for {what} exhausted after {_MAX_EXPAND} "
                 f"steps; last bracket [{lo!r}, {hi!r}]"
             )
     if flo == 0.0:

@@ -39,7 +39,6 @@ __all__ = [
     "ids",
     "ids_limit",
     "ids_bounds",
-    "unit_box_gap_values",
     "suggest_energy_cutoff",
     "exponential_tail_integral",
     "log_power_sums",
@@ -339,51 +338,6 @@ def ids_bounds(geometry: BoxGeometry, eta: float) -> tuple[float, float]:
     return (lower, upper)
 
 
-def _unit_gap_shift(d: int, convention: str):
-    if d not in (1, 2, 3):
-        raise DomainError(f"dimension must be 1, 2 or 3, got {d!r}")
-    if convention == "relative":
-        # gap = (pi^2/2) (sum n_j^2 - d)
-        return lambda n: n.astype(float) ** 2 - 1.0
-    if convention == "printed":
-        # gap = (pi^2/2) sum (n_j - 1)^2
-        return lambda n: (n.astype(float) - 1.0) ** 2
-    raise DomainError(f"unknown gap convention {convention!r}")
-
-
-def unit_box_gap_values(
-    d: int,
-    gap_max: float,
-    *,
-    min_index: int = 1,
-    convention: str = "relative",
-    budget: int = DEFAULT_MODE_BUDGET,
-) -> np.ndarray:
-    """All unit-box gap values <= gap_max (with multiplicity), sorted.
-
-    ``min_index`` restricts every quantum number to n_j >= min_index; the
-    fluctuation-sum oracle of the tests uses min_index=2. CutoffTooLarge
-    before a grid of more than ``budget`` values is formed.
-    """
-    if gap_max < 0.0:
-        raise DomainError(f"gap must be nonnegative, got {gap_max!r}")
-    per_axis = _unit_gap_shift(d, convention)
-    budget_u = gap_max / (0.5 * math.pi**2)
-    n_hi = int(math.floor(math.sqrt(budget_u + float(min_index) ** 2))) + 2
-    u = per_axis(np.arange(min_index, n_hi + 1, dtype=np.int64))
-    u = u[u <= budget_u + 1e-15]
-    vals = u
-    for _ in range(d - 1):
-        if len(vals) * len(u) > budget:
-            raise CutoffTooLarge(
-                f"unit-box enumeration grid {len(vals)} x {len(u)} exceeds budget {budget}"
-            )
-        # sums of integers: exact, so the order of the axes does not matter
-        vals = (vals[:, None] + u[None, :]).ravel()
-        vals = vals[vals <= budget_u + 1e-15]
-    return np.sort(vals) * (0.5 * math.pi**2)
-
-
 def exponential_tail_integral(geometry: BoxGeometry, beta: float, eta_max: float) -> float:
     """Per-volume bound on integral of exp(-beta eta) above eta_max.
 
@@ -408,15 +362,14 @@ def suggest_energy_cutoff(
     beta: float,
     *,
     tail_tol: float = 1e-12,
-    eta_start: float = 1.0,
 ) -> float:
     """Smallest convenient E_max whose exponential-weight tail is below tail_tol.
 
     The tail is measured per volume against the counting upper envelope with
     weight exp(-beta eta); monotone weights bounded by it inherit the bound.
-    Doubles the gap cutoff until the target is met.
+    Doubles the gap cutoff, from 1, until the target is met.
     """
-    eta = float(eta_start)
+    eta = 1.0
     for _ in range(200):
         if exponential_tail_integral(geometry, beta, eta) < tail_tol:
             # refine downward a little so cutoffs do not balloon

@@ -4,8 +4,12 @@ One canonical build on the box geometry and one moderately deep listing of
 its spectrum (for oracles that sum over listed modes) are reused by several
 test files; both are session scoped because the canonical recursion is the
 only genuinely expensive setup in the suite. ``index_of`` and ``gaps`` look
-a mode's row and the gaps up in such a listing for those oracles.
+a mode's row and the gaps up in such a listing for those oracles, and
+``unit_box_gap_values`` lists the unit-box lattice gaps that the
+fluctuation sums g_d run over.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -69,3 +73,37 @@ def index_of(table, mode) -> int:
 def gaps(table) -> np.ndarray:
     """Energies of a spectrum table above its ground level."""
     return table.energies - table.ground_energy
+
+
+def _unit_gap_shift(d: int, convention: str):
+    if d not in (1, 2, 3):
+        raise DomainError(f"dimension must be 1, 2 or 3, got {d!r}")
+    if convention == "relative":
+        # gap = (pi^2/2) (sum n_j^2 - d)
+        return lambda n: n.astype(float) ** 2 - 1.0
+    if convention == "printed":
+        # gap = (pi^2/2) sum (n_j - 1)^2
+        return lambda n: (n.astype(float) - 1.0) ** 2
+    raise DomainError(f"unknown gap convention {convention!r}")
+
+
+def unit_box_gap_values(d, gap_max, *, min_index=1, convention="relative") -> np.ndarray:
+    """All gap values <= gap_max of the d-dimensional unit box (with
+    multiplicity), sorted.
+
+    ``min_index`` restricts every quantum number to n_j >= min_index; the
+    fluctuation sums g_d run over min_index=2.
+    """
+    if gap_max < 0.0:
+        raise DomainError(f"gap must be nonnegative, got {gap_max!r}")
+    per_axis = _unit_gap_shift(d, convention)
+    budget_u = gap_max / (0.5 * math.pi**2)
+    n_hi = int(math.floor(math.sqrt(budget_u + float(min_index) ** 2))) + 2
+    u = per_axis(np.arange(min_index, n_hi + 1, dtype=np.int64))
+    u = u[u <= budget_u + 1e-15]
+    vals = u
+    for _ in range(d - 1):
+        # sums of integers: exact, so the order of the axes does not matter
+        vals = (vals[:, None] + u[None, :]).ravel()
+        vals = vals[vals <= budget_u + 1e-15]
+    return np.sort(vals) * (0.5 * math.pi**2)

@@ -178,6 +178,23 @@ def test_transform_pole_exits_three(capsys):
     assert "PoleProximity" in err
 
 
+def test_series_m_sets_only_the_ladder_gaps_checked_for_poles(capsys):
+    """cutoffs.series_M enters no printed value; it sets how many ladder
+    gaps eta_{m,n}, m <= series_M, the PoleProximity check covers."""
+    base = ("limits", "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+            "--override", "ladder_count=2")
+    short = run_cli(capsys, *base, "--override", "cutoffs.series_M=2")
+    full = run_cli(capsys, *base, "--override", "cutoffs.series_M=1000")
+    assert short[0] == full[0] == 0, full[2]
+    assert short[1] == full[1]
+    on_gap = ("--override", f"lambda_grid=[{4.0 * math.pi**2!r}]")  # eta_{3,1}
+    code, _, err = run_cli(capsys, *base, *on_gap, "--override", "cutoffs.series_M=2")
+    assert code == 0, err
+    code, _, err = run_cli(capsys, *base, *on_gap, "--override", "cutoffs.series_M=3")
+    assert code == 3
+    assert "PoleProximity" in err
+
+
 def test_fluct_needs_fast_gap_regime(capsys):
     code, _, err = run_cli(
         capsys, "fluct", "--override", "geometry.alphas=[0.5, 0.3, 0.2]"
@@ -302,7 +319,7 @@ def test_fluct_lists_no_lattice_gaps(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fluct listed lattice gaps")
 
-    monkeypatch.setattr(bosebox.spectrum, "unit_box_gap_values", refuse)
+    monkeypatch.setattr(bosebox.spectrum, "unit_box_gap_values", refuse, raising=False)
     monkeypatch.setattr(bosebox.limits, "unit_box_gap_values", refuse, raising=False)
     code, out, err = run_cli(
         capsys, "fluct",
@@ -341,7 +358,7 @@ def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta):
 
 @pytest.mark.filterwarnings("error")
 def test_ladder_mode_at_the_truncation_prints_no_warnings(capsys):
-    # the truncated product of mode (600,1,1) at M = 600 leaves the double range
+    # mode (600,1,1) at M = 600, the last entry of its gap table
     code, out, err = run_cli(
         capsys, "limits",
         "--override", "geometry.alphas=[0.5, 0.3, 0.2]",

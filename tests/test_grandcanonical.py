@@ -17,11 +17,11 @@ from bosebox import (
     classify,
     critical_density,
     enumerate_below,
-    gc_density,
     gc_laplace_finite,
     gc_laplace_limit,
     gc_occupation_limit,
     grand_partition_log,
+    ground_energy,
     limiting_mu_bar,
     mean_occupation,
     solve_ladder_coefficient,
@@ -48,6 +48,15 @@ def small_table():
 def table_density(table, mu, beta):
     """Brute-force density: the Bose weights of every listed mode, per volume."""
     return float(np.sum(1.0 / np.expm1(beta * (table.energies - mu)))) / table.geometry.volume
+
+
+def gc_density(geometry, mu, beta):
+    """Grand-canonical particle density (1/V) sum_n 1/(exp(beta(E_n - mu)) - 1)
+    from the power-sum series: the function whose root solve_mu finds."""
+    ground = ground_energy(geometry)
+    grandcanonical._check_mu(ground, mu)
+    excited, _ = grandcanonical._excited_sum(geometry, beta, mu - ground)
+    return (grandcanonical._bose(beta * (ground - mu)) + excited) / geometry.volume
 
 
 def table_log_xi(table, mu, beta):

@@ -27,9 +27,8 @@ from bosebox.spectrum import (
     _gamma_upper_32,
     exponential_tail_integral,
     log_power_sums,
-    unit_box_gap_values,
 )
-from conftest import gaps, index_of
+from conftest import gaps, index_of, unit_box_gap_values
 
 
 # ---------------------------------------------------------------- geometry

@@ -1,10 +1,13 @@
-"""The library holds no code that only the tests call.
+"""The library holds no code and no option that only the tests use.
 
 Every module-level function or class in ``src/bosebox`` must be read by
-some other code of the library or the command line; ``__init__`` re-exports
-do not count. A result that only a test checks against belongs in that test
-file as its oracle. The keep-list names the few public entry points that
-nothing in the library calls, each with the reason it stays.
+some other code of the library or the command line, and every keyword-only
+parameter of a module-level function must be passed by name by some call
+in it; ``__init__`` re-exports do not count. A result that only a test
+checks against belongs in that test file as its oracle, and a setting that
+only a test changes is a constant. The keep-lists name the few public
+entry points and options that nothing in the library uses, each with the
+reason it stays.
 """
 
 import ast
@@ -18,19 +21,28 @@ KEEP = {
     "occupation_pmf": "AC2 compares it with the exhaustive small-system oracle",
     "gc_laplace_finite": "AC7 compares it with the slow-gap limit",
     "axis_curvature_at_zero": "AC9 compares the second difference of g_1 at 0 with it",
-    "gc_density": "perfbench traces it by name as the grand-canonical density",
-    "unit_box_gap_values": "perfbench traces it by name as the lattice gap listing",
 }
+
+KEEP_OPTIONS = {
+    "build_canonical(volume=)": "only level-list tables take a volume, and only "
+    "tests build them (AC2)",
+    "limiting_kac_transform(convention=)": 'the tests use "normalized" as the '
+    "regime-II target",
+}
+
+
+def _modules():
+    """(file name, parsed module) of every file of the package."""
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
 def test_every_library_definition_has_a_library_caller():
     defs, referenced = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for name, tree in _modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[node.name] = path.name
-        if path.name == "__init__.py":
+                defs[node.name] = name
+        if name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -45,3 +57,27 @@ def test_every_library_definition_has_a_library_caller():
     assert uncalled == []
     # a keep-list entry that is gone, or has since gained a caller, is stale
     assert sorted(n for n in KEEP if n not in defs or n in referenced) == []
+
+
+def test_every_keyword_option_is_passed_by_the_library():
+    options, passed = {}, set()
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in node.args.kwonlyargs:
+                    options[f"{node.name}({arg.arg}=)"] = name
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                passed.update(f"{callee}({kw.arg}=)" for kw in node.keywords if kw.arg)
+    unset = sorted(
+        f"{module}:{option}"
+        for option, module in options.items()
+        if option not in passed and option not in KEEP_OPTIONS
+    )
+    assert unset == []
+    # a keep-list entry that is gone, or is now passed, is stale
+    assert sorted(o for o in KEEP_OPTIONS if o not in options or o in passed) == []
