@@ -61,17 +61,14 @@ from .kac import (
 )
 from .limits import (
     FluctuationCase,
-    GapCoefficients,
     axis_curvature_at_zero,
     canonical_laplace_typeII,
-    canonical_laplace_typeIII,
     canonical_limit_typeI,
     fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,
     g_with_budget,
-    gap_coefficients,
     occupation_limit_typeII,
     rho_c_finite,
 )

@@ -51,13 +51,11 @@ from .canonical import (
 from .kac import decomposition_check, kac_weights, limiting_kac_transform
 from .limits import (
     canonical_laplace_typeII,
-    canonical_laplace_typeIII,
     canonical_limit_typeI,
     fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_with_budget,
-    gap_coefficients,
     law_weights,
     occupation_limit_typeII,
 )
@@ -254,8 +252,15 @@ def _particle_number(cfg: dict, volume: float) -> int:
     return n
 
 
-def _echo(cfg: dict, geom: BoxGeometry) -> dict:
-    return {
+def _row_builder(cfg: dict, geom: BoxGeometry, *columns: str):
+    """Rows of one command: the inputs they were computed from, then
+    ``columns`` in order.
+
+    The builder takes each cell by column name and leaves the unset ones
+    "". A name of an echoed input (the volume of a sweep row) replaces that
+    input in its place.
+    """
+    echo = {
         "alpha1": geom.alpha[0],
         "alpha2": geom.alpha[1],
         "alpha3": geom.alpha[2],
@@ -263,6 +268,8 @@ def _echo(cfg: dict, geom: BoxGeometry) -> dict:
         "beta": float(cfg["beta"]),
         "rho": float(cfg["rho"]),
     }
+    blank = dict.fromkeys(columns, "")
+    return lambda **cells: {**echo, **blank, **cells}
 
 
 def _listing_cutoff(geom: BoxGeometry, e_max: float, mode_budget: int) -> float:
@@ -288,7 +295,6 @@ def _listing_cutoff(geom: BoxGeometry, e_max: float, mode_budget: int) -> float:
 
 def cmd_spectrum(cfg: dict) -> list[dict]:
     geom = _geometry(cfg)
-    echo = _echo(cfg, geom)
     e_max = cfg["cutoffs"]["e_max"]
     if e_max is None:
         e_max = suggest_energy_cutoff(
@@ -306,16 +312,14 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
             file=sys.stderr,
         )
     regime = classify(geom)
-
-    def row(quantity, value, label="", n=("", "", ""), eta=""):
-        return {**echo, "quantity": quantity, "label": label, "n1": n[0],
-                "n2": n[1], "n3": n[2], "eta": eta, "value": value,
-                "error_budget": 0.0}
-
-    rows = [row("regime", regime.gamma, label=f"{regime.condensation}/{regime.symmetry}")]
-    for m, e in zip(table.modes[:SPECTRUM_ROWS].tolist(),
-                    table.energies[:SPECTRUM_ROWS].tolist()):
-        rows.append(row("eigenvalue", e, n=m))
+    row = _row_builder(cfg, geom, "quantity", "label", "n1", "n2", "n3",
+                       "eta", "value", "error_budget")
+    rows = [row(quantity="regime", label=f"{regime.condensation}/{regime.symmetry}",
+                value=regime.gamma, error_budget=0.0)]
+    for (n1, n2, n3), e in zip(table.modes[:SPECTRUM_ROWS].tolist(),
+                               table.energies[:SPECTRUM_ROWS].tolist()):
+        rows.append(row(quantity="eigenvalue", n1=n1, n2=n2, n3=n3, value=e,
+                        error_budget=0.0))
     for eta in cfg["eta_grid"]:
         eta = float(eta)
         lower, upper = ids_bounds(geom, eta)
@@ -325,7 +329,7 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
             ("ids_lower", lower),
             ("ids_upper", upper),
         ):
-            rows.append(row(name, value, eta=eta))
+            rows.append(row(quantity=name, eta=eta, value=value, error_budget=0.0))
     return rows
 
 
@@ -340,61 +344,62 @@ def _solve_mu(cfg: dict, geom: BoxGeometry):
     )
 
 
-def _row(echo: dict, quantity: str, value, budget, lam="") -> dict:
-    return {**echo, "quantity": quantity, "lam": lam, "value": value,
-            "error_budget": budget}
-
-
 def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
-    echo = _echo(cfg, geom)
+    row = _row_builder(cfg, geom, "quantity", "lam", "value", "error_budget")
     rc = critical_density(beta)
     sol = _solve_mu(cfg, geom)
     mode = tuple(int(v) for v in cfg["mode"])
     occupation = mean_occupation(geom, sol.mu_bar, mode, beta)
     rows = [
-        _row(echo, "rho_c", rc.value, rc.roundoff),
-        _row(echo, "mu", sol.mu, sol.residual),
-        _row(echo, "mu_bar", sol.mu_bar, sol.residual),
-        _row(echo, "density_residual", sol.residual, sol.tail_bound),
-        _row(echo, "mode_occupation", occupation, sol.tail_bound),
+        row(quantity="rho_c", value=rc.value, error_budget=rc.roundoff),
+        row(quantity="mu", value=sol.mu, error_budget=sol.residual),
+        row(quantity="mu_bar", value=sol.mu_bar, error_budget=sol.residual),
+        row(quantity="density_residual", value=sol.residual, error_budget=sol.tail_bound),
+        row(quantity="mode_occupation", value=occupation, error_budget=sol.tail_bound),
     ]
     if rho <= rc.value:
-        rows.append(_row(echo, "mu_bar_limit", limiting_mu_bar(rho, beta), rc.roundoff))
+        rows.append(row(quantity="mu_bar_limit", value=limiting_mu_bar(rho, beta),
+                        error_budget=rc.roundoff))
         return rows
     regime = classify(geom)
     if regime.condensation == "II":
         ladder = solve_ladder_coefficient(rho, rc.value, beta=beta)
-        rows.append(_row(echo, "ladder_coefficient", ladder.value, ladder.residual))
-    rows.append(_row(echo, "condensate_limit",
-                     gc_occupation_limit(regime, rho, mode, beta), rc.roundoff))
+        rows.append(row(quantity="ladder_coefficient", value=ladder.value,
+                        error_budget=ladder.residual))
+    condensate = gc_occupation_limit(regime, rho, mode, beta)
+    rows.append(row(quantity="condensate_limit", value=condensate, error_budget=rc.roundoff))
     for lam in cfg["lambda_grid"]:
         value = gc_laplace_limit(regime, rho, mode, float(lam), beta)
-        rows.append(_row(echo, "laplace_limit", value, rc.roundoff, lam=float(lam)))
+        rows.append(row(quantity="laplace_limit", lam=float(lam), value=value,
+                        error_budget=rc.roundoff))
     return rows
 
 
 def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
-    echo = _echo(cfg, geom)
+    row = _row_builder(cfg, geom, "quantity", "lam", "value", "error_budget")
     n = _particle_number(cfg, geom.volume)
     ct = build_canonical(geom, beta, n)
     mode = tuple(int(v) for v in cfg["mode"])
     roundoff = 4e-16 * n
     mean = occupation_moment(ct, mode, n, 1)
     rows = [
-        _row(echo, "particle_number", float(n), 0.0),
-        _row(echo, "occupation_mean", mean, roundoff),
-        _row(echo, "occupation_second_moment", occupation_moment(ct, mode, n, 2), roundoff),
-        _row(echo, "occupation_density", mean / geom.volume, roundoff),
-        _row(echo, "condensate_share", generalized_condensate(ct, n, 0.05), roundoff),
+        row(quantity="particle_number", value=float(n), error_budget=0.0),
+        row(quantity="occupation_mean", value=mean, error_budget=roundoff),
+        row(quantity="occupation_second_moment", value=occupation_moment(ct, mode, n, 2),
+            error_budget=roundoff),
+        row(quantity="occupation_density", value=mean / geom.volume, error_budget=roundoff),
+        row(quantity="condensate_share", value=generalized_condensate(ct, n, 0.05),
+            error_budget=roundoff),
     ]
     for lam in cfg["lambda_grid"]:
         value = occupation_laplace(ct, mode, n, float(lam))
-        rows.append(_row(echo, "occupation_laplace", value, roundoff, lam=float(lam)))
+        rows.append(row(quantity="occupation_laplace", lam=float(lam), value=value,
+                        error_budget=roundoff))
     return rows
 
 
@@ -402,7 +407,8 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
-    echo = _echo(cfg, geom)
+    row = _row_builder(cfg, geom, "quantity", "lam", "lhs", "rhs", "value",
+                       "error_budget")
     sol = _solve_mu(cfg, geom)
     rc = critical_density(beta).value
     n_max = _mixture_n_max(cfg, rho, rc, geom.volume)
@@ -411,24 +417,18 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     mass = float(kw.weights.sum())
     mode = tuple(int(v) for v in cfg["mode"])
     rows = [
-        {**echo, "quantity": "weight_mass", "lam": "", "lhs": "", "rhs": "",
-         "value": mass, "error_budget": kw.tail_bound},
-        {**echo, "quantity": "weight_cutoff", "lam": "", "lhs": "", "rhs": "",
-         "value": float(kw.n_cut), "error_budget": kw.tail_bound},
+        row(quantity="weight_mass", value=mass, error_budget=kw.tail_bound),
+        row(quantity="weight_cutoff", value=float(kw.n_cut), error_budget=kw.tail_bound),
     ]
     regime = classify(geom)
     for lam in cfg["lambda_grid"]:
         lam = float(lam)
         lhs, rhs, budget = decomposition_check(ct, sol.mu, mode, lam)
-        rows.append(
-            {**echo, "quantity": "decomposition", "lam": lam, "lhs": lhs,
-             "rhs": rhs, "value": abs(lhs - rhs), "error_budget": 1e-10 + budget}
-        )
-        rows.append(
-            {**echo, "quantity": "limit_transform", "lam": lam, "lhs": "",
-             "rhs": "", "value": limiting_kac_transform(regime, rho, lam, beta),
-             "error_budget": kw.tail_bound}
-        )
+        rows.append(row(quantity="decomposition", lam=lam, lhs=lhs, rhs=rhs,
+                        value=abs(lhs - rhs), error_budget=1e-10 + budget))
+        rows.append(row(quantity="limit_transform", lam=lam,
+                        value=limiting_kac_transform(regime, rho, lam, beta),
+                        error_budget=kw.tail_bound))
     return rows
 
 
@@ -445,60 +445,60 @@ def _mixture_n_max(cfg: dict, rho: float, rho_c: float, volume: float) -> int:
     return n_max
 
 
-def _limit_row(echo: dict, quantity: str, n, lam, canonical, grand, difference,
-               budget) -> dict:
-    return {**echo, "quantity": quantity, "n": n, "lam": lam,
-            "canonical_value": canonical, "grand_value": grand,
-            "difference": difference, "error_budget": budget}
-
-
 def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
+    """Canonical and grand-canonical limit laws side by side.
+
+    Every value comes from the library's one implementation of its law, and
+    ``difference`` is |canonical_value - grand_value|. Where the two
+    ensembles share a law (the regime-I condensate density, every regime-III
+    row) both columns print it.
+    """
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
-    echo = _echo(cfg, geom)
+    row = _row_builder(cfg, geom, "quantity", "n", "lam", "canonical_value",
+                       "grand_value", "difference", "error_budget")
     regime = classify(geom)
     rc = critical_density(beta).value
     if rho <= rc:
-        return [_limit_row(echo, "mu_bar_limit", "", "", "", limiting_mu_bar(rho, beta),
-                           "", 0.0)]
+        return [row(quantity="mu_bar_limit", grand_value=limiting_mu_bar(rho, beta),
+                    error_budget=0.0)]
+
+    def pair(quantity, n, lam, canonical, grand, budget):
+        return row(quantity=quantity, n=n, lam=lam, canonical_value=canonical,
+                   grand_value=grand, difference=abs(canonical - grand),
+                   error_budget=budget)
+
     mode = tuple(int(v) for v in cfg["mode"])
     lams = [float(lam) for lam in cfg["lambda_grid"]]
     if regime.condensation == "I":
-        rows = [_limit_row(echo, "condensate", 1, "",
-                           canonical_limit_typeI(mode, 0.0, rho, rc, quantity="mean"),
-                           gc_occupation_limit(regime, rho, mode, beta), 0.0, 0.0)]
+        mean = gc_occupation_limit(regime, rho, mode, beta)
+        rows = [pair("condensate", mode[0], "", mean, mean, 0.0)]
         for lam in lams:
             ce = canonical_limit_typeI(mode, lam, rho, rc)
             gc = gc_laplace_limit(regime, rho, mode, lam, beta)
-            rows.append(_limit_row(echo, "laplace", mode[0], lam, ce, gc, abs(ce - gc), 0.0))
+            rows.append(pair("laplace", mode[0], lam, ce, gc, 0.0))
         return rows
     if regime.condensation == "III":
         rows = []
         for lam in lams:
-            ce = canonical_laplace_typeIII(mode, lam, rho, rc, beta)
-            gc = gc_laplace_limit(regime, rho, mode, lam, beta)
-            rows.append(
-                _limit_row(echo, "laplace_scaled", mode[0], lam, ce, gc, abs(ce - gc), 0.0)
-            )
-        rows.append(_limit_row(echo, "scaled_mean", mode[0], "", 2.0 * (rho - rc) ** 2,
-                               gc_occupation_limit(regime, rho, mode, beta), 0.0, 0.0))
+            law = gc_laplace_limit(regime, rho, mode, lam, beta)
+            rows.append(pair("laplace_scaled", mode[0], lam, law, law, 0.0))
+        mean = gc_occupation_limit(regime, rho, mode, beta)
+        rows.append(pair("scaled_mean", mode[0], "", mean, mean, 0.0))
         return rows
-    # critical ladder: canonical and grand-canonical side by side
-    ladder = solve_ladder_coefficient(rho, rc, beta=beta)
+    # critical ladder: the canonical and grand-canonical laws differ
+    residual = solve_ladder_coefficient(rho, rc, beta=beta).residual
     series_m = int(cfg["cutoffs"]["series_M"])
     rows = []
     for n in range(1, int(cfg["ladder_count"]) + 1):
-        ce = occupation_limit_typeII(n, rho, rc, gap_coefficients(n, series_m, beta))
-        gc = 1.0 / (0.5 * math.pi**2 * (n * n - 1.0) + 1.0 / ladder.value)
-        rows.append(_limit_row(echo, "ladder_occupation", n, "", ce, gc, abs(ce - gc),
-                               ladder.residual))
-    coeffs = gap_coefficients(mode[0], series_m, beta)
+        ce = occupation_limit_typeII(n, rho, rc, beta)
+        gc = gc_occupation_limit(regime, rho, (n, 1, 1), beta)
+        rows.append(pair("ladder_occupation", n, "", ce, gc, residual))
     for lam in lams:
-        ce = canonical_laplace_typeII(mode[0], lam, rho, rc, coeffs)
+        ce = canonical_laplace_typeII(mode[0], lam, rho, rc, beta, series_m)
         gc = gc_laplace_limit(regime, rho, mode, lam, beta)
-        rows.append(_limit_row(echo, "laplace", mode[0], lam, ce, gc, abs(ce - gc),
-                               ladder.residual))
+        rows.append(pair("laplace", mode[0], lam, ce, gc, residual))
     return rows
 
 
@@ -506,7 +506,8 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
-    echo = _echo(cfg, geom)
+    row = _row_builder(cfg, geom, "quantity", "lam", "value", "limit", "gap",
+                       "error_budget")
     case = fluctuation_case(geom)
     if case.gamma <= 0.0:
         raise ConfigError(
@@ -519,17 +520,11 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
         lam = float(lam)
         gs = [g_with_budget(d, lam, beta) for d in (1, 2, 3)]
         for d, (value, budget) in enumerate(gs, start=1):
-            rows.append(
-                {**echo, "quantity": f"g{d}", "lam": lam, "value": value,
-                 "limit": "", "gap": "", "error_budget": budget}
-            )
+            rows.append(row(quantity=f"g{d}", lam=lam, value=value, error_budget=budget))
         law = fluctuation_law(case, lam, beta, sums=[g for g, _ in gs])
         # exp(g + e) - exp(g) = exp(g) expm1(e): the exponent's budget on the law
         spread = math.expm1(sum(w * b for w, (_, b) in zip(weights, gs)))
-        rows.append(
-            {**echo, "quantity": "law", "lam": lam, "value": law,
-             "limit": "", "gap": "", "error_budget": law * spread}
-        )
+        rows.append(row(quantity="law", lam=lam, value=law, error_budget=law * spread))
     sweep = cfg["geometry"]["volume_sweep"]
     if sweep:
         tables = []
@@ -538,12 +533,10 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
             n = _particle_number(cfg, g_v.volume)
             tables.append(build_canonical(g_v, beta, n))
         for lam in cfg["lambda_grid"]:
-            for row in fluctuation_convergence_check(tables, rho, float(lam), case):
-                rows.append(
-                    {**echo, "volume": row.volume, "quantity": "convergence",
-                     "lam": float(lam), "value": row.value, "limit": row.limit,
-                     "gap": row.gap, "error_budget": abs(row.centered_mean)}
-                )
+            for fr in fluctuation_convergence_check(tables, rho, float(lam), case):
+                rows.append(row(volume=fr.volume, quantity="convergence", lam=float(lam),
+                                value=fr.value, limit=fr.limit, gap=fr.gap,
+                                error_budget=abs(fr.centered_mean)))
     return rows
 
 

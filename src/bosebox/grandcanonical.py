@@ -34,7 +34,6 @@ from .spectrum import (
     DEFAULT_MODE_BUDGET,
     BoxGeometry,
     RegimeLabel,
-    classify,
     eigenvalue,
     ground_energy,
     log_power_sums,
@@ -88,7 +87,6 @@ _FIRST_SERIES = 1 << 17
 class CriticalDensity:
     """Saturation density at inverse temperature beta."""
 
-    beta: float
     value: float
     roundoff: float
 
@@ -98,23 +96,17 @@ class GcSolution:
     """Chemical potential solving the density equation at one volume."""
 
     mu: float
-    rho: float
     residual: float
-    regime: RegimeLabel
     mu_bar: float
     tail_bound: float
-    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class LadderCoefficient:
     """Root of the self-consistent ladder equation in the critical regime."""
 
-    rho: float
     value: float
-    truncation: int
     residual: float
-    excess: float
 
 
 def _check_mu(ground: float, mu: float) -> None:
@@ -267,19 +259,16 @@ def solve_mu(
         )
     excited, tail = _excited_sum(geometry, beta, mu_bar, excess)
     residual = abs((_bose(-beta * mu_bar) + excited) / volume - rho)
-    bracket = (mu_bar_of(lo), mu_bar_of(hi))
     if residual > tol * rho:
+        bracket = (mu_bar_of(lo), mu_bar_of(hi))
         raise NoConvergence(
             f"density residual {residual!r} exceeds {tol * rho!r} on bracket {bracket!r}"
         )
     return GcSolution(
         mu=ground_energy(geometry) + mu_bar,
-        rho=rho,
         residual=residual,
-        regime=classify(geometry),
         mu_bar=mu_bar,
         tail_bound=tail / volume,
-        bracket=bracket,
     )
 
 
@@ -299,7 +288,7 @@ def critical_density(beta: float) -> CriticalDensity:
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     value = _ZETA_32 * (2.0 * math.pi * beta) ** -1.5
-    return CriticalDensity(beta=beta, value=value, roundoff=8.0 * math.ulp(value))
+    return CriticalDensity(value=value, roundoff=8.0 * math.ulp(value))
 
 
 def limiting_mu_bar(rho: float, beta: float) -> float:
@@ -383,9 +372,7 @@ def _ladder_coefficient(rho, rho_c, truncation, tol, beta) -> LadderCoefficient:
         raise NoConvergence(
             f"ladder equation residual {residual!r} exceeds {tol!r} at M={m}"
         )
-    return LadderCoefficient(
-        rho=rho, value=float(root), truncation=m, residual=residual, excess=excess
-    )
+    return LadderCoefficient(value=float(root), residual=residual)
 
 
 def _is_ladder(mode: tuple[int, int, int]) -> bool:

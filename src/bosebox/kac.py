@@ -42,15 +42,12 @@ _TAIL_TARGET = 1e-12
 class KacWeights:
     """Mixture weights over particle number at one chemical potential."""
 
-    mu: float
     weights: np.ndarray = field(repr=False)
-    log_weights: np.ndarray = field(repr=False)
     tail_bound: float
     n_cut: int
 
     def __post_init__(self):
         self.weights.setflags(write=False)
-        self.log_weights.setflags(write=False)
 
 
 def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
@@ -94,11 +91,8 @@ def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
             f"weights reach tail bound {tail!r} at n_max={ct.n_max}, "
             f"target {_TAIL_TARGET!r}"
         )
-    log_w = log_w[: n_cut + 1]
     return KacWeights(
-        mu=mu,
-        weights=np.exp(log_w),
-        log_weights=log_w,
+        weights=np.exp(log_w[: n_cut + 1]),
         tail_bound=tail + abs(math.expm1(xi_tail)),
         n_cut=n_cut,
     )

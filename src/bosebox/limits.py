@@ -1,4 +1,11 @@
-"""Limit laws of single-mode occupations and ground-state fluctuations.
+"""Canonical limit laws of single-mode occupations, and ground-state fluctuations.
+
+Each infinite-volume law has one implementation. The grand-canonical ones
+(gc_occupation_limit, gc_laplace_limit in grandcanonical) serve the
+canonical ensemble too where the two agree: the fast-gap condensate density
+and the whole slow-gap regime. Only the canonical laws that differ are
+here: the sharp fast-gap ground occupation (canonical_limit_typeI) and the
+critical ladder (occupation_limit_typeII, canonical_laplace_typeII).
 
 Critical-anisotropy ladder (largest exponent exactly 1/2): the canonical
 occupation of ladder mode (n,1,1) has an explicit limit, a series over the
@@ -25,7 +32,7 @@ theta sum that the power sums read, not a listing of lattice gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +43,11 @@ from .spectrum import BoxGeometry, _log_theta_shifted, classify
 from .grandcanonical import _excited_sum
 
 __all__ = [
-    "GapCoefficients",
     "FluctuationCase",
     "fluctuation_case",
-    "gap_coefficients",
     "occupation_limit_typeII",
     "canonical_laplace_typeII",
     "canonical_limit_typeI",
-    "canonical_laplace_typeIII",
     "g_function",
     "g_with_budget",
     "axis_curvature_at_zero",
@@ -53,44 +57,6 @@ __all__ = [
     "fluctuation_convergence_check",
     "FluctuationRow",
 ]
-
-
-@dataclass(frozen=True)
-class GapCoefficients:
-    """One-dimensional gaps of the ladder seen from mode n.
-
-    ``etas[m-1]`` = beta (eps_m - eps_n) with eps_m = pi^2 m^2 / 2, for
-    m = 1..``truncation``; the entry at m = n is 0. The limit values use
-    only ``n`` and ``beta``. The gaps are the apparent poles of the ladder
-    series, which canonical_laplace_typeII refuses to sit on, so
-    ``truncation`` sets only how many of them it checks.
-    """
-
-    n: int
-    truncation: int
-    beta: float
-    etas: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.etas.setflags(write=False)
-
-
-def gap_coefficients(n: int, truncation: int, beta: float) -> GapCoefficients:
-    """Build the ladder gaps of mode n up to m = truncation."""
-    n = int(n)
-    m_top = int(truncation)
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    if n < 1 or m_top < max(2, n):
-        raise DomainError(
-            f"need 1 <= n <= truncation and truncation >= 2, got n={n}, M={m_top}"
-        )
-    m = np.arange(1, m_top + 1, dtype=float)
-    eps = 0.5 * math.pi**2 * m * m
-    # at a huge beta the top gaps overflow to inf, as the ladder's do
-    with np.errstate(over="ignore"):
-        etas = beta * (eps - 0.5 * math.pi**2 * n * n)
-    return GapCoefficients(n=n, truncation=m_top, beta=beta, etas=etas)
 
 
 def _log_theta(x):
@@ -146,42 +112,53 @@ def _log_integral_one_minus_tn(
     return sum_exp(logs, log=True)
 
 
-def occupation_limit_typeII(
-    n: int, rho: float, rho_c: float, coeffs: GapCoefficients
-) -> float:
+def _check_ladder_mode(n: int, beta: float) -> None:
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta!r}")
+    if n < 1:
+        raise DomainError(f"ladder mode n must be at least 1, got n={n}")
+
+
+def occupation_limit_typeII(n: int, rho: float, rho_c: float, beta: float) -> float:
     """Limiting canonical occupation density of ladder mode (n,1,1).
 
     Equals integral_0^(rho-rho_c) (1 - T_n) ds normalized by (1 - T_n) at
     the excess itself; 0 at or below saturation. Integrand and normalizer
     share one sign, so the ratio is evaluated in the log domain.
     """
-    if n != coeffs.n:
-        raise DomainError(f"coefficients were built for n={coeffs.n}, got {n}")
+    _check_ladder_mode(n, beta)
     delta = rho - rho_c
     if delta <= 0.0:
         return 0.0
-    log_num = _log_integral_one_minus_tn(n, coeffs.beta, delta)
-    log_den = _log_one_minus_tn(n, delta, coeffs.beta)
+    log_num = _log_integral_one_minus_tn(n, beta, delta)
+    log_den = _log_one_minus_tn(n, delta, beta)
     return math.exp(log_num - log_den)
 
 
 def canonical_laplace_typeII(
-    n: int, lam: float, rho: float, rho_c: float, coeffs: GapCoefficients
+    n: int, lam: float, rho: float, rho_c: float, beta: float, truncation: int
 ) -> float:
     """Limiting canonical transform of ladder mode n's occupation density.
 
     1 - lam * integral_0^delta (1-T_n(s)) e^{-lam (delta-s)} ds / (1-T_n(delta))
     with delta = rho - rho_c > 0. The alternating-series representation has
-    apparent poles at the gaps eta_{m,n}; they are removable, but requests
-    within 1e-9 of a tabulated gap raise PoleProximity to honor the series
-    form's domain.
+    apparent poles at the one-dimensional gaps eta_{m,n} = beta (eps_m -
+    eps_n), eps_m = pi^2 m^2 / 2; they are removable, but requests within
+    1e-9 of a gap with m <= ``truncation`` (m != n) raise PoleProximity to
+    honor the series form's domain. ``truncation`` enters no value.
     """
-    if n != coeffs.n:
-        raise DomainError(f"coefficients were built for n={coeffs.n}, got {n}")
+    _check_ladder_mode(n, beta)
+    if truncation < max(2, n):
+        raise DomainError(f"need truncation >= max(2, n), got n={n}, M={truncation}")
     delta = rho - rho_c
     if delta <= 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
-    gaps = np.delete(coeffs.etas, n - 1)  # eta_{n,n} = 0 is no pole
+    m = np.arange(1, truncation + 1, dtype=float)
+    eps = 0.5 * math.pi**2 * m * m
+    # at a huge beta the top gaps overflow to inf, as the ladder's do
+    with np.errstate(over="ignore"):
+        etas = beta * (eps - 0.5 * math.pi**2 * n * n)
+    gaps = np.delete(etas, n - 1)  # eta_{n,n} = 0 is no pole
     if np.any(np.abs(gaps - lam) < 1e-9):
         raise PoleProximity(
             f"lam={lam!r} sits within 1e-9 of a ladder gap; the series "
@@ -189,50 +166,24 @@ def canonical_laplace_typeII(
         )
     if lam == 0.0:
         return 1.0
-    log_g = _log_integral_one_minus_tn(n, coeffs.beta, delta, lam)
-    log_den = _log_one_minus_tn(n, delta, coeffs.beta)
+    log_g = _log_integral_one_minus_tn(n, beta, delta, lam)
+    log_den = _log_one_minus_tn(n, delta, beta)
     return 1.0 - lam * math.exp(log_g - log_den)
 
 
-def canonical_limit_typeI(
-    mode, lam: float, rho: float, rho_c: float, *, quantity: str = "transform"
-) -> float:
-    """Limiting canonical transform (or mean) in the fast-gap regime.
+def canonical_limit_typeI(mode, lam: float, rho: float, rho_c: float) -> float:
+    """Limiting canonical transform in the fast-gap regime.
 
     Above saturation the ground mode carries the whole condensate: the
     occupation-density transform is exp(-lam (rho - rho_c)) on (1,1,1) and
     1 on every other mode; at or below saturation it is 1 (the scaled
-    occupation vanishes). ``quantity="mean"`` returns the density itself.
+    occupation vanishes). The mean of that law, rho - rho_c on (1,1,1) and
+    0 elsewhere, is the grand-canonical one of gc_occupation_limit; the
+    transforms differ, since the grand-canonical ground occupation is
+    exponentially distributed rather than sharp.
     """
-    m = tuple(int(v) for v in mode)
-    ground = m == (1, 1, 1)
-    excess = max(rho - rho_c, 0.0)
-    if quantity == "mean":
-        return excess if ground else 0.0
-    if quantity != "transform":
-        raise DomainError(f"quantity must be 'transform' or 'mean', got {quantity!r}")
-    return math.exp(-lam * excess) if ground else 1.0
-
-
-def canonical_laplace_typeIII(
-    mode, lam: float, rho: float, rho_c: float, beta: float = 1.0
-) -> float:
-    """Limiting canonical transform in the slow-gap regime.
-
-    At the scale V**(2(1-a_1)) every ladder mode (n,1,1) has transform
-    1/(1 + 2 lam beta (rho - rho_c)^2); other modes vanish at that scale, so
-    their transform is 1. Requires rho > rho_c.
-    """
-    m = tuple(int(v) for v in mode)
-    delta = rho - rho_c
-    if delta <= 0.0:
-        raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
-    if not (m[1] == 1 and m[2] == 1):
-        return 1.0
-    scale = 2.0 * beta * delta * delta
-    if lam <= -1.0 / scale:
-        raise DomainError(f"lam must exceed {-1.0 / scale!r}, got {lam!r}")
-    return 1.0 / (1.0 + lam * scale)
+    ground = tuple(int(v) for v in mode) == (1, 1, 1)
+    return math.exp(-lam * max(rho - rho_c, 0.0)) if ground else 1.0
 
 
 @dataclass(frozen=True)

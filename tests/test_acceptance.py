@@ -35,7 +35,6 @@ from bosebox.limits import (
     fluctuation_case,
     fluctuation_convergence_check,
     g_function,
-    gap_coefficients,
     occupation_limit_typeII,
 )
 from bosebox.spectrum import BoxGeometry, ids, ids_bounds
@@ -223,10 +222,9 @@ def test_acceptance_06_critical_ladder_occupations(capsys):
     start = time.monotonic()
     limits = {}
     for n in (1, 2, 3):
-        coeffs = gap_coefficients(n, 1000, BETA)
-        limits[n] = occupation_limit_typeII(n, RHO_SUPER, RC, coeffs)
+        limits[n] = occupation_limit_typeII(n, RHO_SUPER, RC, BETA)
     ladder_sum = sum(
-        occupation_limit_typeII(n, RHO_SUPER, RC, gap_coefficients(n, 1000, BETA))
+        occupation_limit_typeII(n, RHO_SUPER, RC, BETA)
         for n in range(1, 51)
     )
     sum_rel = abs(ladder_sum - (RHO_SUPER - RC)) / (RHO_SUPER - RC)

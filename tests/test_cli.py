@@ -345,7 +345,7 @@ def test_gc_at_huge_beta_reports_the_ground_occupation(capsys):
 def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta):
     # the ladder terms overflow here: gc used to warn from numpy and then exit
     # 3 on an OverflowError in the ladder remainder, and limits warned from
-    # gap_coefficients
+    # the table of ladder gaps
     code, out, err = run_cli(
         capsys, command,
         "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
@@ -587,21 +587,36 @@ def test_limits_subcritical_single_row(capsys):
     ],
 )
 def test_limits_rows_per_regime(capsys, alphas, quantity):
-    code, out, _ = run_cli(
-        capsys, "limits", "--format", "json",
-        "--override", f"geometry.alphas={alphas}",
-    )
-    assert code == 0
-    rows = json.loads(out)
-    assert any(r["quantity"] == quantity for r in rows)
-    for r in rows:
-        # the two ensembles' limits genuinely differ above saturation; the
-        # difference column just has to report that gap faithfully
-        if r["quantity"] == "ladder_occupation":
-            assert r["canonical_value"] > 0.0 and r["grand_value"] > 0.0
-            assert r["difference"] == pytest.approx(
-                abs(r["canonical_value"] - r["grand_value"]), abs=1e-15
-            )
+    """Each row's difference is |canonical - grand|, and every ladder and
+    scaled-mean grand value is the condensate limit `bosebox gc` prints for
+    that mode, at beta = 1 and 2, on and off the ladder."""
+
+    def run(command, beta, mode):
+        code, out, err = run_cli(
+            capsys, command, "--format", "json",
+            "--override", f"geometry.alphas={alphas}",
+            "--override", f"beta={beta}", "--override", f"mode={list(mode)}",
+        )
+        assert code == 0, err
+        return json.loads(out)
+
+    def gc_condensate(beta, mode):
+        rows = [r for r in run("gc", beta, mode) if r["quantity"] == "condensate_limit"]
+        return rows[0]["value"]
+
+    for beta in (1.0, 2.0):
+        for mode in ((1, 1, 1), (2, 1, 1), (1, 2, 1)):
+            rows = run("limits", beta, mode)
+            assert any(r["quantity"] == quantity for r in rows)
+            for r in rows:
+                # the two ensembles' limits genuinely differ above saturation;
+                # the difference column has to report that gap faithfully
+                assert r["difference"] == abs(r["canonical_value"] - r["grand_value"])
+                if r["quantity"] == "ladder_occupation":
+                    assert r["canonical_value"] > 0.0 and r["grand_value"] > 0.0
+                    assert r["grand_value"] == gc_condensate(beta, (r["n"], 1, 1))
+                elif r["quantity"] == "scaled_mean":
+                    assert r["grand_value"] == gc_condensate(beta, mode)
 
 
 def test_fluct_law_rows_and_convergence_sweep(capsys):

@@ -23,7 +23,6 @@ from bosebox import (
     solve_mu,
 )
 from bosebox.kac import _ladder_prefactor
-from bosebox.numerics import sum_exp
 
 BETA = 1.0
 
@@ -285,12 +284,13 @@ def _mixture(alphas, volume, rho):
 
 
 def empirical_gap(sol, ct, rho, lam, convention):
-    """|sum_n w_n exp(-lam n/V) - limiting transform| at one volume, and the
-    weights' tail bound."""
+    """|sum_n w_n exp(-lam n/V) - limiting transform| at one volume (lam > 0),
+    and the weights' tail bound."""
     kw = kac_weights(ct, sol.mu)
     n = np.arange(kw.n_cut + 1, dtype=float)
-    empirical = sum_exp(kw.log_weights - lam * n / ct.volume)
-    limit = limiting_kac_transform(sol.regime, rho, lam, BETA, convention=convention)
+    empirical = float(np.sum(kw.weights * np.exp(-lam * n / ct.volume)))
+    regime = classify(ct.geometry)
+    limit = limiting_kac_transform(regime, rho, lam, BETA, convention=convention)
     return abs(empirical - limit), kw.tail_bound
 
 

@@ -1,7 +1,8 @@
 """Tests for the limiting occupation laws and fluctuation transforms.
 
 Oracles used here:
-  * the ladder gaps eta_{m,n} in closed form;
+  * the ladder gap table eta_{m,n}, m = 1..M, built as the ladder transform
+    once took it, which marks the poles the transform must refuse;
   * a high-precision (mpmath) partial sum of the alternating theta series,
     with working precision scaled to survive the small-argument cancellation;
   * the reciprocal-gap product representation of the occupation transform
@@ -25,63 +26,84 @@ import pytest
 from bosebox import limits
 from bosebox.canonical import build_canonical
 from bosebox.errors import DomainError, PoleProximity
+from bosebox.grandcanonical import critical_density, gc_laplace_limit, gc_occupation_limit
 from bosebox.limits import (
     FluctuationCase,
-    GapCoefficients,
     _log_one_minus_tn,
     _log_theta,
     axis_curvature_at_zero,
     canonical_laplace_typeII,
-    canonical_laplace_typeIII,
     canonical_limit_typeI,
     fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,
     g_with_budget,
-    gap_coefficients,
     occupation_limit_typeII,
     rho_c_finite,
 )
 from bosebox.numerics import gauss_panels
-from bosebox.spectrum import BoxGeometry, enumerate_below, suggest_energy_cutoff
+from bosebox.spectrum import BoxGeometry, classify, enumerate_below, suggest_energy_cutoff
 from conftest import gaps, unit_box_gap_values
 
 RC = 0.1658692093130223
 
 
 # ---------------------------------------------------------------------------
-# ladder gap coefficients
+# ladder gaps: the poles of the ladder transform
 
 
-def test_gap_values_and_nan_placeholders():
-    """The gaps eta_{m,n} for m = 1..M; the entry at m = n is the zero gap
-    of the mode itself, a placeholder that is no pole of the transform."""
-    coeffs = gap_coefficients(2, 12, 1.5)
-    m = np.arange(1, 13, dtype=float)
-    assert np.allclose(
-        coeffs.etas, 1.5 * 0.5 * math.pi**2 * (m * m - 4.0), rtol=1e-15
-    )
-    assert coeffs.etas[1] == 0.0
-    assert np.all(np.delete(coeffs.etas, 1) != 0.0)
-    assert canonical_laplace_typeII(2, 0.0, 2.0 * RC, RC, coeffs) == 1.0
-    with pytest.raises(ValueError):
-        coeffs.etas[0] = 0.0  # arrays are frozen
+def gap_table(n, truncation, beta):
+    """eta_{m,n} = beta (eps_m - eps_n), eps_m = pi^2 m^2 / 2, for
+    m = 1..truncation; the entry at m = n is the zero gap of the mode itself,
+    which is no pole. At a huge beta the top gaps overflow to inf."""
+    m = np.arange(1, truncation + 1, dtype=float)
+    eps = 0.5 * math.pi**2 * m * m
+    with np.errstate(over="ignore"):
+        return beta * (eps - 0.5 * math.pi**2 * n * n)
 
 
-def test_gap_coefficients_scale_with_inverse_temperature():
-    base = gap_coefficients(1, 40, 1.0)
-    double = gap_coefficients(1, 40, 2.0)
-    assert np.allclose(double.etas, 2.0 * base.etas, rtol=1e-15)
+def on_tabulated_pole(n, lam, truncation, beta):
+    gaps = np.delete(gap_table(n, truncation, beta), n - 1)
+    return bool(np.any(np.abs(gaps - lam) < 1e-9))
 
 
-def test_gap_coefficients_reject_bad_arguments():
+@pytest.mark.parametrize("beta", [1.0, 1.3, 1e300])
+@pytest.mark.parametrize("n, truncation", [(1, 2), (1, 8), (2, 2), (2, 8), (5, 5), (5, 8)])
+def test_pole_check_matches_the_gap_table(n, truncation, beta):
+    """canonical_laplace_typeII refuses lam exactly where the gap table of
+    its truncation holds a gap within 1e-9, at m = 1, n - 1, n + 1, M and
+    M + 1 (one past the table), and at lam nudged off each gap."""
+    table = gap_table(n, truncation + 1, beta)
+    checked = 0
+    for m in sorted({1, n - 1, n + 1, truncation, truncation + 1} - {0}):
+        for nudge in (0.0, 5e-10, -2e-9):
+            lam = float(table[m - 1]) + nudge
+            expect_pole = on_tabulated_pole(n, lam, truncation, beta)
+            if expect_pole:
+                checked += 1
+                with pytest.raises(PoleProximity):
+                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
+            else:
+                assert math.isfinite(
+                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
+                )
+    assert checked >= 2  # on a tabulated gap m != n, and 5e-10 off it
+
+
+def test_ladder_limits_reject_bad_arguments():
     with pytest.raises(DomainError):
-        gap_coefficients(0, 10, 1.0)
+        canonical_laplace_typeII(0, 0.5, 2.0 * RC, RC, 1.0, 10)
     with pytest.raises(DomainError):
-        gap_coefficients(3, 2, 1.0)
+        canonical_laplace_typeII(3, 0.5, 2.0 * RC, RC, 1.0, 2)
     with pytest.raises(DomainError):
-        gap_coefficients(1, 10, 0.0)
+        canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, 1.0, 1)
+    with pytest.raises(DomainError):
+        canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, 0.0, 10)
+    with pytest.raises(DomainError):
+        occupation_limit_typeII(0, 2.0 * RC, RC, 1.0)
+    with pytest.raises(DomainError):
+        occupation_limit_typeII(1, 2.0 * RC, RC, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +177,33 @@ def test_vectorized_theta_log_matches_scalar_loop():
 # limiting mode distribution
 
 
-def mode_distribution_limit(n: int, x: float, rho_c: float, coeffs: GapCoefficients) -> float:
+def mode_distribution_limit(n: int, x: float, rho_c: float, beta: float) -> float:
     """Limiting renormalized distribution value of ladder mode n at point x.
 
     Vanishes for x <= rho_c; above it equals |1 - T_n(x - rho_c)|, which for
     n = 1 climbs from 0 to 1 (a distribution function) and for n >= 2 grows
     without bound (the renormalization overshoots).
     """
-    if n != coeffs.n:
-        raise DomainError(f"coefficients were built for n={coeffs.n}, got {n}")
     if x <= rho_c:
         return 0.0
-    return math.exp(_log_one_minus_tn(n, x - rho_c, coeffs.beta))
+    return math.exp(_log_one_minus_tn(n, x - rho_c, beta))
 
 
 def test_mode_distribution_vanishes_at_and_below_saturation():
-    coeffs = gap_coefficients(1, 1000, 1.0)
-    assert mode_distribution_limit(1, RC, RC, coeffs) == 0.0
-    assert mode_distribution_limit(1, 0.5 * RC, RC, coeffs) == 0.0
+    assert mode_distribution_limit(1, RC, RC, 1.0) == 0.0
+    assert mode_distribution_limit(1, 0.5 * RC, RC, 1.0) == 0.0
 
 
 def test_ground_ladder_distribution_climbs_to_one():
-    coeffs = gap_coefficients(1, 1000, 1.0)
     grid = [RC + s for s in np.linspace(0.02, 5.0, 120)]
-    vals = [mode_distribution_limit(1, x, RC, coeffs) for x in grid]
+    vals = [mode_distribution_limit(1, x, RC, 1.0) for x in grid]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert 0.0 < vals[0] < 1.0
     assert abs(vals[-1] - 1.0) < 1e-12
 
 
 def test_excited_ladder_renormalization_overshoots():
-    coeffs = gap_coefficients(2, 1000, 1.0)
-    assert mode_distribution_limit(2, RC + 2.0, RC, coeffs) > 1.0
-
-
-def test_mode_distribution_rejects_mismatched_coefficients():
-    coeffs = gap_coefficients(1, 1000, 1.0)
-    with pytest.raises(DomainError):
-        mode_distribution_limit(2, 2 * RC, RC, coeffs)
+    assert mode_distribution_limit(2, RC + 2.0, RC, 1.0) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +243,14 @@ def test_transform_integral_equals_reciprocal_gap_product(n, lam, beta, s_max):
 # limiting canonical occupation and its transform
 
 
-def survival_quadrature(n, lam, coeffs, rho):
+def survival_quadrature(n, lam, beta, rho):
     """Transform and mean of the ladder occupation from its survival function."""
     delta = rho - RC
-    den = mode_distribution_limit(n, rho, RC, coeffs)
+    den = mode_distribution_limit(n, rho, RC, beta)
     nodes, weights = gauss_panels(0.0, delta, 40, 20)
     surv = (
         np.array(
-            [mode_distribution_limit(n, RC + (delta - x), RC, coeffs) for x in nodes]
+            [mode_distribution_limit(n, RC + (delta - x), RC, beta) for x in nodes]
         )
         / den
     )
@@ -252,13 +263,12 @@ def survival_quadrature(n, lam, coeffs, rho):
     "n, lam, beta", [(1, 0.7, 1.0), (1, 3.0, 1.0), (2, 1.0, 1.0), (1, 0.9, 2.0)]
 )
 def test_occupation_transform_consistent_with_survival_function(n, lam, beta):
-    coeffs = gap_coefficients(n, 200_000, beta)
     rho = 2.0 * RC
-    t_quad, m_quad = survival_quadrature(n, lam, coeffs, rho)
-    assert canonical_laplace_typeII(n, lam, rho, RC, coeffs) == pytest.approx(
+    t_quad, m_quad = survival_quadrature(n, lam, beta, rho)
+    assert canonical_laplace_typeII(n, lam, rho, RC, beta, 200_000) == pytest.approx(
         t_quad, rel=1e-12
     )
-    assert occupation_limit_typeII(n, rho, RC, coeffs) == pytest.approx(
+    assert occupation_limit_typeII(n, rho, RC, beta) == pytest.approx(
         m_quad, rel=1e-12
     )
 
@@ -266,34 +276,30 @@ def test_occupation_transform_consistent_with_survival_function(n, lam, beta):
 def test_ground_occupation_limit_frozen_value():
     # independently reproduced through the survival quadrature above and the
     # finite-volume canonical sweeps in the acceptance tests
-    coeffs = gap_coefficients(1, 200_000, 1.0)
-    assert occupation_limit_typeII(1, 2.0 * RC, RC, coeffs) == pytest.approx(
+    assert occupation_limit_typeII(1, 2.0 * RC, RC, 1.0) == pytest.approx(
         0.05488202601107707, rel=1e-10
     )
 
 
 def test_occupation_transform_derivative_recovers_mean():
-    coeffs = gap_coefficients(1, 200_000, 1.0)
     rho = 2.0 * RC
     h = 1e-4
     slope = (
-        canonical_laplace_typeII(1, -h, rho, RC, coeffs)
-        - canonical_laplace_typeII(1, h, rho, RC, coeffs)
+        canonical_laplace_typeII(1, -h, rho, RC, 1.0, 200_000)
+        - canonical_laplace_typeII(1, h, rho, RC, 1.0, 200_000)
     ) / (2.0 * h)
-    assert slope == pytest.approx(occupation_limit_typeII(1, rho, RC, coeffs), rel=1e-9)
+    assert slope == pytest.approx(occupation_limit_typeII(1, rho, RC, 1.0), rel=1e-9)
 
 
 def test_occupation_transform_edges():
-    coeffs = gap_coefficients(1, 1000, 1.0)
-    assert canonical_laplace_typeII(1, 0.0, 2 * RC, RC, coeffs) == 1.0
-    assert occupation_limit_typeII(1, RC, RC, coeffs) == 0.0
-    assert occupation_limit_typeII(1, 0.5 * RC, RC, coeffs) == 0.0
+    assert canonical_laplace_typeII(1, 0.0, 2 * RC, RC, 1.0, 1000) == 1.0
+    assert canonical_laplace_typeII(2, 0.0, 2 * RC, RC, 1.5, 12) == 1.0
+    assert occupation_limit_typeII(1, RC, RC, 1.0) == 0.0
+    assert occupation_limit_typeII(1, 0.5 * RC, RC, 1.0) == 0.0
     with pytest.raises(DomainError):
-        canonical_laplace_typeII(1, 0.5, RC, RC, coeffs)
-    with pytest.raises(DomainError):
-        canonical_laplace_typeII(2, 0.5, 2 * RC, RC, coeffs)
-    with pytest.raises(PoleProximity):
-        canonical_laplace_typeII(1, float(coeffs.etas[1]), 2 * RC, RC, coeffs)
+        canonical_laplace_typeII(1, 0.5, RC, RC, 1.0, 1000)
+    with pytest.raises(PoleProximity):  # eta_{2,1}
+        canonical_laplace_typeII(1, 1.5 * math.pi**2, 2 * RC, RC, 1.0, 1000)
 
 
 def test_fast_gap_limit_closed_forms():
@@ -304,35 +310,46 @@ def test_fast_gap_limit_closed_forms():
     )
     assert canonical_limit_typeI((2, 1, 1), 0.8, rho, RC) == 1.0
     assert canonical_limit_typeI((1, 1, 1), 0.8, 0.5 * RC, RC) == 1.0
-    assert canonical_limit_typeI((1, 1, 1), 0.0, rho, RC, quantity="mean") == excess
-    assert canonical_limit_typeI((3, 2, 1), 0.0, rho, RC, quantity="mean") == 0.0
-    with pytest.raises(DomainError):
-        canonical_limit_typeI((1, 1, 1), 0.8, rho, RC, quantity="variance")
+    # the canonical mean, -d/dlam of the transform at 0, is the
+    # grand-canonical condensate density: excess on (1,1,1), 0 elsewhere
+    regime = classify((0.4, 0.35, 0.25))
+    h = 1e-5
+    slope = (canonical_limit_typeI((1, 1, 1), -h, rho, RC)
+             - canonical_limit_typeI((1, 1, 1), h, rho, RC)) / (2.0 * h)
+    assert slope == pytest.approx(gc_occupation_limit(regime, rho, (1, 1, 1), 1.0), rel=1e-9)
+    assert gc_occupation_limit(regime, rho, (1, 1, 1), 1.0) == pytest.approx(excess, rel=1e-15)
+    assert gc_occupation_limit(regime, rho, (3, 2, 1), 1.0) == 0.0
 
 
 def test_slow_gap_limit_closed_forms():
-    rho = 2.0 * RC
-    delta = rho - RC
+    """Both ensembles share the slow-gap law, which gc_laplace_limit holds."""
+    regime = classify((0.6, 0.25, 0.15))
     lam, beta = 0.6, 1.3
+    rc = critical_density(beta).value
+    rho = 2.0 * rc
+    delta = rho - rc
     expected = 1.0 / (1.0 + 2.0 * lam * beta * delta * delta)
-    assert canonical_laplace_typeIII((1, 1, 1), lam, rho, RC, beta) == pytest.approx(
+    assert gc_laplace_limit(regime, rho, (1, 1, 1), lam, beta) == pytest.approx(
         expected, rel=1e-15
     )
     # every ladder mode shares the limit; off-ladder modes vanish at scale
-    assert canonical_laplace_typeIII((7, 1, 1), lam, rho, RC, beta) == (
-        canonical_laplace_typeIII((1, 1, 1), lam, rho, RC, beta)
+    assert gc_laplace_limit(regime, rho, (7, 1, 1), lam, beta) == (
+        gc_laplace_limit(regime, rho, (1, 1, 1), lam, beta)
     )
-    assert canonical_laplace_typeIII((1, 2, 1), lam, rho, RC, beta) == 1.0
-    # beta enters only through the product lam * beta
-    assert canonical_laplace_typeIII((1, 1, 1), lam, rho, RC, 2.0) == pytest.approx(
-        canonical_laplace_typeIII((1, 1, 1), 2.0 * lam, rho, RC, 1.0), rel=1e-15
+    assert gc_laplace_limit(regime, rho, (1, 2, 1), lam, beta) == 1.0
+    assert gc_occupation_limit(regime, rho, (7, 1, 1), beta) == pytest.approx(
+        2.0 * beta * delta * delta, rel=1e-15
+    )
+    assert gc_occupation_limit(regime, rho, (1, 2, 1), beta) == 0.0
+    # beta enters only through the product lam * beta at a fixed excess
+    at_excess = [critical_density(b).value + 0.25 for b in (2.0, 1.0)]
+    assert gc_laplace_limit(regime, at_excess[0], (1, 1, 1), lam, 2.0) == pytest.approx(
+        gc_laplace_limit(regime, at_excess[1], (1, 1, 1), 2.0 * lam, 1.0), rel=1e-15
     )
     with pytest.raises(DomainError):
-        canonical_laplace_typeIII((1, 1, 1), lam, RC, RC, beta)
+        gc_laplace_limit(regime, rc, (1, 1, 1), lam, beta)
     with pytest.raises(DomainError):
-        canonical_laplace_typeIII(
-            (1, 1, 1), -1.0 / (2.0 * beta * delta * delta), rho, RC, beta
-        )
+        gc_laplace_limit(regime, rho, (1, 1, 1), -1.0 / (2.0 * beta * delta**2), beta)
 
 
 # ---------------------------------------------------------------------------
