@@ -423,7 +423,7 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     regime = classify(geom)
     for lam in cfg["lambda_grid"]:
         lam = float(lam)
-        lhs, rhs, budget = decomposition_check(ct, sol.mu, mode, lam)
+        lhs, rhs, budget = decomposition_check(ct, sol.mu, kw, mode, lam)
         rows.append(row(quantity="decomposition", lam=lam, lhs=lhs, rhs=rhs,
                         value=abs(lhs - rhs), error_budget=1e-10 + budget))
         rows.append(row(quantity="limit_transform", lam=lam,

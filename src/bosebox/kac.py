@@ -75,9 +75,20 @@ def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     # step ratios are e^{beta mu_bar} times the (nonincreasing) Z ratios
     log_ratio = np.diff(ct.log_z_shifted) + beta_mu_bar
     peak = int(np.argmax(log_w))
+    # The scalar scan below decides n_cut and the tail. It starts where the
+    # same tail, computed for the whole table at once, first drops below
+    # twice the target: before that index every tail is above the target,
+    # so the scan stops where one started at the peak would, with the same
+    # tail, and fails with the same last tail.
+    tail_ratios = log_ratio[peak:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(tail_ratios)
+        screened = np.exp(log_w[peak:-1]) * r / (1.0 - r)
+    hits = np.flatnonzero((tail_ratios < 0.0) & (screened < 2.0 * _TAIL_TARGET))
+    start = peak + int(hits[0]) if len(hits) else peak
     n_cut = None
     tail = math.inf
-    for m in range(peak, ct.n_max):
+    for m in range(start, ct.n_max):
         lr = log_ratio[m]  # ratio w_{m+1}/w_m
         if lr >= 0.0:
             continue
@@ -99,13 +110,15 @@ def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
 
 
 def decomposition_check(
-    ct: CanonicalTable, mu: float, k, lam: float
+    ct: CanonicalTable, mu: float, kw: KacWeights, k, lam: float
 ) -> tuple[float, float, float]:
     """Both sides of the mixture identity for one mode's transform.
 
-    Returns (grand-canonical value, mixture sum, error budget). The budget
-    is the weight tail bound, valid for lam >= 0 where each canonical
-    transform lies in (0, 1].
+    Returns (grand-canonical value, mixture sum, error budget). ``kw`` holds
+    the weights of ``kac_weights(ct, mu)``; they depend on neither the mode
+    nor lam, so a caller checking several computes them once and passes
+    them to every check. The budget is their tail bound, valid for lam >= 0
+    where each canonical transform lies in (0, 1].
 
     The mixture sum is sum_{n <= N} w_n E_n[exp(-lam N_k)], N = n_cut, with
     the canonical transform of occupation_laplace. Since
@@ -119,7 +132,6 @@ def decomposition_check(
     """
     if lam < 0.0:
         raise DomainError(f"the mixture budget requires lam >= 0, got {lam!r}")
-    kw = kac_weights(ct, mu)
     eta = ct.gap_of(k)
     x = ct.beta * (eta - (mu - ct.ground_energy))
     lhs = _geometric_laplace(x, lam)

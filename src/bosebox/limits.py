@@ -31,12 +31,13 @@ theta sum that the power sums read, not a listing of lattice gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleProximity
+from .errors import CutoffInsufficient, DomainError, PoleProximity
 from .canonical import occupation_laplace, occupation_moment
 from .numerics import exp_remainder, gauss_panels, refined_panels, sum_exp
 from .spectrum import BoxGeometry, _log_theta_shifted, classify
@@ -97,19 +98,49 @@ def _log_theta(x):
     return out if np.ndim(x) else float(out[0])
 
 
-def _log_one_minus_tn(n: int, s, beta: float):
-    """log |1 - T_n(s)| for s > 0 (vectorized); the sign is (-1)^(n+1)."""
+# refined_panels halves the ladder grid's end panels this many times, so its
+# smallest panel is delta 2^-(_LADDER_REFINE + 1)
+_LADDER_REFINE = 20
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_grid(beta: float, delta: float):
+    """The ladder integrals' quadrature on [0, delta], shared by every ladder
+    mode n and every lam: read-only nodes, log |Theta(exp(-c s))| on them
+    and the log weights, and log |Theta(exp(-c delta))|, c = beta pi^2 / 2."""
     c = 0.5 * beta * math.pi**2
-    return c * s * n * n + _log_theta(c * s) - 2.0 * math.log(n)
+    nodes, weights = refined_panels(0.0, delta, n_nodes=24, n_refine=_LADDER_REFINE)
+    log_theta = _log_theta(c * nodes)
+    log_weights = np.log(weights)
+    for a in (nodes, log_theta, log_weights):
+        a.setflags(write=False)
+    return nodes, log_theta, log_weights, _log_theta(c * delta)
 
 
-def _log_integral_one_minus_tn(
-    n: int, beta: float, delta: float, lam: float = 0.0
-) -> float:
-    """log of integral_0^delta |1 - T_n(s)| exp(-lam (delta - s)) ds."""
-    nodes, weights = refined_panels(0.0, delta, n_nodes=24, n_refine=20)
-    logs = _log_one_minus_tn(n, nodes, beta) - lam * (delta - nodes) + np.log(weights)
-    return sum_exp(logs, log=True)
+def _log_ladder_ratio(n: int, beta: float, delta: float, lam: float = 0.0) -> float:
+    """log of integral_0^delta |1 - T_n(s)| exp(-lam (delta - s)) ds over
+    |1 - T_n(delta)|, with log |1 - T_n(s)| = c s n^2 + log |Theta| - 2 log n.
+
+    The integrand grows like exp(K s), K = c (n^2 - 1), toward s = delta,
+    and the grid's smallest panel is delta 2^-21. Against an mpmath
+    quadrature (n = 2 and 5 at delta = 0.134) the ratio, 1/K at large K,
+    is within 7e-10 relative up to K delta 2^-21 = 1.7 (the rounding of
+    exponents of size K delta) and 1.2e-5 off at 169. Past 1
+    CutoffInsufficient is raised.
+    """
+    c = 0.5 * beta * math.pi**2
+    rate = c * (n * n - 1.0)
+    if rate * delta * 2.0 ** -(_LADDER_REFINE + 1) > 1.0:
+        raise CutoffInsufficient(
+            f"ladder mode n={n} at beta={beta!r}: the integrand grows at rate "
+            f"{rate!r} over [0, {delta!r}], faster than the quadrature's smallest "
+            "panel resolves"
+        )
+    nodes, log_theta, log_weights, log_theta_delta = _ladder_grid(beta, delta)
+    logs = (c * nodes * n * n + log_theta - 2.0 * math.log(n)
+            - lam * (delta - nodes) + log_weights)
+    log_den = c * delta * n * n + log_theta_delta - 2.0 * math.log(n)
+    return sum_exp(logs, log=True) - log_den
 
 
 def _check_ladder_mode(n: int, beta: float) -> None:
@@ -130,9 +161,7 @@ def occupation_limit_typeII(n: int, rho: float, rho_c: float, beta: float) -> fl
     delta = rho - rho_c
     if delta <= 0.0:
         return 0.0
-    log_num = _log_integral_one_minus_tn(n, beta, delta)
-    log_den = _log_one_minus_tn(n, delta, beta)
-    return math.exp(log_num - log_den)
+    return math.exp(_log_ladder_ratio(n, beta, delta))
 
 
 def canonical_laplace_typeII(
@@ -166,9 +195,7 @@ def canonical_laplace_typeII(
         )
     if lam == 0.0:
         return 1.0
-    log_g = _log_integral_one_minus_tn(n, beta, delta, lam)
-    log_den = _log_one_minus_tn(n, delta, beta)
-    return 1.0 - lam * math.exp(log_g - log_den)
+    return 1.0 - lam * math.exp(_log_ladder_ratio(n, beta, delta, lam))
 
 
 def canonical_limit_typeI(mode, lam: float, rho: float, rho_c: float) -> float:
@@ -227,6 +254,7 @@ def _g_quadrature(d, x, s_lo, s_hi, n_panels) -> tuple[float, float]:
     return float(f.sum()), 2.0**-52 * float(np.sum(np.abs(f) * ulps))
 
 
+@functools.lru_cache(maxsize=64)
 def g_with_budget(d: int, lam: float, beta: float) -> tuple[float, float]:
     """Fluctuation sum g_d(lam) and its error budget.
 
@@ -322,6 +350,7 @@ def fluctuation_law(case, lam: float, beta: float, *, sums=None) -> float:
     return math.exp(sum(w * g for w, g in zip(weights, sums) if w))
 
 
+@functools.lru_cache(maxsize=64)
 def rho_c_finite(geometry: BoxGeometry, beta: float) -> float:
     """Finite-volume excited-mode density at vanishing shifted potential.
 

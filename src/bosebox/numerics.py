@@ -147,13 +147,15 @@ def refined_panels(a, b, n_nodes=24, n_refine=18):
     """Gauss-Legendre rule on [a, b] with panels shrinking toward both ends.
 
     Handles integrands that vary over many orders of magnitude near either
-    endpoint: panel widths halve geometrically toward a and b.
+    endpoint: panel widths halve geometrically toward a and b (a <= b).
     """
     length = b - a
     fracs = 0.5 ** np.arange(1, n_refine + 1)
     left = a + length * 0.5 * fracs[::-1]
     right = b - length * 0.5 * fracs[::-1]
-    return _panel_rule(np.unique(np.concatenate(([a], left, right[::-1], [b]))), n_nodes)
+    # the edges come out sorted; drop the ones that round onto their neighbour
+    edges = np.concatenate(([a], left, right[::-1], [b]))
+    return _panel_rule(edges[np.concatenate(([True], np.diff(edges) > 0.0))], n_nodes)
 
 
 def _panel_rule(edges, n_nodes):

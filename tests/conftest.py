@@ -6,7 +6,8 @@ test files; both are session scoped because the canonical recursion is the
 only genuinely expensive setup in the suite. ``index_of`` and ``gaps`` look
 a mode's row and the gaps up in such a listing for those oracles, and
 ``unit_box_gap_values`` lists the unit-box lattice gaps that the
-fluctuation sums g_d run over.
+fluctuation sums g_d run over. ``reference_refined_panels`` is the
+np.unique form of the end-refined quadrature rule.
 """
 
 import math
@@ -20,6 +21,7 @@ from bosebox import (
     build_canonical,
     critical_density,
     enumerate_below,
+    numerics,
 )
 from bosebox.spectrum import _as_mode_tuple
 
@@ -107,3 +109,15 @@ def unit_box_gap_values(d, gap_max, *, min_index=1, convention="relative") -> np
         vals = (vals[:, None] + u[None, :]).ravel()
         vals = vals[vals <= budget_u + 1e-15]
     return np.sort(vals) * (0.5 * math.pi**2)
+
+
+def reference_refined_panels(a, b, n_nodes=24, n_refine=18):
+    """numerics.refined_panels as it deduplicated its edges before, through
+    np.unique (whose first call imports numpy.ma): the oracle of the
+    sorted-mask form."""
+    length = b - a
+    fracs = 0.5 ** np.arange(1, n_refine + 1)
+    left = a + length * 0.5 * fracs[::-1]
+    right = b - length * 0.5 * fracs[::-1]
+    edges = np.unique(np.concatenate(([a], left, right[::-1], [b])))
+    return numerics._panel_rule(edges, n_nodes)

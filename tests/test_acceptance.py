@@ -29,7 +29,7 @@ from bosebox.grandcanonical import (
     solve_ladder_coefficient,
     solve_mu,
 )
-from bosebox.kac import decomposition_check
+from bosebox.kac import decomposition_check, kac_weights
 from bosebox.limits import (
     axis_curvature_at_zero,
     fluctuation_case,
@@ -149,9 +149,10 @@ def test_acceptance_03_mixture_decomposition_identity(
     cases.append((ct_sub, solve_mu(geom_aniso, rho_sub, BETA).mu))
     worst_margin = -math.inf
     for ct, mu in cases:
+        kw = kac_weights(ct, mu)
         for mode in modes:
             for lam in (0.1, 1.0, 10.0):
-                lhs, rhs, budget = decomposition_check(ct, mu, mode, lam)
+                lhs, rhs, budget = decomposition_check(ct, mu, kw, mode, lam)
                 margin = abs(lhs - rhs) - (1e-10 + budget)
                 worst_margin = max(worst_margin, margin)
     elapsed = time.monotonic() - start

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import bosebox
 import bosebox.canonical
 import bosebox.cli
+import bosebox.kac
 import bosebox.limits
 import bosebox.spectrum
 from bosebox import BoxGeometry, enumerate_below, suggest_energy_cutoff
@@ -341,19 +343,27 @@ def test_gc_at_huge_beta_reports_the_ground_occupation(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command, beta", [("gc", "1e300"), ("limits", "1e306")])
-def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta):
+@pytest.mark.parametrize("command, beta, exit_code", [
+    pytest.param("gc", "1e300", 0, id="gc-1e300"),
+    pytest.param("limits", "1e306", 3, id="limits-1e306"),
+])
+def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta, exit_code):
     # the ladder terms overflow here: gc used to warn from numpy and then exit
     # 3 on an OverflowError in the ladder remainder, and limits warned from
-    # the table of ladder gaps
+    # the table of ladder gaps. limits then printed 0 for every excited ladder
+    # mode, whose integrand its quadrature cannot resolve there; it exits 3.
     code, out, err = run_cli(
         capsys, command,
         "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
         "--override", f"beta={beta}",
     )
-    assert code == 0, err
-    assert err == ""
-    assert out
+    assert code == exit_code, err
+    if exit_code:
+        assert out == ""
+        assert err.startswith("numerical failure: CutoffInsufficient: ladder mode n=2 ")
+    else:
+        assert err == ""
+        assert out
 
 
 @pytest.mark.filterwarnings("error")
@@ -723,6 +733,86 @@ def test_commands_run_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NO_NUMPY_MA_SCRIPT = """
+import contextlib, io, sys
+from bosebox.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["limits", "--override", "geometry.alphas=[0.5, 0.3, 0.2]"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_limits_does_not_import_numpy_ma():
+    """The ladder quadrature's panel edges are deduplicated without
+    np.unique, whose first call imports numpy.ma (about 10 ms)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# work done once per command
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("grid", ["[0.5]", "[0.1, 0.3, 1.0, 2.0, 5.0, 10.0]"])
+def test_kac_solves_its_weights_once(capsys, monkeypatch, grid):
+    """The mixture weights depend on neither lam nor the mode: one weight
+    solve and one grand partition sum per run, whatever the grid's length."""
+    calls = {"kac_weights": 0, "grand_partition_log": 0}
+    weights = _counting(calls, "kac_weights", bosebox.kac.kac_weights)
+    monkeypatch.setattr(bosebox.cli, "kac_weights", weights)
+    monkeypatch.setattr(bosebox.kac, "kac_weights", weights)
+    monkeypatch.setattr(bosebox.kac, "grand_partition_log",
+                        _counting(calls, "grand_partition_log",
+                                  bosebox.kac.grand_partition_log))
+    code, out, err = run_cli(
+        capsys, "kac", "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", "rho=0.3317384186260446", "--override", f"lambda_grid={grid}",
+    )
+    assert code == 0, err
+    assert sum(",decomposition," in line for line in out.splitlines()) == grid.count(",") + 1
+    assert calls == {"kac_weights": 1, "grand_partition_log": 1}
+
+
+def test_limits_builds_its_ladder_grid_once(capsys, monkeypatch):
+    """Regime-II limits evaluates log Theta on the quadrature nodes once for
+    its 40 ladder rows and 8 transform rows, and once at the excess density."""
+    sizes = []
+    log_theta = bosebox.limits._log_theta
+
+    def counted(x):
+        sizes.append(int(np.size(x)))
+        return log_theta(x)
+
+    monkeypatch.setattr(bosebox.limits, "_log_theta", counted)
+    bosebox.limits._ladder_grid.cache_clear()
+    try:
+        code, out, err = run_cli(
+            capsys, "limits", "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+            "--override", "rho=0.3317384186260446", "--override", "ladder_count=40",
+            "--override", "lambda_grid=[0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0]",
+        )
+    finally:
+        bosebox.limits._ladder_grid.cache_clear()
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 40 + 8
+    assert len(sizes) == 2 and sizes[1] == 1 and sizes[0] > 900
 
 
 def _close_pipe_early(env):

@@ -22,7 +22,7 @@ from bosebox import (
     solve_ladder_coefficient,
     solve_mu,
 )
-from bosebox.kac import _ladder_prefactor
+from bosebox.kac import _TAIL_TARGET, _check_mu, _ladder_prefactor, _log_partition_grand
 
 BETA = 1.0
 
@@ -58,6 +58,55 @@ def test_kac_weights_normalize_supercritical(geom_aniso, mixture_ct, rc):
     assert int(np.argmax(kw.weights)) < mean
 
 
+def reference_kac_weights(ct, mu):
+    """kac_weights with its tail scanned one index at a time from the weight
+    peak, as before the numpy screen picked the scan's start: the oracle of
+    n_cut, the tail bound and the CutoffInsufficient message."""
+    _check_mu(ct.ground_energy, mu)
+    beta_mu_bar = ct.beta * (mu - ct.ground_energy)
+    log_xi, xi_tail = _log_partition_grand(ct, mu)
+    n = np.arange(ct.n_max + 1, dtype=float)
+    log_w = ct.log_z_shifted + n * beta_mu_bar - log_xi
+    log_ratio = np.diff(ct.log_z_shifted) + beta_mu_bar
+    tail = math.inf
+    for m in range(int(np.argmax(log_w)), ct.n_max):
+        if log_ratio[m] >= 0.0:
+            continue
+        r = math.exp(log_ratio[m])
+        tail = math.exp(log_w[m]) * r / (1.0 - r)
+        if tail < _TAIL_TARGET:
+            return np.exp(log_w[: m + 1]), tail + abs(math.expm1(xi_tail)), m
+    raise CutoffInsufficient(
+        f"weights reach tail bound {tail!r} at n_max={ct.n_max}, "
+        f"target {_TAIL_TARGET!r}"
+    )
+
+
+@pytest.mark.parametrize("alphas", [(0.4, 0.35, 0.25), (0.5, 0.3, 0.2), (0.6, 0.25, 0.15)],
+                         ids=["I", "II", "III"])
+@pytest.mark.parametrize("rho_factor", [0.5, 2.0], ids=["sub", "super"])
+def test_screened_scan_matches_scalar_scan(rc, alphas, rho_factor):
+    g = BoxGeometry(alphas, 1000.0)
+    rho = rho_factor * rc
+    n_max = int(1000.0 * (min(rho, rc) + 35.0 * max(rho - rc, 0.0))
+                + 25.0 * math.sqrt(rho * 1000.0) + 300.0)
+    ct = build_canonical(g, BETA, n_max)
+    mu = solve_mu(g, rho, BETA).mu
+    kw = kac_weights(ct, mu)
+    weights, tail_bound, n_cut = reference_kac_weights(ct, mu)
+    assert kw.n_cut == n_cut
+    assert kw.tail_bound == tail_bound
+    assert np.array_equal(kw.weights, weights)
+    # tables that end before the tail is small enough: the same refusal
+    for short_max in (n_cut, n_cut - 7, n_cut // 2):
+        short = build_canonical(g, BETA, short_max)
+        with pytest.raises(CutoffInsufficient) as want:
+            reference_kac_weights(short, mu)
+        with pytest.raises(CutoffInsufficient) as got:
+            kac_weights(short, mu)
+        assert str(got.value) == str(want.value)
+
+
 def test_kac_weights_need_headroom(geom_aniso, rc):
     ct = build_canonical(geom_aniso, BETA, 400)
     sol = solve_mu(geom_aniso, 2.0 * rc, BETA)
@@ -73,8 +122,9 @@ def test_kac_weights_reject_mu_at_ground(mixture_ct):
 def test_decomposition_identity(geom_aniso, mixture_ct, rc):
     """Grand-canonical transforms decompose exactly over the number mixture."""
     sol = solve_mu(geom_aniso, 2.0 * rc, BETA)
+    kw = kac_weights(mixture_ct, sol.mu)
     for k, lam in (((1, 1, 1), 0.5), ((2, 1, 1), 2.0)):
-        lhs, rhs, tail = decomposition_check(mixture_ct, sol.mu, k, lam)
+        lhs, rhs, tail = decomposition_check(mixture_ct, sol.mu, kw, k, lam)
         budget = tail + 4e-16 * mixture_ct.n_max
         assert abs(lhs - rhs) <= budget
 
@@ -98,15 +148,17 @@ def test_decomposition_sum_matches_per_n_oracle(
 ):
     k = tuple(int(v) for v in table_aniso.modes[k])  # the k-th lowest mode
     sol = solve_mu(geom_aniso, rho_factor * rc, BETA)
+    kw = kac_weights(mixture_ct, sol.mu)
     for lam in (0.0, 0.05, 1.0, 20.0):
-        _, rhs, _ = decomposition_check(mixture_ct, sol.mu, k, lam)
+        _, rhs, _ = decomposition_check(mixture_ct, sol.mu, kw, k, lam)
         assert abs(rhs - reference_mixture_sum(mixture_ct, sol.mu, k, lam)) <= 1e-13
 
 
 def test_decomposition_rejects_negative_lam(geom_aniso, mixture_ct):
     sol = solve_mu(geom_aniso, 0.1, BETA)
     with pytest.raises(DomainError):
-        decomposition_check(mixture_ct, sol.mu, (1, 1, 1), -0.5)
+        decomposition_check(mixture_ct, sol.mu, kac_weights(mixture_ct, sol.mu),
+                            (1, 1, 1), -0.5)
 
 
 # ------------------------------------------------------------- limit laws

@@ -10,6 +10,8 @@ Oracles used here:
   * the limiting distribution |1 - T_n| of a ladder mode
     (mode_distribution_limit), whose survival-function quadrature gives the
     limiting occupation transform and mean;
+  * the ladder quadrature as it ran once per mode and lam, before the modes
+    shared one grid (bit for bit), and its 1/K asymptote at large beta;
   * a brute-force triple-lattice sum for the isotropic fluctuation exponent;
   * the fluctuation sums g_d truncated at a gap cutoff (listed lattice gaps)
     with the counting-envelope bound on what the cutoff drops, and a math.fsum
@@ -25,11 +27,10 @@ import pytest
 
 from bosebox import limits
 from bosebox.canonical import build_canonical
-from bosebox.errors import DomainError, PoleProximity
+from bosebox.errors import CutoffInsufficient, DomainError, PoleProximity
 from bosebox.grandcanonical import critical_density, gc_laplace_limit, gc_occupation_limit
 from bosebox.limits import (
     FluctuationCase,
-    _log_one_minus_tn,
     _log_theta,
     axis_curvature_at_zero,
     canonical_laplace_typeII,
@@ -42,9 +43,9 @@ from bosebox.limits import (
     occupation_limit_typeII,
     rho_c_finite,
 )
-from bosebox.numerics import gauss_panels
+from bosebox.numerics import gauss_panels, sum_exp
 from bosebox.spectrum import BoxGeometry, classify, enumerate_below, suggest_energy_cutoff
-from conftest import gaps, unit_box_gap_values
+from conftest import gaps, reference_refined_panels, unit_box_gap_values
 
 RC = 0.1658692093130223
 
@@ -63,6 +64,12 @@ def gap_table(n, truncation, beta):
         return beta * (eps - 0.5 * math.pi**2 * n * n)
 
 
+def ladder_rate(n, beta):
+    """K = beta pi^2 (n^2 - 1) / 2, the rate at which mode n's ladder
+    integrand grows toward the excess density."""
+    return 0.5 * beta * math.pi**2 * (n * n - 1.0)
+
+
 def on_tabulated_pole(n, lam, truncation, beta):
     gaps = np.delete(gap_table(n, truncation, beta), n - 1)
     return bool(np.any(np.abs(gaps - lam) < 1e-9))
@@ -75,6 +82,8 @@ def test_pole_check_matches_the_gap_table(n, truncation, beta):
     its truncation holds a gap within 1e-9, at m = 1, n - 1, n + 1, M and
     M + 1 (one past the table), and at lam nudged off each gap."""
     table = gap_table(n, truncation + 1, beta)
+    # past beta ~ 1e5 the quadrature cannot resolve an excited mode's integral
+    unresolved = ladder_rate(n, beta) * RC * 2.0**-21 > 1.0
     checked = 0
     for m in sorted({1, n - 1, n + 1, truncation, truncation + 1} - {0}):
         for nudge in (0.0, 5e-10, -2e-9):
@@ -83,6 +92,9 @@ def test_pole_check_matches_the_gap_table(n, truncation, beta):
             if expect_pole:
                 checked += 1
                 with pytest.raises(PoleProximity):
+                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
+            elif unresolved and lam != 0.0:  # lam = 0 needs no quadrature
+                with pytest.raises(CutoffInsufficient):
                     canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
             else:
                 assert math.isfinite(
@@ -175,6 +187,13 @@ def test_vectorized_theta_log_matches_scalar_loop():
 
 # ---------------------------------------------------------------------------
 # limiting mode distribution
+
+
+def _log_one_minus_tn(n: int, s, beta: float):
+    """log |1 - T_n(s)| for s > 0 (vectorized), as the library once computed
+    it at every node: the oracle of the ladder grid's cached factors."""
+    c = 0.5 * beta * math.pi**2
+    return c * s * n * n + _log_theta(c * s) - 2.0 * math.log(n)
 
 
 def mode_distribution_limit(n: int, x: float, rho_c: float, beta: float) -> float:
@@ -300,6 +319,61 @@ def test_occupation_transform_edges():
         canonical_laplace_typeII(1, 0.5, RC, RC, 1.0, 1000)
     with pytest.raises(PoleProximity):  # eta_{2,1}
         canonical_laplace_typeII(1, 1.5 * math.pi**2, 2 * RC, RC, 1.0, 1000)
+
+
+def reference_log_ladder_ratio(n, beta, delta, lam=0.0):
+    """log of integral_0^delta |1 - T_n(s)| e^{-lam (delta - s)} ds over
+    |1 - T_n(delta)|, as the ladder laws computed it for every mode and lam
+    before they shared one grid: fresh panels, log Theta at every node and
+    at the excess, in the same order of operations."""
+    nodes, weights = reference_refined_panels(0.0, delta, n_nodes=24, n_refine=20)
+    logs = _log_one_minus_tn(n, nodes, beta) - lam * (delta - nodes) + np.log(weights)
+    return sum_exp(logs, log=True) - _log_one_minus_tn(n, delta, beta)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_ladder_laws_match_per_mode_quadrature(beta):
+    rho = 0.3317384186260446
+    rc = critical_density(beta).value
+    lams = (-0.9, 0.05, 0.3, 1.0, 2.7, 7.5, 13.0, 20.0)
+    for n in range(1, 41):
+        want = reference_log_ladder_ratio(n, beta, rho - rc)
+        assert occupation_limit_typeII(n, rho, rc, beta) == math.exp(want)
+        for lam in lams:
+            want = reference_log_ladder_ratio(n, beta, rho - rc, lam)
+            got = canonical_laplace_typeII(n, lam, rho, rc, beta, 1000)
+            assert got == 1.0 - lam * math.exp(want)
+
+
+def test_ladder_grid_is_shared_and_read_only():
+    grid = limits._ladder_grid(1.0, RC)
+    assert limits._ladder_grid(1.0, RC) is grid
+    for array in grid[:3]:
+        assert array.shape == grid[0].shape
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert grid[3] == _log_theta(0.5 * math.pi**2 * RC)
+
+
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_ladder_quadrature_refuses_rates_it_cannot_resolve(n):
+    """Mode n's integrand rises like exp(K s) toward s = delta. While
+    K delta 2^-21 <= 1 the occupation is the asymptote 1/K (exact here to
+    far below an ulp) to the rounding of exponents of size K delta; past 1
+    the smallest panel, delta 2^-21, no longer resolves the rise, and both
+    ladder laws raise instead of returning a wrong value."""
+    delta = RC  # rho = 2 RC
+    for product in (0.999, 1.001):
+        beta = product * 2.0**21 / (delta * ladder_rate(n, 1.0))
+        rate = ladder_rate(n, beta)
+        if product < 1.0:
+            got = occupation_limit_typeII(n, 2.0 * RC, RC, beta)
+            assert got == pytest.approx(1.0 / rate, rel=4.0 * 2.0**-52 * rate * delta)
+            continue
+        with pytest.raises(CutoffInsufficient):
+            occupation_limit_typeII(n, 2.0 * RC, RC, beta)
+        with pytest.raises(CutoffInsufficient):
+            canonical_laplace_typeII(n, 0.5, 2.0 * RC, RC, beta, 1000)
 
 
 def test_fast_gap_limit_closed_forms():
@@ -466,7 +540,7 @@ def test_budget_covers_doubled_panel_evaluation(monkeypatch, d, lam):
     value, budget = g_with_budget(d, lam, 1.0)
     assert budget <= 1e-10
     monkeypatch.setattr(limits, "_G_PANEL_WIDTH", 0.5 * limits._G_PANEL_WIDTH)
-    finer, _ = g_with_budget(d, lam, 1.0)
+    finer, _ = g_with_budget.__wrapped__(d, lam, 1.0)  # past the cache
     assert abs(finer - value) <= budget
 
 

@@ -15,6 +15,7 @@ from bosebox.numerics import (
     solve_bracketed,
     sum_exp,
 )
+from conftest import reference_refined_panels
 
 
 def test_log1mexp_matches_naive_in_safe_range():
@@ -148,6 +149,25 @@ def test_panel_rules_share_one_read_only_legendre_rule():
     assert not first[0].flags.writeable and not first[1].flags.writeable
     x, w = np.polynomial.legendre.leggauss(24)
     assert np.array_equal(first[0], x) and np.array_equal(first[1], w)
+
+
+@pytest.mark.parametrize("a, b, n_refine", [
+    (0.0, 1.0, 18),
+    (0.0, 0.1341307906869777, 20),
+    (0.0, 1e-300, 20),
+    (0.0, 5e-324, 20),  # the edges collapse onto a and b
+    (-3.0, 7.5, 30),
+    (1.0, 1.0, 18),  # empty interval, one edge
+    (1.0, math.nextafter(1.0, 2.0), 18),  # one ulp wide
+    (1e300, math.nextafter(1e300, math.inf), 20),
+    (1e300, 3e300, 60),  # past 2^-53 of the length the halvings repeat
+    (0.0, 1e300, 1100),  # the halvings underflow to a
+])
+def test_refined_panels_match_the_unique_form(a, b, n_refine):
+    got = refined_panels(a, b, n_nodes=24, n_refine=n_refine)
+    want = reference_refined_panels(a, b, n_nodes=24, n_refine=n_refine)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_refined_panels_log_singularity():
