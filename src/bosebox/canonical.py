@@ -9,22 +9,24 @@ Z(n) by a known factor and cancels in all ratios) and stored as log Z'(n).
 For a box the shifted power sums S'_k factor exactly over the axes into
 one-dimensional theta sums, each O(1) through its Jacobi dual where it
 converges slowly (spectrum.log_power_sums, the primitive the
-grand-canonical sums read too), so no spectral cutoff enters the recursion
-at all.
+grand-canonical sums read too), so the recursion needs no spectral cutoff;
+the far rule below drops only levels whose share of every S'_k it stands
+for is under e^-50.
 
 The recursion is evaluated semi-relaxed (van der Hoeven, J. Symb. Comput.
 34 (2002) 479): the power sums are known in advance and only the rows
-arrive one at a time. The terms S'_k Z'(n-k) with k >= 256 are split into
-dyadic tiles, rows [e - P, e) against S'_k, k in [P, 2P), each one FFT of
-length 2P run as soon as its rows are final. The terms k < 256, the near
+arrive one at a time, in chunks of 256. The terms k < 256, the near
 field, are solved 16 rows at a time: one product with the rows before the
 block, then one with the inverse of the block's own triangular system,
-whose entries are all nonnegative. That costs O(n_max log^2 n_max) for
-the tiles plus O(256 n_max) for the near field, with one Python-level step
-per 16 rows, against O(n_max^2) for the plain row-by-row sum, and stays
-exact to roundoff: every tile's FFT error has a rigorous bound, and a tile
-whose bound is too large is convolved directly instead (see
-build_canonical).
+whose entries are all nonnegative. The terms k in [256, 512) are one
+lower-triangular product with the previous chunk's rows. For every k
+beyond, S'_k is replaced by a positive exponential sum
+sum_r w_r exp(-k s_r), a Gauss rule of the measure of beta x gap over
+the levels, so those terms are a running state per node, advanced once
+per chunk. That costs O(n_max (768 + 2R)) flops with R of order 100-300
+nodes, one Python-level step per 16 rows and no FFT, needs S'_k only for
+k < 512, and stays exact to roundoff: the rule is below every S'_k by a
+closed-form relative bound under 1e-18 (see build_canonical).
 
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
@@ -64,14 +66,9 @@ __all__ = [
 ]
 
 # Semi-relaxed recursion (see build_canonical): the terms k < _P0 of a row
-# are summed directly, every k >= _P0 by one FFT tile.
+# are solved 16 rows at a time, k in [_P0, 2 _P0) summed against the rows
+# of the previous chunk, and k > _P0 past those through the far rule.
 _P0 = 256
-# FFT convolution error bound |error|_inf <= _FFT_ERR log2(L) |x|_2 |s|_2
-# for length L = 2^p: Percival's (12.7 p + 2.3) u, u = eps/2 the unit
-# roundoff, is below 16 p eps with a factor 2 to spare for numpy's
-# real-input transform.
-_FFT_ERR = 16.0 * float(np.finfo(float).eps)
-_TILE_TOL = 2e-16  # FFT error a tile may add per row it spans
 _RESCALE = 300.0  # rescale the near field's window after growth by e^300
 # ln 2 = _LN2_HI + _LN2_LO (fdlibm's split): _LN2_HI has 32 significant
 # bits, so k _LN2_HI is exact for |k| < 2^21
@@ -79,6 +76,16 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _BLOCK = 16  # rows the near field solves at once, fewer only for huge S'_1
 _GROUP = 4 * _P0  # rows whose near-field inverses are built together
+# Far rule (see build_canonical): Gauss nodes per dyadic bin, more only
+# where a measure's mass would take the Gauss error past _GAUSS_TOL; the
+# share e^-_TAIL of S'_k that the atoms it drops may hold at most; the
+# entries a measure may list before it is compressed; the levels an axis
+# may list.
+_NODES = 20
+_GAUSS_TOL = 2.0**-64
+_TAIL = 50.0
+_ATOMS = 1 << 16
+_AXIS_ATOMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -167,70 +174,72 @@ class DiscreteDistribution:
         return float(np.sum(self.support.astype(float) ** r * self.mass))
 
 
-def _direct_log_power_sums(gaps: np.ndarray, beta: float, n_max: int) -> np.ndarray:
-    """log of shifted power sums summed directly over a finite level list."""
-    out = np.full(n_max + 1, np.nan)
+def _direct_log_power_sums(gaps: np.ndarray, beta: float, k_max: int) -> np.ndarray:
+    """log S'_k, k = 0..k_max (entry 0 unused), summed directly over a
+    finite level list."""
+    out = np.full(k_max + 1, np.nan)
     scaled = beta * gaps
-    for k in range(1, n_max + 1):
+    for k in range(1, k_max + 1):
         x = k * scaled
         mask = x < _EXP_FLOOR
         out[k] = math.log(float(np.exp(-x[mask]).sum())) if mask.any() else -math.inf
     return out
 
 
-def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
-    """log Z'(n), n = 0..n_max, from log S'_k (index 0 unused), semi-relaxed.
+def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
+    """log Z'(n), n = 0..n_max, from log S'_k for k <= min(n_max, 2 _P0 - 1)
+    (index 0 unused) and the far rule S'_k ~ sum_r weights_r exp(-k nodes_r).
 
-    Rows are computed in chunks [c, c + _P0). When a chunk starts, rows
-    0..c-1 are final, so every tile ending at c runs (_run_tiles) and the
-    far part of each row in the chunk, the ground share plus the tiles'
-    sums, is known. What is left is the near field, the terms k < _P0, in
-    the linear domain against the window W(m) = Z'(m)/2^shift. It is
-    solved b rows at a time: with t_k = S'_k/S'_1, the rows y of a block
-    n0..n0+b-1 satisfy (diag(n/S'_1) - T) y = band W + part, where
-    T[i, l] = t_{i-l} couples the rows inside the block, the fixed
-    b x (_P0 - 1) Toeplitz ``band`` applies t_k to the rows before n0,
-    and ``part`` is the far part over S'_1. So a block costs two small
-    matrix-vector products against the inverses of its triangular matrix,
-    which _near_inverses builds _GROUP rows at a time.
+    Rows are computed in chunks [c, c + _P0), in the linear domain against
+    the window W(m) = Z'(m)/2^shift. When a chunk starts, the far part of
+    its row c + i, the terms k >= _P0, is final: one lower-triangular
+    product (``far``) of S'_k/S'_1 with the rows [c - _P0, c), and one
+    (``tail``) of w_r e^{-(_P0 + i) s_r}/S'_1 with the states
+    H_r = sum_{m < c - _P0} W(m) e^{-(c - _P0 - m) s_r}, which each chunk
+    advances by the rows [c - 2 _P0, c - _P0) (``lead``). The near field,
+    k < _P0, is solved b rows at a time: with t_k = S'_k/S'_1 the rows y
+    of block n0..n0+b-1 satisfy (diag(n/S'_1) - T) y = band W + part, where
+    T[i, l] = t_{i-l} couples the rows inside the block, the b x (_P0 - 1)
+    Toeplitz ``band`` applies t_k to the rows before n0, and ``part`` is
+    the far part; so a block is two small products, one with the inverse
+    that _near_inverses builds _GROUP rows at a time.
 
-    Whenever a block starts with the last row past e^_RESCALE, the window
-    and the ground share are scaled by a power of two, which rounds
+    Whenever a block starts with the last row past e^_RESCALE, the window,
+    the states and the far parts are scaled by a power of two, which rounds
     nothing. With Z'(n)/Z'(n-1) <= S'_1 the rows of a block stay below
     e^(_RESCALE + b log S'_1), so b is _BLOCK unless b log S'_1 would pass
-    400, and nothing overflows while S'_1 < e^400. A row enters the window
-    rounded relative to itself, and never comes back from its log:
-    rounding log Z' at its own magnitude would feed an absolute error of
-    |log Z'| eps into every later row. lz is written once per chunk and
-    before each rescale, as shift ln 2 + log W with ln 2 split in two.
-
-    CutoffTooLarge if some S'_k overflows a double.
+    400, and nothing overflows while S'_1 < e^400. A row never comes back
+    from its log: rounding log Z' at its own magnitude would feed an
+    absolute error of |log Z'| eps into every later row. lz is written
+    once per chunk and before each rescale, as shift ln 2 + log W with
+    ln 2 split in two.
     """
-    # the largest S'_k - 1 overflows iff some does; the max is nan if any
-    # entry is, and needs no temporary array
-    with np.errstate(over="ignore"):
-        if not math.isfinite(np.expm1(ls[1:].max())):
-            raise CutoffTooLarge("power sums overflow a double at this volume and beta")
     ls1 = float(ls[1])
     s1 = math.exp(ls1)
     grow = math.exp(_RESCALE)
     b = _BLOCK if _BLOCK * ls1 <= 400.0 else max(int(400.0 / ls1), 1)
-    # t[k] = S'_k / S'_1 for 0 < k < _P0 (0 past n_max), and 0 elsewhere
-    t = np.zeros(_P0 + b)
-    top = min(_P0 - 1, n_max)
-    t[1 : top + 1] = np.exp(ls[1 : top + 1] - ls1)
+    # ratio[k] = S'_k / S'_1 for 0 < k < 2 _P0 (0 past n_max); t keeps the
+    # near field's k < _P0, far the rest
+    ratio = np.zeros(2 * _P0 + b)
+    ratio[1 : len(ls)] = np.exp(ls[1:] - ls1)
+    t = np.where(np.arange(len(ratio)) < _P0, ratio, 0.0)
     # band[i, j] = t_k for row n0 + i against row n0 - _P0 + 1 + j
-    band = t[_P0 - 1 + np.arange(b)[:, None] - np.arange(_P0 - 1)]
-    # until row n is final, lz[n] holds the log of its tile sums so far
-    lz = np.full(n_max + 1, -np.inf)
-    lz[0] = 0.0
+    band = _toeplitz(t, _P0 - 1, b, _P0 - 1)
+    # far[i, j] = S'_k / S'_1 for row c + i against row c - _P0 + j, k >= _P0
+    far = _toeplitz(ratio - t, _P0, _P0, _P0)
+    rows = np.arange(_P0)
+    tail = np.exp(np.log(weights) - ls1 - np.multiply.outer(_P0 + rows, nodes))
+    lead = np.exp(-np.multiply.outer(nodes, _P0 - rows))
+    # e^{-_P0 s} - 1: as a product, e^{-_P0 s} would round to an error of
+    # u/(_P0 s) relative in the node, compounded over every chunk
+    decay = np.expm1(-_P0 * nodes)
+    state = np.zeros(len(nodes))
+    lz = np.empty(n_max + 1)
     # W(m) for the rows m in [c - _P0, c + _P0), at m + off; rows m < 0 are 0
     window = np.zeros(2 * _P0)
     window[_P0] = 1.0
     shift = 0  # the window holds W(m) = Z'(m) / 2^shift
     log_hi = log_lo = 0.0  # shift ln 2 = log_hi + log_lo
-    head = 0.0  # sum of W(m) over the rows m < c - _P0
-    kernels = {}
     for c in range(0, n_max + 1, _P0):
         c1 = min(c + _P0, n_max + 1)
         off = _P0 - c
@@ -241,17 +250,10 @@ def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
             ])
             inverses = iter(_near_inverses(t, s1, starts, b))
         if c > 0:
+            # add the rows [c - 2 _P0, c - _P0)
+            state += decay * state + lead.dot(window[:_P0])
             window[:_P0] = window[_P0:]  # the previous chunk's rows
-            # ground share sum_{m <= n - _P0} Z'(m) of each row n of the chunk
-            cum = head + np.cumsum(window[:_P0])
-            head = float(cum[-1])
-            ground = cum[: c1 - c]
-            _run_tiles(lz, ls, kernels, c, s1 - 1.0 + head / window[_P0 - 1])
-        else:
-            ground = np.zeros(c1)
-        tiles = lz[c:c1] - ls1
-        with np.errstate(over="ignore"):
-            part = ground / s1 + np.exp(tiles - (log_hi + log_lo))
+        part = far[: c1 - c].dot(window[:_P0]) + tail[: c1 - c].dot(state)
         done = c
         last = window[_P0 - 1] if c > 0 else 1.0
         for n in range(max(c, 1), c1, b):
@@ -264,10 +266,8 @@ def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
                 log_hi, log_lo = shift * _LN2_HI, shift * _LN2_LO
                 scale = math.ldexp(1.0, -k)
                 window[:w] *= scale
-                head *= scale
-                ground *= scale
-                with np.errstate(over="ignore"):
-                    part = ground / s1 + np.exp(tiles - (log_hi + log_lo))
+                state *= scale
+                part *= scale
             r = min(b, c1 - n)
             rhs = band[:r].dot(window[w - _P0 + 1 : w])
             rhs += part[n - c : n - c + r]
@@ -275,6 +275,12 @@ def _log_partition_shifted(ls: np.ndarray, n_max: int) -> np.ndarray:
             last = window[w + r - 1]
         lz[done:c1] = log_hi + (log_lo + np.log(window[done + off : c1 + off]))
     return lz
+
+
+def _toeplitz(v, o, rows, cols) -> np.ndarray:
+    """The rows x cols matrix M[i, j] = v[o + i - j], o >= cols - 1."""
+    windows = np.lib.stride_tricks.sliding_window_view(v[o - cols + 1 : o + rows], cols)
+    return windows[:, ::-1].copy()
 
 
 def _near_inverses(t, s1, starts, b) -> np.ndarray:
@@ -291,54 +297,102 @@ def _near_inverses(t, s1, starts, b) -> np.ndarray:
     return out.transpose(1, 0, 2).copy()
 
 
-def _run_tiles(lz, ls, kernels, e, bound) -> None:
-    """Every tile that ends at row e, added to the log tile sums that the
-    rows n >= e hold in ``lz`` until they are final.
-
-    For each P = _P0 2^i dividing e, the tile convolves x_m = Z'(m)/Z'(e-1)
-    <= 1 (Z' does not decrease), m in [e - P, e), with the excess kernel
-    S'_k - 1, k in [P, 2P), by one real FFT of length 2P; row n in
-    [e, e + 2P - 1) gets Z'(e-1) sum_{m + k = n} x_m (S'_k - 1). A level's
-    kernel (_kernel) is the same for all its tiles, so ``kernels`` keeps it
-    from the level's first tile to its last.
-
-    ``bound`` = S'_1 + sum_{m < e-1} x_m is at most n Z'(n)/Z'(e-1) for
-    every row n >= e (the terms m < e-1 and m = n-1 of its sum). A tile
-    whose FFT error bound exceeds _TILE_TOL P bound is convolved directly.
-    """
-    n_max = len(lz) - 1
-    low = e & -e  # the largest power of two dividing e
-    p = _P0
-    while p <= low:
-        seg, norm, spectrum = kernels.pop(p, None) or _kernel(ls, p)
-        if norm > 0.0:  # else S'_k = 1 over the segment: nothing to add
-            rows = min(2 * p - 1, n_max + 1 - e)
-            x = np.exp(lz[e - p : e] - lz[e - 1])
-            err = _FFT_ERR * math.log2(2 * p) * math.sqrt(float(np.sum(x * x))) * norm
-            if err <= _TILE_TOL * p * bound:
-                product = np.fft.rfft(x, 2 * p)
-                product *= spectrum
-                conv = np.fft.irfft(product, 2 * p)[:rows]
-            else:
-                conv = np.convolve(x, seg)[:rows]
-            np.maximum(conv, 0.0, out=conv)
-            with np.errstate(divide="ignore"):
-                np.log(conv, out=conv)
-            conv += lz[e - 1]
-            np.logaddexp(lz[e : e + rows], conv, out=lz[e : e + rows])
-        if e + p <= n_max:  # the level has another tile
-            kernels[p] = (seg, norm, spectrum)
-        p *= 2
+def _compress(w, s, low, q=None):
+    """The measure sum_i w_i delta(s_i), w_i > 0 and s_i >= 0, with every
+    dyadic bin [X, 2X) of more than q atoms replaced by its q-node Gauss
+    rule; atoms at 0 and smaller bins are kept. ``low`` bounds below the
+    atoms each entry stands for: X for a Gauss node. q, by default the
+    least that keeps the Gauss error of this mass below _GAUSS_TOL (see
+    build_canonical), is also used for the parts of a measure of more than
+    _ATOMS entries, which are compressed first."""
+    # 4 mass / (16^q sqrt(4 pi q)) <= _GAUSS_TOL, with sqrt(4 pi q) >= sqrt(80 pi)
+    q = q or max(_NODES, math.ceil(math.log(
+        4.0 * float(w.sum()) / (_GAUSS_TOL * math.sqrt(80.0 * math.pi)), 16.0)))
+    order = np.argsort(s)
+    w, s, low = w[order], s[order], low[order]
+    if len(s) > _ATOMS:
+        parts = [_compress(w[i : i + _ATOMS], s[i : i + _ATOMS], low[i : i + _ATOMS], q)
+                 for i in range(0, len(s), _ATOMS)]
+        fewer = [np.concatenate(p) for p in zip(*parts)]
+        if len(fewer[1]) < len(s):
+            return _compress(*fewer, q)
+    zeros = int(np.searchsorted(s, 0.0, side="right"))
+    e = np.frexp(s[zeros:])[1]  # s in [2^(e-1), 2^e)
+    starts = zeros + np.flatnonzero(np.diff(e, prepend=e[:1] - 1))
+    counts = np.diff(starts, append=len(s))
+    gauss = counts > q
+    kept = np.ones(len(s), dtype=bool)
+    kept[zeros:] = np.repeat(~gauss, counts)
+    if not gauss.any():
+        return w, s, low
+    rule = _gauss_rules(w[~kept], s[~kept], counts[gauss], q)
+    w, s, low = (np.concatenate((a[kept], g)) for a, g in zip((w, s, low), rule))
+    return w[w > 0.0], s[w > 0.0], low[w > 0.0]
 
 
-def _kernel(ls: np.ndarray, p: int):
-    """The excess kernel S'_k - 1, k in [p, 2p), its 2-norm and its real
-    spectrum of length 2p (None if the kernel is 0)."""
-    seg = np.expm1(ls[p : 2 * p])
-    # squared norm by np.sum: a threaded BLAS dot of this length leaves its
-    # threads spinning, for more CPU time than wall time
-    norm = math.sqrt(float(np.sum(seg * seg)))
-    return seg, norm, np.fft.rfft(seg, 2 * p) if norm > 0.0 else None
+def _gauss_rules(w, s, counts, q):
+    """Weights, nodes and bin edges X of the q-node Gauss rule of each run
+    of ``counts`` atoms of sum w_i delta(s_i) (s sorted, each run one
+    dyadic bin [X, 2X)): Lanczos with full reorthogonalization on
+    t = 2 s/X - 3 in [-1, 1), all runs at once, then the eigenvalues and
+    first eigenvector components of the Jacobi matrices (Golub & Welsch,
+    Math. Comp. 23 (1969) 221)."""
+    starts = np.cumsum(counts) - counts
+    run = np.repeat(np.arange(len(counts)), counts)
+    low = np.ldexp(1.0, np.frexp(s[starts])[1] - 1)
+    t = 2.0 * (s / low[run]) - 3.0
+    mass = np.add.reduceat(w, starts)
+    vec = np.sqrt(w / mass[run])
+    basis = np.empty((q, len(s)))
+    jacobi = np.zeros((len(counts), q, q))
+    for j in range(q):
+        basis[j] = vec
+        v = t * vec
+        jacobi[:, j, j] = np.add.reduceat(vec * v, starts)
+        if j + 1 == q:
+            break
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            proj = np.add.reduceat(basis[: j + 1] * v, starts, axis=1)
+            v -= np.einsum("jn,jn->n", proj[:, run], basis[: j + 1])
+        norm = np.sqrt(np.add.reduceat(v * v, starts))
+        jacobi[:, j, j + 1] = jacobi[:, j + 1, j] = norm
+        vec = v / np.where(norm > 0.0, norm, 1.0)[run]
+    theta, vecs = np.linalg.eigh(jacobi)
+    return ((mass[:, None] * vecs[:, 0] ** 2).ravel(),
+            (low[:, None] * ((theta + 3.0) / 2.0)).ravel(),
+            np.repeat(low, q))
+
+
+def _box_measure(geometry: BoxGeometry, beta: float, cap: float):
+    """(weights, atoms x = beta gap, lower bounds) of the box modes with
+    x <= cap, as outer sums of the axes' atoms beta c_j (n^2 - 1), n >= 1,
+    that drop every sum whose lower bound passes cap. Where a sum would list
+    more than _ATOMS entries, its two parts are compressed first.
+    CutoffTooLarge if an axis holds more than _AXIS_ATOMS atoms up to cap."""
+    m = None
+    for c in geometry.level_coefficients:
+        top = math.sqrt(cap / (beta * c) + 1.0)  # n with beta c (n^2 - 1) <= cap
+        if top > _AXIS_ATOMS:
+            raise CutoffTooLarge(
+                f"an axis holds more than {_AXIS_ATOMS} levels with beta gap <= {cap:.3g}"
+            )
+        n = np.arange(1.0, math.floor(top) + 1.0)
+        a = beta * (c * (n * n - 1.0))  # 0 at n = 1 even if beta c overflows
+        axis = np.ones(len(a)), a, a
+        if m is None:
+            m = axis
+            continue
+        counts = np.searchsorted(a, cap - m[2], side="right")
+        if counts.sum() > _ATOMS:
+            m, axis = _compress(*m), _compress(*axis)
+            order = np.argsort(axis[2])
+            axis = tuple(v[order] for v in axis)
+            counts = np.searchsorted(axis[2], cap - m[2], side="right")
+        i = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        (w, x, low), (v, y, lo) = m, axis
+        m = w[i] * v[j], x[i] + y[j], low[i] + lo[j]
+    return m
 
 
 def build_canonical(
@@ -352,61 +406,79 @@ def build_canonical(
 
     ``geometry`` is either a BoxGeometry or a plain sequence of level
     energies. A box gets its power sums from the exact theta factorization
-    over the whole spectrum (spectrum.log_power_sums), so no mode is
-    listed and no spectral cutoff enters; its volume is the box's. A level
-    list is summed directly, with volume ``volume`` (default 1), and
-    CutoffInsufficient is raised if it is empty.
+    over the whole spectrum (spectrum.log_power_sums), so no spectral
+    cutoff enters; its volume is the box's. A level list is summed
+    directly, with volume ``volume`` (default 1), and CutoffInsufficient
+    is raised if it is empty. Either way only S'_k with k < 512 are
+    computed. CutoffTooLarge if they overflow a double, or if an axis of
+    a box holds more than 2^22 levels below the far rule's cut x_c.
 
-    The recursion n Z'(n) = sum_{m<n} S'_{n-m} Z'(m) is split by k = n - m.
-    Since Z' does not decrease, each tile normalizes its rows to
-    x_m = Z'(m)/Z'(e-1) <= 1. Writing S'_k = 1 + (S'_k - 1), the terms
-    k >= P0 = 256 fall into the ground mode's share sum_{m <= n-P0} Z'(m),
-    a running prefix sum, and the excess part, which the tiles compute:
-    for every P = P0 2^i dividing e, once rows 0..e-1 are final, the rows
-    m in [e - P, e) against S'_k - 1, k in [P, 2P), by one real FFT of
-    length 2P, feeding rows [e, e + 2P - 1). Each level's kernel spectrum
-    is computed once. The terms k < P0, the near field, are solved in
-    chunks of P0 rows, whose far part is known when the chunk starts, and
-    within a chunk in blocks of b = 16 rows (fewer only if 16 log S'_1
-    > 400, so that a block's growth cannot overflow). With t_k =
-    S'_k/S'_1, a block's rows y solve (diag(n/S'_1) - T) y = rhs,
-    T[i, l] = t_{i-l}: rhs is one product of the fixed b x 255 band of
-    t_k with the 255 rows before the block, plus the far part, and y is
-    one product with the inverse of the lower-triangular matrix, built by
-    forward substitution for 1024 rows of blocks at a time. That inverse
-    is an M-matrix inverse: every entry is a sum of nonnegative terms, so
-    nothing cancels, and each row is rounded relative to itself by
-    O((b + 255) u), u = eps/2, as the row-by-row dot of 255 terms was by
-    O(255 u). Cost: O(n_max log^2 n_max) for the tiles plus O(n_max P0)
-    for the near field, with one Python-level step per block; on a 2-core
-    x86-64 VM the recursion takes about 0.1 s at n_max = 48 102 and the
-    whole build 3.5-5.1 s at n_max = 1 658 692 (V = 5e6, regime II),
-    against 5.4-6.9 s with one step per row and about 160 s for fixed
-    blocks of 2048 rows with one FFT each.
+    The recursion n Z'(n) = sum_{m<n} S'_{n-m} Z'(m) runs in chunks of
+    P0 = 256 rows (_log_partition_shifted). The near field, k < P0, is
+    solved in blocks of b = 16 rows (fewer only if 16 log S'_1 > 400, so
+    that a block's growth cannot overflow): with t_k = S'_k/S'_1 a block's
+    rows y solve (diag(n/S'_1) - T) y = rhs, T[i, l] = t_{i-l}, where rhs
+    is one product of the b x 255 band of t_k with the rows before the
+    block plus the far part, and y one product with the inverse of that
+    M-matrix, whose entries are sums of nonnegative terms. The far part of
+    a chunk's rows is known when it starts: the exact S'_k, k in [P0, 2 P0),
+    against the previous chunk, and for the rows before that the far rule
+    S'_k ~ sum_r w_r e^{-k s_r}, one running state per node. Cost:
+    O(n_max (3 P0 + 2 R)) flops, one Python-level step per block, no FFT.
+    On a 2-core x86-64 VM the build takes about 25 ms at n_max = 48 102
+    (regime III, V = 1.45e5) and 1.7 s at n_max = 1 658 692 (regime II,
+    V = 5e6, R = 191, 0.08 s of it the rule).
 
-    FFT error bound: for transform length L the computed convolution is
-    off by at most 16 eps log2(L) |x|_2 |S' - 1|_2 in every entry (Percival,
-    Math. Comp. 72 (2003) 387, with a factor 2 to spare). A row n >= e
-    has n Z'(n) >= Z'(e-1) (S'_1 + sum_{m < e-1} x_m), so each tile checks
-    its bound against 2e-16 P times that, and is convolved directly
-    (np.convolve) if it fails. A tile's terms reach across at least
-    P rows (k >= P), so along any chain of dependencies the tiles add at
-    most 2e-16 per row spanned, as the fixed blocks did; with the near
-    field's rounding a ratio Z'(n-j)/Z'(n) stays within 4e-16 n, the
-    roundoff budget the CLI reports for canonical rows. The window of the
-    near field is rescaled by powers of two, which round nothing, so the
-    budget holds however often it rescales (every 11 rows or so at
-    log S'_1 = 28).
+    The far rule (n_max >= 2 P0). S'_k - 1 is completely monotone in k,
+    the Laplace transform of the measure of x = beta gap over the excited
+    levels (Braess & Hackbusch, IMA J. Numer. Anal. 25 (2005) 685; Beylkin
+    & Monzon, ACHA 28 (2010) 131). The rule's first node is the ground,
+    s_0 = 0, w_0 the number of levels at gap 0. A dyadic bin [X, 2X) of at
+    most 20 atoms keeps them, a larger one becomes its 20-node Gauss rule
+    (_gauss_rules). A level list's atoms are its gaps; a box's are per-axis
+    outer sums (_box_measure), whose factors are compressed first where
+    more than 65536 sums would be listed (only at large S'_1).
+    - Truncation: only atoms x <= x_c = min(745/257, (log S'_1 + 50)/256)
+      count; for k >= 257 the rest sum to at most e^{-256 x_c} S'_1 <= e^-50
+      of S'_k >= 1 (for S'_1 < e^692; past 745/257 each term underflows).
+    - Gauss error: f = e^{-kx} has f^(2q) > 0, so a q-node Gauss rule of a
+      positive measure is below the exact sum, by at most
+      f^(2q)(X)/(2q)! int pi_q^2 <= 4 mu (kX/4)^{2q} e^{-kX}/(2q)! on a bin
+      of mass mu (2 (X/4)^q bounds the monic Chebyshev polynomial of
+      [X, 2X), hence pi_q), that is by 4 mu/(16^q sqrt(4 pi q)) = 2.1e-25 mu
+      for every k at q = 20. A measure whose mass would take that past
+      2^-64 of S'_k >= 1 gets more nodes per bin (_compress).
+    So the rule is below every S'_k, k > 256, by at most delta S'_k,
+    delta < 1e-18 (2^-64 per compression, a handful at most, plus e^-50).
+    Its nodes and weights carry the rounding of Lanczos, which moves a term
+    e^{-k s_r} by a few k s_r u as the rounding of the atoms does (tests
+    allow 8 u sum_x k x e^{-kx}; at V = 5e6 the rule is within 6e-17 of
+    long-double theta sums for every k >= 1e5).
+
+    Error budget: Z'(n) is a polynomial in the S'_k with nonnegative
+    coefficients and at most n factors per term (the cycle index), so S'_k
+    low by at most delta S'_k lowers Z'(n) by at most about n delta, and
+    moves a ratio Z'(n-j)/Z'(n) by at most about 2 n delta < 2e-18 n. The
+    states, like the near field, add nonnegative terms only, and each row
+    is rounded relative to itself by O((b + 511 + R) u), u = eps/2. So a
+    ratio Z'(n-j)/Z'(n) stays within 4e-16 n, the roundoff budget the CLI
+    reports for canonical rows: at V = 5e6, regime II, every ratio is
+    within 0.83 of it against a long-double run of the same recursion on
+    the same S'_k. The states are held in the linear domain, as the window
+    is: sums held as logs would round at |log Z'| (a tile recursion that
+    did drifted to 7 times the budget there). The window and the states
+    are rescaled by powers of two, which round nothing.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
+    k_near = min(n_max, 2 * _P0 - 1)
     if isinstance(geometry, BoxGeometry):
         box, gaps = geometry, None
         ground = ground_energy(geometry)
         vol = geometry.volume
-        log_s_shifted = np.concatenate(([np.nan], log_power_sums(geometry, beta, n_max)))
+        ls = np.concatenate(([np.nan], log_power_sums(geometry, beta, k_near)))
     else:
         energies = np.sort(np.asarray(list(geometry), dtype=float))
         if len(energies) == 0:
@@ -415,7 +487,22 @@ def build_canonical(
         ground = float(energies[0])
         gaps = energies - ground
         vol = 1.0 if volume is None else float(volume)
-        log_s_shifted = _direct_log_power_sums(gaps, beta, n_max)
+        ls = _direct_log_power_sums(gaps, beta, k_near)
+    # the largest S'_k - 1 overflows iff some does; the max is nan if any
+    # entry is, and needs no temporary array
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.expm1(ls[1:].max())):
+            raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    rule = np.ones(0), np.zeros(0)
+    if n_max >= 2 * _P0:
+        cap = min(_EXP_FLOOR / (_P0 + 1), (ls[1] + _TAIL) / _P0)
+        if box is None:
+            x = beta * gaps
+            x = x[x <= cap]
+            measure = np.ones(len(x)), x, x
+        else:
+            measure = _box_measure(box, beta, cap)
+        rule = _compress(*measure)[:2]
     return CanonicalTable(
         geometry=box,
         gaps=gaps,
@@ -423,7 +510,7 @@ def build_canonical(
         beta=beta,
         n_max=n_max,
         volume=vol,
-        log_z_shifted=_log_partition_shifted(log_s_shifted, n_max),
+        log_z_shifted=_log_partition_shifted(ls, n_max, *rule),
     )
 
 

@@ -62,7 +62,7 @@ from .limits import (
 
 # Largest particle number run without cutoffs.allow_large_n: `bosebox
 # canonical` at n = 1 990 431 (V = 6e6, rho = 2 rho_c, regime I) takes
-# 5.8 s and 206 MB peak RSS on a 2-core x86-64 VM.
+# 1.7-2.5 s and 123 MB peak RSS on a 2-core x86-64 VM.
 N_MAX_HARD_CAP = 2_000_000
 
 # `spectrum` prints the SPECTRUM_ROWS lowest modes up to e_max (by energy,

@@ -234,12 +234,13 @@ def test_acceptance_06_critical_ladder_occupations(capsys):
     inequiv = abs(limits[1] - gc_ground)
     budget = ladder.residual + 1e-9
     gaps = {1: [], 2: [], 3: []}
-    for vol in (2e3, 1e4, 5e4):
+    volumes = (2e3, 1e4, 5e4, 2.5e5, 1.25e6)
+    for vol in volumes:
         ct, n_part = _canonical_at((0.5, 0.3, 0.2), vol, RHO_SUPER)
         for n in (1, 2, 3):
             density = occupation_moment(ct, (n, 1, 1), n_part, 1) / vol
             gaps[n].append(abs(density - limits[n]) / limits[n])
-    shrinking = all(g[0] > g[1] > g[2] for g in gaps.values())
+    shrinking = all(a > b for g in gaps.values() for a, b in zip(g, g[1:]))
     final = max(g[-1] for g in gaps.values())
     final_ok = final < 0.10
     elapsed = time.monotonic() - start
@@ -255,11 +256,17 @@ def test_acceptance_06_critical_ladder_occupations(capsys):
     assert sum_rel < 0.05
     assert inequiv > budget
     if not final_ok:
+        worst = max(gaps, key=lambda n: gaps[n][-1])
+        rate = gaps[worst][-1] / gaps[worst][-2]  # per x5 in V
+        needed = volumes[-1] * 5.0 ** (math.log(0.10 / final) / math.log(rate))
+        measured = "; ".join(
+            f"({n},1,1) " + " -> ".join(f"{g:.1%}" for g in gaps[n]) for n in gaps
+        )
         pytest.xfail(
-            f"ladder occupations converge at the slow condensate scale; at the "
-            f"grid's largest V=5e4 the worst mode is still {final:.1%} from its "
-            "limit. Mode (1,1,1) measured 65.4% -> 45.7% -> 32.2% at V = 5e4, "
-            "2.5e5, 1.25e6, about x0.7 per x5 in V, so 10% needs V around 2.5e8"
+            f"ladder occupations converge at the slow condensate scale: at V = "
+            f"{', '.join(f'{v:.3g}' for v in volumes)} the rel gaps are "
+            f"{measured}. Mode ({worst},1,1) is worst, x{rate:.2f} per x5 in V "
+            f"at the last step, so 10% needs V around {needed:.1e}"
         )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from bosebox import (
     BoxGeometry,
+    CutoffTooLarge,
     DomainError,
     build_canonical,
     enumerate_below,
@@ -27,6 +28,7 @@ from bosebox import (
 )
 import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
+from bosebox.spectrum import ground_energy, mode_gaps
 from bosebox.spectrum import log_power_sums as box_log_power_sums
 from conftest import gaps
 
@@ -323,6 +325,11 @@ def reference_log_z_shifted(log_power_sums, n_max, dtype=float):
 _BLOCK = 2048
 _NEAR = 256
 _BLOCK_REL_TOL = 2e-16 * _BLOCK
+# FFT convolution error bound |error|_inf <= _FFT_ERR log2(L) |x|_2 |s|_2
+# for length L = 2^p: Percival's (12.7 p + 2.3) u, u = eps/2 the unit
+# roundoff (Math. Comp. 72 (2003) 387), is below 16 p eps with a factor 2
+# to spare for numpy's real-input transform.
+_FFT_ERR = 16.0 * float(np.finfo(float).eps)
 
 
 def blocked_log_z_shifted(ls, n_max):
@@ -355,7 +362,7 @@ def _blocked_far_sums(lz, excess, n0, n1):
     conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(s, size), size)
     conv = conv[n0 - 1 : n1 - 1]
     norms = float(np.sum(x * x)) * float(np.sum(s * s))
-    err = canonical._FFT_ERR * math.log2(size) * math.sqrt(norms)
+    err = _FFT_ERR * math.log2(size) * math.sqrt(norms)
     ground = float(x.sum())
     rel = err / (ground + max(float(conv.min()) - err, 0.0))
     return lz[f - 1] + np.log(ground + conv), err, rel
@@ -378,8 +385,107 @@ def _blocked_fill_rows(lz, window, s_rev, ls1, n0, n1, lo, log_far):
         lz[n] = lz[ref] + math.log(window[n])
 
 
-# rho = 2 rho_c at V = 2e4: n = 6 634 runs tiles of five levels, P = 256
-# to 4096, several of them more than once.
+# The semi-relaxed recursion build_canonical ran before the far rule, kept
+# as the oracle of the far field: the same near field, and the terms
+# k >= 256 as the ground share sum_{m <= n - 256} Z'(m), a running prefix
+# sum, plus dyadic tiles, rows [e - P, e) against S'_k - 1, k in [P, 2P),
+# each one real FFT of length 2P run as soon as its rows are final.
+_TILE_TOL = 2e-16  # FFT error a tile may add per row it spans
+
+
+def tiled_log_z_shifted(ls, n_max):
+    """log Z'(n), n = 0..n_max, from log S'_k for every k <= n_max."""
+    p0, b = canonical._P0, canonical._BLOCK
+    ls1 = float(ls[1])
+    s1 = math.exp(ls1)
+    grow = math.exp(canonical._RESCALE)
+    if b * ls1 > 400.0:
+        b = max(int(400.0 / ls1), 1)
+    t = np.zeros(p0 + b)
+    top = min(p0 - 1, n_max)
+    t[1 : top + 1] = np.exp(ls[1 : top + 1] - ls1)
+    band = t[p0 - 1 + np.arange(b)[:, None] - np.arange(p0 - 1)]
+    lz = np.full(n_max + 1, -np.inf)  # until row n is final, its tile sums
+    lz[0] = 0.0
+    window = np.zeros(2 * p0)
+    window[p0] = 1.0
+    shift, head, kernels = 0, 0.0, {}
+    log_hi = log_lo = 0.0  # shift ln 2, split as in build_canonical
+    for c in range(0, n_max + 1, p0):
+        c1 = min(c + p0, n_max + 1)
+        off = p0 - c
+        if c % canonical._GROUP == 0:
+            starts = np.concatenate([
+                np.arange(max(q, 1), min(q + p0, n_max + 1), b)
+                for q in range(c, min(c + canonical._GROUP, n_max + 1), p0)
+            ])
+            inverses = iter(canonical._near_inverses(t, s1, starts, b))
+        if c > 0:
+            window[:p0] = window[p0:]
+            cum = head + np.cumsum(window[:p0])
+            head = float(cum[-1])
+            ground = cum[: c1 - c]
+            _run_tiles(lz, ls, kernels, c, s1 - 1.0 + head / window[p0 - 1])
+        else:
+            ground = np.zeros(c1)
+        tiles = lz[c:c1] - ls1
+        with np.errstate(over="ignore"):
+            part = ground / s1 + np.exp(tiles - (log_hi + log_lo))
+        done = c
+        last = window[p0 - 1] if c > 0 else 1.0
+        for n in range(max(c, 1), c1, b):
+            w = n + off
+            if last > grow:
+                lz[done:n] = log_hi + (log_lo + np.log(window[done + off : w]))
+                done = n
+                k = math.frexp(last)[1]
+                shift += k
+                log_hi, log_lo = shift * canonical._LN2_HI, shift * canonical._LN2_LO
+                scale = math.ldexp(1.0, -k)
+                window[:w] *= scale
+                head *= scale
+                ground *= scale
+                with np.errstate(over="ignore"):
+                    part = ground / s1 + np.exp(tiles - (log_hi + log_lo))
+            r = min(b, c1 - n)
+            rhs = band[:r].dot(window[w - p0 + 1 : w]) + part[n - c : n - c + r]
+            window[w : w + r] = next(inverses)[:r, :r].dot(rhs)
+            last = window[w + r - 1]
+        lz[done:c1] = log_hi + (log_lo + np.log(window[done + off : c1 + off]))
+    return lz
+
+
+def _run_tiles(lz, ls, kernels, e, bound):
+    """Every tile that ends at row e, added to the log tile sums of the
+    rows n >= e. A tile whose FFT error bound exceeds _TILE_TOL P bound,
+    bound <= n Z'(n)/Z'(e-1) for every row n >= e, is convolved directly."""
+    n_max = len(lz) - 1
+    low = e & -e
+    p = canonical._P0
+    while p <= low:
+        if p not in kernels:
+            seg = np.expm1(ls[p : 2 * p])
+            norm = math.sqrt(float(np.sum(seg * seg)))
+            kernels[p] = seg, norm, np.fft.rfft(seg, 2 * p) if norm > 0.0 else None
+        seg, norm, spectrum = kernels[p]
+        if norm > 0.0:
+            rows = min(2 * p - 1, n_max + 1 - e)
+            x = np.exp(lz[e - p : e] - lz[e - 1])
+            err = _FFT_ERR * math.log2(2 * p) * math.sqrt(float(np.sum(x * x))) * norm
+            if err <= _TILE_TOL * p * bound:
+                conv = np.fft.irfft(np.fft.rfft(x, 2 * p) * spectrum, 2 * p)[:rows]
+            else:
+                conv = np.convolve(x, seg)[:rows]
+            np.maximum(conv, 0.0, out=conv)
+            with np.errstate(divide="ignore"):
+                np.log(conv, out=conv)
+            np.logaddexp(lz[e : e + rows], conv + lz[e - 1], out=lz[e : e + rows])
+        p *= 2
+
+
+# rho = 2 rho_c at V = 2e4: n = 6 634 runs 26 chunks, 24 of them against
+# the far rule's states, and the tile oracle runs tiles of five levels,
+# P = 256 to 4096, several of them more than once.
 ORACLE_VOLUME = 2.0e4
 REGIME_ALPHAS = {
     "I": (0.4, 0.35, 0.25),
@@ -389,11 +495,17 @@ REGIME_ALPHAS = {
 
 
 @functools.lru_cache(maxsize=None)
+def _oracle_levels():
+    """The level list of the "levels" oracle case: a box's levels up to 12."""
+    table = enumerate_below(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 12.0)
+    return tuple(float(e) for e in table.energies)
+
+
+@functools.lru_cache(maxsize=None)
 def _oracle_case(case, rho_c_value):
     """(spectrum argument, volume, n, log S'_k) for one oracle case."""
     if case == "levels":
-        table = enumerate_below(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 12.0)
-        levels = [float(e) for e in table.energies]
+        levels = list(_oracle_levels())
         gaps = np.sort(np.array(levels)) - min(levels)
         n = 6444
         return levels, 1000.0, n, canonical._direct_log_power_sums(gaps, 1.0, n)
@@ -420,6 +532,7 @@ def _assert_matches_oracle(ct, case, rho_c_value):
     got = np.asarray(ct.log_z_shifted)
     _assert_close(got, _oracle_rows(case, rho_c_value).astype(float))
     _assert_close(got, blocked_log_z_shifted(ls, n))
+    _assert_close(got, tiled_log_z_shifted(ls, n))
 
 
 @pytest.mark.parametrize("case", ["I", "II", "III", "levels"])
@@ -435,27 +548,38 @@ def test_recursion_matches_blocked_oracle_at_benchmark_sizes(rho_c_value, volume
     geom = BoxGeometry(REGIME_ALPHAS["III"], volume)
     n = int(round(2.0 * rho_c_value * volume))
     ls = np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
-    _assert_close(canonical._log_partition_shifted(ls, n), blocked_log_z_shifted(ls, n))
+    got = np.asarray(build_canonical(geom, 1.0, n).log_z_shifted)
+    _assert_close(got, blocked_log_z_shifted(ls, n))
+    _assert_close(got, tiled_log_z_shifted(ls, n))
 
 
-@pytest.mark.parametrize("case", ["I", "III", "levels"])
-def test_recursion_ratios_within_roundoff_budget(case, rho_c_value):
-    """Every ratio log Z'(n) - log Z'(n-j) is within the CLI's budget
-    4e-16 n of the long-double loop, plus the rounding of the two logs
-    as doubles (half an ulp each, already more than 4e-16 n on the first
-    few hundred rows, where log Z'(n) grows fastest)."""
-    _, _, n, ls = _oracle_case(case, rho_c_value)
-    want = _oracle_rows(case, rho_c_value)
-    got = canonical._log_partition_shifted(ls, n).astype(np.longdouble)
+def _assert_ratios_within_budget(got, want):
+    """Every ratio log Z'(n) - log Z'(n-j) within the CLI's budget 4e-16 n
+    of the long-double loop, plus the rounding of the two logs as doubles
+    (half an ulp each, already more than 4e-16 n on the first few hundred
+    rows, where log Z'(n) grows fastest)."""
+    got = np.asarray(got).astype(np.longdouble)
+    n = len(got) - 1
     for j in (1, 10, 100, 1000):
+        if j > n:
+            break
         rows = np.arange(j, n + 1)
         drift = np.abs((got[j:] - got[:-j]) - (want[j:] - want[:-j]))
         rounding = 2.0**-53 * (np.abs(want[j:]) + np.abs(want[:-j]))
         assert np.all(drift <= 4e-16 * rows + rounding)
 
 
+@pytest.mark.parametrize("case", ["I", "III", "levels"])
+def test_recursion_ratios_within_roundoff_budget(case, rho_c_value):
+    spectrum, volume, n, _ = _oracle_case(case, rho_c_value)
+    got = build_canonical(spectrum, 1.0, n, volume=volume).log_z_shifted
+    _assert_ratios_within_budget(got, _oracle_rows(case, rho_c_value))
+
+
 def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
-    """A tile whose FFT error bound is too large is convolved directly."""
+    """The tile oracle convolves a tile directly when its FFT error bound
+    is too large, and both of its routes match the long-double loop; the
+    library runs neither an FFT nor a direct convolution."""
     calls = {"fft": 0, "direct": 0}
 
     def counted(name, fn):
@@ -468,61 +592,152 @@ def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
     monkeypatch.setattr(np.fft, "irfft", counted("fft", np.fft.irfft))
     monkeypatch.setattr(np, "convolve", counted("direct", np.convolve))
     spectrum, volume, n, ls = _oracle_case("III", rho_c_value)
-    canonical._log_partition_shifted(ls, n)
+    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    assert calls == {"fft": 0, "direct": 0}
+    by_fft = tiled_log_z_shifted(ls, n)
     tiles = calls["fft"]
     assert tiles > 0 and calls["direct"] == 0
     calls["fft"] = 0
-    monkeypatch.setattr(canonical, "_TILE_TOL", 0.0)
-    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    monkeypatch.setitem(globals(), "_TILE_TOL", 0.0)
+    direct = tiled_log_z_shifted(ls, n)
     assert calls == {"fft": 0, "direct": tiles}
     monkeypatch.undo()
+    want = _oracle_rows("III", rho_c_value).astype(float)
+    _assert_close(by_fft, want)
+    _assert_close(direct, want)
     _assert_matches_oracle(ct, "III", rho_c_value)
 
 
 # (alphas, volume, beta, n): a box with log S'_1 = 28.3, where the near
-# field solves 14-row blocks and rescales its window inside every chunk;
-# tables shorter than one chunk; a single row past n = 0.
+# field solves 14-row blocks and rescales its window inside every chunk,
+# and whose far rule lists more atoms than fit at once; tables shorter
+# than one chunk; a single row past n = 0; tables around the end of the
+# band k < 512 and of the first state update; beta c_j past the double
+# range, where the rule is the ground alone. alphas None is the level
+# list of "levels" with its ground level doubled, so the rule's ground
+# node has weight 2.
 EDGE_CASES = {
     "large-S1": (REGIME_ALPHAS["I"], 1.0e9, 1.0e-3, 700),
     "n-255": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 255),
     "n-100": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 100),
     "n-1": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 1),
+    "n-511": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 511),
+    "n-512": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 512),
+    "n-767": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 767),
+    "double-ground": (None, 1000.0, 1.0, 767),
+    "huge-beta": (REGIME_ALPHAS["I"], 1.0, 1.0e308, 600),
 }
 
 
+def _far_rule_of(monkeypatch, spectrum, beta, n, volume=None):
+    """The table build_canonical builds, and the far rule (weights, nodes)
+    it hands the recursion."""
+    seen = {}
+    recursion = canonical._log_partition_shifted
+
+    def spy(ls, n_max, weights, nodes):
+        seen.update(weights=weights, nodes=nodes)
+        return recursion(ls, n_max, weights, nodes)
+
+    monkeypatch.setattr(canonical, "_log_partition_shifted", spy)
+    ct = build_canonical(spectrum, beta, n, volume=volume)
+    monkeypatch.undo()
+    return ct, seen["weights"], seen["nodes"]
+
+
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_recursion_edge_cases_match_long_double_oracle(case):
+def test_recursion_edge_cases_match_long_double_oracle(case, monkeypatch):
     alphas, volume, beta, n = EDGE_CASES[case]
-    geom = BoxGeometry(alphas, volume)
-    ls = np.concatenate(([np.nan], box_log_power_sums(geom, beta, n)))
+    if alphas is None:
+        levels = list(_oracle_levels())
+        levels.append(min(levels))
+        gaps = np.sort(np.array(levels)) - min(levels)
+        spectrum, ls = levels, canonical._direct_log_power_sums(gaps, beta, n)
+    else:
+        spectrum = BoxGeometry(alphas, volume)
+        ls = np.concatenate(([np.nan], box_log_power_sums(spectrum, beta, n)))
     want = reference_log_z_shifted(ls, n, dtype=np.longdouble)
-    got = np.asarray(build_canonical(geom, beta, n).log_z_shifted)
+    ct, weights, nodes = _far_rule_of(monkeypatch, spectrum, beta, n, volume)
+    got = np.asarray(ct.log_z_shifted)
     if case == "large-S1":  # blocks of fewer than 16 rows, many rescales per chunk
         assert canonical._BLOCK * ls[1] > 400.0
         assert got[canonical._P0 - 1] > 10.0 * canonical._RESCALE
+    assert (len(weights) > 0) == (n >= 2 * canonical._P0)
+    if alphas is None:
+        assert np.sum(weights[nodes == 0.0]) == 2.0
     _assert_close(got, want.astype(float))
-    # the ratio budget 4e-16 n of test_recursion_ratios_within_roundoff_budget
-    got = got.astype(np.longdouble)
-    for j in (1, 10, 100, 1000):
-        if j > n:
-            break
-        rows = np.arange(j, n + 1)
-        drift = np.abs((got[j:] - got[:-j]) - (want[j:] - want[:-j]))
-        rounding = 2.0**-53 * (np.abs(want[j:]) + np.abs(want[:-j]))
-        assert np.all(drift <= 4e-16 * rows + rounding)
+    _assert_ratios_within_budget(got, want)
 
 
 def test_recursion_peak_memory_per_row(rho_c_value):
-    """No buffer of the recursion beyond its O(n) arrays grows with n:
-    regime II at V = 6e5 (n = 199 043) peaks at 72 bytes per row."""
+    """No buffer of build_canonical beyond the table grows with n: regime
+    II at V = 6e5 (n = 199 043), power sums, far rule and recursion
+    together, peaks at 16.2 bytes per row (8 for the table itself)."""
     geom = BoxGeometry(REGIME_ALPHAS["II"], 6.0e5)
     n = int(round(2.0 * rho_c_value * geom.volume))
-    ls = np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        canonical._log_partition_shifted(ls, n)
+        build_canonical(geom, 1.0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 72.0 * n
+    assert peak <= 24.0 * n
+
+
+# ------------------------------------------------------------- far rule
+
+
+def _listed_atoms(spectrum, x_max):
+    """x = gap (beta = 1) of every level with x <= x_max, ground included,
+    listed one by one."""
+    if isinstance(spectrum, BoxGeometry):
+        e_max = ground_energy(spectrum) + x_max
+        table = enumerate_below(spectrum, e_max + 8.0 * math.ulp(e_max))
+        x = mode_gaps(spectrum, table.modes)
+    else:
+        x = np.sort(np.array(spectrum)) - min(spectrum)
+    return x[x <= x_max]
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "levels"])
+def test_far_rule_is_a_positive_gauss_compression(case, rho_c_value, monkeypatch):
+    """The far rule has positive weights and at most 400 terms; at 200
+    log-spaced k in [257, n] it is within build_canonical's bound of the
+    direct long-double sum over every atom x <= 745/257: below it by at
+    most delta < 1e-18 of S'_k, and off by the nodes' rounding of at most
+    8 u sum_x k x e^{-kx}. A bin of at most 20 atoms is its atoms."""
+    spectrum, volume, n, ls = _oracle_case(case, rho_c_value)
+    _, weights, nodes = _far_rule_of(monkeypatch, spectrum, 1.0, n, volume)
+    assert np.all(weights > 0.0) and len(weights) <= 400
+    x = _listed_atoms(spectrum, canonical._EXP_FLOOR / (canonical._P0 + 1))
+    atoms = x.astype(np.longdouble)
+    w, s = weights.astype(np.longdouble), nodes.astype(np.longdouble)
+    ulp = np.finfo(np.longdouble).eps
+    for k in np.unique(np.geomspace(257, n, 200).round()):
+        terms = np.exp(-k * atoms)
+        direct = terms.sum()
+        # the nodes' rounding, and the long-double sums' own
+        rounding = 8.0 * 2.0**-53 * np.sum(k * atoms * terms) + 8.0 * ulp * direct
+        rule = np.sum(w * np.exp(-k * s))
+        assert direct - 1e-18 * direct - rounding <= rule <= direct + rounding
+    p0 = canonical._P0
+    cap = min(canonical._EXP_FLOOR / (p0 + 1), (ls[1] + canonical._TAIL) / p0)
+    kept = x[(x > 0.0) & (x <= cap)]
+    bins, node_bins = np.frexp(kept)[1], np.frexp(nodes)[1]
+    small = [e for e in np.unique(bins) if np.count_nonzero(bins == e) <= canonical._NODES]
+    # at V = 2e4 the top bins are compressed; the level list's are all small
+    assert small and (case == "levels" or len(small) < len(np.unique(bins)))
+    for e in small:
+        assert np.array_equal(np.sort(nodes[node_bins == e]), np.sort(kept[bins == e]))
+        assert np.all(weights[node_bins == e] == 1.0)
+    assert np.sum(weights[nodes == 0.0]) == 1.0
+
+
+def test_far_rule_refuses_an_axis_it_cannot_list():
+    """An axis of 10^8 levels below the rule's cut is refused before it is
+    listed; a table too short to need the rule is still built."""
+    geom = BoxGeometry((0.98, 0.01, 0.01), 1.0e9)
+    with pytest.raises(CutoffTooLarge, match="an axis holds more than"):
+        build_canonical(geom, 1.0, 2 * canonical._P0)
+    assert build_canonical(geom, 1.0, 2 * canonical._P0 - 1).n_max == 2 * canonical._P0 - 1
