@@ -60,11 +60,9 @@ from .kac import (
     limiting_kac_transform,
 )
 from .limits import (
-    FluctuationCase,
     axis_curvature_at_zero,
     canonical_laplace_typeII,
     canonical_limit_typeI,
-    fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,

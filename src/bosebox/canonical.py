@@ -1,12 +1,13 @@
 """Canonical (fixed particle number) ensemble on a box spectrum.
 
-The n-particle partition function obeys the power-sum recursion
+A canonical table is built on a BoxGeometry and nothing else. The
+n-particle partition function obeys the power-sum recursion
 
     Z(n) = (1/n) sum_{k=1}^{n} S_k Z(n-k),      S_k = sum_j exp(-k beta E_j),
 
 run after shifting every level by the ground energy (the shift multiplies
 Z(n) by a known factor and cancels in all ratios) and stored as log Z'(n).
-For a box the shifted power sums S'_k factor exactly over the axes into
+The shifted power sums S'_k of a box factor exactly over the axes into
 one-dimensional theta sums, each O(1) through its Jacobi dual where it
 converges slowly (spectrum.log_power_sums, the primitive the
 grand-canonical sums read too), so the recursion needs no spectral cutoff;
@@ -31,8 +32,8 @@ closed-form relative bound under 1e-18 (see build_canonical).
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
 everything downstream (probabilities, moments, Laplace transforms and the
-condensate below a gap window) is built on it. A box table reads a mode's
-gap from its quantum numbers, so the only modes it ever lists are the few
+condensate below a gap window) is built on it. A table reads a mode's gap
+from its quantum numbers, so the only modes it ever lists are the few
 below a condensate window.
 """
 
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import CutoffInsufficient, CutoffTooLarge, DomainError, NumericsError
+from .errors import CutoffTooLarge, DomainError, NumericsError
 from .numerics import log1mexp, sum_exp
 from .spectrum import (
     _EXP_FLOOR,
@@ -90,63 +91,47 @@ _AXIS_ATOMS = 1 << 22
 
 @dataclass(frozen=True)
 class CanonicalTable:
-    """Partition-function table for 0..n_max particles at one temperature.
+    """Partition-function table of a box for 0..n_max particles at one
+    temperature.
 
-    A box table (``geometry`` set, ``gaps`` None) holds the whole box
-    spectrum through its power sums and names modes by quantum numbers; no
-    mode is listed to build it. A level-list table (``geometry`` None)
-    holds the sorted gaps of its levels above the lowest one and names
-    modes by row index. ``log_z_shifted[n]`` is log Z'(n), the log
-    partition function with the ground energy subtracted from every level,
-    as the recursion computes it; ``log_z`` is the true log Z(n), derived
-    from it on each read.
+    It holds the whole box spectrum through its power sums and names modes
+    by quantum numbers; no mode is listed to build it. ``log_z_shifted[n]``
+    is log Z'(n), the log partition function with the ground energy
+    subtracted from every level, as the recursion computes it; ``log_z`` is
+    the true log Z(n), derived from it on each read.
     """
 
-    geometry: BoxGeometry | None
-    gaps: np.ndarray | None = field(repr=False)
-    ground_energy: float
+    geometry: BoxGeometry
     beta: float
     n_max: int
-    volume: float
     log_z_shifted: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for values in (self.gaps, self.log_z_shifted):
-            if values is not None:
-                values.setflags(write=False)
+        self.log_z_shifted.setflags(write=False)
+
+    @property
+    def volume(self) -> float:
+        return self.geometry.volume
+
+    @property
+    def ground_energy(self) -> float:
+        return ground_energy(self.geometry)
 
     @property
     def log_z(self) -> np.ndarray:
         n = np.arange(self.n_max + 1, dtype=float)
         return self.log_z_shifted - n * self.beta * self.ground_energy
 
-    def index_of(self, k) -> int:
-        """Row of a level-list mode given as its row index."""
-        if self.gaps is None:
-            raise DomainError("a box table names modes by quantum numbers, not rows")
-        if not isinstance(k, (int, np.integer)):
-            raise DomainError(f"a level-list table names modes by row index, got {k!r}")
-        idx = int(k)
-        if idx < 0 or idx >= len(self.gaps):
-            raise DomainError(f"mode index {idx} outside table of {len(self.gaps)}")
-        return idx
-
     def gap_of(self, k) -> float:
-        """Gap above the ground level of a mode: quantum numbers on a box
-        table (mode_gap), a row index on a level list."""
-        if self.geometry is not None:
-            return mode_gap(self.geometry, k)
-        return float(self.gaps[self.index_of(k)])
+        """Gap above the ground level of the mode with quantum numbers k."""
+        return mode_gap(self.geometry, k)
 
     def gaps_up_to(self, eta: float) -> np.ndarray:
-        """Sorted gaps of all modes with gap <= eta; a box lists only those."""
-        if self.geometry is None:
-            gaps = self.gaps
-        else:
-            e_max = self.ground_energy + eta
-            # a few ulps of slack keep modes whose energy rounds past e_max
-            listed = enumerate_below(self.geometry, e_max + 8.0 * math.ulp(e_max))
-            gaps = np.sort(mode_gaps(self.geometry, listed.modes))
+        """Sorted gaps of all modes with gap <= eta, listed from the box."""
+        e_max = self.ground_energy + eta
+        # a few ulps of slack keep modes whose energy rounds past e_max
+        listed = enumerate_below(self.geometry, e_max + 8.0 * math.ulp(e_max))
+        gaps = np.sort(mode_gaps(self.geometry, listed.modes))
         return gaps[: int(np.searchsorted(gaps, eta, side="right"))]
 
 
@@ -172,18 +157,6 @@ class DiscreteDistribution:
 
     def moment(self, r: int) -> float:
         return float(np.sum(self.support.astype(float) ** r * self.mass))
-
-
-def _direct_log_power_sums(gaps: np.ndarray, beta: float, k_max: int) -> np.ndarray:
-    """log S'_k, k = 0..k_max (entry 0 unused), summed directly over a
-    finite level list."""
-    out = np.full(k_max + 1, np.nan)
-    scaled = beta * gaps
-    for k in range(1, k_max + 1):
-        x = k * scaled
-        mask = x < _EXP_FLOOR
-        out[k] = math.log(float(np.exp(-x[mask]).sum())) if mask.any() else -math.inf
-    return out
 
 
 def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
@@ -395,23 +368,14 @@ def _box_measure(geometry: BoxGeometry, beta: float, cap: float):
     return m
 
 
-def build_canonical(
-    geometry,
-    beta: float,
-    n_max: int,
-    *,
-    volume: float | None = None,
-) -> CanonicalTable:
-    """Run the power-sum recursion up to n_max particles.
+def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> CanonicalTable:
+    """Run the power-sum recursion of a box up to n_max particles.
 
-    ``geometry`` is either a BoxGeometry or a plain sequence of level
-    energies. A box gets its power sums from the exact theta factorization
-    over the whole spectrum (spectrum.log_power_sums), so no spectral
-    cutoff enters; its volume is the box's. A level list is summed
-    directly, with volume ``volume`` (default 1), and CutoffInsufficient
-    is raised if it is empty. Either way only S'_k with k < 512 are
-    computed. CutoffTooLarge if they overflow a double, or if an axis of
-    a box holds more than 2^22 levels below the far rule's cut x_c.
+    The power sums come from the exact theta factorization over the whole
+    spectrum (spectrum.log_power_sums), so no spectral cutoff enters; only
+    S'_k with k < 512 are computed. DomainError if ``geometry`` is not a
+    BoxGeometry; CutoffTooLarge if the power sums overflow a double, or if
+    an axis holds more than 2^22 levels below the far rule's cut x_c.
 
     The recursion n Z'(n) = sum_{m<n} S'_{n-m} Z'(m) runs in chunks of
     P0 = 256 rows (_log_partition_shifted). The near field, k < P0, is
@@ -435,9 +399,9 @@ def build_canonical(
     & Monzon, ACHA 28 (2010) 131). The rule's first node is the ground,
     s_0 = 0, w_0 the number of levels at gap 0. A dyadic bin [X, 2X) of at
     most 20 atoms keeps them, a larger one becomes its 20-node Gauss rule
-    (_gauss_rules). A level list's atoms are its gaps; a box's are per-axis
-    outer sums (_box_measure), whose factors are compressed first where
-    more than 65536 sums would be listed (only at large S'_1).
+    (_gauss_rules). The atoms are per-axis outer sums (_box_measure), whose
+    factors are compressed first where more than 65536 sums would be
+    listed (only at large S'_1).
     - Truncation: only atoms x <= x_c = min(745/257, (log S'_1 + 50)/256)
       count; for k >= 257 the rest sum to at most e^{-256 x_c} S'_1 <= e^-50
       of S'_k >= 1 (for S'_1 < e^692; past 745/257 each term underflows).
@@ -469,25 +433,14 @@ def build_canonical(
     did drifted to 7 times the budget there). The window and the states
     are rescaled by powers of two, which round nothing.
     """
+    if not isinstance(geometry, BoxGeometry):
+        raise DomainError(f"a canonical table needs a BoxGeometry, got {geometry!r}")
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
     k_near = min(n_max, 2 * _P0 - 1)
-    if isinstance(geometry, BoxGeometry):
-        box, gaps = geometry, None
-        ground = ground_energy(geometry)
-        vol = geometry.volume
-        ls = np.concatenate(([np.nan], log_power_sums(geometry, beta, k_near)))
-    else:
-        energies = np.sort(np.asarray(list(geometry), dtype=float))
-        if len(energies) == 0:
-            raise CutoffInsufficient("level list is empty")
-        box = None
-        ground = float(energies[0])
-        gaps = energies - ground
-        vol = 1.0 if volume is None else float(volume)
-        ls = _direct_log_power_sums(gaps, beta, k_near)
+    ls = np.concatenate(([np.nan], log_power_sums(geometry, beta, k_near)))
     # the largest S'_k - 1 overflows iff some does; the max is nan if any
     # entry is, and needs no temporary array
     with np.errstate(over="ignore"):
@@ -496,20 +449,11 @@ def build_canonical(
     rule = np.ones(0), np.zeros(0)
     if n_max >= 2 * _P0:
         cap = min(_EXP_FLOOR / (_P0 + 1), (ls[1] + _TAIL) / _P0)
-        if box is None:
-            x = beta * gaps
-            x = x[x <= cap]
-            measure = np.ones(len(x)), x, x
-        else:
-            measure = _box_measure(box, beta, cap)
-        rule = _compress(*measure)[:2]
+        rule = _compress(*_box_measure(geometry, beta, cap))[:2]
     return CanonicalTable(
-        geometry=box,
-        gaps=gaps,
-        ground_energy=ground,
+        geometry=geometry,
         beta=beta,
         n_max=n_max,
-        volume=vol,
         log_z_shifted=_log_partition_shifted(ls, n_max, *rule),
     )
 

@@ -52,7 +52,6 @@ from .kac import decomposition_check, kac_weights, limiting_kac_transform
 from .limits import (
     canonical_laplace_typeII,
     canonical_limit_typeI,
-    fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_with_budget,
@@ -508,20 +507,20 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
     rho = float(cfg["rho"])
     row = _row_builder(cfg, geom, "quantity", "lam", "value", "limit", "gap",
                        "error_budget")
-    case = fluctuation_case(geom)
-    if case.gamma <= 0.0:
+    regime = classify(geom)
+    if regime.gamma <= 0.0:
         raise ConfigError(
             "fluct rows need the fast-gap regime (largest alpha below 1/2), "
             f"got alphas {geom.alpha!r}"
         )
-    weights = law_weights(case)
+    weights = law_weights(regime.symmetry)
     rows = []
     for lam in cfg["lambda_grid"]:
         lam = float(lam)
         gs = [g_with_budget(d, lam, beta) for d in (1, 2, 3)]
         for d, (value, budget) in enumerate(gs, start=1):
             rows.append(row(quantity=f"g{d}", lam=lam, value=value, error_budget=budget))
-        law = fluctuation_law(case, lam, beta, sums=[g for g, _ in gs])
+        law = fluctuation_law(regime.symmetry, lam, beta, sums=[g for g, _ in gs])
         # exp(g + e) - exp(g) = exp(g) expm1(e): the exponent's budget on the law
         spread = math.expm1(sum(w * b for w, (_, b) in zip(weights, gs)))
         rows.append(row(quantity="law", lam=lam, value=law, error_budget=law * spread))
@@ -533,20 +532,11 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
             n = _particle_number(cfg, g_v.volume)
             tables.append(build_canonical(g_v, beta, n))
         for lam in cfg["lambda_grid"]:
-            for fr in fluctuation_convergence_check(tables, rho, float(lam), case):
+            for fr in fluctuation_convergence_check(tables, rho, float(lam)):
                 rows.append(row(volume=fr.volume, quantity="convergence", lam=float(lam),
                                 value=fr.value, limit=fr.limit, gap=fr.gap,
                                 error_budget=abs(fr.centered_mean)))
     return rows
-
-
-_SWEEPABLE = {
-    "gc": cmd_gc,
-    "canonical": cmd_canonical,
-    "kac": cmd_kac,
-    "limits": cmd_limits,
-    "fluct": cmd_fluct,
-}
 
 
 def cmd_sweep(cfg: dict) -> list[dict]:
@@ -560,7 +550,7 @@ def cmd_sweep(cfg: dict) -> list[dict]:
         )
     rows = []
     for v in sweep:
-        rows.extend(_SWEEPABLE[target](cfg, float(v)))
+        rows.extend(COMMANDS[target](cfg, float(v)))
     return rows
 
 
@@ -634,6 +624,8 @@ COMMANDS = {
     "fluct": cmd_fluct,
     "sweep": cmd_sweep,
 }
+# the commands a sweep runs once per volume
+_SWEEPABLE = COMMANDS.keys() - {"spectrum", "sweep"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CutoffInsufficient, DomainError
 from .canonical import CanonicalTable
 from .grandcanonical import (
-    _check_mu,
     _geometric_laplace,
     critical_density,
     grand_partition_log,
@@ -50,14 +49,6 @@ class KacWeights:
         self.weights.setflags(write=False)
 
 
-def _log_partition_grand(ct: CanonicalTable, mu: float) -> tuple[float, float]:
-    """log Xi and its tail bound: over the whole box, or over a level list."""
-    if ct.geometry is not None:
-        return grand_partition_log(ct.geometry, mu, ct.beta)
-    x = ct.beta * (ct.gaps - (mu - ct.ground_energy))
-    return float(-np.sum(np.log(-np.expm1(-x)))), 0.0
-
-
 def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     """Mixture weights w_n for n = 0..n_cut with a geometric tail bound.
 
@@ -65,11 +56,11 @@ def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     dropped below 1 and the geometric remainder w_n r/(1-r) is below
     _TAIL_TARGET; CutoffInsufficient reports the best achievable bound
     when the table is too short. The reported tail_bound also carries the
-    truncation error of the grand partition log.
+    truncation error of the grand partition log, which also refuses a mu
+    at or above the ground energy.
     """
-    _check_mu(ct.ground_energy, mu)
+    log_xi, xi_tail = grand_partition_log(ct.geometry, mu, ct.beta)
     beta_mu_bar = ct.beta * (mu - ct.ground_energy)
-    log_xi, xi_tail = _log_partition_grand(ct, mu)
     n = np.arange(ct.n_max + 1, dtype=float)
     log_w = ct.log_z_shifted + n * beta_mu_bar - log_xi
     # step ratios are e^{beta mu_bar} times the (nonincreasing) Z ratios

@@ -44,8 +44,6 @@ from .spectrum import BoxGeometry, _log_theta_shifted, classify
 from .grandcanonical import _excited_sum
 
 __all__ = [
-    "FluctuationCase",
-    "fluctuation_case",
     "occupation_limit_typeII",
     "canonical_laplace_typeII",
     "canonical_limit_typeI",
@@ -213,24 +211,6 @@ def canonical_limit_typeI(mode, lam: float, rho: float, rho_c: float) -> float:
     return math.exp(-lam * max(rho - rho_c, 0.0)) if ground else 1.0
 
 
-@dataclass(frozen=True)
-class FluctuationCase:
-    """Symmetry case of the fast-gap fluctuation law.
-
-    ``label`` counts the axes sharing the largest anisotropy exponent
-    ("distinct", "two_equal", "isotropic"); ``gamma`` = 1 - 2 a_1 is the
-    fluctuation scale exponent, positive exactly in the fast-gap regime.
-    """
-
-    label: str
-    gamma: float
-
-
-def fluctuation_case(geometry: BoxGeometry) -> FluctuationCase:
-    reg = classify(geometry)
-    return FluctuationCase(label=reg.symmetry, gamma=reg.gamma)
-
-
 _G_TAIL_RTOL = 2.0**-60  # each tail of g_d, relative to a lower bound of g_d
 _G_PANEL_WIDTH = 1.0  # in s = log t; 16 Gauss nodes per panel
 
@@ -328,22 +308,23 @@ _LAW_WEIGHTS = {"distinct": (1.0, 0.0, 0.0), "two_equal": (2.0, 1.0, 0.0),
                 "isotropic": (3.0, 3.0, 1.0)}
 
 
-def law_weights(case) -> tuple[float, float, float]:
-    """Weights of g_1, g_2, g_3 in the exponent of the fluctuation law."""
-    label = case.label if isinstance(case, FluctuationCase) else str(case)
-    if label not in _LAW_WEIGHTS:
-        raise DomainError(f"unknown fluctuation case {label!r}")
-    return _LAW_WEIGHTS[label]
+def law_weights(symmetry: str) -> tuple[float, float, float]:
+    """Weights of g_1, g_2, g_3 in the exponent of the fluctuation law of a
+    symmetry case (RegimeLabel.symmetry)."""
+    if symmetry not in _LAW_WEIGHTS:
+        raise DomainError(f"unknown fluctuation case {symmetry!r}")
+    return _LAW_WEIGHTS[symmetry]
 
 
-def fluctuation_law(case, lam: float, beta: float, *, sums=None) -> float:
+def fluctuation_law(symmetry: str, lam: float, beta: float, *, sums=None) -> float:
     """Laplace transform of the scaled ground-occupation fluctuation.
 
     exp(g_1), exp(2 g_1 + g_2) or exp(3 g_1 + 3 g_2 + g_3) according to how
-    many axes share the largest anisotropy exponent. ``sums`` passes
-    (g_1, g_2, g_3) at this lam when they are known already.
+    many axes share the largest anisotropy exponent (``symmetry``, as
+    classify labels it). ``sums`` passes (g_1, g_2, g_3) at this lam when
+    they are known already.
     """
-    weights = law_weights(case)
+    weights = law_weights(symmetry)
     if sums is None:
         sums = [g_function(d, lam, beta) if w else 0.0
                 for d, w in enumerate(weights, start=1)]
@@ -371,30 +352,29 @@ class FluctuationRow:
     centered_mean: float
 
 
-def fluctuation_convergence_check(
-    tables, rho: float, lam: float, case: FluctuationCase
-) -> list[FluctuationRow]:
+def fluctuation_convergence_check(tables, rho: float, lam: float) -> list[FluctuationRow]:
     """Finite-volume fluctuation transforms against the limit law.
 
     For each canonical table: n = round(rho V), the centered transform
     <exp{lam V^gamma (N_1/V - <N_1>/V)}> evaluated through the occupation
     transform at argument -lam V^(gamma-1), centered on the exact canonical
-    mean (pure shape convergence). ``centered_mean`` reports
-    V^gamma (<N_1>/V - (rho - rho_c^V)), with rho_c^V the finite-volume
-    excited density at zero shifted potential; it must drift to 0.
+    mean (pure shape convergence), against the law of the box's symmetry
+    case; classify reads both from the box, gamma = 1 - 2 a_1.
+    ``centered_mean`` reports V^gamma (<N_1>/V - (rho - rho_c^V)), with
+    rho_c^V the finite-volume excited density at zero shifted potential;
+    it must drift to 0.
     """
     rows = []
     for ct in tables:
-        if ct.geometry is None:
-            raise DomainError("fluctuation rows need box tables")
+        regime = classify(ct.geometry)
         v = ct.volume
-        gamma = case.gamma
+        gamma = regime.gamma
         n = int(round(rho * v))
         sat_center = rho - rho_c_finite(ct.geometry, ct.beta)
         mean = occupation_moment(ct, (1, 1, 1), n, 1)
         transform = occupation_laplace(ct, (1, 1, 1), n, -lam * v ** (gamma - 1.0))
         value = math.exp(-lam * v**gamma * (mean / v)) * transform
-        limit = fluctuation_law(case, lam, ct.beta)
+        limit = fluctuation_law(regime.symmetry, lam, ct.beta)
         centered = v**gamma * (mean / v - sat_center)
         rows.append(
             FluctuationRow(

@@ -4,8 +4,9 @@ One canonical build on the box geometry and one moderately deep listing of
 its spectrum (for oracles that sum over listed modes) are reused by several
 test files; both are session scoped because the canonical recursion is the
 only genuinely expensive setup in the suite. ``index_of`` and ``gaps`` look
-a mode's row and the gaps up in such a listing for those oracles, and
-``unit_box_gap_values`` lists the unit-box lattice gaps that the
+a mode's row and the gaps up in such a listing for those oracles,
+``low_modes`` lists the few modes of a small box that the brute-force
+oracles sum over, and ``unit_box_gap_values`` lists the unit-box lattice gaps that the
 fluctuation sums g_d run over. ``reference_refined_panels`` is the
 np.unique form of the end-refined quadrature rule.
 """
@@ -23,7 +24,7 @@ from bosebox import (
     enumerate_below,
     numerics,
 )
-from bosebox.spectrum import _as_mode_tuple
+from bosebox.spectrum import _as_mode_tuple, ground_energy, log_power_sums, mode_gaps
 
 ALPHAS = (0.4, 0.35, 0.25)
 VOLUME = 1000.0
@@ -75,6 +76,20 @@ def index_of(table, mode) -> int:
 def gaps(table) -> np.ndarray:
     """Energies of a spectrum table above its ground level."""
     return table.energies - table.ground_energy
+
+
+def low_modes(geometry, beta, x_max=40.0):
+    """Quantum numbers and gaps of the modes with beta gap <= x_max, sorted
+    by energy, and a bound on the sum of exp(-beta gap) over the modes left
+    out: their terms up to 2 x_max, listed, plus exp(-x_max) S'_1 at beta/2,
+    which bounds the terms past 2 x_max (each is exp(-x/2) exp(-x/2) <=
+    exp(-x_max) exp(-x/2))."""
+    listed = enumerate_below(geometry, ground_energy(geometry) + (2.0 * x_max + 1.0) / beta)
+    x = beta * mode_gaps(geometry, listed.modes)
+    kept = x <= x_max
+    beyond = math.exp(-x_max + float(log_power_sums(geometry, 0.5 * beta, 1)[0]))
+    dropped = math.fsum(np.exp(-x[~kept & (x <= 2.0 * x_max)])) + beyond
+    return listed.modes[kept], x[kept] / beta, dropped
 
 
 def _unit_gap_shift(d: int, convention: str):

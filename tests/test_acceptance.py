@@ -32,12 +32,12 @@ from bosebox.grandcanonical import (
 from bosebox.kac import decomposition_check, kac_weights
 from bosebox.limits import (
     axis_curvature_at_zero,
-    fluctuation_case,
     fluctuation_convergence_check,
     g_function,
     occupation_limit_typeII,
 )
 from bosebox.spectrum import BoxGeometry, ids, ids_bounds
+from conftest import low_modes
 
 BETA = 1.0
 RC = critical_density(BETA).value
@@ -90,47 +90,83 @@ def _compositions(total, k):
             yield (head,) + rest
 
 
+def _exhaustive_oracle(x, n):
+    """Z'(n) and each mode's occupation marginals at n, summed over every
+    occupation vector of the modes with beta gaps x."""
+    z = 0.0
+    marginals = np.zeros((len(x), n + 1))
+    for c in _compositions(n, len(x)):
+        w = math.exp(-sum(ci * xi for ci, xi in zip(c, x)))
+        z += w
+        for k, ck in enumerate(c):
+            marginals[k, ck] += w
+    return z, marginals
+
+
+def _generating_oracle(x, n):
+    """The same from the product generating function prod_i 1/(1 - t q_i),
+    q_i = exp(-x_i), in long double: Z'(n) is its t^n coefficient, and
+    P(N_k = j) Z'(n) = q_k^j times the coefficient of t^(n-j) without mode k."""
+    q = np.exp(-np.asarray(x, dtype=np.longdouble))
+
+    def coefficients(qs):
+        c = np.zeros(n + 1, dtype=np.longdouble)
+        c[0] = 1.0
+        for qi in qs:
+            for m in range(1, n + 1):
+                c[m] += qi * c[m - 1]
+        return c
+
+    z = coefficients(q)[n]
+    marginals = np.empty((len(q), n + 1), dtype=np.longdouble)
+    for k in range(len(q)):
+        rest = coefficients(np.delete(q, k))
+        marginals[k] = q[k] ** np.arange(n + 1) * rest[n::-1]
+    return float(z), marginals.astype(float)
+
+
 def test_acceptance_02_exhaustive_small_system_oracle(capsys):
     start = time.monotonic()
-    spectra = [
-        [0.0],
-        [0.0, 0.7],
-        [0.3, 1.1],
-        [0.05, 0.4, 1.1],
-        [0.2, 0.3, 0.31, 1.2],
-        [0.5, 0.5, 0.7, 0.9],
+    # (alphas, volume, beta, oracle): the modes with beta gap <= 40 of small
+    # boxes, whose lowest beta gaps are 0.56, 1.49 and 2.79 (14 modes), 1.12,
+    # 2.98 and 5.58 (10 modes) and, twice degenerate, 1.40 (60 modes, too
+    # many for the composition loop)
+    boxes = [
+        ((0.6, 0.25, 0.15), 1e3, 150.0, _exhaustive_oracle),
+        ((0.6, 0.25, 0.15), 1e3, 300.0, _exhaustive_oracle),
+        ((0.4, 0.4, 0.2), 1e4, 150.0, _generating_oracle),
     ]
-    worst = 0.0
-    for energies in spectra:
-        ct = build_canonical(energies, BETA, 6)
+    worst = dropped = 0.0
+    for alphas, volume, beta, oracle in boxes:
+        geom = BoxGeometry(alphas, volume)
+        modes, gaps, left_out = low_modes(geom, beta)
+        dropped = max(dropped, left_out)
+        ct = build_canonical(geom, beta, 6)
         for n in range(0, 7):
-            weights = {}
-            z = 0.0
-            for c in _compositions(n, len(energies)):
-                w = math.exp(-BETA * sum(ci * e for ci, e in zip(c, energies)))
-                z += w
-                weights[c] = w
-            worst = max(worst, abs(math.exp(ct.log_z[n]) - z) / z)
-            for k in range(len(energies)):
-                pmf = occupation_pmf(ct, k, n)
-                for j in range(n + 1):
-                    brute_p = sum(w for c, w in weights.items() if c[k] == j) / z
-                    diff = abs(float(pmf.mass[j]) - brute_p)
-                    worst = max(worst, diff / max(brute_p, 1e-300) if brute_p else diff)
+            z, marginals = oracle(beta * gaps, n)
+            worst = max(worst, abs(math.exp(ct.log_z_shifted[n]) - z) / z)
+            j = np.arange(n + 1)
+            for mode, marginal in zip(modes, marginals):
+                pmf = occupation_pmf(ct, mode, n)
+                for got, brute_p in zip(pmf.mass, marginal / z):
+                    diff = abs(float(got) - brute_p)
+                    worst = max(worst, diff / brute_p if brute_p else diff)
                 for r in (1, 2):
-                    brute_m = sum(w * c[k] ** r for c, w in weights.items()) / z
-                    got = occupation_moment(ct, k, n, r)
+                    brute_m = float(np.sum(j**r * marginal)) / z
+                    got = occupation_moment(ct, mode, n, r)
                     if brute_m == 0.0:
                         worst = max(worst, abs(got))
                     else:
                         worst = max(worst, abs(got - brute_m) / brute_m)
     elapsed = time.monotonic() - start
-    ok = worst < 1e-12 and elapsed < 10.0
+    ok = worst < 1e-12 and dropped < 1e-15 and elapsed < 10.0
     _line(
         capsys, ok, "AC2 exhaustive small-system enumeration",
-        f"worst rel {worst:.2e} (tol 1e-12), {elapsed:.1f}s (limit 10s)",
+        f"worst rel {worst:.2e} (tol 1e-12), exp(-beta gap) over the modes left "
+        f"out {dropped:.1e} (tol 1e-15), {elapsed:.1f}s (limit 10s)",
     )
     assert worst < 1e-12
+    assert dropped < 1e-15
     assert elapsed < 10.0
 
 
@@ -340,7 +376,6 @@ def test_acceptance_09_fluctuation_generating_functions(capsys):
     fd2 = (g_function(1, h2, BETA) + g_function(1, -h2, BETA)) / (h2 * h2)
     curv = axis_curvature_at_zero(BETA)
     curv_rel = abs(fd2 - curv) / curv
-    case = fluctuation_case(BoxGeometry((1 / 3, 1 / 3, 1 / 3), 1e3))
     tables = []
     for vol in (1e3, 8e3, 6.4e4):
         ct, _ = _canonical_at((1 / 3, 1 / 3, 1 / 3), vol, RHO_SUPER)
@@ -348,7 +383,7 @@ def test_acceptance_09_fluctuation_generating_functions(capsys):
     sweeps_ok = True
     gap_text = []
     for lam in (0.5, -0.5):
-        rows = fluctuation_convergence_check(tables, RHO_SUPER, lam, case)
+        rows = fluctuation_convergence_check(tables, RHO_SUPER, lam)
         gaps = [r.gap for r in rows]
         sweeps_ok = sweeps_ok and gaps[0] > gaps[1] > gaps[2]
         gap_text.append(f"lam={lam:+.1f}: " + " -> ".join(f"{g:.2e}" for g in gaps))

@@ -1,12 +1,12 @@
 """Canonical recursion and per-mode occupation statistics.
 
-The reference here is a brute-force enumeration of occupation vectors for
-tiny spectra: every identity the recursion provides must agree with the
+The reference here is a brute-force enumeration of occupation vectors over
+the lowest modes of small boxes, and over tiny level lists run through the
+recursion kernel: every identity the recursion provides must agree with the
 direct Boltzmann sum to near machine precision.
 """
 
 import functools
-import itertools
 import math
 import tracemalloc
 
@@ -28,9 +28,9 @@ from bosebox import (
 )
 import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
-from bosebox.spectrum import ground_energy, mode_gaps
+from bosebox.spectrum import _EXP_FLOOR, eigenvalue, ground_energy, mode_gaps
 from bosebox.spectrum import log_power_sums as box_log_power_sums
-from conftest import gaps
+from conftest import gaps, low_modes
 
 
 def compositions(total, parts):
@@ -44,25 +44,62 @@ def compositions(total, parts):
 
 
 class BruteCanonical:
-    """Direct Boltzmann sum over occupation vectors of a tiny spectrum."""
+    """Direct Boltzmann sum over the occupation vectors of a few levels, at
+    their true energies, in the log domain."""
 
     def __init__(self, energies, beta):
-        self.energies = list(energies)
+        self.energies = np.asarray(energies, dtype=float)
         self.beta = beta
+        self._states = {}
 
-    def partition(self, n):
-        return sum(
-            math.exp(-self.beta * sum(j * e for j, e in zip(occ, self.energies)))
-            for occ in compositions(n, len(self.energies))
-        )
+    def states(self, n):
+        """The occupation vectors of n particles, their weights relative to
+        the largest, and the log of the largest."""
+        if n not in self._states:
+            occ = np.array(list(compositions(n, len(self.energies))), dtype=float)
+            log_w = -self.beta * (occ @ self.energies)
+            top = float(log_w.max())
+            self._states[n] = occ, np.exp(log_w - top), top
+        return self._states[n]
+
+    def log_partition(self, n):
+        _, w, top = self.states(n)
+        return top + math.log(math.fsum(w))
 
     def expectation(self, n, fn, k):
-        z = self.partition(n)
-        total = 0.0
-        for occ in compositions(n, len(self.energies)):
-            w = math.exp(-self.beta * sum(j * e for j, e in zip(occ, self.energies)))
-            total += fn(occ[k]) * w
-        return total / z
+        """Mean of fn(N_k), fn taking an array of occupations."""
+        occ, w, _ = self.states(n)
+        return math.fsum(fn(occ[:, k]) * w) / math.fsum(w)
+
+
+# The box of the brute-force oracles. At beta = 150 its lowest beta gaps are
+# 0.56, 1.49 and 2.79, the order of a level list of energies 0.05 to 1.2 at
+# beta = 1; it has 14 modes with beta gap <= 40 (10 at beta = 300), all on
+# its longest axis.
+BRUTE_BOX = BoxGeometry((0.6, 0.25, 0.15), 1000.0)
+
+
+@functools.lru_cache(maxsize=None)
+def brute_box(beta):
+    """The modes of BRUTE_BOX with beta gap <= 40, the brute-force sum over
+    them, and the bound on what the modes left out hold."""
+    modes, _, dropped = low_modes(BRUTE_BOX, beta)
+    modes = [tuple(int(v) for v in m) for m in modes]
+    energies = [eigenvalue(BRUTE_BOX, m) for m in modes]
+    return modes, BruteCanonical(energies, beta), dropped
+
+
+@pytest.mark.parametrize("beta", [150.0, 300.0])
+def test_box_partition_matches_brute_force(beta):
+    """log Z(n) of a box table against the sum over the occupation vectors
+    of its modes with beta gap <= 40, at their true energies E_n: the table's
+    log Z'(n) less n beta E_1."""
+    modes, brute, dropped = brute_box(beta)
+    assert dropped < 1e-15
+    ct = build_canonical(BRUTE_BOX, beta, 6)
+    assert ct.log_z[0] == 0.0
+    for n in range(7):
+        assert ct.log_z[n] == pytest.approx(brute.log_partition(n), rel=1e-12, abs=1e-12)
 
 
 SPECTRA = [
@@ -74,78 +111,89 @@ SPECTRA = [
 ]
 
 
+def direct_log_power_sums(gaps, beta, k_max):
+    """log S'_k, k = 0..k_max (entry 0 unused), summed directly over a
+    finite level list."""
+    out = np.full(k_max + 1, np.nan)
+    scaled = beta * gaps
+    for k in range(1, k_max + 1):
+        x = k * scaled
+        mask = x < _EXP_FLOOR
+        out[k] = math.log(float(np.exp(-x[mask]).sum())) if mask.any() else -math.inf
+    return out
+
+
+def level_list_table(levels, beta, n_max):
+    """log Z'(n), n = 0..n_max, of a level list and the far rule (weights,
+    nodes) it runs with, through the recursion kernel as build_canonical
+    runs a box: its power sums for k < 512 summed directly and, from
+    n_max = 512 on, the far rule of its atoms x = beta gap <= x_c."""
+    gaps = np.sort(np.asarray(levels, dtype=float)) - min(levels)
+    p0 = canonical._P0
+    ls = direct_log_power_sums(gaps, beta, min(n_max, 2 * p0 - 1))
+    rule = np.ones(0), np.zeros(0)
+    if n_max >= 2 * p0:
+        cap = min(_EXP_FLOOR / (p0 + 1), (ls[1] + canonical._TAIL) / p0)
+        x = beta * gaps
+        x = x[x <= cap]
+        rule = canonical._compress(np.ones(len(x)), x, x)[:2]
+    return canonical._log_partition_shifted(ls, n_max, *rule), *rule
+
+
 @pytest.mark.parametrize("energies", SPECTRA)
 @pytest.mark.parametrize("beta", [0.6, 1.0])
 def test_recursion_partition_matches_brute_force(energies, beta):
+    """The recursion kernel on a level list: log Z'(n) less n beta E_1."""
     brute = BruteCanonical(energies, beta)
-    ct = build_canonical(energies, beta, 6, volume=1.0)
-    assert ct.log_z[0] == 0.0
+    lz = level_list_table(energies, beta, 6)[0]
+    assert lz[0] == 0.0
     for n in range(7):
-        assert ct.log_z[n] == pytest.approx(
-            math.log(brute.partition(n)), rel=1e-12, abs=1e-12
+        assert lz[n] - n * beta * min(energies) == pytest.approx(
+            brute.log_partition(n), rel=1e-12, abs=1e-12
         )
 
 
-@pytest.mark.parametrize("energies", [SPECTRA[2], SPECTRA[3]])
-def test_occupation_statistics_match_brute_force(energies):
-    beta = 1.0
+@pytest.mark.parametrize("beta", [150.0, 300.0])
+def test_occupation_statistics_match_brute_force(beta):
     n = 5
-    brute = BruteCanonical(energies, beta)
-    ct = build_canonical(energies, beta, n, volume=1.0)
-    for k in range(len(energies)):
-        pmf = occupation_pmf(ct, k, n)
+    modes, brute, _ = brute_box(beta)
+    ct = build_canonical(BRUTE_BOX, beta, n)
+    for k, mode in enumerate(modes):
+        pmf = occupation_pmf(ct, mode, n)
         assert float(pmf.mass.sum()) == pytest.approx(1.0, rel=1e-12)
         for j in range(n + 1):
-            want = brute.expectation(n, lambda occ: 1.0 if occ == j else 0.0, k)
+            want = brute.expectation(n, lambda occ: occ == j, k)
             assert pmf.mass[j] == pytest.approx(want, rel=1e-11, abs=1e-14)
         for r in (1, 2):
-            want = brute.expectation(n, lambda occ: float(occ) ** r, k)
-            assert occupation_moment(ct, k, n, r) == pytest.approx(want, rel=1e-11)
+            want = brute.expectation(n, lambda occ: occ**r, k)
+            assert occupation_moment(ct, mode, n, r) == pytest.approx(want, rel=1e-11)
         for lam in (0.3, 1.7):
-            want = brute.expectation(n, lambda occ: math.exp(-lam * occ), k)
-            assert occupation_laplace(ct, k, n, lam) == pytest.approx(want, rel=1e-11)
+            want = brute.expectation(n, lambda occ: np.exp(-lam * occ), k)
+            assert occupation_laplace(ct, mode, n, lam) == pytest.approx(want, rel=1e-11)
 
 
 def test_survival_probabilities_match_brute_force():
-    energies = SPECTRA[3]
-    brute = BruteCanonical(energies, 1.0)
-    ct = build_canonical(energies, 1.0, 4, volume=1.0)
-    a = occupation_survival_log(ct, 1, 4)
+    modes, brute, _ = brute_box(150.0)
+    ct = build_canonical(BRUTE_BOX, 150.0, 4)
+    a = occupation_survival_log(ct, modes[1], 4)
     for j in range(5):
-        want = brute.expectation(4, lambda occ: 1.0 if occ >= j else 0.0, 1)
+        want = brute.expectation(4, lambda occ: occ >= j, 1)
         assert math.exp(a[j]) == pytest.approx(want, rel=1e-11)
     assert a[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_energy_shift_invariance():
-    """Shifting all levels by c multiplies Z_n by exp(-beta c n) and nothing else."""
-    energies = [0.1, 0.4, 0.9]
-    shift = 2.5
-    beta = 1.0
-    ct0 = build_canonical(energies, beta, 6, volume=1.0)
-    ct1 = build_canonical([e + shift for e in energies], beta, 6, volume=1.0)
-    for n in range(7):
-        assert ct1.log_z[n] == pytest.approx(
-            ct0.log_z[n] - beta * shift * n, rel=1e-12, abs=1e-12
-        )
-        if n > 0:
-            assert occupation_moment(ct1, 0, n, 1) == pytest.approx(
-                occupation_moment(ct0, 0, n, 1), rel=1e-12
-            )
+def test_build_canonical_takes_only_a_box():
+    with pytest.raises(DomainError, match="BoxGeometry"):
+        build_canonical([0.0, 0.5, 1.3], 1.0, 5)
 
 
 def test_table_route_equals_raw_energy_route(geom_aniso, table_aniso):
     """Theta-function power sums against direct sums over listed levels."""
     ct_table = build_canonical(geom_aniso, 1.0, 40)
-    ct_raw = build_canonical(
-        [float(e) for e in table_aniso.energies],
-        1.0,
-        40,
-        volume=geom_aniso.volume,
-    )
+    raw = level_list_table(table_aniso.energies, 1.0, 40)[0]
     # the box route sums the *full* spectrum; at this cutoff the difference
     # is bounded by the exp(-beta eta_max) tail, far below the tolerance
-    np.testing.assert_allclose(ct_raw.log_z, ct_table.log_z, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(raw, ct_table.log_z_shifted, rtol=1e-10, atol=1e-10)
 
 
 @settings(max_examples=15, deadline=None)
@@ -154,10 +202,10 @@ def test_table_route_equals_raw_energy_route(geom_aniso, table_aniso):
     n=st.integers(min_value=1, max_value=6),
 )
 def test_laplace_transform_bounds(lam, n):
-    ct = build_canonical([0.1, 0.4, 0.9], 1.0, 6, volume=1.0)
-    val = occupation_laplace(ct, 0, n, lam)
+    ct = build_canonical(BRUTE_BOX, 150.0, 6)
+    val = occupation_laplace(ct, (1, 1, 1), n, lam)
     assert 0.0 < val < 1.0
-    assert occupation_laplace(ct, 0, n, 0.0) == pytest.approx(1.0)
+    assert occupation_laplace(ct, (1, 1, 1), n, 0.0) == pytest.approx(1.0)
 
 
 def test_laplace_transform_of_macroscopic_mode_stays_in_unit_interval(rho_c_value):
@@ -177,8 +225,8 @@ def test_laplace_transform_of_macroscopic_mode_stays_in_unit_interval(rho_c_valu
 
 
 def test_ground_occupation_grows_with_n():
-    ct = build_canonical([0.0, 0.3, 0.8], 1.0, 30, volume=1.0)
-    means = [occupation_moment(ct, 0, n, 1) for n in range(1, 31)]
+    ct = build_canonical(BRUTE_BOX, 150.0, 30)
+    means = [occupation_moment(ct, (1, 1, 1), n, 1) for n in range(1, 31)]
     assert all(b > a for a, b in zip(means, means[1:]))
 
 
@@ -203,17 +251,6 @@ def test_index_of_box_table(mixture_ct, table_aniso):
     for bad in (0, -1, (0, 1, 1), (1, 1)):
         with pytest.raises(DomainError):
             mixture_ct.gap_of(bad)
-    with pytest.raises(DomainError):
-        mixture_ct.index_of(0)
-
-
-def test_index_of_level_list_table():
-    ct = build_canonical([0.0, 0.5, 1.3], 1.0, 5)
-    assert ct.index_of(2) == 2
-    assert ct.gap_of(np.int64(1)) == 0.5
-    for bad in (-1, 3, (1, 1, 1)):
-        with pytest.raises(DomainError):
-            ct.index_of(bad)
 
 
 def test_n_out_of_range_rejected(mixture_ct):
@@ -229,17 +266,21 @@ def test_n_out_of_range_rejected(mixture_ct):
 
 
 def test_generalized_condensate_counts_low_gap_modes():
-    energies = [0.0, 0.02, 0.6, 1.1]
-    ct = build_canonical(energies, 1.0, 8, volume=2.0)
+    """A box with two equal exponents, whose first excited gap belongs to
+    the degenerate pair (2,1,1), (1,2,1) and the next to (2,2,1)."""
+    geom = BoxGeometry((0.4, 0.4, 0.2), 1.0e4)
+    ct = build_canonical(geom, 150.0, 8)
     n = 8
+    pair = ct.gap_of((2, 1, 1))
+    assert ct.gap_of((1, 2, 1)) == pair and ct.gap_of((2, 2, 1)) == 2.0 * pair
     # epsilon below the first excited gap: ground mode only
-    want0 = occupation_moment(ct, 0, n, 1) / 2.0
-    assert generalized_condensate(ct, n, 0.01) == pytest.approx(want0, rel=1e-12)
-    # epsilon catching the near-degenerate pair
-    want1 = (
-        occupation_moment(ct, 0, n, 1) + occupation_moment(ct, 1, n, 1)
-    ) / 2.0
-    assert generalized_condensate(ct, n, 0.05) == pytest.approx(want1, rel=1e-12)
+    want0 = occupation_moment(ct, (1, 1, 1), n, 1) / 1.0e4
+    assert generalized_condensate(ct, n, 0.5 * pair) == pytest.approx(want0, rel=1e-12)
+    # epsilon catching the degenerate pair
+    want1 = sum(occupation_moment(ct, m, n, 1) for m in ((1, 1, 1), (2, 1, 1), (1, 2, 1)))
+    assert generalized_condensate(ct, n, 1.5 * pair) == pytest.approx(
+        want1 / 1.0e4, rel=1e-12
+    )
     with pytest.raises(DomainError):
         generalized_condensate(ct, n, 0.0)
 
@@ -503,21 +544,28 @@ def _oracle_levels():
 
 @functools.lru_cache(maxsize=None)
 def _oracle_case(case, rho_c_value):
-    """(spectrum argument, volume, n, log S'_k) for one oracle case."""
+    """(box or level list, n, log S'_k) for one oracle case."""
     if case == "levels":
         levels = list(_oracle_levels())
         gaps = np.sort(np.array(levels)) - min(levels)
         n = 6444
-        return levels, 1000.0, n, canonical._direct_log_power_sums(gaps, 1.0, n)
+        return levels, n, direct_log_power_sums(gaps, 1.0, n)
     geom = BoxGeometry(REGIME_ALPHAS[case], ORACLE_VOLUME)
     n = int(round(2.0 * rho_c_value * ORACLE_VOLUME))
-    return geom, None, n, np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
+    return geom, n, np.concatenate(([np.nan], box_log_power_sums(geom, 1.0, n)))
+
+
+def _log_z_shifted(spectrum, beta, n):
+    """log Z'(n) of a box table, or of a level list through the kernel."""
+    if isinstance(spectrum, BoxGeometry):
+        return build_canonical(spectrum, beta, n).log_z_shifted
+    return level_list_table(spectrum, beta, n)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_rows(case, rho_c_value):
     """The long-double loop's rows for one oracle case, in long double."""
-    _, _, n, ls = _oracle_case(case, rho_c_value)
+    _, n, ls = _oracle_case(case, rho_c_value)
     return reference_log_z_shifted(ls, n, dtype=np.longdouble)
 
 
@@ -526,10 +574,10 @@ def _assert_close(got, want):
     assert np.max(np.abs(got - want) / scale) <= 1e-13
 
 
-def _assert_matches_oracle(ct, case, rho_c_value):
-    _, _, n, ls = _oracle_case(case, rho_c_value)
+def _assert_matches_oracle(log_z_shifted, case, rho_c_value):
+    _, n, ls = _oracle_case(case, rho_c_value)
     assert n >= 16 * canonical._P0
-    got = np.asarray(ct.log_z_shifted)
+    got = np.asarray(log_z_shifted)
     _assert_close(got, _oracle_rows(case, rho_c_value).astype(float))
     _assert_close(got, blocked_log_z_shifted(ls, n))
     _assert_close(got, tiled_log_z_shifted(ls, n))
@@ -537,9 +585,8 @@ def _assert_matches_oracle(ct, case, rho_c_value):
 
 @pytest.mark.parametrize("case", ["I", "II", "III", "levels"])
 def test_blocked_recursion_matches_row_by_row_oracle(case, rho_c_value):
-    spectrum, volume, n, ls = _oracle_case(case, rho_c_value)
-    ct = build_canonical(spectrum, 1.0, n, volume=volume)
-    _assert_matches_oracle(ct, case, rho_c_value)
+    spectrum, n, _ = _oracle_case(case, rho_c_value)
+    _assert_matches_oracle(_log_z_shifted(spectrum, 1.0, n), case, rho_c_value)
 
 
 @pytest.mark.parametrize("volume", [8000.0, 64000.0, 145000.0])
@@ -571,8 +618,8 @@ def _assert_ratios_within_budget(got, want):
 
 @pytest.mark.parametrize("case", ["I", "III", "levels"])
 def test_recursion_ratios_within_roundoff_budget(case, rho_c_value):
-    spectrum, volume, n, _ = _oracle_case(case, rho_c_value)
-    got = build_canonical(spectrum, 1.0, n, volume=volume).log_z_shifted
+    spectrum, n, _ = _oracle_case(case, rho_c_value)
+    got = _log_z_shifted(spectrum, 1.0, n)
     _assert_ratios_within_budget(got, _oracle_rows(case, rho_c_value))
 
 
@@ -591,8 +638,8 @@ def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
 
     monkeypatch.setattr(np.fft, "irfft", counted("fft", np.fft.irfft))
     monkeypatch.setattr(np, "convolve", counted("direct", np.convolve))
-    spectrum, volume, n, ls = _oracle_case("III", rho_c_value)
-    ct = build_canonical(spectrum, 1.0, n, volume=volume)
+    spectrum, n, ls = _oracle_case("III", rho_c_value)
+    ct = build_canonical(spectrum, 1.0, n)
     assert calls == {"fft": 0, "direct": 0}
     by_fft = tiled_log_z_shifted(ls, n)
     tiles = calls["fft"]
@@ -605,7 +652,7 @@ def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
     want = _oracle_rows("III", rho_c_value).astype(float)
     _assert_close(by_fft, want)
     _assert_close(direct, want)
-    _assert_matches_oracle(ct, "III", rho_c_value)
+    _assert_matches_oracle(ct.log_z_shifted, "III", rho_c_value)
 
 
 # (alphas, volume, beta, n): a box with log S'_1 = 28.3, where the near
@@ -614,8 +661,8 @@ def test_blocked_recursion_fallback_matches_oracle(monkeypatch, rho_c_value):
 # than one chunk; a single row past n = 0; tables around the end of the
 # band k < 512 and of the first state update; beta c_j past the double
 # range, where the rule is the ground alone. alphas None is the level
-# list of "levels" with its ground level doubled, so the rule's ground
-# node has weight 2.
+# list of "levels" with its ground level doubled, run through the kernel,
+# so the rule's ground node has weight 2.
 EDGE_CASES = {
     "large-S1": (REGIME_ALPHAS["I"], 1.0e9, 1.0e-3, 700),
     "n-255": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 255),
@@ -624,14 +671,16 @@ EDGE_CASES = {
     "n-511": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 511),
     "n-512": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 512),
     "n-767": (REGIME_ALPHAS["III"], ORACLE_VOLUME, 1.0, 767),
-    "double-ground": (None, 1000.0, 1.0, 767),
+    "double-ground": (None, None, 1.0, 767),
     "huge-beta": (REGIME_ALPHAS["I"], 1.0, 1.0e308, 600),
 }
 
 
-def _far_rule_of(monkeypatch, spectrum, beta, n, volume=None):
-    """The table build_canonical builds, and the far rule (weights, nodes)
-    it hands the recursion."""
+def _far_rule_of(monkeypatch, spectrum, beta, n):
+    """log Z'(n) and the far rule (weights, nodes) of a box table, as
+    build_canonical hands it to the recursion, or of a level list."""
+    if not isinstance(spectrum, BoxGeometry):
+        return level_list_table(spectrum, beta, n)
     seen = {}
     recursion = canonical._log_partition_shifted
 
@@ -640,9 +689,9 @@ def _far_rule_of(monkeypatch, spectrum, beta, n, volume=None):
         return recursion(ls, n_max, weights, nodes)
 
     monkeypatch.setattr(canonical, "_log_partition_shifted", spy)
-    ct = build_canonical(spectrum, beta, n, volume=volume)
+    ct = build_canonical(spectrum, beta, n)
     monkeypatch.undo()
-    return ct, seen["weights"], seen["nodes"]
+    return ct.log_z_shifted, seen["weights"], seen["nodes"]
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
@@ -652,13 +701,13 @@ def test_recursion_edge_cases_match_long_double_oracle(case, monkeypatch):
         levels = list(_oracle_levels())
         levels.append(min(levels))
         gaps = np.sort(np.array(levels)) - min(levels)
-        spectrum, ls = levels, canonical._direct_log_power_sums(gaps, beta, n)
+        spectrum, ls = levels, direct_log_power_sums(gaps, beta, n)
     else:
         spectrum = BoxGeometry(alphas, volume)
         ls = np.concatenate(([np.nan], box_log_power_sums(spectrum, beta, n)))
     want = reference_log_z_shifted(ls, n, dtype=np.longdouble)
-    ct, weights, nodes = _far_rule_of(monkeypatch, spectrum, beta, n, volume)
-    got = np.asarray(ct.log_z_shifted)
+    lz, weights, nodes = _far_rule_of(monkeypatch, spectrum, beta, n)
+    got = np.asarray(lz)
     if case == "large-S1":  # blocks of fewer than 16 rows, many rescales per chunk
         assert canonical._BLOCK * ls[1] > 400.0
         assert got[canonical._P0 - 1] > 10.0 * canonical._RESCALE
@@ -707,8 +756,8 @@ def test_far_rule_is_a_positive_gauss_compression(case, rho_c_value, monkeypatch
     direct long-double sum over every atom x <= 745/257: below it by at
     most delta < 1e-18 of S'_k, and off by the nodes' rounding of at most
     8 u sum_x k x e^{-kx}. A bin of at most 20 atoms is its atoms."""
-    spectrum, volume, n, ls = _oracle_case(case, rho_c_value)
-    _, weights, nodes = _far_rule_of(monkeypatch, spectrum, 1.0, n, volume)
+    spectrum, n, ls = _oracle_case(case, rho_c_value)
+    _, weights, nodes = _far_rule_of(monkeypatch, spectrum, 1.0, n)
     assert np.all(weights > 0.0) and len(weights) <= 400
     x = _listed_atoms(spectrum, canonical._EXP_FLOOR / (canonical._P0 + 1))
     atoms = x.astype(np.longdouble)

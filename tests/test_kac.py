@@ -16,13 +16,14 @@ from bosebox import (
     classify,
     critical_density,
     decomposition_check,
+    grand_partition_log,
     kac_weights,
     limiting_kac_transform,
     occupation_laplace,
     solve_ladder_coefficient,
     solve_mu,
 )
-from bosebox.kac import _TAIL_TARGET, _check_mu, _ladder_prefactor, _log_partition_grand
+from bosebox.kac import _TAIL_TARGET, _ladder_prefactor
 
 BETA = 1.0
 
@@ -62,9 +63,8 @@ def reference_kac_weights(ct, mu):
     """kac_weights with its tail scanned one index at a time from the weight
     peak, as before the numpy screen picked the scan's start: the oracle of
     n_cut, the tail bound and the CutoffInsufficient message."""
-    _check_mu(ct.ground_energy, mu)
     beta_mu_bar = ct.beta * (mu - ct.ground_energy)
-    log_xi, xi_tail = _log_partition_grand(ct, mu)
+    log_xi, xi_tail = grand_partition_log(ct.geometry, mu, ct.beta)
     n = np.arange(ct.n_max + 1, dtype=float)
     log_w = ct.log_z_shifted + n * beta_mu_bar - log_xi
     log_ratio = np.diff(ct.log_z_shifted) + beta_mu_bar

@@ -30,12 +30,10 @@ from bosebox.canonical import build_canonical
 from bosebox.errors import CutoffInsufficient, DomainError, PoleProximity
 from bosebox.grandcanonical import critical_density, gc_laplace_limit, gc_occupation_limit
 from bosebox.limits import (
-    FluctuationCase,
     _log_theta,
     axis_curvature_at_zero,
     canonical_laplace_typeII,
     canonical_limit_typeI,
-    fluctuation_case,
     fluctuation_convergence_check,
     fluctuation_law,
     g_function,
@@ -591,22 +589,19 @@ def test_fluctuation_law_composes_symmetry_cases():
     assert fluctuation_law("isotropic", lam, beta) == pytest.approx(
         math.exp(3.0 * g1 + 3.0 * g2 + g3), rel=1e-14
     )
-    case = FluctuationCase(label="distinct", gamma=0.2)
-    assert fluctuation_law(case, lam, beta) == fluctuation_law("distinct", lam, beta)
     assert fluctuation_law("isotropic", 0.0, beta) == 1.0
     with pytest.raises(DomainError):
         fluctuation_law("cubic", lam, beta)
 
 
-def test_fluctuation_case_from_geometry():
-    distinct = fluctuation_case(BoxGeometry((0.40, 0.35, 0.25), 100.0))
-    assert distinct.label == "distinct"
-    assert distinct.gamma == pytest.approx(0.2, abs=1e-12)
-    paired = fluctuation_case(BoxGeometry((0.40, 0.40, 0.20), 100.0))
-    assert paired.label == "two_equal"
-    cubic = fluctuation_case(BoxGeometry((1 / 3, 1 / 3, 1 / 3), 100.0))
-    assert cubic.label == "isotropic"
-    assert cubic.gamma == pytest.approx(1.0 / 3.0, abs=1e-12)
+def test_fluctuation_case_from_geometry(cubic_tables):
+    """Each table is compared with the law of its own box's symmetry case."""
+    cases = {(0.40, 0.35, 0.25): "distinct", (0.40, 0.40, 0.20): "two_equal"}
+    tables = [build_canonical(BoxGeometry(a, 400.0), 1.0, 150) for a in cases]
+    rows = fluctuation_convergence_check(tables + cubic_tables[:1], RHO_SUPER, 0.4)
+    assert [r.volume for r in rows] == [400.0] * 3
+    for row, symmetry in zip(rows, [*cases.values(), "isotropic"]):
+        assert row.limit == fluctuation_law(symmetry, 0.4, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +639,7 @@ def test_saturation_density_matches_table_sum(alphas):
 
 
 def test_fluctuation_transforms_drift_toward_the_law(cubic_tables):
-    case = fluctuation_case(cubic_tables[0].geometry)
-    rows = fluctuation_convergence_check(
-        list(reversed(cubic_tables)), RHO_SUPER, 0.4, case
-    )
+    rows = fluctuation_convergence_check(list(reversed(cubic_tables)), RHO_SUPER, 0.4)
     assert [r.volume for r in rows] == sorted(r.volume for r in rows)
     assert all(r.gap == abs(r.value - r.limit) for r in rows)
     assert rows[-1].gap < rows[0].gap
@@ -659,7 +651,6 @@ def test_fluctuation_transforms_drift_toward_the_law(cubic_tables):
 
 
 def test_fluctuation_comparison_rejects_bad_inputs(cubic_tables):
-    case = fluctuation_case(cubic_tables[0].geometry)
-    raw = build_canonical([0.0, 0.5, 0.9], 1.0, 20)
-    with pytest.raises(DomainError):
-        fluctuation_convergence_check([raw], RHO_SUPER, 0.4, case)
+    """A table too short for n = round(rho V) particles is refused."""
+    with pytest.raises(DomainError, match="outside table range"):
+        fluctuation_convergence_check(cubic_tables, 10.0 * RHO_SUPER, 0.4)

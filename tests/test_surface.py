@@ -24,8 +24,6 @@ KEEP = {
 }
 
 KEEP_OPTIONS = {
-    "build_canonical(volume=)": "only level-list tables take a volume, and only "
-    "tests build them (AC2)",
     "limiting_kac_transform(convention=)": 'the tests use "normalized" as the '
     "regime-II target",
 }
