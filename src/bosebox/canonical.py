@@ -9,10 +9,10 @@ run after shifting every level by the ground energy (the shift multiplies
 Z(n) by a known factor and cancels in all ratios) and stored as log Z'(n).
 The shifted power sums S'_k of a box factor exactly over the axes into
 one-dimensional theta sums, each O(1) through its Jacobi dual where it
-converges slowly (spectrum.log_power_sums, the primitive the
-grand-canonical sums read too), so the recursion needs no spectral cutoff;
-the far rule below drops only levels whose share of every S'_k it stands
-for is under e^-50.
+converges slowly (spectrum.log_power_sums), so the recursion needs no
+spectral cutoff; the far rule (spectrum.far_rule) drops only levels whose
+share of every S'_k it stands for is under e^-50. The grand-canonical sums
+read the same two: the exact S'_k for k < 512 and the same far rule.
 
 The recursion is evaluated semi-relaxed (van der Hoeven, J. Symb. Comput.
 34 (2002) 479): the power sums are known in advance and only the rows
@@ -27,7 +27,7 @@ the levels, so those terms are a running state per node, advanced once
 per chunk. That costs O(n_max (768 + 2R)) flops with R of order 100-300
 nodes, one Python-level step per 16 rows and no FFT, needs S'_k only for
 k < 512, and stays exact to roundoff: the rule is below every S'_k by a
-closed-form relative bound under 1e-18 (see build_canonical).
+closed-form relative bound under 1e-18 (see spectrum.far_rule).
 
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
@@ -49,6 +49,7 @@ from .spectrum import (
     _EXP_FLOOR,
     BoxGeometry,
     enumerate_below,
+    far_rule,
     ground_energy,
     log_power_sums,
     mode_gap,
@@ -77,16 +78,6 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _BLOCK = 16  # rows the near field solves at once, fewer only for huge S'_1
 _GROUP = 4 * _P0  # rows whose near-field inverses are built together
-# Far rule (see build_canonical): Gauss nodes per dyadic bin, more only
-# where a measure's mass would take the Gauss error past _GAUSS_TOL; the
-# share e^-_TAIL of S'_k that the atoms it drops may hold at most; the
-# entries a measure may list before it is compressed; the levels an axis
-# may list.
-_NODES = 20
-_GAUSS_TOL = 2.0**-64
-_TAIL = 50.0
-_ATOMS = 1 << 16
-_AXIS_ATOMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -270,104 +261,6 @@ def _near_inverses(t, s1, starts, b) -> np.ndarray:
     return out.transpose(1, 0, 2).copy()
 
 
-def _compress(w, s, low, q=None):
-    """The measure sum_i w_i delta(s_i), w_i > 0 and s_i >= 0, with every
-    dyadic bin [X, 2X) of more than q atoms replaced by its q-node Gauss
-    rule; atoms at 0 and smaller bins are kept. ``low`` bounds below the
-    atoms each entry stands for: X for a Gauss node. q, by default the
-    least that keeps the Gauss error of this mass below _GAUSS_TOL (see
-    build_canonical), is also used for the parts of a measure of more than
-    _ATOMS entries, which are compressed first."""
-    # 4 mass / (16^q sqrt(4 pi q)) <= _GAUSS_TOL, with sqrt(4 pi q) >= sqrt(80 pi)
-    q = q or max(_NODES, math.ceil(math.log(
-        4.0 * float(w.sum()) / (_GAUSS_TOL * math.sqrt(80.0 * math.pi)), 16.0)))
-    order = np.argsort(s)
-    w, s, low = w[order], s[order], low[order]
-    if len(s) > _ATOMS:
-        parts = [_compress(w[i : i + _ATOMS], s[i : i + _ATOMS], low[i : i + _ATOMS], q)
-                 for i in range(0, len(s), _ATOMS)]
-        fewer = [np.concatenate(p) for p in zip(*parts)]
-        if len(fewer[1]) < len(s):
-            return _compress(*fewer, q)
-    zeros = int(np.searchsorted(s, 0.0, side="right"))
-    e = np.frexp(s[zeros:])[1]  # s in [2^(e-1), 2^e)
-    starts = zeros + np.flatnonzero(np.diff(e, prepend=e[:1] - 1))
-    counts = np.diff(starts, append=len(s))
-    gauss = counts > q
-    kept = np.ones(len(s), dtype=bool)
-    kept[zeros:] = np.repeat(~gauss, counts)
-    if not gauss.any():
-        return w, s, low
-    rule = _gauss_rules(w[~kept], s[~kept], counts[gauss], q)
-    w, s, low = (np.concatenate((a[kept], g)) for a, g in zip((w, s, low), rule))
-    return w[w > 0.0], s[w > 0.0], low[w > 0.0]
-
-
-def _gauss_rules(w, s, counts, q):
-    """Weights, nodes and bin edges X of the q-node Gauss rule of each run
-    of ``counts`` atoms of sum w_i delta(s_i) (s sorted, each run one
-    dyadic bin [X, 2X)): Lanczos with full reorthogonalization on
-    t = 2 s/X - 3 in [-1, 1), all runs at once, then the eigenvalues and
-    first eigenvector components of the Jacobi matrices (Golub & Welsch,
-    Math. Comp. 23 (1969) 221)."""
-    starts = np.cumsum(counts) - counts
-    run = np.repeat(np.arange(len(counts)), counts)
-    low = np.ldexp(1.0, np.frexp(s[starts])[1] - 1)
-    t = 2.0 * (s / low[run]) - 3.0
-    mass = np.add.reduceat(w, starts)
-    vec = np.sqrt(w / mass[run])
-    basis = np.empty((q, len(s)))
-    jacobi = np.zeros((len(counts), q, q))
-    for j in range(q):
-        basis[j] = vec
-        v = t * vec
-        jacobi[:, j, j] = np.add.reduceat(vec * v, starts)
-        if j + 1 == q:
-            break
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            proj = np.add.reduceat(basis[: j + 1] * v, starts, axis=1)
-            v -= np.einsum("jn,jn->n", proj[:, run], basis[: j + 1])
-        norm = np.sqrt(np.add.reduceat(v * v, starts))
-        jacobi[:, j, j + 1] = jacobi[:, j + 1, j] = norm
-        vec = v / np.where(norm > 0.0, norm, 1.0)[run]
-    theta, vecs = np.linalg.eigh(jacobi)
-    return ((mass[:, None] * vecs[:, 0] ** 2).ravel(),
-            (low[:, None] * ((theta + 3.0) / 2.0)).ravel(),
-            np.repeat(low, q))
-
-
-def _box_measure(geometry: BoxGeometry, beta: float, cap: float):
-    """(weights, atoms x = beta gap, lower bounds) of the box modes with
-    x <= cap, as outer sums of the axes' atoms beta c_j (n^2 - 1), n >= 1,
-    that drop every sum whose lower bound passes cap. Where a sum would list
-    more than _ATOMS entries, its two parts are compressed first.
-    CutoffTooLarge if an axis holds more than _AXIS_ATOMS atoms up to cap."""
-    m = None
-    for c in geometry.level_coefficients:
-        top = math.sqrt(cap / (beta * c) + 1.0)  # n with beta c (n^2 - 1) <= cap
-        if top > _AXIS_ATOMS:
-            raise CutoffTooLarge(
-                f"an axis holds more than {_AXIS_ATOMS} levels with beta gap <= {cap:.3g}"
-            )
-        n = np.arange(1.0, math.floor(top) + 1.0)
-        a = beta * (c * (n * n - 1.0))  # 0 at n = 1 even if beta c overflows
-        axis = np.ones(len(a)), a, a
-        if m is None:
-            m = axis
-            continue
-        counts = np.searchsorted(a, cap - m[2], side="right")
-        if counts.sum() > _ATOMS:
-            m, axis = _compress(*m), _compress(*axis)
-            order = np.argsort(axis[2])
-            axis = tuple(v[order] for v in axis)
-            counts = np.searchsorted(axis[2], cap - m[2], side="right")
-        i = np.repeat(np.arange(len(counts)), counts)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-        (w, x, low), (v, y, lo) = m, axis
-        m = w[i] * v[j], x[i] + y[j], low[i] + lo[j]
-    return m
-
-
 def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> CanonicalTable:
     """Run the power-sum recursion of a box up to n_max particles.
 
@@ -387,37 +280,12 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     M-matrix, whose entries are sums of nonnegative terms. The far part of
     a chunk's rows is known when it starts: the exact S'_k, k in [P0, 2 P0),
     against the previous chunk, and for the rows before that the far rule
-    S'_k ~ sum_r w_r e^{-k s_r}, one running state per node. Cost:
+    S'_k ~ sum_r w_r e^{-k s_r} of spectrum.far_rule, below every S'_k by
+    at most delta S'_k, delta < 1e-18, one running state per node. Cost:
     O(n_max (3 P0 + 2 R)) flops, one Python-level step per block, no FFT.
     On a 2-core x86-64 VM the build takes about 25 ms at n_max = 48 102
     (regime III, V = 1.45e5) and 1.7 s at n_max = 1 658 692 (regime II,
     V = 5e6, R = 191, 0.08 s of it the rule).
-
-    The far rule (n_max >= 2 P0). S'_k - 1 is completely monotone in k,
-    the Laplace transform of the measure of x = beta gap over the excited
-    levels (Braess & Hackbusch, IMA J. Numer. Anal. 25 (2005) 685; Beylkin
-    & Monzon, ACHA 28 (2010) 131). The rule's first node is the ground,
-    s_0 = 0, w_0 the number of levels at gap 0. A dyadic bin [X, 2X) of at
-    most 20 atoms keeps them, a larger one becomes its 20-node Gauss rule
-    (_gauss_rules). The atoms are per-axis outer sums (_box_measure), whose
-    factors are compressed first where more than 65536 sums would be
-    listed (only at large S'_1).
-    - Truncation: only atoms x <= x_c = min(745/257, (log S'_1 + 50)/256)
-      count; for k >= 257 the rest sum to at most e^{-256 x_c} S'_1 <= e^-50
-      of S'_k >= 1 (for S'_1 < e^692; past 745/257 each term underflows).
-    - Gauss error: f = e^{-kx} has f^(2q) > 0, so a q-node Gauss rule of a
-      positive measure is below the exact sum, by at most
-      f^(2q)(X)/(2q)! int pi_q^2 <= 4 mu (kX/4)^{2q} e^{-kX}/(2q)! on a bin
-      of mass mu (2 (X/4)^q bounds the monic Chebyshev polynomial of
-      [X, 2X), hence pi_q), that is by 4 mu/(16^q sqrt(4 pi q)) = 2.1e-25 mu
-      for every k at q = 20. A measure whose mass would take that past
-      2^-64 of S'_k >= 1 gets more nodes per bin (_compress).
-    So the rule is below every S'_k, k > 256, by at most delta S'_k,
-    delta < 1e-18 (2^-64 per compression, a handful at most, plus e^-50).
-    Its nodes and weights carry the rounding of Lanczos, which moves a term
-    e^{-k s_r} by a few k s_r u as the rounding of the atoms does (tests
-    allow 8 u sum_x k x e^{-kx}; at V = 5e6 the rule is within 6e-17 of
-    long-double theta sums for every k >= 1e5).
 
     Error budget: Z'(n) is a polynomial in the S'_k with nonnegative
     coefficients and at most n factors per term (the cycle index), so S'_k
@@ -446,10 +314,7 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     with np.errstate(over="ignore"):
         if not math.isfinite(np.expm1(ls[1:].max())):
             raise CutoffTooLarge("power sums overflow a double at this volume and beta")
-    rule = np.ones(0), np.zeros(0)
-    if n_max >= 2 * _P0:
-        cap = min(_EXP_FLOOR / (_P0 + 1), (ls[1] + _TAIL) / _P0)
-        rule = _compress(*_box_measure(geometry, beta, cap))[:2]
+    rule = far_rule(geometry, beta)[:2] if n_max >= 2 * _P0 else (np.ones(0), np.zeros(0))
     return CanonicalTable(
         geometry=geometry,
         beta=beta,

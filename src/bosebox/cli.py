@@ -198,7 +198,7 @@ def _validate(cfg: dict) -> None:
     _coerce_number(cfg, "cutoffs.energy_tail_tol")
     series_m = _coerce_number(cfg, "cutoffs.series_M", int)
     mode_budget = _coerce_number(cfg, "cutoffs.mode_budget")
-    # the ladder gap tables of modes n <= ladder_count hold series_M gaps
+    # series_M sizes the ladder gaps canonical_laplace_typeII checks for a pole
     if not 2 <= series_m <= mode_budget:
         raise ConfigError(
             f"cutoffs.series_M must lie between 2 and cutoffs.mode_budget, got {series_m}"
@@ -333,14 +333,9 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
 
 
 def _solve_mu(cfg: dict, geom: BoxGeometry):
-    return solve_mu(
-        geom,
-        float(cfg["rho"]),
-        float(cfg["beta"]),
-        tol=float(cfg["solver"]["tol"]),
-        max_iter=int(cfg["solver"]["max_iter"]),
-        mode_budget=int(cfg["cutoffs"]["mode_budget"]),
-    )
+    solver = cfg["solver"]
+    return solve_mu(geom, float(cfg["rho"]), float(cfg["beta"]),
+                    tol=float(solver["tol"]), max_iter=int(solver["max_iter"]))
 
 
 def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:

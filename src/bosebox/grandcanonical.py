@@ -6,18 +6,16 @@ leading small-gap asymptotics of the shifted chemical potential in the three
 condensation regimes, and the self-consistent ladder coefficient that governs
 the anisotropy-critical case.
 
-Sums over all modes come from the shifted power sums S'_k of
-spectrum.log_power_sums, which the canonical recursion reads too, so no
-mode is listed. With mu_bar = mu - E_1 < 0 and the ground mode split off,
+Sums over all modes read what the canonical recursion reads, so no mode
+is listed: the power sums S'_k of spectrum.log_power_sums for k < 512 and
+spectrum.far_rule beyond. With mu_bar = mu - E_1 < 0, ground mode apart,
 
     rho V = 1/(exp(-beta mu_bar) - 1) + sum_{k>=1} (S'_k - 1) exp(k beta mu_bar),
 
 and log Xi is the same with -log(1 - exp(beta mu_bar)) and a 1/k weight.
-S'_k - 1 shrinks at least by exp(-beta eta_1) per step (eta_1 = 3 c_1, the
-first gap), so the terms after K sum to at most the geometric series
-(S'_K - 1) exp(K beta mu_bar) r/(1 - r), r = exp(-beta (eta_1 - mu_bar)):
-a rigorous tail bound, taken below 2^-53 of the sum. The limiting densities
-are closed forms in zeta(3/2) and Li_{3/2}.
+The terms k >= 512, a closed form per node of the rule, are added only
+where their geometric bound is not below 2^-53 of the sum (_excited_sum).
+The limiting densities are closed forms in zeta(3/2) and Li_{3/2}.
 """
 
 from __future__ import annotations
@@ -31,10 +29,11 @@ import numpy as np
 from .errors import CutoffTooLarge, DomainError, NoConvergence, NumericsError
 from .numerics import solve_bracketed
 from .spectrum import (
-    DEFAULT_MODE_BUDGET,
+    _NODES,
     BoxGeometry,
     RegimeLabel,
     eigenvalue,
+    far_rule,
     ground_energy,
     log_power_sums,
     mode_gap,
@@ -75,12 +74,12 @@ _ZETA_32 = _ZETA[0]
 # (Phys. Rev. 83, 678 (1951)), used for -1 <= x <= 0; its terms fall off
 # like (x / 2 pi)^j, so 30 of them reach roundoff.
 _ROBINSON = [z / math.factorial(j) for j, z in enumerate(_ZETA)]
-# Power-sum series are summed until their tail bound is below this share of
-# their first term, a lower bound on the whole sum.
+# A grand sum's exact terms; past _SERIES_RTOL its rest is the far rule's,
+# whose nodes' mass went through at most _GAUSS_LAYERS compressions (three
+# _compress calls in a row, each two deep at most for boxes up to V = 1e10).
+_NEAR = 511
 _SERIES_RTOL = 2.0**-53
-# solve_mu's first set of power sums is at most this long; partial sums are
-# lower bounds, so it grows only if the root needs more.
-_FIRST_SERIES = 1 << 17
+_GAUSS_LAYERS = 6
 
 
 @dataclass(frozen=True)
@@ -133,60 +132,73 @@ def mean_occupation(geometry: BoxGeometry, mu_bar: float, mode, beta: float) -> 
     return _bose(beta * (mode_gap(geometry, mode) - mu_bar))
 
 
-def _series_rate(geometry: BoxGeometry, beta: float, mu_bar: float) -> float:
-    """beta (eta_1 - mu_bar): each excited term shrinks by exp(-rate) per k."""
-    return beta * (3.0 * min(geometry.level_coefficients) - mu_bar)
-
-
-def _series_length(rate: float) -> float:
-    """Terms K after which the tail bound is below _SERIES_RTOL times term 1.
-
-    Since S'_K - 1 <= (S'_1 - 1) exp(-(K - 1) beta eta_1), that bound is at
-    most term 1 times exp(-(K - 1) rate)/(exp(rate) - 1). A float, possibly
-    huge or infinite: compare it with a budget before taking int().
-    """
-    target = -math.log(_SERIES_RTOL)
-    if rate >= target:
-        return 1.0
-    if not rate > 0.0:
-        return math.inf
-    steps = (target - math.log(math.expm1(rate))) / rate
-    return 1.0 + math.ceil(steps) if steps < 2.0**62 else math.inf
-
-
-def _excess_power_sums(geometry, beta, length, mode_budget) -> np.ndarray:
-    """S'_k - 1 for k = 1..length; CutoffTooLarge, before any allocation,
-    if ``length`` exceeds ``mode_budget``, and if the sums overflow."""
-    if not 1 <= length <= mode_budget:
-        raise CutoffTooLarge(
-            f"a power-sum series of {length!r} terms does not fit the budget {mode_budget}"
-        )
+@functools.lru_cache(maxsize=32)
+def _near_excess(geometry: BoxGeometry, beta: float) -> np.ndarray:
+    """Read-only S'_k - 1, k = 1.._NEAR; CutoffTooLarge if they overflow."""
     with np.errstate(over="ignore"):
-        excess = np.expm1(log_power_sums(geometry, beta, int(length)))
+        excess = np.expm1(log_power_sums(geometry, beta, _NEAR))
     if not math.isfinite(excess[0]):
         raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    excess.setflags(write=False)
     return excess
 
 
-def _excited_sum(geometry, beta, mu_bar, excess=None, *, over_k=False):
-    """sum_k (S'_k - 1) exp(k beta mu_bar), divided by k if ``over_k``.
+def _excited_sum(geometry, beta, mu_bar, *, over_k=False, far=True):
+    """sum_k (S'_k - 1) exp(k beta mu_bar), divided by k if ``over_k``, and
+    a bound on what it leaves out.
 
-    Sums the given S'_k - 1, by default as many as _series_length asks.
-    Returns the partial sum and the geometric bound term_K r/(1 - r),
-    r = exp(-rate), rate = _series_rate, on the rest (with the 1/k weight
-    the rest shrinks at least as fast). Where one excited level dominates
-    the bound is exact, so it is raised by 1e-9 of itself to cover the
-    rounding of the terms.
+    Sums the terms k <= _NEAR. S'_k - 1 shrinks at least by exp(-beta
+    eta_1) per step, so the rest is at most term_K r/(1 - r), r = e^-rate,
+    rate = beta (eta_1 - mu_bar) (with the 1/k weight it shrinks at least
+    as fast), raised by 1e-9 of itself to cover rounding where one level
+    dominates and the bound is exact. If ``far`` is set and that bound is
+    not below _SERIES_RTOL of the sum, _far_rest adds the rest, and its bound.
     """
-    rate = _series_rate(geometry, beta, mu_bar)
-    if excess is None:
-        length = _series_length(rate)
-        excess = _excess_power_sums(geometry, beta, length, DEFAULT_MODE_BUDGET)
-    k = np.arange(1, len(excess) + 1, dtype=float)
-    terms = excess * np.exp(k * (beta * mu_bar))
-    if over_k:
-        terms /= k
-    return float(np.sum(terms)), float(terms[-1]) * _bose(rate) * (1.0 + 1e-9)
+    excess = _near_excess(geometry, beta)
+    rate = beta * (3.0 * min(geometry.level_coefficients) - mu_bar)
+    k = np.arange(1.0, _NEAR + 1.0)
+    terms = excess * np.exp(k * (beta * mu_bar)) / (k if over_k else 1.0)
+    head = float(np.sum(terms))
+    tail = float(terms[-1]) * _bose(rate) * (1.0 + 1e-9) if rate > 0.0 else math.inf
+    if not far or tail <= _SERIES_RTOL * head:
+        return head, tail
+    rest, bound = _far_rest(geometry, beta, beta * mu_bar, 1.0 + float(excess[0]), over_k)
+    return head + rest, bound
+
+
+def _far_rest(geometry, beta, beta_mu_bar, s1, over_k):
+    """sum_{k > _NEAR} (S'_k - 1) z^k, z = exp(beta mu_bar), divided by k
+    if ``over_k``, from spectrum.far_rule, and a bound on what the rule
+    leaves out. Node 0, the ground, is summed apart, exactly.
+
+    Per excited node, z_r = exp(beta mu_bar - s_r), the rest is
+    w_r z_r^512/(1 - z_r), and with the 1/k weight -log(1 - z_r) less its
+    first 511 terms. The rule is below the exact rest by at most:
+    - S'_1 e^{x_c} (z e^{-x_c})^512/(1 - z e^{-x_c}) from the atoms above
+      its cut x_c, since sum_{x > x_c} e^{-kx} <= e^{-(k-1) x_c} S'_1;
+    - 4 mu 16^-q (1 + 1/(X + a)), a = -beta mu_bar, from a bin [X, 2X) of
+      mass mu: the Gauss error (far_rule) of f = sum_{k>=512} z^k e^{-kx},
+      with sum_k (k (X + a))^{2q} e^{-k (X + a)} at most its integral
+      (2q)!/(X + a) plus its peak. Nodes lie below 2 X, and each
+      compression a node's mass went through at most halves the X it
+      stands for: node r adds 4 w_r 16^-20 (L + 2^(L+1)/(s_r + a)),
+      L = _GAUSS_LAYERS.
+    With the 1/k weight both are divided by 512. CutoffTooLarge if an
+    excited node rounds to z_r = 1.
+    """
+    weights, nodes, cut = far_rule(geometry, beta)
+    w, y = weights[1:], nodes[1:] - beta_mu_bar
+    if not np.all(y > 0.0):
+        raise CutoffTooLarge("excited levels round to the ground level at this beta")
+    first, gap = _NEAR + 1.0, cut - beta_mu_bar
+    gauss = float(np.sum(w * (_GAUSS_LAYERS + 2.0 ** (_GAUSS_LAYERS + 1) / y)))
+    bound = math.exp(math.log(s1) + cut - first * gap) / -math.expm1(-gap)
+    bound += 4.0 * 16.0**-_NODES * gauss
+    if not over_k:
+        return float(np.sum(w * np.exp(-first * y) / -np.expm1(-y))), bound
+    k = np.arange(1.0, first)
+    rest = -np.log(-np.expm1(-y)) - np.exp(-np.multiply.outer(y, k)).dot(1.0 / k)
+    return float(np.sum(w * np.maximum(rest, 0.0))), bound / first
 
 
 def grand_partition_log(geometry: BoxGeometry, mu: float, beta: float) -> tuple[float, float]:
@@ -204,7 +216,6 @@ def solve_mu(
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-    mode_budget: int = DEFAULT_MODE_BUDGET,
 ) -> GcSolution:
     """Solve for the mu < E_1 at which the grand-canonical density
     (1/V) sum_n 1/(exp(beta (E_n - mu)) - 1) is rho, at fixed volume.
@@ -215,11 +226,10 @@ def solve_mu(
     N_0 = rho V / (2 S'_1) below it (each excited occupation is at most
     S'_1 - 1 times the ground one), so the bracket needs no search.
 
-    The density is summed over K power sums at a time. Partial sums are
-    lower bounds, so the root found lies at or above the true one, where
-    the series needs the most terms: if that is more than K, K grows to it
-    and the solve is repeated below that root, which then needs no more.
-    CutoffTooLarge if K would exceed ``mode_budget``.
+    The first pass sums the _NEAR exact terms only, lower bounds, so its
+    root lies at or above the true one, where the rest is largest. Only if
+    the rest's bound there is not negligible is the solve repeated below
+    that root with the far rule; a deep-subcritical solve never builds it.
     """
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
@@ -231,33 +241,26 @@ def solve_mu(
     def mu_bar_of(n0: float) -> float:
         return -math.log1p(1.0 / n0) / beta
 
-    s1 = math.exp(log_power_sums(geometry, beta, 1)[0])
+    s1 = 1.0 + float(_near_excess(geometry, beta)[0])
     lo, hi = max(rho_v / (2.0 * s1), math.ulp(0.0)), rho_v
-    length = min(
-        _series_length(_series_rate(geometry, beta, mu_bar_of(hi))),
-        _FIRST_SERIES,
-        mode_budget,
-    )
-    while True:
-        excess = _excess_power_sums(geometry, beta, length, mode_budget)
+    for far in (False, True):
 
         def excess_density(n0: float) -> float:
-            excited, _ = _excited_sum(geometry, beta, mu_bar_of(n0), excess)
+            excited, _ = _excited_sum(geometry, beta, mu_bar_of(n0), far=far)
             return (n0 - rho_v + excited) / volume
 
         root, _ = solve_bracketed(
             excess_density, lo, hi, max_iter=max_iter, what="chemical potential"
         )
         mu_bar = mu_bar_of(root)
-        length = _series_length(_series_rate(geometry, beta, mu_bar))
-        if length <= len(excess):
+        excited, tail = _excited_sum(geometry, beta, mu_bar, far=far)
+        if far or tail <= _SERIES_RTOL * excited:
             break
         hi = root
     if not mu_bar < 0.0:
         raise NumericsError(
             f"mu - E_1 = -log1p(1/N_0)/beta underflows a double at N_0 = {root!r}, beta = {beta!r}"
         )
-    excited, tail = _excited_sum(geometry, beta, mu_bar, excess)
     residual = abs((_bose(-beta * mu_bar) + excited) / volume - rho)
     if residual > tol * rho:
         bracket = (mu_bar_of(lo), mu_bar_of(hi))
@@ -435,29 +438,17 @@ def gc_laplace_limit(
     scale V: c_n/(c_n + lam) on the ladder with c_n the inverse limiting
     occupation. Regime III: 1/(1 + 2 lam beta (rho - rho_c)^2) on the
     ladder at scale V**(2(1-a_1)). Off the relevant modes the scaled
-    occupation vanishes in the limit, so the transform is 1.
+    occupation vanishes in the limit, so the transform is 1. Outside regime
+    II's ladder it is 1/(1 + lam m), m the gc_occupation_limit.
     """
     n, rc = _condensate_case(rho, mode, beta)
-    if regime.condensation == "I":
-        if n != (1, 1, 1):
-            return 1.0
-        scale = rho - rc
-        if lam <= -1.0 / scale:
-            raise DomainError(f"lam must exceed {-1.0 / scale!r}, got {lam!r}")
-        return 1.0 / (1.0 + lam * scale)
-    if regime.condensation == "II":
-        if not _is_ladder(n):
-            return 1.0
+    if regime.condensation == "II" and _is_ladder(n):
         a = solve_ladder_coefficient(rho, rc, beta=beta).value
         c_n = 0.5 * beta * math.pi**2 * (n[0] ** 2 - 1.0) + 1.0 / a
         if lam <= -c_n:
             raise DomainError(f"lam must exceed {-c_n!r}, got {lam!r}")
         return c_n / (c_n + lam)
-    if regime.condensation == "III":
-        if not _is_ladder(n):
-            return 1.0
-        scale = 2.0 * beta * (rho - rc) ** 2
-        if lam <= -1.0 / scale:
-            raise DomainError(f"lam must exceed {-1.0 / scale!r}, got {lam!r}")
-        return 1.0 / (1.0 + lam * scale)
-    raise DomainError(f"unknown condensation regime {regime.condensation!r}")
+    scale = gc_occupation_limit(regime, rho, n, beta)
+    if lam * scale <= -1.0:  # not lam <= -1/scale: scale may underflow to 0
+        raise DomainError(f"lam must exceed {-1.0 / scale!r}, got {lam!r}")
+    return 1.0 / (1.0 + lam * scale)

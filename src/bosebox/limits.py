@@ -336,7 +336,7 @@ def rho_c_finite(geometry: BoxGeometry, beta: float) -> float:
     """Finite-volume excited-mode density at vanishing shifted potential.
 
     (1/V) sum over the excited modes of 1/(exp(beta eta) - 1), the
-    grand-canonical power-sum series at mu_bar = 0 without its ground term.
+    grand-canonical excited sum at mu_bar = 0, without its ground term.
     """
     return _excited_sum(geometry, beta, 0.0)[0] / geometry.volume
 

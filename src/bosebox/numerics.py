@@ -70,7 +70,8 @@ def solve_bracketed(fn, lo, hi, *, expand="none", max_iter=200, what="root"):
     """
     flo, fhi = fn(lo), fn(hi)
     n_expand = 0
-    while flo * fhi > 0.0:
+    # signs, not the product, which underflows to 0 for tiny values
+    while (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
         if expand != "down":
             raise NoConvergence(
                 f"no sign change for {what} on bracket [{lo!r}, {hi!r}]"

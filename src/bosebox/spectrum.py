@@ -8,11 +8,14 @@ decreasingly and sum to 1. With Dirichlet walls the single-particle levels are
 The largest exponent controls how fast the lowest excitation gaps close and
 splits the model into three condensation regimes (a_1 < 1/2, = 1/2, > 1/2).
 This module owns geometry/spectrum data types, exact lattice counting of the
-integrated density of states, its closed-form limit and two-sided bounds.
+integrated density of states, its closed-form limit and two-sided bounds,
+and the spectral primitive both ensembles read: the power sums S'_k
+(log_power_sums) for k < 512 and the far rule (far_rule) beyond.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +60,16 @@ _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
 # log_power_sums evaluates an axis with t = k beta c_j below this through
 # the Jacobi dual of its theta series, and at or above it directly.
 _THETA_DUAL_BELOW = 1.0
+# Far rule (see far_rule): Gauss nodes per dyadic bin, more only where a
+# measure's mass would take the Gauss error past _GAUSS_TOL; the share
+# e^-_TAIL of S'_k, k > 256, that the atoms it drops may hold at most; the
+# entries a measure may list before it is compressed; the levels an axis
+# may list.
+_NODES = 20
+_GAUSS_TOL = 2.0**-64
+_TAIL = 50.0
+_ATOMS = 1 << 16
+_AXIS_ATOMS = 1 << 22
 
 
 def _as_mode_tuple(mode) -> tuple[int, int, int]:
@@ -424,3 +437,138 @@ def _log_theta_shifted(t: np.ndarray) -> np.ndarray:
     head = small + 0.5 * np.log(math.pi / (4.0 * small))
     return np.concatenate((head + np.log1p(2.0 * dual - np.sqrt(small / math.pi)),
                            np.log1p(inner)))
+
+
+@functools.lru_cache(maxsize=32)
+def far_rule(geometry: BoxGeometry, beta: float):
+    """The far rule S'_k ~ sum_r w_r exp(-k s_r), k > 256, of a box at
+    beta: read-only (weights, nodes) and its cut x_c, built once.
+    CutoffTooLarge if an axis holds more than 2^22 levels below x_c.
+
+    S'_k - 1 is completely monotone in k, the Laplace transform of the
+    measure of x = beta gap over the excited levels (Braess & Hackbusch,
+    IMA J. Numer. Anal. 25 (2005) 685; Beylkin & Monzon, ACHA 28 (2010)
+    131). Node 0 is the ground, s_0 = 0, w_0 = 1. The atoms are per-axis
+    outer sums (_box_measure), their factors compressed first where more
+    than 65536 sums would be listed; a dyadic bin [X, 2X) of more than 20
+    atoms becomes its 20-node Gauss rule (_gauss_rules).
+    - Truncation: only atoms x <= x_c = min(745/257, (log S'_1 + 50)/256)
+      count; the rest sum to at most e^{-(k-1) x_c} S'_1, for k >= 257 at
+      most e^-50 of S'_k >= 1 (for S'_1 < e^692; past 745/257 each term
+      underflows).
+    - Gauss error: f = e^{-kx} has f^(2q) > 0, so a q-node Gauss rule of a
+      positive measure is below the exact sum, by at most
+      f^(2q)(X)/(2q)! int pi_q^2 <= 4 mu (kX/4)^{2q} e^{-kX}/(2q)! on a bin
+      of mass mu (2 (X/4)^q bounds the monic Chebyshev polynomial of
+      [X, 2X), hence pi_q), that is by 4 mu/(16^q sqrt(4 pi q)) = 2.1e-25 mu
+      for every k at q = 20; more nodes where the mass would take that past
+      2^-64 of S'_k >= 1 (_compress).
+    So the rule is below every S'_k, k > 256, by at most delta S'_k,
+    delta < 1e-18 (2^-64 per compression, a handful at most, plus e^-50).
+    Lanczos rounds a term e^{-k s_r} by a few k s_r u, as the atoms do (at
+    V = 5e6 within 6e-17 of long-double theta sums for all k >= 1e5).
+    """
+    ls1 = float(log_power_sums(geometry, beta, 1)[0])
+    cut = min(_EXP_FLOOR / 257.0, (ls1 + _TAIL) / 256.0)
+    weights, nodes, _ = _compress(*_box_measure(geometry, beta, cut))
+    weights.setflags(write=False)
+    nodes.setflags(write=False)
+    return weights, nodes, cut
+
+
+def _compress(w, s, low, q=None):
+    """The measure sum_i w_i delta(s_i), w_i > 0 and s_i >= 0, with every
+    dyadic bin [X, 2X) of more than q atoms replaced by its q-node Gauss
+    rule; atoms at 0 and smaller bins are kept. ``low`` bounds below the
+    atoms each entry stands for: X for a Gauss node. q, by default the
+    least that keeps the Gauss error of this mass below _GAUSS_TOL (see
+    far_rule), is also used for the parts of a measure of more than
+    _ATOMS entries, which are compressed first."""
+    # 4 mass / (16^q sqrt(4 pi q)) <= _GAUSS_TOL, with sqrt(4 pi q) >= sqrt(80 pi)
+    q = q or max(_NODES, math.ceil(math.log(
+        4.0 * float(w.sum()) / (_GAUSS_TOL * math.sqrt(80.0 * math.pi)), 16.0)))
+    order = np.argsort(s)
+    w, s, low = w[order], s[order], low[order]
+    if len(s) > _ATOMS:
+        parts = [_compress(w[i : i + _ATOMS], s[i : i + _ATOMS], low[i : i + _ATOMS], q)
+                 for i in range(0, len(s), _ATOMS)]
+        fewer = [np.concatenate(p) for p in zip(*parts)]
+        if len(fewer[1]) < len(s):
+            return _compress(*fewer, q)
+    zeros = int(np.searchsorted(s, 0.0, side="right"))
+    e = np.frexp(s[zeros:])[1]  # s in [2^(e-1), 2^e)
+    starts = zeros + np.flatnonzero(np.diff(e, prepend=e[:1] - 1))
+    counts = np.diff(starts, append=len(s))
+    gauss = counts > q
+    kept = np.ones(len(s), dtype=bool)
+    kept[zeros:] = np.repeat(~gauss, counts)
+    if not gauss.any():
+        return w, s, low
+    rule = _gauss_rules(w[~kept], s[~kept], counts[gauss], q)
+    w, s, low = (np.concatenate((a[kept], g)) for a, g in zip((w, s, low), rule))
+    return w[w > 0.0], s[w > 0.0], low[w > 0.0]
+
+
+def _gauss_rules(w, s, counts, q):
+    """Weights, nodes and bin edges X of the q-node Gauss rule of each run
+    of ``counts`` atoms of sum w_i delta(s_i) (s sorted, each run one
+    dyadic bin [X, 2X)): Lanczos with full reorthogonalization on
+    t = 2 s/X - 3 in [-1, 1), all runs at once, then the eigenvalues and
+    first eigenvector components of the Jacobi matrices (Golub & Welsch,
+    Math. Comp. 23 (1969) 221)."""
+    starts = np.cumsum(counts) - counts
+    run = np.repeat(np.arange(len(counts)), counts)
+    low = np.ldexp(1.0, np.frexp(s[starts])[1] - 1)
+    t = 2.0 * (s / low[run]) - 3.0
+    mass = np.add.reduceat(w, starts)
+    vec = np.sqrt(w / mass[run])
+    basis = np.empty((q, len(s)))
+    jacobi = np.zeros((len(counts), q, q))
+    for j in range(q):
+        basis[j] = vec
+        v = t * vec
+        jacobi[:, j, j] = np.add.reduceat(vec * v, starts)
+        if j + 1 == q:
+            break
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            proj = np.add.reduceat(basis[: j + 1] * v, starts, axis=1)
+            v -= np.einsum("jn,jn->n", proj[:, run], basis[: j + 1])
+        norm = np.sqrt(np.add.reduceat(v * v, starts))
+        jacobi[:, j, j + 1] = jacobi[:, j + 1, j] = norm
+        vec = v / np.where(norm > 0.0, norm, 1.0)[run]
+    theta, vecs = np.linalg.eigh(jacobi)
+    return ((mass[:, None] * vecs[:, 0] ** 2).ravel(),
+            (low[:, None] * ((theta + 3.0) / 2.0)).ravel(),
+            np.repeat(low, q))
+
+
+def _box_measure(geometry: BoxGeometry, beta: float, cap: float):
+    """(weights, atoms x = beta gap, lower bounds) of the box modes with
+    x <= cap, as outer sums of the axes' atoms beta c_j (n^2 - 1), n >= 1,
+    that drop every sum whose lower bound passes cap. Where a sum would list
+    more than _ATOMS entries, its two parts are compressed first.
+    CutoffTooLarge if an axis holds more than _AXIS_ATOMS atoms up to cap."""
+    m = None
+    for c in geometry.level_coefficients:
+        top = math.sqrt(cap / (beta * c) + 1.0)  # n with beta c (n^2 - 1) <= cap
+        if top > _AXIS_ATOMS:
+            raise CutoffTooLarge(
+                f"an axis holds more than {_AXIS_ATOMS} levels with beta gap <= {cap:.3g}"
+            )
+        n = np.arange(1.0, math.floor(top) + 1.0)
+        a = beta * (c * (n * n - 1.0))  # 0 at n = 1 even if beta c overflows
+        axis = np.ones(len(a)), a, a
+        if m is None:
+            m = axis
+            continue
+        counts = np.searchsorted(a, cap - m[2], side="right")
+        if counts.sum() > _ATOMS:
+            m, axis = _compress(*m), _compress(*axis)
+            order = np.argsort(axis[2])
+            axis = tuple(v[order] for v in axis)
+            counts = np.searchsorted(axis[2], cap - m[2], side="right")
+        i = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        (w, x, low), (v, y, lo) = m, axis
+        m = w[i] * v[j], x[i] + y[j], low[i] + lo[j]
+    return m

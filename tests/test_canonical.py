@@ -29,6 +29,7 @@ from bosebox import (
 import bosebox.canonical as canonical
 from bosebox.canonical import occupation_survival_log
 from bosebox.spectrum import _EXP_FLOOR, eigenvalue, ground_energy, mode_gaps
+from bosebox.spectrum import _NODES, _TAIL, _compress
 from bosebox.spectrum import log_power_sums as box_log_power_sums
 from conftest import gaps, low_modes
 
@@ -133,10 +134,10 @@ def level_list_table(levels, beta, n_max):
     ls = direct_log_power_sums(gaps, beta, min(n_max, 2 * p0 - 1))
     rule = np.ones(0), np.zeros(0)
     if n_max >= 2 * p0:
-        cap = min(_EXP_FLOOR / (p0 + 1), (ls[1] + canonical._TAIL) / p0)
+        cap = min(_EXP_FLOOR / (p0 + 1), (ls[1] + _TAIL) / p0)
         x = beta * gaps
         x = x[x <= cap]
-        rule = canonical._compress(np.ones(len(x)), x, x)[:2]
+        rule = _compress(np.ones(len(x)), x, x)[:2]
     return canonical._log_partition_shifted(ls, n_max, *rule), *rule
 
 
@@ -771,10 +772,10 @@ def test_far_rule_is_a_positive_gauss_compression(case, rho_c_value, monkeypatch
         rule = np.sum(w * np.exp(-k * s))
         assert direct - 1e-18 * direct - rounding <= rule <= direct + rounding
     p0 = canonical._P0
-    cap = min(canonical._EXP_FLOOR / (p0 + 1), (ls[1] + canonical._TAIL) / p0)
+    cap = min(canonical._EXP_FLOOR / (p0 + 1), (ls[1] + _TAIL) / p0)
     kept = x[(x > 0.0) & (x <= cap)]
     bins, node_bins = np.frexp(kept)[1], np.frexp(nodes)[1]
-    small = [e for e in np.unique(bins) if np.count_nonzero(bins == e) <= canonical._NODES]
+    small = [e for e in np.unique(bins) if np.count_nonzero(bins == e) <= _NODES]
     # at V = 2e4 the top bins are compressed; the level list's are all small
     assert small and (case == "levels" or len(small) < len(np.unique(bins)))
     for e in small:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bosebox
@@ -221,6 +221,26 @@ def test_huge_volume_exits_cleanly(capsys, alphas, expected):
     assert code == expected
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["gc", "limits"])
+@pytest.mark.parametrize("alphas, expected", [("[0.5, 0.3, 0.2]", 3), ("[0.6, 0.25, 0.15]", 0)])
+def test_underflowing_saturation_density_exits_cleanly(capsys, command, alphas, expected):
+    """At beta = 1e300, rho = 1e-300 rho_c underflows to 0: the ladder
+    equation of regime II has no root in double precision (it used to
+    divide by a root of a same-sign bracket), and regime III's limits are
+    finite (its pole test used to divide by a scale that underflows)."""
+    code, out, err = run_cli(
+        capsys, command,
+        "--override", f"geometry.alphas={alphas}",
+        "--override", "beta=1e300",
+        "--override", "rho=1e-300",
+    )
+    assert code == expected, err
+    assert "Traceback" not in err
+    cells = [c for line in out.splitlines()[1:] for c in line.split(",")[6:]]
+    assert all(math.isfinite(float(c)) for c in cells if FLOAT_CELL.match(c))
+    assert bool(cells) == (expected == 0)
 
 
 @pytest.mark.parametrize(
@@ -935,6 +955,9 @@ def _grid():
     return items.map(lambda v: "[" + ", ".join(repr(x) for x in v) + "]") | _scalar()
 
 
+# rho_c underflows to 0 here, so the density counts as supercritical
+_UNDERFLOWING_RHO_C = {"beta": "1e300", "rho": "1e-300"}
+
 _FUZZED_KEYS = {
     "beta": _scalar(),
     "rho": _scalar(),
@@ -951,6 +974,10 @@ _FUZZED_KEYS = {
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+@example(command="gc", alphas="[0.5, 0.3, 0.2]", overrides=_UNDERFLOWING_RHO_C)
+@example(command="gc", alphas="[0.6, 0.25, 0.15]", overrides=_UNDERFLOWING_RHO_C)
+@example(command="limits", alphas="[0.5, 0.3, 0.2]", overrides=_UNDERFLOWING_RHO_C)
+@example(command="limits", alphas="[0.6, 0.25, 0.15]", overrides=_UNDERFLOWING_RHO_C)
 @given(
     command=st.sampled_from(["spectrum", "gc", "canonical", "limits", "fluct"]),
     alphas=st.sampled_from(["[0.4, 0.35, 0.25]", "[0.5, 0.3, 0.2]", "[0.6, 0.25, 0.15]"]),

@@ -1,6 +1,7 @@
 """Grand-canonical solver, saturation density and condensation limit laws."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.special import zeta
 
 from bosebox import (
     BoxGeometry,
-    CutoffTooLarge,
     DomainError,
     NumericsError,
     classify,
@@ -154,31 +154,89 @@ def test_solve_mu_matches_table_density(deep_table, rho_c_value):
         assert 0.0 <= sol.tail_bound < 1e-15 * rho
 
 
+def series_length(rate):
+    """Terms K after which the geometric bound on the rest of a power-sum
+    series is below 2^-53 of its first term: since S'_K - 1 <= (S'_1 - 1)
+    exp(-(K - 1) beta eta_1), that bound is at most term 1 times
+    exp(-(K - 1) rate)/(exp(rate) - 1)."""
+    target = 53.0 * math.log(2.0)
+    if rate >= target:
+        return 1
+    return 1 + math.ceil((target - math.log(math.expm1(rate))) / rate)
+
+
+def series_oracle(geometry, beta, mu_bar, over_k):
+    """The excited sum of _excited_sum as a long power-sum series: every
+    term up to four times series_length, so that its own geometric rest is
+    below 2^-53 of term 1, and the terms themselves."""
+    rate = beta * (3.0 * min(geometry.level_coefficients) - mu_bar)
+    length = 4 * series_length(rate)
+    k = np.arange(1.0, length + 1.0)
+    terms = np.expm1(grandcanonical.log_power_sums(geometry, beta, length))
+    terms *= np.exp(k * (beta * mu_bar)) / (k if over_k else 1.0)
+    return math.fsum(terms), terms
+
+
 @pytest.mark.parametrize("regime", sorted(REGIME_ALPHAS))
 @pytest.mark.parametrize("mu_bar", [0.0, -1e-4, -0.05])
 def test_series_tail_bound_covers_remainder(regime, mu_bar):
-    """The geometric bound after K terms covers the terms K+1..4K."""
+    """The geometric bound after the 511 exact terms covers the long
+    series' terms k >= 512; the far-rule sum that replaces them is within
+    its own bound, under 1e-18 of it, of the long series, and below it up
+    to a few ulp of rounding."""
     g = BoxGeometry(REGIME_ALPHAS[regime], 5000.0)
-    rate = grandcanonical._series_rate(g, 1.0, mu_bar)
-    full = int(grandcanonical._series_length(rate))
-    excess = grandcanonical._excess_power_sums(g, 1.0, 4 * full, 10**8)
-    k = np.arange(1, 4 * full + 1, dtype=float)
+    s1 = math.exp(grandcanonical.log_power_sums(g, 1.0, 1)[0])
     for over_k in (False, True):
-        terms = excess * np.exp(k * mu_bar) / (k if over_k else 1.0)
-        for k_max in (full // 16, full // 4, full):
-            _, tail = grandcanonical._excited_sum(
-                g, 1.0, mu_bar, excess[:k_max], over_k=over_k
-            )
-            assert 0.0 < float(np.sum(terms[k_max:])) <= tail
-    # the length the sums use meets their target: tail below 2^-53 of the sum
-    head, tail = grandcanonical._excited_sum(g, 1.0, mu_bar)
-    assert tail <= 2.0**-53 * head
+        oracle, terms = series_oracle(g, 1.0, mu_bar, over_k)
+        assert len(terms) > grandcanonical._NEAR
+        head, tail = grandcanonical._excited_sum(g, 1.0, mu_bar, over_k=over_k, far=False)
+        assert 0.0 < math.fsum(terms[grandcanonical._NEAR :]) <= tail
+        rest, bound = grandcanonical._far_rest(g, 1.0, mu_bar, s1, over_k)
+        value = head + rest
+        assert 0.0 < bound < 1e-18 * value
+        rounding = 4.0 * 2.0**-52 * oracle
+        assert oracle - bound - rounding <= value <= oracle + rounding
+        # the full sum reads the rule exactly where the 511-term bound is not negligible
+        far = tail > 2.0**-53 * head
+        assert grandcanonical._excited_sum(g, 1.0, mu_bar, over_k=over_k) == (
+            (value, bound) if far else (head, tail))
 
 
-def test_solve_mu_refuses_a_series_past_the_budget():
-    g = BoxGeometry(REGIME_ALPHAS["III"], 5.12e5)
-    with pytest.raises(CutoffTooLarge):
-        solve_mu(g, 0.3, 1.0, mode_budget=10_000)
+def test_solve_mu_reaches_large_volumes(rho_c_value):
+    """Regime II at rho = 2 rho_c and V up to 3e8: each solve meets its
+    residual within a second, beta V A |mu_bar| (AC8) rises toward 1, and
+    the scaled ladder occupations close in on gc_occupation_limit."""
+    regime = classify(REGIME_ALPHAS["II"])
+    rho = 2.0 * rho_c_value
+    a = solve_ladder_coefficient(rho, rho_c_value).value
+    products, gaps = [], []
+    for volume in (5e6, 5e7, 3e8):
+        g = BoxGeometry(REGIME_ALPHAS["II"], volume)
+        start = time.perf_counter()
+        sol = solve_mu(g, rho, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert sol.residual <= 1e-12 * rho
+        products.append(volume * a * abs(sol.mu_bar))
+        gaps.append([
+            abs(mean_occupation(g, sol.mu_bar, (n, 1, 1), 1.0) / volume
+                / gc_occupation_limit(regime, rho, (n, 1, 1), 1.0) - 1.0)
+            for n in (1, 2, 3)
+        ])
+    assert products[0] < products[1] < products[2] < 1.0
+    for n in range(3):
+        assert gaps[0][n] > gaps[1][n] > gaps[2][n]
+
+
+def test_solve_mu_builds_no_far_rule_deep_below_saturation(monkeypatch):
+    """At beta = 1e-12 the far rule would list millions of levels, but the
+    511 exact terms already pin the root, so solve_mu never asks for it."""
+
+    def refuse(*args):
+        raise AssertionError("far rule built")
+
+    monkeypatch.setattr(grandcanonical, "far_rule", refuse)
+    sol = solve_mu(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 0.3, 1e-12)
+    assert sol.residual <= 1e-12 * 0.3
 
 
 def test_solve_mu_reports_a_gap_that_underflows():

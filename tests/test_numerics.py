@@ -76,6 +76,14 @@ def test_solve_bracketed_no_sign_change_raises():
         solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
+def test_solve_bracketed_compares_signs_of_tiny_values():
+    """1e-200 * 1e-200 underflows to 0, which must not pass for a sign
+    change: the bracket has none, of either sign."""
+    for value in (1e-200, -1e-200, 5e-324):
+        with pytest.raises(NoConvergence, match="no sign change"):
+            solve_bracketed(lambda x: value, 0.0, 1.0)
+
+
 def _scipy_root(fn, lo, hi):
     return brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
