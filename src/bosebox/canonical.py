@@ -284,8 +284,8 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     at most delta S'_k, delta < 1e-18, one running state per node. Cost:
     O(n_max (3 P0 + 2 R)) flops, one Python-level step per block, no FFT.
     On a 2-core x86-64 VM the build takes about 25 ms at n_max = 48 102
-    (regime III, V = 1.45e5) and 1.7 s at n_max = 1 658 692 (regime II,
-    V = 5e6, R = 191, 0.08 s of it the rule).
+    (regime III, V = 1.45e5) and 0.9 s at n_max = 1 658 692 (regime II,
+    V = 5e6, R = 191, 0.012 s of it the rule).
 
     Error budget: Z'(n) is a polynomial in the S'_k with nonnegative
     coefficients and at most n factors per term (the cycle index), so S'_k

@@ -70,6 +70,10 @@ _GAUSS_TOL = 2.0**-64
 _TAIL = 50.0
 _ATOMS = 1 << 16
 _AXIS_ATOMS = 1 << 22
+# n1 rows, and (n1, n2) pairs, per block of the lattice walk (_lattice_rows):
+# its 64 KB arrays are reused from the heap, where larger ones would be
+# mapped and faulted in afresh for every block.
+_PAIRS = 1 << 13
 
 
 def _as_mode_tuple(mode) -> tuple[int, int, int]:
@@ -201,11 +205,13 @@ def mode_gap(geometry: BoxGeometry, mode) -> float:
 
 
 def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
-    """Walk the modes with energy <= e_max one n1 at a time.
+    """Walk the modes with energy <= e_max in blocks of at most _PAIRS
+    consecutive (n1, n2) pairs, in lexicographic order.
 
-    Yields n1 and the largest n3 of each n2 = 1, 2, ... in that row.
-    Raises CutoffTooLarge once the rows hold more than ``mode_budget``
-    modes, and before allocating a row that would take the count past it.
+    Yields per block the arrays n1 and n2 (as floats) and the largest n3
+    of each pair. Raises CutoffTooLarge once the blocks hold more than
+    ``mode_budget`` modes, and before listing the pairs of _PAIRS rows
+    whose widest row would take the count past it.
     """
     c1, c2, c3 = geometry.level_coefficients
     if e_max < c1 + c2 + c3:
@@ -216,31 +222,47 @@ def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
     n1_top = math.sqrt((e_max - c2 - c3) / c1)
     if n1_top - 2.0 > mode_budget:
         raise over
+    n1_end = math.floor(n1_top) + 1
     total = 0
-    for n1 in range(1, math.floor(n1_top) + 1):
+    for first in range(1, n1_end, _PAIRS):
+        n1 = np.arange(first, min(first + _PAIRS, n1_end), dtype=float)
         rest = e_max - c1 * n1 * n1
-        if rest < c2 + c3:
-            break
-        n2_top = math.sqrt((rest - c3) / c2)
-        if total + n2_top - 2.0 > mode_budget:
+        live = rest >= c2 + c3  # a prefix, as rest falls with n1
+        n1, rest = n1[live], rest[live]
+        if len(n1) == 0:
+            return
+        n2_top = np.sqrt((rest - c3) / c2)
+        if total + n2_top[0] - 2.0 > mode_budget:  # the widest row comes first
             raise over
-        n2 = np.arange(1, math.floor(n2_top) + 1, dtype=float)
-        n3_max = np.floor(np.sqrt(np.maximum((rest - c2 * n2 * n2) / c3, 0.0)))
-        total += int(n3_max.sum())
-        if total > mode_budget:
-            raise over
-        yield n1, n3_max.astype(np.int64)
+        widths = np.floor(n2_top).astype(np.int64)
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        for lo in range(0, int(ends[-1]), _PAIRS):
+            # the pairs lo..hi-1 of these rows, which span rows r0..r1
+            hi = min(lo + _PAIRS, int(ends[-1]))
+            r0, r1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+            rows = slice(r0, r1 + 1)
+            span = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
+            n2 = np.arange(lo + 1, hi + 1, dtype=float) - np.repeat(starts[rows], span)
+            n3_max = np.floor(np.sqrt(np.maximum(
+                (np.repeat(rest[rows], span) - c2 * n2 * n2) / c3, 0.0)))
+            total += int(n3_max.sum())
+            if total > mode_budget:
+                raise over
+            yield np.repeat(n1[rows], span), n2, n3_max.astype(np.int64)
 
 
 def count_modes_at_most(
     geometry: BoxGeometry, e_max: float, *, mode_budget: int = DEFAULT_MODE_BUDGET
 ) -> int:
-    """Exact number of modes with energy <= e_max (no enumeration storage).
+    """Exact number of modes with energy <= e_max (no enumeration storage:
+    the walk's blocks of at most 8192 rows and 8192 pairs take about 1 MB
+    at any e_max).
 
     Raises CutoffTooLarge if it exceeds ``mode_budget``.
     """
     return sum(
-        int(n3_max.sum()) for _, n3_max in _lattice_rows(geometry, e_max, mode_budget)
+        int(n3_max.sum()) for *_, n3_max in _lattice_rows(geometry, e_max, mode_budget)
     )
 
 
@@ -278,19 +300,17 @@ def enumerate_below(
     mode_chunks = []
     energy_chunks = []
     if count > 0:
-        for n1, n3_max in _lattice_rows(geometry, e_max, mode_budget):
-            # all (n2, n3) pairs with n3 = 1..n3_max(n2), in lexicographic order
-            n2 = np.repeat(np.arange(1, len(n3_max) + 1, dtype=np.int64), n3_max)
+        for n1, n2, n3_max in _lattice_rows(geometry, e_max, mode_budget):
+            # all modes n3 = 1..n3_max of each pair, in lexicographic order
             starts = np.repeat(np.cumsum(n3_max) - n3_max, n3_max)
-            n3 = np.arange(1, len(n2) + 1, dtype=np.int64) - starts
-            block = np.empty((len(n2), 3), dtype=np.int64)
-            block[:, 0] = n1
-            block[:, 1] = n2
+            n3 = np.arange(1, len(starts) + 1, dtype=np.int64) - starts
+            block = np.empty((len(n3), 3), dtype=np.int64)
+            block[:, 0] = np.repeat(n1, n3_max)
+            block[:, 1] = np.repeat(n2, n3_max)
             block[:, 2] = n3
             mode_chunks.append(block)
-            n2f = n2.astype(float)
             energy_chunks.append(
-                (c1 * n1 * n1 + c2 * n2f * n2f) + c3 * n3.astype(float) ** 2
+                np.repeat(c1 * n1 * n1 + c2 * n2 * n2, n3_max) + c3 * n3.astype(float) ** 2
             )
     if mode_chunks:
         modes = np.concatenate(mode_chunks, axis=0)
@@ -513,29 +533,29 @@ def _gauss_rules(w, s, counts, q):
     """Weights, nodes and bin edges X of the q-node Gauss rule of each run
     of ``counts`` atoms of sum w_i delta(s_i) (s sorted, each run one
     dyadic bin [X, 2X)): Lanczos with full reorthogonalization on
-    t = 2 s/X - 3 in [-1, 1), all runs at once, then the eigenvalues and
-    first eigenvector components of the Jacobi matrices (Golub & Welsch,
-    Math. Comp. 23 (1969) 221)."""
+    t = 2 s/X - 3 in [-1, 1), one bin at a time against its q x m basis,
+    then the eigenvalues and first eigenvector components of all Jacobi
+    matrices at once (Golub & Welsch, Math. Comp. 23 (1969) 221)."""
     starts = np.cumsum(counts) - counts
-    run = np.repeat(np.arange(len(counts)), counts)
     low = np.ldexp(1.0, np.frexp(s[starts])[1] - 1)
-    t = 2.0 * (s / low[run]) - 3.0
     mass = np.add.reduceat(w, starts)
-    vec = np.sqrt(w / mass[run])
-    basis = np.empty((q, len(s)))
     jacobi = np.zeros((len(counts), q, q))
-    for j in range(q):
-        basis[j] = vec
-        v = t * vec
-        jacobi[:, j, j] = np.add.reduceat(vec * v, starts)
-        if j + 1 == q:
-            break
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            proj = np.add.reduceat(basis[: j + 1] * v, starts, axis=1)
-            v -= np.einsum("jn,jn->n", proj[:, run], basis[: j + 1])
-        norm = np.sqrt(np.add.reduceat(v * v, starts))
-        jacobi[:, j, j + 1] = jacobi[:, j + 1, j] = norm
-        vec = v / np.where(norm > 0.0, norm, 1.0)[run]
+    for i, m, x, mu, jac in zip(starts, counts, low, mass, jacobi):
+        t = 2.0 * (s[i : i + m] / x) - 3.0
+        vec = np.sqrt(w[i : i + m] / mu)
+        basis = np.empty((q, m))
+        for j in range(q):
+            basis[j] = vec
+            v = t * vec
+            jac[j, j] = vec @ v
+            if j + 1 == q:
+                break
+            done = basis[: j + 1]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                v -= done.T @ (done @ v)
+            norm = math.sqrt(v @ v)
+            jac[j, j + 1] = jac[j + 1, j] = norm
+            vec = v / norm if norm > 0.0 else v
     theta, vecs = np.linalg.eigh(jacobi)
     return ((mass[:, None] * vecs[:, 0] ** 2).ravel(),
             (low[:, None] * ((theta + 3.0) / 2.0)).ravel(),

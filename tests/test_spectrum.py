@@ -1,6 +1,8 @@
 """Box geometry, level enumeration and integrated density of states."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ from bosebox import (
     ids_limit,
     suggest_energy_cutoff,
 )
+from bosebox import spectrum
 from bosebox.spectrum import (
     IDS_PREFACTOR,
     _gamma_upper_32,
     exponential_tail_integral,
     log_power_sums,
+    mode_gaps,
 )
 from conftest import gaps, index_of, unit_box_gap_values
 
@@ -221,6 +225,136 @@ def test_huge_volume_is_refused_before_allocation():
         count_modes_at_most(g, 30.0)
     with pytest.raises(DomainError):
         BoxGeometry((0.6, 0.25, 0.15), 1e308)  # V**1.2 overflows a double
+
+
+def per_row_walk(geometry, e_max):
+    """The lattice walk as it ran before it took blocks of (n1, n2) pairs:
+    one n1 row per step, yielding n1 and the largest n3 of each n2 = 1, 2,
+    ... in that row. Kept as the oracle."""
+    c1, c2, c3 = geometry.level_coefficients
+    if e_max < c1 + c2 + c3:
+        return
+    for n1 in range(1, math.floor(math.sqrt((e_max - c2 - c3) / c1)) + 1):
+        rest = e_max - c1 * n1 * n1
+        if rest < c2 + c3:
+            break
+        n2 = np.arange(1, math.floor(math.sqrt((rest - c3) / c2)) + 1, dtype=float)
+        n3_max = np.floor(np.sqrt(np.maximum((rest - c2 * n2 * n2) / c3, 0.0)))
+        yield n1, n3_max.astype(np.int64)
+
+
+def per_row_enumeration(geometry, e_max):
+    """Count, modes and energies as enumerate_below built them from the
+    per-row walk: each row's (n2, n3) pairs at once, then a stable sort by
+    energy."""
+    c1, c2, c3 = geometry.level_coefficients
+    modes, energies = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)]
+    for n1, n3_max in per_row_walk(geometry, e_max):
+        n2 = np.repeat(np.arange(1, len(n3_max) + 1, dtype=np.int64), n3_max)
+        starts = np.repeat(np.cumsum(n3_max) - n3_max, n3_max)
+        n3 = np.arange(1, len(n2) + 1, dtype=np.int64) - starts
+        modes.append(np.column_stack((np.full(len(n2), n1), n2, n3)))
+        n2f = n2.astype(float)
+        energies.append((c1 * n1 * n1 + c2 * n2f * n2f) + c3 * n3.astype(float) ** 2)
+    modes, energies = np.concatenate(modes), np.concatenate(energies)
+    order = np.argsort(energies, kind="stable")
+    return len(energies), modes[order], energies[order]
+
+
+@pytest.fixture(scope="module")
+def walk_cases():
+    """(geometry, thresholds by kind) of 12 fixed-seed random boxes: a
+    random cutoff, a listed mode's energy, the thresholds ids and
+    gaps_up_to pad by 8 ulp at two listed gaps, and listed energies at
+    which a row's n2_top = sqrt((rest - c3)/c2) is an integer or its rest
+    = e_max - c1 n1^2 is exactly c2 + c3 (the last row the walk keeps)."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(12):
+        a1 = rng.uniform(1.0 / 3.0, 0.7)
+        a2 = rng.uniform((1.0 - a1) / 2.0, min(a1, 0.97 - a1))
+        g = BoxGeometry((a1, a2, 1.0 - a1 - a2), 10.0 ** rng.uniform(1.0, 4.5))
+        e1 = ground_energy(g)
+        e_max = e1 + rng.uniform(2.0, 30.0)
+        _, modes, energies = per_row_enumeration(g, e_max)
+        if len(energies) > 20_000:
+            e_max = float(energies[20_000])
+            modes, energies = modes[:20_000], energies[:20_000]
+        pick, ids_pick, gaps_pick = rng.integers(len(energies), size=3)
+        ids_threshold, gaps_threshold = (mode_gaps(g, modes[[ids_pick, gaps_pick]]) + e1).tolist()
+        c1, c2, c3 = g.level_coefficients
+        row_edge, row_start = [], []
+        for (n1, n2, n3), e in zip(modes.tolist(), energies.tolist()):
+            rest = e - c1 * n1 * n1
+            if n3 == 1 and n2 > 1 and math.sqrt((rest - c3) / c2) == n2:
+                row_edge.append(e)
+            if n3 == 1 and n2 == 1 and rest == c2 + c3:
+                row_start.append(e)
+        cases.append((g, {
+            "cutoff": [e_max, float(energies[pick])],
+            "padded": [ids_threshold + 8.0 * math.ulp(ids_threshold),
+                       gaps_threshold + 8.0 * math.ulp(gaps_threshold)],
+            "n2_top integer": row_edge[:: max(1, len(row_edge) // 3)],
+            "rest = c2 + c3": row_start[:3],
+        }))
+    return cases
+
+
+@pytest.mark.parametrize("pairs", [None, 7], ids=["default-block", "block-7"])
+def test_blocked_walk_matches_per_row_oracle(pairs, walk_cases, monkeypatch):
+    """count_modes_at_most and enumerate_below list the same modes, byte
+    for byte, as the per-row walk did; with 7 pairs per block the rows
+    and their n2 ranges are cut at block seams."""
+    for kind in ("n2_top integer", "rest = c2 + c3"):
+        assert sum(len(t[kind]) for _, t in walk_cases) >= 10
+    if pairs is not None:
+        monkeypatch.setattr(spectrum, "_PAIRS", pairs)
+    for g, thresholds in walk_cases:
+        for e_max in itertools.chain(*thresholds.values()):
+            count, modes, energies = per_row_enumeration(g, e_max)
+            assert count_modes_at_most(g, e_max) == count
+            t = enumerate_below(g, e_max)
+            assert t.modes.tobytes() == modes.tobytes()
+            assert t.energies.tobytes() == energies.tobytes()
+
+
+def test_mode_budget_is_checked_in_every_block(monkeypatch):
+    """A count that passes the budget only in a later block is refused,
+    by count_modes_at_most and enumerate_below alike; a count equal to
+    the budget is not."""
+    monkeypatch.setattr(spectrum, "_PAIRS", 7)
+    g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
+    count = count_modes_at_most(g, 45.0)
+    blocks = [int(n3.sum()) for *_, n3 in spectrum._lattice_rows(g, 45.0, count)]
+    assert len(blocks) > 10 and sum(blocks) == count
+    assert blocks[0] + blocks[1] < count - 1
+    assert len(enumerate_below(g, 45.0, mode_budget=count)) == count
+    for budget in (count - 1, blocks[0] + blocks[1]):
+        with pytest.raises(CutoffTooLarge):
+            count_modes_at_most(g, 45.0, mode_budget=budget)
+        with pytest.raises(CutoffTooLarge):
+            enumerate_below(g, 45.0, mode_budget=budget)
+
+
+def test_count_modes_holds_no_per_mode_array():
+    """Regime II at V = 64000 holds 402 118 modes, over 29 375 (n1, n2)
+    pairs, up to the cutoff `bosebox spectrum` picks at beta = 1. Counting
+    them allocates the walk's blocks only: its tracemalloc peak stays
+    under 2 MB, where one array of a float per mode takes 3.2 MB."""
+    g = BoxGeometry((0.5, 0.3, 0.2), 64000.0)
+    e_max = suggest_energy_cutoff(g, 1.0, tail_tol=1e-12)
+    assert e_max == pytest.approx(26.72, abs=0.01)
+    pairs = sum(len(n2) for _, n2, _ in spectrum._lattice_rows(g, e_max, 10**6))
+    assert pairs == 29_375
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        count = count_modes_at_most(g, e_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 402_118
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------- density of states
@@ -423,3 +557,77 @@ def test_log_power_sums_is_the_box_sum():
     for k in range(1, 9):
         brute = float(np.sum(np.exp(-k * gaps(table))))
         assert math.exp(s[k - 1]) == pytest.approx(brute, rel=1e-14)
+
+
+# ------------------------------------------------------------- far rule
+
+
+def batched_gauss_rules(w, s, counts, q):
+    """_gauss_rules as it ran before it took one bin at a time: Lanczos
+    with full reorthogonalization on all bins at once, through reduceat
+    over the bins and a gather of the projections. Kept as the oracle."""
+    starts = np.cumsum(counts) - counts
+    run = np.repeat(np.arange(len(counts)), counts)
+    low = np.ldexp(1.0, np.frexp(s[starts])[1] - 1)
+    t = 2.0 * (s / low[run]) - 3.0
+    mass = np.add.reduceat(w, starts)
+    vec = np.sqrt(w / mass[run])
+    basis = np.empty((q, len(s)))
+    jacobi = np.zeros((len(counts), q, q))
+    for j in range(q):
+        basis[j] = vec
+        v = t * vec
+        jacobi[:, j, j] = np.add.reduceat(vec * v, starts)
+        if j + 1 == q:
+            break
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            proj = np.add.reduceat(basis[: j + 1] * v, starts, axis=1)
+            v -= np.einsum("jn,jn->n", proj[:, run], basis[: j + 1])
+        norm = np.sqrt(np.add.reduceat(v * v, starts))
+        jacobi[:, j, j + 1] = jacobi[:, j + 1, j] = norm
+        vec = v / np.where(norm > 0.0, norm, 1.0)[run]
+    theta, vecs = np.linalg.eigh(jacobi)
+    return ((mass[:, None] * vecs[:, 0] ** 2).ravel(),
+            (low[:, None] * ((theta + 3.0) / 2.0)).ravel(),
+            np.repeat(low, q))
+
+
+@pytest.mark.parametrize("regime, volume", [
+    ("I", 1.45e5), ("I", 5.12e5), ("II", 1.45e5), ("II", 5.12e5),
+    ("III", 8.0e3), ("III", 1.45e5), ("III", 5.12e5), ("II", 5.0e6),
+])
+def test_gauss_rules_match_batched_oracle(regime, volume, rho_c_value, monkeypatch):
+    """Every compression far_rule makes at beta = 1 (regimes I and II at
+    V = 8e3 have no bin of more than 20 atoms): the per-bin Lanczos keeps
+    the oracle's node count, with every weight positive, and its moments
+    sum w e^{-ks} at 200 log-spaced k in [257, n], n = 2 rho_c V, are the
+    oracle's within the nodes' rounding 8 u sum_x k x e^{-kx} over the
+    bins' atoms x (the far-rule test's rounding term)."""
+    alphas = {"I": (0.4, 0.35, 0.25), "II": (0.5, 0.3, 0.2), "III": (0.6, 0.25, 0.15)}
+    calls = []
+    per_bin = spectrum._gauss_rules
+
+    def spy(*args):
+        calls.append(args)
+        return per_bin(*args)
+
+    monkeypatch.setattr(spectrum, "_gauss_rules", spy)
+    spectrum.far_rule.__wrapped__(BoxGeometry(alphas[regime], volume), 1.0)
+    assert calls
+    n = round(2.0 * rho_c_value * volume)
+    ks = np.unique(np.geomspace(257, n, 200).round())
+    ulp = np.finfo(np.longdouble).eps
+    for w, s, counts, q in calls:
+        weights, nodes, _ = per_bin(w, s, counts, q)
+        want_w, want_s, _ = batched_gauss_rules(w, s, counts, q)
+        assert np.all(weights > 0.0)
+        assert len(weights) == np.count_nonzero(want_w > 0.0)
+        x, mass = s.astype(np.longdouble), w.astype(np.longdouble)
+        got_w, got_s = weights.astype(np.longdouble), nodes.astype(np.longdouble)
+        want_w, want_s = want_w.astype(np.longdouble), want_s.astype(np.longdouble)
+        for k in ks:
+            terms = mass * np.exp(-k * x)
+            rounding = 8.0 * 2.0**-53 * np.sum(k * x * terms) + 8.0 * ulp * terms.sum()
+            got_k = np.sum(got_w * np.exp(-k * got_s))
+            want_k = np.sum(want_w * np.exp(-k * want_s))
+            assert abs(got_k - want_k) <= rounding
