@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -623,6 +624,8 @@ COMMANDS = {
 _SWEEPABLE = COMMANDS.keys() - {"spectrum", "sweep"}
 
 
+# parse_args leaves the parser as it is, so one serves every main call
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosebox",

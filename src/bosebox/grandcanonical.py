@@ -323,7 +323,6 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
 def solve_ladder_coefficient(
     rho: float,
     rho_c: float,
-    truncation: int = 100_000,
     tol: float = 1e-12,
     beta: float = 1.0,
 ) -> LadderCoefficient:
@@ -333,48 +332,79 @@ def solve_ladder_coefficient(
 
         rho - rho_c = sum_{j >= 1} [ beta pi^2 (j^2 - 1)/2 + 1/A ]^(-1)
 
-    (the j = 1 term is exactly A). The series is truncated at ``truncation``
-    and completed with the telescoping tail sum_{j>M} 2/(beta pi^2 (j^2-1)) =
-    (1/(beta pi^2))(1/M + 1/(M+1)); only the second-order remainder, bounded
-    by (1/A)(4/(beta pi^2)^2)/(3 (M-1)^3), is left unaccounted and reported.
+    (the j = 1 term is exactly A). With c = beta pi^2 / 2 and
+    z = 1 - 1/(c A) < 1 the rest is (1/c) sum_{j>=2} 1/(j^2 - z), taken in
+    closed form (_ladder_sum), so no series is truncated. ``residual`` is
+    |f(A)| of the equation at the root plus the rounding bound of f there:
+    4 eps of the closed form and 2 eps of rho - rho_c for the sums.
 
     Results are cached, since the limit laws solve for the same root on
     every call.
     """
-    return _ladder_coefficient(rho, rho_c, truncation, tol, beta)
+    return _ladder_coefficient(rho, rho_c, tol, beta)
+
+
+# zeta(2k + 2, 4) = sum_{j>=4} j^-(2k+2), k = 0..29, rounded to double (the
+# tests check each value against mpmath)
+_HURWITZ_4 = (
+    0.2838229557371153, 0.0074775546987925125, 0.0003463198719662865,
+    1.86904076684668e-05, 1.0775400096550504e-06, 6.425188488937789e-08,
+    3.903650576060287e-09, 2.397730264529579e-10, 1.482458312665928e-11,
+    9.202674668690208e-13, 5.727071724065572e-14, 3.5697073824626706e-15,
+    2.227216658569063e-16, 1.3904796422568963e-17, 8.684400483856269e-19,
+    5.425318486488028e-20, 3.3898532848726575e-21, 2.1182705362215143e-22,
+    1.3237641280762792e-23, 8.272906386819633e-25, 5.170318841230186e-26,
+    3.2313502474337896e-27, 2.0195543021573694e-28, 1.262205600307914e-29,
+    7.888721654578301e-31, 4.930425697065381e-32, 3.081505926372943e-33,
+    1.9259371504118605e-34, 1.2037090976194528e-35, 7.523175374682315e-37,
+)
+
+
+def _ladder_sum(z: float) -> float:
+    """sum_{j>=2} 1/(j^2 - z) for z <= 1, within 4 eps of itself.
+
+    On [-4, 1] the terms j = 2, 3 are summed apart and the rest is its
+    power series sum_k zeta(2k + 2, 4) z^k, whose terms fall off at least
+    4-fold; it has no pole at z = 1. Below, with y = sqrt(-z), the
+    Mittag-Leffler form (pi y coth(pi y) - 1)/(2 y^2) - 1/(1 + y^2)
+    (Abramowitz & Stegun 4.3.91), which is 0 at z = -inf. Against mpmath
+    at 40 digits, over 23 000 points from z = -1e30 to 1, the relative
+    error stays below 2.6 eps.
+    """
+    if z >= -4.0:
+        acc = 0.0
+        for h in reversed(_HURWITZ_4):
+            acc = acc * z + h
+        return 1.0 / (4.0 - z) + 1.0 / (9.0 - z) + acc
+    y = math.sqrt(-z)
+    return 0.5 * (math.pi / (y * math.tanh(math.pi * y)) - 1.0 / (y * y)) - 1.0 / (1.0 + y * y)
 
 
 # Cached behind the public function, so that keyword and positional calls
 # share one entry and solve_ladder_coefficient stays a plain function.
 @functools.lru_cache(maxsize=64)
-def _ladder_coefficient(rho, rho_c, truncation, tol, beta) -> LadderCoefficient:
+def _ladder_coefficient(rho, rho_c, tol, beta) -> LadderCoefficient:
     excess = rho - rho_c
     if not excess > 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    m = int(truncation)
-    if m < 2:
-        raise DomainError(f"truncation must be at least 2, got {truncation!r}")
-    j = np.arange(2, m + 1, dtype=float)
-    scale = beta * math.pi**2
-    # at a huge beta the top terms overflow to inf and add 1/inf = 0, their limit
-    with np.errstate(over="ignore"):
-        base = 0.5 * scale * (j * j - 1.0)
-    tail_sum = (1.0 / m + 1.0 / (m + 1)) / scale
+    c = 0.5 * beta * math.pi**2
+
+    def rest(a: float) -> float:
+        # 1/a/c overflows to inf, z = -inf, where the sum is 0
+        return _ladder_sum(1.0 - 1.0 / a / c) / c
 
     def fn(a: float) -> float:
-        return a + float(np.sum(1.0 / (base + 1.0 / a))) + tail_sum - excess
+        return a + rest(a) - excess
 
     root, _ = solve_bracketed(
         fn, 1e-300, excess * (1.0 + 1e-12), what="ladder coefficient"
     )
-    remainder = (4.0 / 3.0) / scale / scale / (root * (m - 1.0) ** 3)
-    residual = abs(fn(root)) + remainder
+    rounding = 2.0**-52 * (4.0 * rest(root) + 2.0 * excess)
+    residual = abs(fn(root)) + rounding
     if residual > tol:
-        raise NoConvergence(
-            f"ladder equation residual {residual!r} exceeds {tol!r} at M={m}"
-        )
+        raise NoConvergence(f"ladder equation residual {residual!r} exceeds {tol!r}")
     return LadderCoefficient(value=float(root), residual=residual)
 
 

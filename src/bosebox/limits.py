@@ -215,16 +215,28 @@ _G_TAIL_RTOL = 2.0**-60  # each tail of g_d, relative to a lower bound of g_d
 _G_PANEL_WIDTH = 1.0  # in s = log t; 16 Gauss nodes per panel
 
 
-def _g_quadrature(d, x, s_lo, s_hi, n_panels) -> tuple[float, float]:
-    """int k(x t) theta_2(t)^d ds over [s_lo, s_hi], t = e^s, on Gauss panels,
-    and a rounding bound: a few ulp per node plus the error of its logs."""
-    s, w = gauss_panels(s_lo, s_hi, n_panels, 16)
+@functools.lru_cache(maxsize=16)
+def _theta_grid(k_lo, k_hi, per_unit, width):
+    """Read-only Gauss panels on [k_lo width, k_hi width] in s = log t,
+    per_unit panels per width, 16 nodes each: the weights, t = e^s and
+    log theta_2(t), shared by every d and lam whose range snaps to it."""
+    s, w = gauss_panels(k_lo * width, k_hi * width, per_unit * (k_hi - k_lo), 16)
     t = np.exp(s)
     big_t = 0.5 * math.pi**2 * t
     log_theta = _log_theta_shifted(big_t)  # log sum_{n>=1} e^{-T (n^2 - 1)}
     # theta_2 = expm1(log_theta), which is e^{-3T} to the last bit past T = 200
     far = big_t > 200.0
-    log_th = d * np.where(far, -3.0 * big_t, np.log(np.expm1(np.where(far, 1.0, log_theta))))
+    log_th2 = np.where(far, -3.0 * big_t, np.log(np.expm1(np.where(far, 1.0, log_theta))))
+    for arr in (w, t, log_th2):
+        arr.setflags(write=False)
+    return w, t, log_th2
+
+
+def _g_quadrature(d, x, grid) -> tuple[float, float]:
+    """int k(x t) theta_2(t)^d ds on the panels of a _theta_grid, t = e^s,
+    and a rounding bound: a few ulp per node plus the error of its logs."""
+    w, t, log_th2 = grid
+    log_th = d * log_th2
     y = x * t
     steep = y < -30.0  # e^-y may overflow there; exp(log_th - y) does not
     th = np.exp(log_th)
@@ -245,9 +257,13 @@ def g_with_budget(d: int, lam: float, beta: float) -> tuple[float, float]:
     int_0^inf k(x t) theta_2(t)^d dt/t with x = lam/beta,
     k(y) = e^-y - 1 + y, theta_2(t) = sum_{n>=2} e^{-T u(n)} and
     T = pi^2 t/2.
-    The budget is both truncation tails (closed-form bounds), the change
-    from halving the panel count and the rounding bound. Defined for
-    lam > -beta * (smallest gap); g_d(0) = 0 exactly.
+    The range in s = log t snaps outward to multiples of _G_PANEL_WIDTH,
+    so the Gauss panels sit on a fixed lattice and every d and lam whose
+    range snaps alike reads the same cached theta grid (_theta_grid).
+    The budget is both truncation tails (closed-form bounds, at the
+    snapped ends), the change from halving the panel width and the
+    rounding bound. Defined for lam > -beta * (smallest gap); g_d(0) = 0
+    exactly.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
@@ -269,9 +285,6 @@ def g_with_budget(d: int, lam: float, beta: float) -> tuple[float, float]:
     t_lo = (target * 2.0 * p * (2.0 * math.pi) ** (0.5 * d)) ** (1.0 / p)
     if not (t_lo > 0.0 and math.isfinite(x * x)):
         raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")
-    lead = d * 0.5 * math.pi**2 * t_lo
-    tail_lo = (0.5 * math.exp(max(-x, 0.0) * t_lo + lead)
-               * (2.0 * math.pi) ** (-0.5 * d) * t_lo**p / p)
     # above t_hi: e^{u(2) T} theta_2(t) <= 1 + e^{-(u(3) - u(2)) T}/(1 - e^-T)
     rate = a_min + min(x, 0.0)
 
@@ -283,11 +296,18 @@ def g_with_budget(d: int, lam: float, beta: float) -> tuple[float, float]:
     t_hi = -math.log(target * rate**2) / rate
     while tail_hi(t_hi) > target:
         t_hi *= 1.25
-    s_lo, s_hi = math.log(t_lo), math.log(t_hi)
-    n = max(2, math.ceil((s_hi - s_lo) / _G_PANEL_WIDTH))
+    # both tails only shrink as the range widens, so its ends snap outward
+    # to the panel lattice, where the grids are shared
+    width = _G_PANEL_WIDTH
+    k_lo = math.floor(math.log(t_lo) / width)
+    k_hi = max(math.ceil(math.log(t_hi) / width), k_lo + 2)
+    t_lo, t_hi = math.exp(k_lo * width), math.exp(k_hi * width)
+    lead = d * 0.5 * math.pi**2 * t_lo
+    tail_lo = (0.5 * math.exp(max(-x, 0.0) * t_lo + lead)
+               * (2.0 * math.pi) ** (-0.5 * d) * t_lo**p / p)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        coarse, _ = _g_quadrature(d, x, s_lo, s_hi, n)
-        value, rounding = _g_quadrature(d, x, s_lo, s_hi, 2 * n)
+        coarse, _ = _g_quadrature(d, x, _theta_grid(k_lo, k_hi, 1, width))
+        value, rounding = _g_quadrature(d, x, _theta_grid(k_lo, k_hi, 2, width))
     budget = x * x * (tail_lo + tail_hi(t_hi)) + abs(value - coarse) + rounding
     if not math.isfinite(budget):
         raise OverflowError(f"lam/beta={x!r} is too large for the fluctuation sum")

@@ -169,11 +169,49 @@ def _panel_rule(edges, n_nodes):
     return nodes, weights
 
 
+def _legendre_series(x, c):
+    """sum_k c_k P_k(x) by Clenshaw's recurrence, step for step as numpy's
+    legval, for len(c) >= 2."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd -= 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(n_nodes):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]; the limit laws
-    ask for the same rule once per ladder mode."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    ask for the same rule once per ladder mode.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre polynomials (Golub & Welsch, Math. Comp. 23 (1969) 221),
+    polished by one Newton step on P_n; the weights are 1/(P_{n-1} P_n')
+    at the nodes, symmetrised and scaled to sum to 2. The arithmetic is
+    numpy's leggauss, so the rule is the same to the bit, without
+    importing numpy.polynomial.
+    """
+    n = n_nodes
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = np.zeros(n + 1)
+    p_n[n] = 1.0
+    # P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    dp_n = np.where(np.arange(n) % 2 == (n - 1) % 2, 2.0 * np.arange(n) + 1.0, 0.0)
+    dy = _legendre_series(x, p_n)
+    df = _legendre_series(x, dp_n)
+    x -= dy / df
+    fm = _legendre_series(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -386,6 +386,23 @@ def test_ladder_at_huge_beta_prints_no_warnings(capsys, command, beta, exit_code
         assert out
 
 
+@pytest.mark.parametrize("command", ["gc", "limits"])
+@pytest.mark.parametrize("rho", ["0.1675279014061524", "0.16603507852233518"],
+                         ids=["1.01rho_c", "1.001rho_c"])
+def test_ladder_just_above_saturation_exits_zero(capsys, command, rho):
+    # the truncated ladder series used to leave a residual above 1e-12 here
+    code, out, err = run_cli(
+        capsys, command, "--format", "json",
+        "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", f"rho={rho}",
+    )
+    assert code == 0, err
+    rows = json.loads(out)
+    ladder = "ladder_coefficient" if command == "gc" else "ladder_occupation"
+    budgets = [r["error_budget"] for r in rows if r["quantity"] == ladder]
+    assert budgets and all(0.0 < b <= 1e-12 for b in budgets)
+
+
 @pytest.mark.filterwarnings("error")
 def test_ladder_mode_at_the_truncation_prints_no_warnings(capsys):
     # mode (600,1,1) at M = 600, the last entry of its gap table
@@ -778,8 +795,57 @@ def test_limits_does_not_import_numpy_ma():
     assert proc.stdout.strip() == "False"
 
 
+_NO_NUMPY_POLYNOMIAL_SCRIPT = """
+import contextlib, io, sys
+from bosebox.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["limits", "--override", "geometry.alphas=[0.5, 0.3, 0.2]"]) == 0
+    assert main(["fluct"]) == 0
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_limits_and_fluct_do_not_import_numpy_polynomial():
+    """The Gauss-Legendre rule comes from the Jacobi matrix's eigenvalues,
+    without numpy.polynomial (3-7 ms and about 0.7 MB to import)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_POLYNOMIAL_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # work done once per command
+
+
+def test_parser_is_built_once():
+    assert bosebox.cli.build_parser() is bosebox.cli.build_parser()
+
+
+def test_fluct_evaluates_theta_once_per_grid(capsys, monkeypatch):
+    """fluct's g_d ranges snap to the panel lattice, so its 6 lambdas and
+    3 dimensions share theta grids: at most 6 theta evaluations, a coarse
+    and a fine grid per dimension, where each g_d once took its own two."""
+    calls = {"_log_theta_shifted": 0}
+    monkeypatch.setattr(bosebox.limits, "_log_theta_shifted", _counting(
+        calls, "_log_theta_shifted", bosebox.limits._log_theta_shifted))
+    bosebox.limits.g_with_budget.cache_clear()
+    bosebox.limits._theta_grid.cache_clear()
+    try:
+        code, out, err = run_cli(
+            capsys, "fluct", "--override", "lambda_grid=[0.1, 0.3, 1.0, 2.0, 5.0, 10.0]",
+        )
+    finally:
+        bosebox.limits.g_with_budget.cache_clear()
+        bosebox.limits._theta_grid.cache_clear()
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 6 * 4
+    assert 0 < calls["_log_theta_shifted"] <= 6
 
 
 def _counting(calls, name, fn):

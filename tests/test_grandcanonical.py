@@ -349,6 +349,42 @@ def test_ladder_coefficient_rejects_subcritical():
         solve_ladder_coefficient(rc, rc)
 
 
+def test_hurwitz_table_matches_mpmath_to_the_bit():
+    with mpmath.workdps(40):
+        want = [float(mpmath.zeta(2 * k + 2, 4)) for k in range(30)]
+    assert list(grandcanonical._HURWITZ_4) == want
+
+
+@pytest.mark.parametrize("z", [
+    -1e2, -4.5, -4.0, -3.7, -1.0 - 2.0**-52, -1.0 + 2.0**-53, -0.3, 0.0, 0.5,
+    0.999, 1.0,
+])
+def test_ladder_sum_matches_mpmath_nsum(z):
+    """Both forms of sum_{j>=2} 1/(j^2 - z), the power series on [-4, 1]
+    and the Mittag-Leffler sum below, within 4 ulp of a 40-digit sum."""
+    with mpmath.workdps(40):
+        want = mpmath.nsum(lambda j: 1 / (j * j - mpmath.mpf(z)), [2, mpmath.inf])
+        err = abs(grandcanonical._ladder_sum(z) - want)
+    assert err <= 4.0 * math.ulp(float(want))
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("ratio", [1.001, 1.01, 2.0, 5.0, 50.0])
+def test_ladder_residual_bounds_the_exact_equation(beta, ratio):
+    """The residual is at most 1e-12 from just above saturation up, and it
+    bounds the equation's exact imbalance at the root (40 digits)."""
+    rc = critical_density(beta).value
+    lad = solve_ladder_coefficient(ratio * rc, rc, beta=beta)
+    assert lad.residual <= 1e-12
+    with mpmath.workdps(40):
+        c = mpmath.mpf(beta) * mpmath.pi**2 / 2
+        a = mpmath.mpf(lad.value)
+        y = mpmath.sqrt(1 / (c * a) - 1)
+        rest = (mpmath.pi * y * mpmath.coth(mpmath.pi * y) - 1) / (2 * y * y) - 1 / (1 + y * y)
+        imbalance = a + rest / c - (mpmath.mpf(ratio * rc) - mpmath.mpf(rc))
+    assert abs(imbalance) <= lad.residual
+
+
 # -------------------------------------------------------- occupation limits
 
 

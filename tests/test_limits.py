@@ -542,6 +542,27 @@ def test_budget_covers_doubled_panel_evaluation(monkeypatch, d, lam):
     assert abs(finer - value) <= budget
 
 
+def test_theta_grid_cache_is_keyed_by_panel_width(monkeypatch):
+    """The check above sees finer theta grids at half the panel width, not
+    the grids cached at the full width."""
+    nodes = {}
+    theta_grid = limits._theta_grid
+
+    def spy(k_lo, k_hi, per_unit, width):
+        grid = theta_grid(k_lo, k_hi, per_unit, width)
+        nodes.setdefault(limits._G_PANEL_WIDTH, []).append(len(grid[1]))
+        return grid
+
+    monkeypatch.setattr(limits, "_theta_grid", spy)
+    width = limits._G_PANEL_WIDTH
+    g_with_budget.__wrapped__(2, 1.8, 1.0)
+    monkeypatch.setattr(limits, "_G_PANEL_WIDTH", 0.5 * width)
+    g_with_budget.__wrapped__(2, 1.8, 1.0)
+    coarse, fine = nodes[width], nodes[0.5 * width]
+    assert len(coarse) == len(fine) == 2
+    assert all(f >= 1.9 * c for c, f in zip(coarse, fine))
+
+
 def test_axis_curvature_closed_form_and_series():
     # sum_{n>=2} (n^2-1)^{-2} has the closed form pi^2/12 - 11/16
     n = np.arange(2, 2_000_001, dtype=float)
