@@ -5,7 +5,24 @@ number-mixture weights, and the condensation/fluctuation limit laws, with
 every truncation carrying an explicit error bound.
 """
 
+import os as _os
+import sys as _sys
 import types as _types
+
+# OpenBLAS sizes its thread pool once, when numpy loads it. The largest
+# product here is a 256 x 256 matrix-vector one, which a worker thread only
+# slows, so numpy is loaded with one BLAS thread unless it is loaded
+# already or a thread count is set. The variable is removed again, so the
+# environment that child processes see is unchanged.
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import (
     ConfigError,

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import CutoffTooLarge, DomainError, NumericsError
+from .errors import DomainError, NumericsError
 from .numerics import log1mexp, sum_exp
 from .spectrum import (
     _EXP_FLOOR,
@@ -51,9 +51,9 @@ from .spectrum import (
     enumerate_below,
     far_rule,
     ground_energy,
-    log_power_sums,
     mode_gap,
     mode_gaps,
+    near_log_power_sums,
 )
 
 __all__ = [
@@ -265,8 +265,9 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     """Run the power-sum recursion of a box up to n_max particles.
 
     The power sums come from the exact theta factorization over the whole
-    spectrum (spectrum.log_power_sums), so no spectral cutoff enters; only
-    S'_k with k < 512 are computed. DomainError if ``geometry`` is not a
+    spectrum, so no spectral cutoff enters; only S'_k with k < 512 are
+    read, from the table spectrum.near_log_power_sums builds once per box
+    and beta. DomainError if ``geometry`` is not a
     BoxGeometry; CutoffTooLarge if the power sums overflow a double, or if
     an axis holds more than 2^22 levels below the far rule's cut x_c.
 
@@ -283,9 +284,10 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     S'_k ~ sum_r w_r e^{-k s_r} of spectrum.far_rule, below every S'_k by
     at most delta S'_k, delta < 1e-18, one running state per node. Cost:
     O(n_max (3 P0 + 2 R)) flops, one Python-level step per block, no FFT.
-    On a 2-core x86-64 VM the build takes about 25 ms at n_max = 48 102
-    (regime III, V = 1.45e5) and 0.9 s at n_max = 1 658 692 (regime II,
-    V = 5e6, R = 191, 0.012 s of it the rule).
+    On a 2-core x86-64 VM, with one BLAS thread, the first build in a
+    fresh process takes 43-45 ms at n_max = 48 102 (regime III,
+    V = 1.45e5) and 1.0-1.5 s at n_max = 1 658 692 (regime II, V = 5e6,
+    R = 191, 0.014-0.016 s of it the rule).
 
     Error budget: Z'(n) is a polynomial in the S'_k with nonnegative
     coefficients and at most n factors per term (the cycle index), so S'_k
@@ -308,12 +310,7 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
     k_near = min(n_max, 2 * _P0 - 1)
-    ls = np.concatenate(([np.nan], log_power_sums(geometry, beta, k_near)))
-    # the largest S'_k - 1 overflows iff some does; the max is nan if any
-    # entry is, and needs no temporary array
-    with np.errstate(over="ignore"):
-        if not math.isfinite(np.expm1(ls[1:].max())):
-            raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    ls = np.concatenate(([np.nan], near_log_power_sums(geometry, beta)[:k_near]))
     rule = far_rule(geometry, beta)[:2] if n_max >= 2 * _P0 else (np.ones(0), np.zeros(0))
     return CanonicalTable(
         geometry=geometry,

@@ -16,13 +16,15 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, CutoffInsufficient, NumericsError
 from .spectrum import (
     BoxGeometry,
     classify,
@@ -406,9 +408,7 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
                        "error_budget")
     sol = _solve_mu(cfg, geom)
     rc = critical_density(beta).value
-    n_max = _mixture_n_max(cfg, rho, rc, geom.volume)
-    ct = build_canonical(geom, beta, n_max)
-    kw = kac_weights(ct, sol.mu)
+    ct, kw = _mixture_table(cfg, geom, sol.mu, _mixture_n_max(cfg, rho, rc, geom.volume))
     mass = float(kw.weights.sum())
     mode = tuple(int(v) for v in cfg["mode"])
     rows = [
@@ -438,6 +438,25 @@ def _mixture_n_max(cfg: dict, rho: float, rho_c: float, volume: float) -> int:
             f"{cap}; raise it (and allow_large_n beyond the budget)"
         )
     return n_max
+
+
+def _mixture_table(cfg: dict, geom: BoxGeometry, mu: float, n_max: int):
+    """The canonical table of ``n_max`` rows and the mixture weights at mu.
+
+    Where the weights' tail does not fit (CutoffInsufficient, as near
+    saturation), the table is built again at twice the length, up to
+    cutoffs.n_max unless cutoffs.allow_large_n is set. The build is linear
+    in n, so that costs at most about twice the last build.
+    """
+    cap = math.inf if cfg["cutoffs"]["allow_large_n"] else int(cfg["cutoffs"]["n_max"])
+    while True:
+        ct = build_canonical(geom, float(cfg["beta"]), n_max)
+        try:
+            return ct, kac_weights(ct, mu)
+        except CutoffInsufficient:
+            if n_max >= cap:
+                raise
+            n_max = min(2 * n_max, cap)
 
 
 def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
@@ -550,24 +569,56 @@ def cmd_sweep(cfg: dict) -> list[dict]:
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.16e}"
-    if value is None:
-        return ""
-    return str(value)
+_FLOAT_CELL = "{:.16e}".format
+
+
+def _blank(value) -> str:
+    return ""
+
+
+def _cell_format(kind):
+    """How a cell of type ``kind`` prints: a float with 17 significant
+    digits, None blank, anything else (str, int, bool) as str prints it."""
+    if issubclass(kind, float):
+        return _FLOAT_CELL
+    if kind is type(None):
+        return _blank
+    return str
+
+
+def _format_column(cells: list) -> list[str]:
+    """The cells of one column as text. Each object is formatted once: a
+    value that every row shares (an echoed input) yields one string, as do
+    the small ints that many rows hold. Each type's format is looked up
+    once."""
+    first = cells[0]
+    if all(map(operator.is_, cells, itertools.repeat(first))):
+        return [_cell_format(type(first))(first)] * len(cells)
+    distinct = dict(zip(map(id, cells), cells))
+    formats = {kind: _cell_format(kind) for kind in set(map(type, distinct.values()))}
+    if len(formats) == 1:
+        (fmt,) = formats.values()
+        text = dict(zip(distinct, map(fmt, distinct.values())))
+    else:
+        text = {key: formats[type(cell)](cell) for key, cell in distinct.items()}
+    return list(map(text.__getitem__, map(id, cells)))
 
 
 def render_csv(rows: list[dict]) -> str:
+    """CSV under the first row's keys, one column at a time: a key a row
+    lacks leaves its cell blank, and a key not in the header is dropped."""
     if not rows:
         return "\n"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(col, "")) for col in header))
-    return "\n".join(lines) + "\n"
+    header = list(rows[0])
+    columns = []
+    for name in header:
+        try:
+            cells = list(map(operator.itemgetter(name), rows))
+        except KeyError:
+            cells = [row.get(name, "") for row in rows]
+        columns.append(_format_column(cells))
+    # the empty last line ends the text with a newline, without a copy
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
 def render_json(rows: list[dict]) -> str:

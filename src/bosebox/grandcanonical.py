@@ -29,14 +29,15 @@ import numpy as np
 from .errors import CutoffTooLarge, DomainError, NoConvergence, NumericsError
 from .numerics import solve_bracketed
 from .spectrum import (
+    _NEAR,
     _NODES,
     BoxGeometry,
     RegimeLabel,
     eigenvalue,
     far_rule,
     ground_energy,
-    log_power_sums,
     mode_gap,
+    near_log_power_sums,
     _as_mode_tuple,
 )
 
@@ -74,10 +75,10 @@ _ZETA_32 = _ZETA[0]
 # (Phys. Rev. 83, 678 (1951)), used for -1 <= x <= 0; its terms fall off
 # like (x / 2 pi)^j, so 30 of them reach roundoff.
 _ROBINSON = [z / math.factorial(j) for j, z in enumerate(_ZETA)]
-# A grand sum's exact terms; past _SERIES_RTOL its rest is the far rule's,
-# whose nodes' mass went through at most _GAUSS_LAYERS compressions (three
-# _compress calls in a row, each two deep at most for boxes up to V = 1e10).
-_NEAR = 511
+# A grand sum takes its first _NEAR terms exactly; past _SERIES_RTOL its
+# rest is the far rule's, whose nodes' mass went through at most
+# _GAUSS_LAYERS compressions (three _compress calls in a row, each two
+# deep at most for boxes up to V = 1e10).
 _SERIES_RTOL = 2.0**-53
 _GAUSS_LAYERS = 6
 
@@ -134,11 +135,8 @@ def mean_occupation(geometry: BoxGeometry, mu_bar: float, mode, beta: float) -> 
 
 @functools.lru_cache(maxsize=32)
 def _near_excess(geometry: BoxGeometry, beta: float) -> np.ndarray:
-    """Read-only S'_k - 1, k = 1.._NEAR; CutoffTooLarge if they overflow."""
-    with np.errstate(over="ignore"):
-        excess = np.expm1(log_power_sums(geometry, beta, _NEAR))
-    if not math.isfinite(excess[0]):
-        raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    """Read-only S'_k - 1, k = 1.._NEAR, of spectrum.near_log_power_sums."""
+    excess = np.expm1(near_log_power_sums(geometry, beta))
     excess.setflags(write=False)
     return excess
 

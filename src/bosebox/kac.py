@@ -145,12 +145,17 @@ def _entire_sinc_ratio(z: float) -> float:
     return math.sin(r) / r
 
 
-def _ladder_prefactor(a: float, beta: float, convention: str) -> float:
+def _ladder_argument(a: float, beta: float, convention: str) -> float:
+    """The argument z of the regime-II prefactor's sinh(sqrt z)/sqrt z."""
     if convention == "printed":
-        return beta * math.pi**2 * _entire_sinc_ratio(2.0 / (beta * a) - math.pi)
+        return 2.0 / (beta * a) - math.pi
     if convention == "normalized":
-        return beta * math.pi**2 * _entire_sinc_ratio(2.0 / (beta * a) - math.pi**2)
+        return 2.0 / (beta * a) - math.pi**2
     raise DomainError(f"unknown prefactor convention {convention!r}")
+
+
+def _ladder_prefactor(a: float, beta: float, convention: str) -> float:
+    return beta * math.pi**2 * _entire_sinc_ratio(_ladder_argument(a, beta, convention))
 
 
 def limiting_kac_transform(
@@ -181,10 +186,14 @@ def limiting_kac_transform(
     a = solve_ladder_coefficient(rho, rc, beta=beta).value
     if lam <= -1.0 / a:
         raise DomainError(f"lam must exceed {-1.0 / a!r}, got {lam!r}")
+    z_front = _ladder_argument(a, beta, convention)
+    z = 2.0 / (beta * a) - math.pi**2 + 2.0 * lam / beta
+    if min(z_front, z) > 700.0**2:
+        # Near saturation 1/A is large, and sinh(sqrt z) may leave the
+        # double range though the quotient does not. Past sqrt z = 700,
+        # sinh(r)/r is e^r/(2r) to the last bit.
+        r_front, r = math.sqrt(z_front), math.sqrt(z)
+        return math.exp(-lam * rc + (r_front - r) - math.log(r_front / r))
     front = _ladder_prefactor(a, beta, convention)
-    denominator = (
-        beta
-        * math.pi**2
-        * _entire_sinc_ratio(2.0 / (beta * a) - math.pi**2 + 2.0 * lam / beta)
-    )
+    denominator = beta * math.pi**2 * _entire_sinc_ratio(z)
     return math.exp(-lam * rc) * front / denominator

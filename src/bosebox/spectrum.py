@@ -10,13 +10,12 @@ splits the model into three condensation regimes (a_1 < 1/2, = 1/2, > 1/2).
 This module owns geometry/spectrum data types, exact lattice counting of the
 integrated density of states, its closed-form limit and two-sided bounds,
 and the spectral primitive both ensembles read: the power sums S'_k
-(log_power_sums) for k < 512 and the far rule (far_rule) beyond.
+(near_log_power_sums) for k < 512 and the far rule (far_rule) beyond.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +44,7 @@ __all__ = [
     "suggest_energy_cutoff",
     "exponential_tail_integral",
     "log_power_sums",
+    "near_log_power_sums",
 ]
 
 ALPHA_TOL = 1e-12
@@ -57,6 +57,9 @@ SANDWICH_CONSTANT = 3.0 * math.pi / math.sqrt(2.0)
 DEFAULT_MODE_BUDGET = 20_000_000
 
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
+# Both ensembles read S'_k exactly for k = 1.._NEAR (near_log_power_sums)
+# and through the far rule beyond.
+_NEAR = 511
 # log_power_sums evaluates an axis with t = k beta c_j below this through
 # the Jacobi dual of its theta series, and at or above it directly.
 _THETA_DUAL_BELOW = 1.0
@@ -436,34 +439,61 @@ def log_power_sums(geometry: BoxGeometry, beta: float, k_max: int) -> np.ndarray
     return sum(_log_theta_shifted(k * (beta * c)) for c in geometry.level_coefficients)
 
 
+@functools.lru_cache(maxsize=32)
+def near_log_power_sums(geometry: BoxGeometry, beta: float) -> np.ndarray:
+    """Read-only log_power_sums(geometry, beta, 511), built once per box and
+    beta: the log S'_k, k = 1..511, that both ensembles read exactly.
+    CutoffTooLarge if some S'_k - 1 overflows a double."""
+    ls = log_power_sums(geometry, beta, _NEAR)
+    # the largest S'_k - 1 overflows iff some does; the max is nan if any
+    # entry is
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.expm1(ls.max())):
+            raise CutoffTooLarge("power sums overflow a double at this volume and beta")
+    ls.setflags(write=False)
+    return ls
+
+
 def _log_theta_shifted(t: np.ndarray) -> np.ndarray:
-    """log sum_{n>=1} exp(-t (n^2 - 1)) for increasing t > 0."""
+    """log sum_{n>=1} exp(-t (n^2 - 1)) for increasing t > 0.
+
+    Each branch is one masked array of its terms, a row per n or m up to
+    the last row that holds a term (at least one row), summed over the rows
+    in order (_row_sums), so it rounds as a loop over n or m does."""
     split = int(np.searchsorted(t, _THETA_DUAL_BELOW))
-    # direct: log1p of sum_{n>=2} exp(-t (n^2 - 1)), dropping exp(< -745)
-    inner = np.zeros(len(t) - split)
-    for n in itertools.count(2):
-        top = int(np.searchsorted(t, _EXP_FLOOR / (n * n - 1.0)))
-        if top <= split:
-            break
-        inner[: top - split] += np.exp(t[split:top] * -(n * n - 1.0))
-    # dual, in the log domain: t + log(sqrt(pi/t)/2) + log1p(2 sum - sqrt(t/pi))
-    small = t[:split]
-    dual = np.zeros(split)
-    for m in itertools.count(1):
-        lo = int(np.searchsorted(small, math.pi**2 * m * m / _EXP_FLOOR))
-        if lo >= split:
-            break
-        dual[lo:] += np.exp(-math.pi**2 * m * m / small[lo:])
+    big, small = t[split:], t[:split]
+    # direct: log1p of sum_{n>=2} exp(-t (n^2 - 1)), dropping exp(< -745);
+    # t >= 1 there, so n <= 27
+    u = np.arange(2.0, 28.0) ** 2 - 1.0  # n^2 - 1
+    top = _EXP_FLOOR / u  # row n holds the t < top
+    rows = max(1, np.count_nonzero(top > (big[0] if len(big) else math.inf)))
+    inner = _row_sums(np.multiply.outer(-u[:rows], big), big < top[:rows, None])
+    # dual, in the log domain: t + log(sqrt(pi/t)/2) + log1p(2 sum - sqrt(t/pi));
+    # t < 1 there, so the terms exp(-pi^2 m^2/t) past exp(-745) have m <= 8
+    m = np.arange(1.0, 9.0)
+    low = math.pi**2 * m * m / _EXP_FLOOR  # row m holds the t >= low
+    rows = max(1, np.count_nonzero(low <= (small[-1] if len(small) else -math.inf)))
+    with np.errstate(divide="ignore"):  # t = 0, where the mask drops the term
+        power = np.divide.outer(-math.pi**2 * m[:rows] * m[:rows], small)
+    dual = _row_sums(power, small >= low[:rows, None])
     head = small + 0.5 * np.log(math.pi / (4.0 * small))
     return np.concatenate((head + np.log1p(2.0 * dual - np.sqrt(small / math.pi)),
                            np.log1p(inner)))
+
+
+def _row_sums(power: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """sum_r exp(power[r]), each term 0 where ``keep`` is not set, with the
+    rows added one after another, as a loop over r rounds (a reduction
+    over r may pair the rows up, which rounds otherwise)."""
+    return functools.reduce(np.add, np.exp(power, out=np.zeros_like(power), where=keep))
 
 
 @functools.lru_cache(maxsize=32)
 def far_rule(geometry: BoxGeometry, beta: float):
     """The far rule S'_k ~ sum_r w_r exp(-k s_r), k > 256, of a box at
     beta: read-only (weights, nodes) and its cut x_c, built once.
-    CutoffTooLarge if an axis holds more than 2^22 levels below x_c.
+    CutoffTooLarge if the power sums overflow (near_log_power_sums), or if
+    an axis holds more than 2^22 levels below x_c.
 
     S'_k - 1 is completely monotone in k, the Laplace transform of the
     measure of x = beta gap over the excited levels (Braess & Hackbusch,
@@ -488,7 +518,7 @@ def far_rule(geometry: BoxGeometry, beta: float):
     Lanczos rounds a term e^{-k s_r} by a few k s_r u, as the atoms do (at
     V = 5e6 within 6e-17 of long-double theta sums for all k >= 1e5).
     """
-    ls1 = float(log_power_sums(geometry, beta, 1)[0])
+    ls1 = float(near_log_power_sums(geometry, beta)[0])
     cut = min(_EXP_FLOOR / 257.0, (ls1 + _TAIL) / 256.0)
     weights, nodes, _ = _compress(*_box_measure(geometry, beta, cut))
     weights.setflags(write=False)

@@ -435,6 +435,16 @@ def test_recursion_power_sum_overflow_exits_three(capsys):
     assert out == ""
 
 
+def test_grand_sum_power_sum_overflow_exits_three(capsys):
+    # kac meets the overflow first in the grand sums of its mu solve
+    code, out, err = run_cli(
+        capsys, "kac", "--override", "beta=1e-250", "--override", "geometry.volume=1000",
+    )
+    assert code == 3
+    assert "CutoffTooLarge: power sums overflow a double at this volume and beta" in err
+    assert out == ""
+
+
 def test_empty_spectrum_warns_but_succeeds(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--emax", "0.1")
     assert code == 0
@@ -552,6 +562,104 @@ def test_json_output_parses(capsys):
 
 def test_render_csv_empty():
     assert render_csv([]) == "\n"
+
+
+def format_cell_oracle(value) -> str:
+    """The format render_csv applied to each cell before it took a column
+    at a time, kept as its oracle."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.16e}"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def render_csv_oracle(rows: list[dict]) -> str:
+    """render_csv one cell at a time, as it ran before."""
+    if not rows:
+        return "\n"
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_cell_oracle(row.get(col, "")) for col in header))
+    return "\n".join(lines) + "\n"
+
+
+def _distinct_copy(value):
+    """An equal float that is not the same object (float(x) returns x)."""
+    return float(repr(value)) if type(value) is float else value
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, -2.5e300]
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(alphabet="ab_- 0.e", max_size=4),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows over a few column names whose cells are shared objects from a
+    small pool, equal but distinct copies of them, or fresh values; a row
+    may lack a name or carry one more."""
+    names = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6, unique=True))
+    pool = draw(st.lists(_CELLS, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = {}
+        for name in names + ["extra"]:
+            kind = draw(st.sampled_from(["shared", "copy", "fresh", "missing"]))
+            if kind == "missing" or (name == "extra" and rows == []):
+                continue
+            if kind == "fresh":
+                row[name] = draw(_CELLS)
+            else:
+                value = pool[draw(st.integers(0, len(pool) - 1))]
+                row[name] = value if kind == "shared" else _distinct_copy(value)
+        if row:
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_csv_rows())
+def test_render_csv_matches_the_per_cell_oracle(rows):
+    assert render_csv(rows) == render_csv_oracle(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"x": v} for v in _SPECIAL_FLOATS],
+    [{"x": True, "y": None, "z": 7}, {"x": False, "y": None, "z": -10**30}],
+    # columns that mix types, in each order
+    [{"x": 1.5, "y": "", "z": 3}, {"x": "", "y": 2.0, "z": None}, {"x": True, "y": 4, "z": 0.0}],
+    # one shared 0.0 beside an equal -0.0, and shared nan beside copies
+    [{"x": _SPECIAL_FLOATS[0], "y": _SPECIAL_FLOATS[2]} for _ in range(3)]
+    + [{"x": -0.0, "y": _distinct_copy(math.nan)}],
+    [{"x": 0.1, "y": 0.1}, {"x": _distinct_copy(0.1), "y": 0.1}],
+    # a row without a header key, one with an extra key, one in another order
+    [{"a": 1.0, "b": "s"}, {"a": 2.0}, {"b": "t", "a": 3.0, "c": 9.0}, {"c": 1}],
+])
+def test_render_csv_matches_the_oracle_on_edge_cases(rows):
+    assert render_csv(rows) == render_csv_oracle(rows)
+
+
+def test_render_csv_matches_the_oracle_on_a_listing(monkeypatch):
+    captured = []
+    monkeypatch.setattr(bosebox.cli, "render_csv",
+                        lambda rows: captured.append(rows) or render_csv(rows))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["spectrum", "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+                     "--override", "geometry.volume=64000"]) == 0
+    (rows,) = captured
+    assert len(rows) > 1000
+    assert out.getvalue() == render_csv_oracle(rows)
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -819,6 +927,52 @@ def test_limits_and_fluct_do_not_import_numpy_polynomial():
     assert proc.stdout.strip() == "False"
 
 
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_THREADS_SCRIPT = """
+import json, os, sys
+for name in sys.argv[1:]:
+    __import__(name)
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  {name: os.environ.get(name) for name in %r}]))
+""" % (_BLAS_VARIABLES,)
+
+
+def _threads_after_import(*modules, **preset):
+    """Threads of a fresh process that imports ``modules`` in turn, and the
+    BLAS thread variables it then sees; only ``preset`` of them are set."""
+    env = _child_env(**preset)
+    for name in set(_BLAS_VARIABLES) - set(preset):
+        env.pop(name, None)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, *modules],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    tasks, variables = json.loads(proc.stdout)
+    return tasks, variables
+
+
+_LINUX_ONLY = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="counts threads in /proc/self/task")
+
+
+@_LINUX_ONLY
+def test_import_loads_blas_with_one_thread():
+    """Without a thread count set, numpy's BLAS starts no worker thread,
+    and the variable that asked for that is gone again."""
+    assert _threads_after_import("bosebox") == (1, dict.fromkeys(_BLAS_VARIABLES))
+
+
+@_LINUX_ONLY
+@pytest.mark.parametrize("name", _BLAS_VARIABLES)
+def test_import_honours_a_preset_blas_thread_count(name):
+    assert (_threads_after_import("bosebox", **{name: "2"})
+            == _threads_after_import("numpy", **{name: "2"}))
+
+
+@_LINUX_ONLY
+def test_import_after_numpy_leaves_its_blas_pool():
+    assert _threads_after_import("numpy", "bosebox") == _threads_after_import("numpy")
+
+
 # ---------------------------------------------------------------------------
 # work done once per command
 
@@ -846,6 +1000,56 @@ def test_fluct_evaluates_theta_once_per_grid(capsys, monkeypatch):
     assert code == 0, err
     assert len(out.splitlines()) == 1 + 6 * 4
     assert 0 < calls["_log_theta_shifted"] <= 6
+
+
+@pytest.mark.parametrize("rho", ["0.1675279014061524", "0.16603507852233518"],
+                         ids=["1.01rho_c", "1.001rho_c"])
+def test_kac_just_above_saturation_rebuilds_a_longer_table(capsys, monkeypatch, rho):
+    """The first table is too short for the weights' tail this close to
+    saturation; it is built again at twice its length, which holds it."""
+    lengths = []
+    build = bosebox.cli.build_canonical
+    monkeypatch.setattr(bosebox.cli, "build_canonical",
+                        lambda g, beta, n: lengths.append(n) or build(g, beta, n))
+    code, out, err = run_cli(
+        capsys, "kac", "--format", "json",
+        "--override", "geometry.alphas=[0.5, 0.3, 0.2]", "--override", f"rho={rho}",
+    )
+    assert code == 0, err
+    (n_cut,) = [r["value"] for r in json.loads(out) if r["quantity"] == "weight_cutoff"]
+    assert lengths == [lengths[0], 2 * lengths[0]]
+    assert lengths[0] < n_cut < lengths[1]
+
+
+def test_kac_rebuild_stops_at_the_n_max_cutoff(capsys, monkeypatch):
+    lengths = []
+    build = bosebox.cli.build_canonical
+    monkeypatch.setattr(bosebox.cli, "build_canonical",
+                        lambda g, beta, n: lengths.append(n) or build(g, beta, n))
+    code, out, err = run_cli(
+        capsys, "kac", "--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+        "--override", "rho=0.1675279014061524", "--override", "cutoffs.n_max=900",
+    )
+    assert code == 3
+    assert "CutoffInsufficient" in err and "n_max=900" in err
+    assert out == ""
+    assert lengths[-1] == 900 and len(lengths) == 2
+
+
+@pytest.mark.parametrize("alphas, rho", [("[0.5, 0.3, 0.2]", "0.3317384186260446"),
+                                         ("[0.4, 0.35, 0.25]", "0.08")],
+                         ids=["II-super", "I-sub"])
+def test_kac_keeps_a_table_that_holds_the_weights(capsys, monkeypatch, alphas, rho):
+    lengths = []
+    build = bosebox.cli.build_canonical
+    monkeypatch.setattr(bosebox.cli, "build_canonical",
+                        lambda g, beta, n: lengths.append(n) or build(g, beta, n))
+    code, _, err = run_cli(
+        capsys, "kac", "--override", f"geometry.alphas={alphas}",
+        "--override", f"rho={rho}", "--override", "geometry.volume=2000",
+    )
+    assert code == 0, err
+    assert len(lengths) == 1
 
 
 def _counting(calls, name, fn):

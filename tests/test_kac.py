@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -323,6 +324,27 @@ def test_unknown_convention_rejected(rc):
     regime = classify((0.5, 0.3, 0.2))
     with pytest.raises(DomainError):
         limiting_kac_transform(regime, 2.0 * rc, 1.0, BETA, convention="nope")
+
+
+@pytest.mark.parametrize("excess", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("convention", ["printed", "normalized"])
+def test_ladder_transform_near_saturation_matches_mpmath(rc, excess, convention):
+    """Near saturation 1/A is large, and sinh(sqrt z) of the prefactor and
+    of the denominator leave the double range (sqrt z = 6028 at 1e-3)
+    while their quotient does not: the closed form at 40 digits."""
+    regime = classify((0.5, 0.3, 0.2))
+    rho = (1.0 + excess) * rc
+    a = mpmath.mpf(solve_ladder_coefficient(rho, rc, beta=BETA).value)
+    with mpmath.workdps(40):
+        def sinc(z):
+            return mpmath.sinh(mpmath.sqrt(z)) / mpmath.sqrt(z)
+
+        shift = mpmath.pi if convention == "printed" else mpmath.pi**2
+        for lam in (0.1, 1.0, 10.0):
+            want = (mpmath.exp(-lam * mpmath.mpf(rc)) * sinc(2 / (BETA * a) - shift)
+                    / sinc(2 / (BETA * a) - mpmath.pi**2 + 2 * mpmath.mpf(lam) / BETA))
+            got = limiting_kac_transform(regime, rho, lam, BETA, convention=convention)
+            assert got == pytest.approx(float(want), rel=1e-11)
 
 
 # ------------------------------------------------------ empirical convergence

@@ -24,7 +24,7 @@ from bosebox import (
     ids_limit,
     suggest_energy_cutoff,
 )
-from bosebox import spectrum
+from bosebox import canonical, grandcanonical, spectrum
 from bosebox.spectrum import (
     IDS_PREFACTOR,
     _gamma_upper_32,
@@ -557,6 +557,90 @@ def test_log_power_sums_is_the_box_sum():
     for k in range(1, 9):
         brute = float(np.sum(np.exp(-k * gaps(table))))
         assert math.exp(s[k - 1]) == pytest.approx(brute, rel=1e-14)
+
+
+def looped_log_theta_shifted(t):
+    """_log_theta_shifted as it ran before each branch became one masked
+    array: a loop over n (direct) or m (Jacobi dual) that adds each term to
+    the entries past its threshold. Kept as the oracle."""
+    split = int(np.searchsorted(t, 1.0))
+    inner = np.zeros(len(t) - split)
+    for n in itertools.count(2):
+        top = int(np.searchsorted(t, 745.0 / (n * n - 1.0)))
+        if top <= split:
+            break
+        inner[: top - split] += np.exp(t[split:top] * -(n * n - 1.0))
+    small = t[:split]
+    dual = np.zeros(split)
+    for m in itertools.count(1):
+        lo = int(np.searchsorted(small, math.pi**2 * m * m / 745.0))
+        if lo >= split:
+            break
+        dual[lo:] += np.exp(-math.pi**2 * m * m / small[lo:])
+    head = small + 0.5 * np.log(math.pi / (4.0 * small))
+    return np.concatenate((head + np.log1p(2.0 * dual - np.sqrt(small / math.pi)),
+                           np.log1p(inner)))
+
+
+@pytest.mark.parametrize(
+    "alphas", [(0.4, 0.35, 0.25), (0.5, 0.3, 0.2), (0.6, 0.25, 0.15), (1 / 3,) * 3]
+)
+@pytest.mark.parametrize("volume", [10.0, 2.0e3, 5.12e5, 5.0e6])
+def test_log_theta_shifted_is_the_loop_bit_for_bit(alphas, volume):
+    g = BoxGeometry(alphas, volume)
+    for beta in (1e-4, 1e-2, 1.0, 30.0):
+        for length in (1, 7, 511):
+            k = np.arange(1, length + 1, dtype=float)
+            for c in g.level_coefficients:
+                t = k * (beta * c)
+                assert np.array_equal(spectrum._log_theta_shifted(t),
+                                      looped_log_theta_shifted(t))
+
+
+@pytest.mark.parametrize("t", [
+    np.empty(0), np.array([1.0]), np.array([0.5, 1.0, 2.0]), np.array([1e-300, 1e300]),
+    np.geomspace(1e-20, 1e3, 997), np.geomspace(300.0, 1e4, 5), np.geomspace(1e-3, 0.013, 9),
+    np.geomspace(248.0, 1e4, 5), np.geomspace(0.01, 0.0135, 9),
+], ids=["empty", "one", "both", "extremes", "wide", "direct-none", "dual-none",
+        "direct-edge", "dual-edge"])
+def test_log_theta_shifted_is_the_loop_at_the_edges(t):
+    """Empty branches, and branches none of whose terms pass exp(-745)."""
+    assert np.array_equal(spectrum._log_theta_shifted(t), looped_log_theta_shifted(t))
+
+
+def test_both_ensembles_read_one_near_table(monkeypatch):
+    """build_canonical, the grand sums and far_rule read log S'_k for
+    k <= 511 from one table, log_power_sums(geometry, beta, 511), computed
+    once per box and beta."""
+    g, beta = BoxGeometry((0.5, 0.3, 0.2), 3000.0), 0.75
+    want = log_power_sums(g, beta, 511)
+    for cached in (spectrum.near_log_power_sums, spectrum.far_rule,
+                   grandcanonical._near_excess):
+        cached.cache_clear()
+    lengths = []
+    monkeypatch.setattr(spectrum, "log_power_sums",
+                        lambda *args: lengths.append(args[2]) or log_power_sums(*args))
+    read = []
+    recursion = canonical._log_partition_shifted
+    monkeypatch.setattr(canonical, "_log_partition_shifted",
+                        lambda ls, *args: read.append(ls.copy()) or recursion(ls, *args))
+    canonical.build_canonical(g, beta, 600)
+    canonical.build_canonical(g, beta, 100)
+    assert np.array_equal(read[0][1:], want)
+    assert np.array_equal(read[1][1:], want[:100])
+    assert np.array_equal(grandcanonical._near_excess(g, beta), np.expm1(want))
+    assert spectrum.far_rule(g, beta)[2] == min(745.0 / 257.0, (want[0] + 50.0) / 256.0)
+    grandcanonical.solve_mu(g, 0.3, beta)
+    assert lengths == [511]
+
+
+def test_power_sum_overflow_raises_wherever_the_table_is_read():
+    g, beta = BoxGeometry((0.4, 0.35, 0.25), 1000.0), 1e-250
+    for read in (spectrum.near_log_power_sums, spectrum.far_rule,
+                 grandcanonical._near_excess,
+                 lambda g, beta: canonical.build_canonical(g, beta, 10)):
+        with pytest.raises(CutoffTooLarge, match="power sums overflow a double"):
+            read(g, beta)
 
 
 # ------------------------------------------------------------- far rule
