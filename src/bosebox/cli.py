@@ -78,6 +78,9 @@ N_MAX_HARD_CAP = 2_000_000
 SPECTRUM_ROWS = 1000
 _LIST_PAD = 1e-9
 
+# `limits` prints the ladder modes (n,1,1) up to n = ladder_count <= this
+LADDER_COUNT_MAX = 1000
+
 DEFAULT_CONFIG = {
     "geometry": {
         "alphas": [0.4, 0.35, 0.25],
@@ -93,13 +96,11 @@ DEFAULT_CONFIG = {
     "sweep_target": "gc",
     "cutoffs": {
         "energy_tail_tol": 1e-12,
-        "series_M": 1000,
         "n_max": N_MAX_HARD_CAP,
         "mode_budget": 20_000_000,
         "e_max": None,
         "allow_large_n": False,
     },
-    "solver": {"tol": 1e-12, "max_iter": 200},
     "output": {"format": "csv", "path": None},
 }
 
@@ -198,27 +199,12 @@ def _validate(cfg: dict) -> None:
     _coerce_number(cfg, "lambda_grid", list)
     _coerce_number(cfg, "eta_grid", list)
     ladder_count = _coerce_number(cfg, "ladder_count", int)
+    if ladder_count > LADDER_COUNT_MAX:
+        raise ConfigError(f"ladder_count={ladder_count} exceeds {LADDER_COUNT_MAX}")
     _coerce_number(cfg, "cutoffs.energy_tail_tol")
-    series_m = _coerce_number(cfg, "cutoffs.series_M", int)
-    mode_budget = _coerce_number(cfg, "cutoffs.mode_budget")
-    # series_M sizes the ladder gaps canonical_laplace_typeII checks for a pole
-    if not 2 <= series_m <= mode_budget:
-        raise ConfigError(
-            f"cutoffs.series_M must lie between 2 and cutoffs.mode_budget, got {series_m}"
-        )
-    if ladder_count > series_m:
-        raise ConfigError(
-            f"ladder_count={ladder_count} exceeds cutoffs.series_M={series_m}"
-        )
+    _coerce_number(cfg, "cutoffs.mode_budget")
     if cfg["cutoffs"]["e_max"] is not None:
         _coerce_number(cfg, "cutoffs.e_max")
-    if _coerce_number(cfg, "solver.tol") <= 0.0:
-        raise ConfigError(f"solver.tol must be positive, got {cfg['solver']['tol']!r}")
-    if not 1 <= _coerce_number(cfg, "solver.max_iter", int) < 2**31:
-        raise ConfigError(
-            f"solver.max_iter must be an integer from 1 to 2^31 - 1, "
-            f"got {cfg['solver']['max_iter']!r}"
-        )
     n_max = _coerce_number(cfg, "cutoffs.n_max", int)
     if n_max > N_MAX_HARD_CAP and not cfg["cutoffs"]["allow_large_n"]:
         raise ConfigError(
@@ -335,19 +321,13 @@ def cmd_spectrum(cfg: dict) -> list[dict]:
     return rows
 
 
-def _solve_mu(cfg: dict, geom: BoxGeometry):
-    solver = cfg["solver"]
-    return solve_mu(geom, float(cfg["rho"]), float(cfg["beta"]),
-                    tol=float(solver["tol"]), max_iter=int(solver["max_iter"]))
-
-
 def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
     geom = _geometry(cfg, volume)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
     row = _row_builder(cfg, geom, "quantity", "lam", "value", "error_budget")
     rc = critical_density(beta)
-    sol = _solve_mu(cfg, geom)
+    sol = solve_mu(geom, rho, beta)
     mode = tuple(int(v) for v in cfg["mode"])
     occupation = mean_occupation(geom, sol.mu_bar, mode, beta)
     rows = [
@@ -406,7 +386,7 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     rho = float(cfg["rho"])
     row = _row_builder(cfg, geom, "quantity", "lam", "lhs", "rhs", "value",
                        "error_budget")
-    sol = _solve_mu(cfg, geom)
+    sol = solve_mu(geom, rho, beta)
     rc = critical_density(beta).value
     ct, kw = _mixture_table(cfg, geom, sol.mu, _mixture_n_max(cfg, rho, rc, geom.volume))
     mass = float(kw.weights.sum())
@@ -503,14 +483,13 @@ def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
         return rows
     # critical ladder: the canonical and grand-canonical laws differ
     residual = solve_ladder_coefficient(rho, rc, beta=beta).residual
-    series_m = int(cfg["cutoffs"]["series_M"])
     rows = []
     for n in range(1, int(cfg["ladder_count"]) + 1):
         ce = occupation_limit_typeII(n, rho, rc, beta)
         gc = gc_occupation_limit(regime, rho, (n, 1, 1), beta)
         rows.append(pair("ladder_occupation", n, "", ce, gc, residual))
     for lam in lams:
-        ce = canonical_laplace_typeII(mode[0], lam, rho, rc, beta, series_m)
+        ce = canonical_laplace_typeII(mode[0], lam, rho, rc, beta)
         gc = gc_laplace_limit(regime, rho, mode, lam, beta)
         rows.append(pair("laplace", mode[0], lam, ce, gc, residual))
     return rows

@@ -14,7 +14,10 @@ class DomainError(NumericsError, ValueError):
 
 
 class CutoffTooLarge(NumericsError):
-    """A requested enumeration would exceed the configured memory budget."""
+    """A cutoff or table out of reach: more modes below e_max than the mode
+    budget, no cutoff meeting its tail tolerance, power sums past double
+    range, an axis of over 2^22 levels, or an excited level rounding onto
+    the ground."""
 
 
 class CutoffInsufficient(NumericsError):

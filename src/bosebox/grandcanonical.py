@@ -13,7 +13,7 @@ spectrum.far_rule beyond. With mu_bar = mu - E_1 < 0, ground mode apart,
     rho V = 1/(exp(-beta mu_bar) - 1) + sum_{k>=1} (S'_k - 1) exp(k beta mu_bar),
 
 and log Xi is the same with -log(1 - exp(beta mu_bar)) and a 1/k weight.
-The terms k >= 512, a closed form per node of the rule, are added only
+The terms k >= 512, summed per node of the rule (_far_rest), are added only
 where their geometric bound is not below 2^-53 of the sum (_excited_sum).
 The limiting densities are closed forms in zeta(3/2) and Li_{3/2}.
 """
@@ -81,6 +81,7 @@ _ROBINSON = [z / math.factorial(j) for j, z in enumerate(_ZETA)]
 # deep at most for boxes up to V = 1e10).
 _SERIES_RTOL = 2.0**-53
 _GAUSS_LAYERS = 6
+_SOLVE_TOL = 1e-12  # largest residual accepted: by rho in solve_mu, absolute for the ladder
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,43 @@ def _excited_sum(geometry, beta, mu_bar, *, over_k=False, far=True):
     return head + rest, bound
 
 
+def _log_rest(y):
+    """sum_{k >= K} e^{-k y}/k, K = _NEAR + 1, for each y > 0, to a few ulp;
+    unlike -log(1 - e^-y) less its first _NEAR terms, neither form cancels.
+
+    Up to x = K y = 1: E_1(x) by its power series, plus e^{-K t} (1/(1 -
+    e^-t) - 1/t) over t > y with 1/2 + t/12 - t^3/720 for the bracket (the
+    next term is below 1e-18 of the sum). Beyond: e^{-K y} sum_{j<J}
+    e^{-j y}/(K + j), whose exponents round by j y u where the terms have
+    fallen by e^{-j y}, to J = (60 log 2 - log(1 - e^-y))/y, past which
+    the terms sum to below 2^-60 of it."""
+    first = _NEAR + 1.0
+    rest = np.empty(y.shape)
+    near = first * y <= 1.0
+    if near.any():
+        x = first * y[near]
+        series = np.polyval([(-1.0) ** (k + 1) / (k * math.factorial(k))
+                             for k in range(19, 0, -1)] + [0.0], x)
+        bracket = (0.5 + (1.0 + x) / (12.0 * first)
+                   - (6.0 + x * (6.0 + x * (3.0 + x))) / (720.0 * first**3))
+        rest[near] = series - np.euler_gamma - np.log(x) + np.exp(-x) / first * bracket
+    far = y[~near]
+    count = np.ceil((60.0 * math.log(2.0) - np.log(-np.expm1(-far))) / far).astype(int)
+    start = np.cumsum(count) - count
+    j = np.arange(count.sum()) - np.repeat(start, count)
+    terms = np.exp(-np.repeat(far, count) * j) / (first + j)
+    rest[~near] = np.exp(-first * far) * np.add.reduceat(terms, start)
+    return rest
+
+
 def _far_rest(geometry, beta, beta_mu_bar, s1, over_k):
     """sum_{k > _NEAR} (S'_k - 1) z^k, z = exp(beta mu_bar), divided by k
     if ``over_k``, from spectrum.far_rule, and a bound on what the rule
     leaves out. Node 0, the ground, is summed apart, exactly.
 
     Per excited node, z_r = exp(beta mu_bar - s_r), the rest is
-    w_r z_r^512/(1 - z_r), and with the 1/k weight -log(1 - z_r) less its
-    first 511 terms. The rule is below the exact rest by at most:
+    w_r z_r^512/(1 - z_r), and with the 1/k weight that of _log_rest. The
+    rule is below the exact rest by at most:
     - S'_1 e^{x_c} (z e^{-x_c})^512/(1 - z e^{-x_c}) from the atoms above
       its cut x_c, since sum_{x > x_c} e^{-kx} <= e^{-(k-1) x_c} S'_1;
     - 4 mu 16^-q (1 + 1/(X + a)), a = -beta mu_bar, from a bin [X, 2X) of
@@ -194,9 +224,7 @@ def _far_rest(geometry, beta, beta_mu_bar, s1, over_k):
     bound += 4.0 * 16.0**-_NODES * gauss
     if not over_k:
         return float(np.sum(w * np.exp(-first * y) / -np.expm1(-y))), bound
-    k = np.arange(1.0, first)
-    rest = -np.log(-np.expm1(-y)) - np.exp(-np.multiply.outer(y, k)).dot(1.0 / k)
-    return float(np.sum(w * np.maximum(rest, 0.0))), bound / first
+    return float(np.sum(w * _log_rest(y))), bound / first
 
 
 def grand_partition_log(geometry: BoxGeometry, mu: float, beta: float) -> tuple[float, float]:
@@ -207,14 +235,7 @@ def grand_partition_log(geometry: BoxGeometry, mu: float, beta: float) -> tuple[
     return -math.log(-math.expm1(beta * (mu - ground))) + excited, tail
 
 
-def solve_mu(
-    geometry: BoxGeometry,
-    rho: float,
-    beta: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> GcSolution:
+def solve_mu(geometry: BoxGeometry, rho: float, beta: float) -> GcSolution:
     """Solve for the mu < E_1 at which the grand-canonical density
     (1/V) sum_n 1/(exp(beta (E_n - mu)) - 1) is rho, at fixed volume.
 
@@ -247,9 +268,7 @@ def solve_mu(
             excited, _ = _excited_sum(geometry, beta, mu_bar_of(n0), far=far)
             return (n0 - rho_v + excited) / volume
 
-        root, _ = solve_bracketed(
-            excess_density, lo, hi, max_iter=max_iter, what="chemical potential"
-        )
+        root, _ = solve_bracketed(excess_density, lo, hi, what="chemical potential")
         mu_bar = mu_bar_of(root)
         excited, tail = _excited_sum(geometry, beta, mu_bar, far=far)
         if far or tail <= _SERIES_RTOL * excited:
@@ -260,11 +279,10 @@ def solve_mu(
             f"mu - E_1 = -log1p(1/N_0)/beta underflows a double at N_0 = {root!r}, beta = {beta!r}"
         )
     residual = abs((_bose(-beta * mu_bar) + excited) / volume - rho)
-    if residual > tol * rho:
+    if residual > _SOLVE_TOL * rho:
         bracket = (mu_bar_of(lo), mu_bar_of(hi))
-        raise NoConvergence(
-            f"density residual {residual!r} exceeds {tol * rho!r} on bracket {bracket!r}"
-        )
+        raise NoConvergence(f"density residual {residual!r} exceeds "
+                            f"{_SOLVE_TOL * rho!r} on bracket {bracket!r}")
     return GcSolution(
         mu=ground_energy(geometry) + mu_bar,
         residual=residual,
@@ -318,12 +336,7 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
     return float(root)
 
 
-def solve_ladder_coefficient(
-    rho: float,
-    rho_c: float,
-    tol: float = 1e-12,
-    beta: float = 1.0,
-) -> LadderCoefficient:
+def solve_ladder_coefficient(rho: float, rho_c: float, beta: float = 1.0) -> LadderCoefficient:
     """Solve the self-consistent equation of the critical-anisotropy ladder.
 
     The condensate excess rho - rho_c is distributed over the ladder modes:
@@ -339,7 +352,7 @@ def solve_ladder_coefficient(
     Results are cached, since the limit laws solve for the same root on
     every call.
     """
-    return _ladder_coefficient(rho, rho_c, tol, beta)
+    return _ladder_coefficient(rho, rho_c, beta)
 
 
 # zeta(2k + 2, 4) = sum_{j>=4} j^-(2k+2), k = 0..29, rounded to double (the
@@ -381,7 +394,7 @@ def _ladder_sum(z: float) -> float:
 # Cached behind the public function, so that keyword and positional calls
 # share one entry and solve_ladder_coefficient stays a plain function.
 @functools.lru_cache(maxsize=64)
-def _ladder_coefficient(rho, rho_c, tol, beta) -> LadderCoefficient:
+def _ladder_coefficient(rho, rho_c, beta) -> LadderCoefficient:
     excess = rho - rho_c
     if not excess > 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
@@ -401,8 +414,8 @@ def _ladder_coefficient(rho, rho_c, tol, beta) -> LadderCoefficient:
     )
     rounding = 2.0**-52 * (4.0 * rest(root) + 2.0 * excess)
     residual = abs(fn(root)) + rounding
-    if residual > tol:
-        raise NoConvergence(f"ladder equation residual {residual!r} exceeds {tol!r}")
+    if residual > _SOLVE_TOL:
+        raise NoConvergence(f"ladder equation residual {residual!r} exceeds {_SOLVE_TOL!r}")
     return LadderCoefficient(value=float(root), residual=residual)
 
 

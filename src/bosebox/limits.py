@@ -162,31 +162,35 @@ def occupation_limit_typeII(n: int, rho: float, rho_c: float, beta: float) -> fl
     return math.exp(_log_ladder_ratio(n, beta, delta))
 
 
-def canonical_laplace_typeII(
-    n: int, lam: float, rho: float, rho_c: float, beta: float, truncation: int
-) -> float:
+def _on_ladder_gap(n: int, lam: float, beta: float) -> bool:
+    """Whether lam is within 1e-9 of a gap eta_{m,n} = beta (eps_m - eps_n),
+    m >= 1, m != n. As c (m^2 - n^2), c = beta pi^2 / 2, rises with m, the
+    nearest gaps below and above lam are at the integers next to
+    sqrt(n^2 + lam/c), one further out where that is n (m = 1 below 1)."""
+    root = math.sqrt(max(n * n + lam / (0.5 * beta * math.pi**2), 1.0))
+    if not math.isfinite(root):  # the gaps of such m overflow to inf
+        return False
+    below, above = math.floor(root), math.ceil(root)
+    eps_n = 0.5 * math.pi**2 * n * n
+    return any(m >= 1 and abs(beta * (0.5 * math.pi**2 * m * m - eps_n) - lam) < 1e-9
+               for m in (below - (below == n), above + (above == n)))
+
+
+def canonical_laplace_typeII(n: int, lam: float, rho: float, rho_c: float, beta: float) -> float:
     """Limiting canonical transform of ladder mode n's occupation density.
 
     1 - lam * integral_0^delta (1-T_n(s)) e^{-lam (delta-s)} ds / (1-T_n(delta))
     with delta = rho - rho_c > 0. The alternating-series representation has
     apparent poles at the one-dimensional gaps eta_{m,n} = beta (eps_m -
-    eps_n), eps_m = pi^2 m^2 / 2; they are removable, but requests within
-    1e-9 of a gap with m <= ``truncation`` (m != n) raise PoleProximity to
-    honor the series form's domain. ``truncation`` enters no value.
+    eps_n), eps_m = pi^2 m^2 / 2, m >= 1, m != n; they are removable, but a
+    lam within 1e-9 of one raises PoleProximity to honor the series form's
+    domain.
     """
     _check_ladder_mode(n, beta)
-    if truncation < max(2, n):
-        raise DomainError(f"need truncation >= max(2, n), got n={n}, M={truncation}")
     delta = rho - rho_c
     if delta <= 0.0:
         raise DomainError(f"density {rho!r} does not exceed saturation {rho_c!r}")
-    m = np.arange(1, truncation + 1, dtype=float)
-    eps = 0.5 * math.pi**2 * m * m
-    # at a huge beta the top gaps overflow to inf, as the ladder's do
-    with np.errstate(over="ignore"):
-        etas = beta * (eps - 0.5 * math.pi**2 * n * n)
-    gaps = np.delete(etas, n - 1)  # eta_{n,n} = 0 is no pole
-    if np.any(np.abs(gaps - lam) < 1e-9):
+    if _on_ladder_gap(n, lam, beta):
         raise PoleProximity(
             f"lam={lam!r} sits within 1e-9 of a ladder gap; the series "
             "representation is singular there"

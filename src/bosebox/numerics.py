@@ -57,16 +57,16 @@ def sum_exp(terms, *, log=False) -> float:
     return peak + math.log(scaled) if log else math.exp(peak) * scaled
 
 
-# solve_bracketed doubles the bracket at most this many times
-_MAX_EXPAND = 200
+# solve_bracketed doubles the bracket, and takes Brent steps, at most this often
+_MAX_EXPAND = _MAX_ITER = 200
 
 
-def solve_bracketed(fn, lo, hi, *, expand="none", max_iter=200, what="root"):
+def solve_bracketed(fn, lo, hi, *, expand="none", what="root"):
     """Find a sign change of ``fn`` on [lo, hi], expanding the bracket if asked.
 
     ``expand`` is "none" or "down" (double the bracket's length by moving
     lo). Raises NoConvergence reporting the bracket when no sign change is
-    found or the root is not pinned within ``max_iter`` iterations.
+    found or the root is not pinned within _MAX_ITER iterations.
     """
     flo, fhi = fn(lo), fn(hi)
     n_expand = 0
@@ -88,7 +88,7 @@ def solve_bracketed(fn, lo, hi, *, expand="none", max_iter=200, what="root"):
         return lo, (lo, hi)
     if fhi == 0.0:
         return hi, (lo, hi)
-    return _brent(fn, lo, hi, float(flo), float(fhi), max_iter, what), (lo, hi)
+    return _brent(fn, lo, hi, float(flo), float(fhi), what), (lo, hi)
 
 
 # Brent's tolerance on the root is xtol + rtol |x|; rtol is 4 eps rounded up.
@@ -96,7 +96,7 @@ _XTOL = 1e-300
 _RTOL = 8.9e-16
 
 
-def _brent(fn, xpre, xcur, fpre, fcur, max_iter, what):
+def _brent(fn, xpre, xcur, fpre, fcur, what):
     """Root of fn on [xpre, xcur], where fpre = fn(xpre) and fcur = fn(xcur)
     are nonzero and of opposite sign: Brent's method (R. P. Brent,
     "Algorithms for Minimization without Derivatives", 1973, ch. 4), step
@@ -105,7 +105,7 @@ def _brent(fn, xpre, xcur, fpre, fcur, max_iter, what):
     gets inf or nan and bisects; here the ZeroDivisionError bisects."""
     bracket = f"[{xpre!r}, {xcur!r}]"
     xblk = fblk = spre = scur = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if math.isnan(fpre) or math.isnan(fcur):
             raise NoConvergence(f"{what}: function value is nan on bracket {bracket}")
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -136,7 +136,7 @@ def _brent(fn, xpre, xcur, fpre, fcur, max_iter, what):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = float(fn(xcur))
-    raise NoConvergence(f"{what} not found in {max_iter} iterations on bracket {bracket}")
+    raise NoConvergence(f"{what} not found in {_MAX_ITER} iterations on bracket {bracket}")
 
 
 def gauss_panels(a, b, n_panels, n_nodes):

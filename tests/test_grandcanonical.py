@@ -203,6 +203,47 @@ def test_series_tail_bound_covers_remainder(regime, mu_bar):
             (value, bound) if far else (head, tail))
 
 
+def log_rest_oracle(y):
+    """sum_{k >= 512} e^{-k y}/k at 30 digits: z^512 Phi(z, 1, 512), z = e^-y."""
+    with mpmath.workdps(30):
+        z = mpmath.exp(-mpmath.mpf(y))
+        return z**512 * mpmath.lerchphi(z, 1, 512)
+
+
+# the rest with the 1/k weight rounds by a few ulp of itself: 4 of them,
+# or a few subnormal steps where it underflows
+def rest_rounding(value):
+    return 2.0**-50 * abs(value) + 2.0**-1070
+
+
+@pytest.mark.parametrize("y", [1e-7, 1e-3, 1.0 / 512.0, 1.0 / 511.0, 0.0109, 0.05, 0.1,
+                               1.0, 10.0, 700.0])
+def test_log_rest_matches_lerchphi_at_single_nodes(y):
+    """Each node's rest with the 1/k weight is the sum itself, not
+    -log(1 - e^-y) less its first 511 terms, which at y = 1 left 5.6e-17
+    for a true 1.4e-225: up to 512 y = 1 by the exponential integral, past
+    it by its own terms, each within a few ulp."""
+    got = float(grandcanonical._log_rest(np.array([y]))[0])
+    want = log_rest_oracle(y)
+    assert abs(got - want) <= rest_rounding(want)
+
+
+def test_far_rest_of_a_regime_two_box_is_within_its_bound():
+    """The far rule's rest at alphas (0.5, 0.3, 0.2), V = 2000, rho = 2
+    rho_c, where `bosebox kac` reads it: against lerchphi on the rule's own
+    nodes it is within the returned bound, which covers what the rule
+    leaves out, and the rounding of a few ulp of the rest. Before, the rest
+    was 4.9e-15 off against a bound of 1.9e-22."""
+    g = BoxGeometry(REGIME_ALPHAS["II"], 2000.0)
+    mu_bar = solve_mu(g, 2.0 * critical_density(1.0).value, 1.0).mu_bar
+    s1 = math.exp(log_power_sums(g, 1.0, 1)[0])
+    rest, bound = grandcanonical._far_rest(g, 1.0, mu_bar, s1, True)
+    weights, nodes, _ = grandcanonical.far_rule(g, 1.0)
+    want = mpmath.fsum(mpmath.mpf(float(w)) * log_rest_oracle(float(y))
+                       for w, y in zip(weights[1:], nodes[1:] - mu_bar))
+    assert abs(rest - want) <= bound + rest_rounding(rest)
+
+
 def test_solve_mu_reaches_large_volumes(rho_c_value):
     """Regime II at rho = 2 rho_c and V up to 3e8: each solve meets its
     residual within a second, beta V A |mu_bar| (AC8) rises toward 1, and

@@ -2,7 +2,8 @@
 
 Oracles used here:
   * the ladder gap table eta_{m,n}, m = 1..M, built as the ladder transform
-    once took it, which marks the poles the transform must refuse;
+    once took it, which marks the poles the transform must refuse (its
+    closed-form pole test reads no table);
   * a high-precision (mpmath) partial sum of the alternating theta series,
     with working precision scaled to survive the small-argument cancellation;
   * the reciprocal-gap product representation of the occupation transform
@@ -51,6 +52,9 @@ RC = 0.1658692093130223
 # ---------------------------------------------------------------------------
 # ladder gaps: the poles of the ladder transform
 
+# the gap table's length: past every gap the tests put lam on
+TABLE_M = 200_000
+
 
 def gap_table(n, truncation, beta):
     """eta_{m,n} = beta (eps_m - eps_n), eps_m = pi^2 m^2 / 2, for
@@ -74,42 +78,80 @@ def on_tabulated_pole(n, lam, truncation, beta):
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.3, 1e300])
-@pytest.mark.parametrize("n, truncation", [(1, 2), (1, 8), (2, 2), (2, 8), (5, 5), (5, 8)])
-def test_pole_check_matches_the_gap_table(n, truncation, beta):
-    """canonical_laplace_typeII refuses lam exactly where the gap table of
-    its truncation holds a gap within 1e-9, at m = 1, n - 1, n + 1, M and
-    M + 1 (one past the table), and at lam nudged off each gap."""
-    table = gap_table(n, truncation + 1, beta)
+@pytest.mark.parametrize("n, m_top", [(1, 2), (1, 8), (2, 2), (2, 8), (5, 5), (5, 8)])
+def test_pole_check_matches_the_gap_table(n, m_top, beta):
+    """canonical_laplace_typeII refuses lam exactly where the gap table
+    holds a gap within 1e-9, at m = 1, n - 1, n + 1, m_top and m_top + 1,
+    and at lam nudged off each gap."""
+    table = gap_table(n, TABLE_M, beta)
     # past beta ~ 1e5 the quadrature cannot resolve an excited mode's integral
     unresolved = ladder_rate(n, beta) * RC * 2.0**-21 > 1.0
     checked = 0
-    for m in sorted({1, n - 1, n + 1, truncation, truncation + 1} - {0}):
+    for m in sorted({1, n - 1, n + 1, m_top, m_top + 1} - {0}):
         for nudge in (0.0, 5e-10, -2e-9):
             lam = float(table[m - 1]) + nudge
-            expect_pole = on_tabulated_pole(n, lam, truncation, beta)
+            expect_pole = on_tabulated_pole(n, lam, TABLE_M, beta)
             if expect_pole:
                 checked += 1
                 with pytest.raises(PoleProximity):
-                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
+                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta)
             elif unresolved and lam != 0.0:  # lam = 0 needs no quadrature
                 with pytest.raises(CutoffInsufficient):
-                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
+                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta)
             else:
-                assert math.isfinite(
-                    canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta, truncation)
-                )
+                assert math.isfinite(canonical_laplace_typeII(n, lam, 2.0 * RC, RC, beta))
     assert checked >= 2  # on a tabulated gap m != n, and 5e-10 off it
+
+
+def test_closed_form_pole_test_matches_the_gap_table_on_a_random_grid():
+    """The pole test looks only at the integers next to sqrt(n^2 + lam/c);
+    on random modes n <= 600, beta from 1e-3 to 1e3 and lam on a gap with
+    m up to TABLE_M - 1, or 5e-10 or 2e-9 off it, it refuses lam exactly
+    where the gap table of TABLE_M entries holds a gap within 1e-9. The
+    table rises with m by more than 2e-9 a step here, so only the entries
+    next to lam can lie that close."""
+    rng = np.random.default_rng(25)
+    poles = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 601))
+        beta = float(10.0 ** rng.uniform(-3.0, 3.0))
+        gaps = np.delete(gap_table(n, TABLE_M, beta), n - 1)
+        assert np.diff(gaps).min() > 2e-9
+        # indices into the table without m = n: n - 1 and n are the gaps
+        # next to the mode's own, below and above
+        ms = {1, n - 1, n, n + 1, *rng.integers(1, TABLE_M - 1, 6).tolist(),
+              *np.geomspace(1, TABLE_M - 1, 8).astype(int).tolist()} - {0}
+        lams = (gaps[np.array(sorted(ms)) - 1][:, None]
+                + np.array([0.0, 5e-10, -5e-10, 2e-9, -2e-9])).ravel()
+        at = np.searchsorted(gaps, lams)
+        nearest = np.minimum(np.abs(gaps[np.maximum(at - 1, 0)] - lams),
+                             np.abs(gaps[np.minimum(at, len(gaps) - 1)] - lams))
+        for lam, expect in zip(lams.tolist(), (nearest < 1e-9).tolist()):
+            poles += expect
+            assert limits._on_ladder_gap(n, lam, beta) == expect, (n, beta, lam)
+    assert poles > 10_000
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_pole_test_at_a_huge_beta_warns_of_nothing(n):
+    """At beta = 1e306 every gap but the lowest few overflows to inf; the
+    pole test forms them as Python floats, which do not warn, and agrees
+    with the table."""
+    beta = 1e306
+    gaps = np.delete(gap_table(n, 16, beta), n - 1)
+    for lam in [*gaps[np.isfinite(gaps)].tolist(), 0.5, -0.5, 1e308, -1e308]:
+        with np.errstate(over="ignore"):  # the oracle's own overflow
+            expect = bool(np.any(np.abs(gaps - lam) < 1e-9))
+        assert limits._on_ladder_gap(n, lam, beta) == expect, lam
+    assert math.isfinite(canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, beta))
 
 
 def test_ladder_limits_reject_bad_arguments():
     with pytest.raises(DomainError):
-        canonical_laplace_typeII(0, 0.5, 2.0 * RC, RC, 1.0, 10)
+        canonical_laplace_typeII(0, 0.5, 2.0 * RC, RC, 1.0)
     with pytest.raises(DomainError):
-        canonical_laplace_typeII(3, 0.5, 2.0 * RC, RC, 1.0, 2)
-    with pytest.raises(DomainError):
-        canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, 1.0, 1)
-    with pytest.raises(DomainError):
-        canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, 0.0, 10)
+        canonical_laplace_typeII(1, 0.5, 2.0 * RC, RC, 0.0)
     with pytest.raises(DomainError):
         occupation_limit_typeII(0, 2.0 * RC, RC, 1.0)
     with pytest.raises(DomainError):
@@ -282,7 +324,7 @@ def survival_quadrature(n, lam, beta, rho):
 def test_occupation_transform_consistent_with_survival_function(n, lam, beta):
     rho = 2.0 * RC
     t_quad, m_quad = survival_quadrature(n, lam, beta, rho)
-    assert canonical_laplace_typeII(n, lam, rho, RC, beta, 200_000) == pytest.approx(
+    assert canonical_laplace_typeII(n, lam, rho, RC, beta) == pytest.approx(
         t_quad, rel=1e-12
     )
     assert occupation_limit_typeII(n, rho, RC, beta) == pytest.approx(
@@ -302,21 +344,21 @@ def test_occupation_transform_derivative_recovers_mean():
     rho = 2.0 * RC
     h = 1e-4
     slope = (
-        canonical_laplace_typeII(1, -h, rho, RC, 1.0, 200_000)
-        - canonical_laplace_typeII(1, h, rho, RC, 1.0, 200_000)
+        canonical_laplace_typeII(1, -h, rho, RC, 1.0)
+        - canonical_laplace_typeII(1, h, rho, RC, 1.0)
     ) / (2.0 * h)
     assert slope == pytest.approx(occupation_limit_typeII(1, rho, RC, 1.0), rel=1e-9)
 
 
 def test_occupation_transform_edges():
-    assert canonical_laplace_typeII(1, 0.0, 2 * RC, RC, 1.0, 1000) == 1.0
-    assert canonical_laplace_typeII(2, 0.0, 2 * RC, RC, 1.5, 12) == 1.0
+    assert canonical_laplace_typeII(1, 0.0, 2 * RC, RC, 1.0) == 1.0
+    assert canonical_laplace_typeII(2, 0.0, 2 * RC, RC, 1.5) == 1.0
     assert occupation_limit_typeII(1, RC, RC, 1.0) == 0.0
     assert occupation_limit_typeII(1, 0.5 * RC, RC, 1.0) == 0.0
     with pytest.raises(DomainError):
-        canonical_laplace_typeII(1, 0.5, RC, RC, 1.0, 1000)
+        canonical_laplace_typeII(1, 0.5, RC, RC, 1.0)
     with pytest.raises(PoleProximity):  # eta_{2,1}
-        canonical_laplace_typeII(1, 1.5 * math.pi**2, 2 * RC, RC, 1.0, 1000)
+        canonical_laplace_typeII(1, 1.5 * math.pi**2, 2 * RC, RC, 1.0)
 
 
 def reference_log_ladder_ratio(n, beta, delta, lam=0.0):
@@ -339,7 +381,7 @@ def test_ladder_laws_match_per_mode_quadrature(beta):
         assert occupation_limit_typeII(n, rho, rc, beta) == math.exp(want)
         for lam in lams:
             want = reference_log_ladder_ratio(n, beta, rho - rc, lam)
-            got = canonical_laplace_typeII(n, lam, rho, rc, beta, 1000)
+            got = canonical_laplace_typeII(n, lam, rho, rc, beta)
             assert got == 1.0 - lam * math.exp(want)
 
 
@@ -371,7 +413,7 @@ def test_ladder_quadrature_refuses_rates_it_cannot_resolve(n):
         with pytest.raises(CutoffInsufficient):
             occupation_limit_typeII(n, 2.0 * RC, RC, beta)
         with pytest.raises(CutoffInsufficient):
-            canonical_laplace_typeII(n, 0.5, 2.0 * RC, RC, beta, 1000)
+            canonical_laplace_typeII(n, 0.5, 2.0 * RC, RC, beta)
 
 
 def test_fast_gap_limit_closed_forms():
