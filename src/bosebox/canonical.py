@@ -32,7 +32,10 @@ closed-form relative bound under 1e-18 (see spectrum.far_rule).
 Per-mode occupation laws follow from the stripping identity
 P(N_k >= j) = exp(-j beta eta_k) Z'(n-j)/Z'(n) with eta_k the gap of mode k;
 everything downstream (probabilities, moments, Laplace transforms and the
-condensate below a gap window) is built on it. A table reads a mode's gap
+condensate below a gap window) is built on it. The moments, transforms and
+the condensate are folds over its log in chunks of j that stop once a
+bound on the terms left is below 2^-53 of their sum, so they cost what
+their terms do, often a few hundred of n. A table reads a mode's gap
 from its quantum numbers, so the only modes it ever lists are the few
 below a condensate window.
 """
@@ -46,7 +49,6 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .numerics import log1mexp, sum_exp
 from .spectrum import (
-    _EXP_FLOOR,
     BoxGeometry,
     enumerate_below,
     far_rule,
@@ -60,7 +62,6 @@ __all__ = [
     "CanonicalTable",
     "DiscreteDistribution",
     "build_canonical",
-    "occupation_survival_log",
     "occupation_laplace",
     "occupation_pmf",
     "occupation_moment",
@@ -78,6 +79,12 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _BLOCK = 16  # rows the near field solves at once, fewer only for huge S'_1
 _GROUP = 4 * _P0  # rows whose near-field inverses are built together
+# Readers (_survival_chunks): chunks of j grow from _CHUNK_MIN to
+# _CHUNK_MAX; a fold stops once a bound on its rest is below _STOP of it.
+_CHUNK_MIN = 1 << 10
+_CHUNK_MAX = 1 << 20
+_STOP = 2.0**-53
+_CONDENSATE_BLOCK = 256  # j per block of the condensate's product
 
 
 @dataclass(frozen=True)
@@ -164,15 +171,18 @@ def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
     k < _P0, is solved b rows at a time: with t_k = S'_k/S'_1 the rows y
     of block n0..n0+b-1 satisfy (diag(n/S'_1) - T) y = band W + part, where
     T[i, l] = t_{i-l} couples the rows inside the block, the b x (_P0 - 1)
-    Toeplitz ``band`` applies t_k to the rows before n0, and ``part`` is
-    the far part; so a block is two small products, one with the inverse
-    that _near_inverses builds _GROUP rows at a time.
+    Toeplitz part of ``band`` applies t_k to the rows before n0, and
+    ``part`` is the far part. The chunk's start writes the far parts into
+    the window slots of its rows, and ``band`` ends in b identity columns,
+    so one product with the window sums both; a second, with the inverse
+    that _near_inverses builds _GROUP rows at a time, writes the block's
+    rows over their far parts.
 
     Whenever a block starts with the last row past e^_RESCALE, the window,
-    the states and the far parts are scaled by a power of two, which rounds
-    nothing. With Z'(n)/Z'(n-1) <= S'_1 the rows of a block stay below
-    e^(_RESCALE + b log S'_1), so b is _BLOCK unless b log S'_1 would pass
-    400, and nothing overflows while S'_1 < e^400. A row never comes back
+    far parts in it included, and the states are scaled by a power of two,
+    which rounds nothing. With Z'(n)/Z'(n-1) <= S'_1 the rows of a block
+    stay below e^(_RESCALE + b log S'_1), so b is _BLOCK unless
+    b log S'_1 would pass 400, and nothing overflows while S'_1 < e^400. A row never comes back
     from its log: rounding log Z' at its own magnitude would feed an
     absolute error of |log Z'| eps into every later row. lz is written
     once per chunk and before each rescale, as shift ln 2 + log W with
@@ -187,8 +197,9 @@ def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
     ratio = np.zeros(2 * _P0 + b)
     ratio[1 : len(ls)] = np.exp(ls[1:] - ls1)
     t = np.where(np.arange(len(ratio)) < _P0, ratio, 0.0)
-    # band[i, j] = t_k for row n0 + i against row n0 - _P0 + 1 + j
-    band = _toeplitz(t, _P0 - 1, b, _P0 - 1)
+    # band[i, j] = t_k for row n0 + i against row n0 - _P0 + 1 + j, then
+    # the identity on the block's own slots, which hold its far parts
+    band = np.hstack([_toeplitz(t, _P0 - 1, b, _P0 - 1), np.eye(b)])
     # far[i, j] = S'_k / S'_1 for row c + i against row c - _P0 + j, k >= _P0
     far = _toeplitz(ratio - t, _P0, _P0, _P0)
     rows = np.arange(_P0)
@@ -199,7 +210,8 @@ def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
     decay = np.expm1(-_P0 * nodes)
     state = np.zeros(len(nodes))
     lz = np.empty(n_max + 1)
-    # W(m) for the rows m in [c - _P0, c + _P0), at m + off; rows m < 0 are 0
+    # W(m) for the rows m in [c - _P0, c + _P0), at m + off; rows m < 0 are
+    # 0, and a row not yet solved holds its far part
     window = np.zeros(2 * _P0)
     window[_P0] = 1.0
     shift = 0  # the window holds W(m) = Z'(m) / 2^shift
@@ -217,7 +229,8 @@ def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
             # add the rows [c - 2 _P0, c - _P0)
             state += decay * state + lead.dot(window[:_P0])
             window[:_P0] = window[_P0:]  # the previous chunk's rows
-        part = far[: c1 - c].dot(window[:_P0]) + tail[: c1 - c].dot(state)
+            window[_P0 : _P0 + c1 - c] = far[: c1 - c].dot(window[:_P0])
+            window[_P0 : _P0 + c1 - c] += tail[: c1 - c].dot(state)
         done = c
         last = window[_P0 - 1] if c > 0 else 1.0
         for n in range(max(c, 1), c1, b):
@@ -229,14 +242,18 @@ def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:
                 shift += k
                 log_hi, log_lo = shift * _LN2_HI, shift * _LN2_LO
                 scale = math.ldexp(1.0, -k)
-                window[:w] *= scale
+                window[: c1 + off] *= scale
                 state *= scale
-                part *= scale
-            r = min(b, c1 - n)
-            rhs = band[:r].dot(window[w - _P0 + 1 : w])
-            rhs += part[n - c : n - c + r]
-            window[w : w + r] = next(inverses)[:r, :r].dot(rhs)
-            last = window[w + r - 1]
+            inverse = next(inverses)
+            if n + b <= c1:
+                rhs = band.dot(window[w - _P0 + 1 : w + b])
+                np.dot(inverse, rhs, out=window[w : w + b])
+                last = window[w + b - 1]
+            else:
+                r = c1 - n
+                rhs = band[:r, : _P0 - 1 + r].dot(window[w - _P0 + 1 : w + r])
+                window[w : w + r] = inverse[:r, :r].dot(rhs)
+                last = window[w + r - 1]
         lz[done:c1] = log_hi + (log_lo + np.log(window[done + off : c1 + off]))
     return lz
 
@@ -250,15 +267,18 @@ def _toeplitz(v, o, rows, cols) -> np.ndarray:
 def _near_inverses(t, s1, starts, b) -> np.ndarray:
     """(diag(n/S'_1) - T)^-1 for the block of rows n = n0..n0+b-1 of every
     n0 in ``starts``, T[i, l] = t[i - l] for l < i, by forward substitution
-    across the blocks. Every entry is a sum of nonnegative terms."""
-    out = np.empty((b, len(starts), b))  # out[i, g] is row i of block g
+    across the blocks: out[i, l, g], column l of row i of block g, so that
+    the diagonal and the row scale of every block are one contiguous
+    pass each. Every entry is a sum of nonnegative terms. Returned as
+    blocks [g, i, l], each a contiguous b x b matrix."""
+    out = np.empty((b, b, len(starts)))
     rows = out.reshape(b, -1)
     scale = s1 / (np.arange(b, dtype=float)[:, None] + starts)
     for i in range(b):
         np.dot(t[i:0:-1], rows[:i], out=rows[i])
-        out[i, :, i] += 1.0
-        out[i] *= scale[i][:, None]
-    return out.transpose(1, 0, 2).copy()
+        out[i, i] += 1.0
+        out[i] *= scale[i]
+    return out.transpose(2, 0, 1).copy()
 
 
 def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> CanonicalTable:
@@ -276,18 +296,21 @@ def build_canonical(geometry: BoxGeometry, beta: float, n_max: int) -> Canonical
     solved in blocks of b = 16 rows (fewer only if 16 log S'_1 > 400, so
     that a block's growth cannot overflow): with t_k = S'_k/S'_1 a block's
     rows y solve (diag(n/S'_1) - T) y = rhs, T[i, l] = t_{i-l}, where rhs
-    is one product of the b x 255 band of t_k with the rows before the
-    block plus the far part, and y one product with the inverse of that
-    M-matrix, whose entries are sums of nonnegative terms. The far part of
-    a chunk's rows is known when it starts: the exact S'_k, k in [P0, 2 P0),
-    against the previous chunk, and for the rows before that the far rule
-    S'_k ~ sum_r w_r e^{-k s_r} of spectrum.far_rule, below every S'_k by
-    at most delta S'_k, delta < 1e-18, one running state per node. Cost:
+    is one product of the b x 255 band of t_k, widened by b identity
+    columns, with the rows before the block and the block's own window
+    slots, which hold its far part; y is one product with the inverse of
+    that M-matrix, whose entries are sums of nonnegative terms. The far
+    part of a chunk's rows is known when it starts: the exact S'_k, k in
+    [P0, 2 P0), against the previous chunk, and for the rows before that
+    the far rule S'_k ~ sum_r w_r e^{-k s_r} of spectrum.far_rule, below
+    every S'_k by at most delta S'_k, delta < 1e-18, one running state per
+    node. Cost:
     O(n_max (3 P0 + 2 R)) flops, one Python-level step per block, no FFT.
-    On a 2-core x86-64 VM, with one BLAS thread, the first build in a
-    fresh process takes 43-45 ms at n_max = 48 102 (regime III,
-    V = 1.45e5) and 1.0-1.5 s at n_max = 1 658 692 (regime II, V = 5e6,
-    R = 191, 0.014-0.016 s of it the rule).
+    On a 2-core x86-64 VM shared with other tenants, with one BLAS
+    thread, the first build in a fresh process takes 28-49 ms at
+    n_max = 48 102 (regime III, V = 1.45e5; 15 runs) and 0.9-1.5 s at
+    n_max = 1 658 692 (regime II, V = 5e6, R = 191, 0.014-0.016 s of it
+    the rule; 7 runs).
 
     Error budget: Z'(n) is a polynomial in the S'_k with nonnegative
     coefficients and at most n factors per term (the cycle index), so S'_k
@@ -327,25 +350,62 @@ def _check_n(ct: CanonicalTable, n: int) -> int:
     return n
 
 
-def occupation_survival_log(ct: CanonicalTable, k, n: int) -> np.ndarray:
-    """log P(N_k >= j) for j = 0..n via the stripping identity."""
-    n = _check_n(ct, n)
-    eta = ct.gap_of(k)
-    j = np.arange(n + 1, dtype=float)
-    lz = ct.log_z_shifted
-    return -j * (ct.beta * eta) + lz[n::-1] - lz[n]
-
-
-def _decreasing_survival_log(ct: CanonicalTable, k, n: int) -> np.ndarray:
-    """occupation_survival_log made nonincreasing by a running minimum.
+def _survival_chunks(ct: CanonicalTable, s: float, n: int):
+    """Yield (j0, a), a[i] = a_{j0+i} for j0 <= j0 + i <= j1, where
+    a_j = -j s + log Z'(n-j) - log Z'(n) is the log survival of a mode with
+    scaled gap s >= 0, made nonincreasing by a running minimum, and
+    a_{n+1} = -inf. Each chunk's last entry is the next one's first, so a
+    fold sees every pair (a_j, a_{j+1}) in one chunk. Chunks grow from
+    _CHUNK_MIN to _CHUNK_MAX values of j by doubling, so a fold that stops
+    early has done work in proportion to its terms, and none holds an
+    n-length array. With s = 0, e^{a_j} is the ratio Z'(n-j)/Z'(n).
 
     Where Z' is flat to rounding (a macroscopic ground mode), neighbouring
     log Z' rows can differ by an ulp either way, and a survival log that
-    rises by one gives a negative mass. The running minimum moves each
-    entry by at most one such rise, without adding them up, and leaves a
-    decreasing survival log as it is."""
-    a = occupation_survival_log(ct, k, n)
-    return np.minimum.accumulate(a) if np.any(a[1:] > a[:-1]) else a
+    rises by one gives a negative mass. The running minimum, carried from
+    chunk to chunk, moves each entry by at most one such rise, without
+    adding them up, and leaves a decreasing survival log as it is."""
+    rev = ct.log_z_shifted[n::-1]  # rev[j] = log Z'(n - j)
+    low = math.inf
+    j0, size = 0, _CHUNK_MIN
+    while j0 <= n:
+        j1 = min(j0 + size, n + 1)
+        m = min(j1, n) + 1 - j0  # entries with j <= n
+        a = np.empty(j1 + 1 - j0)
+        np.multiply(np.arange(j0, j0 + m, dtype=float), -s, out=a[:m])
+        a[:m] += rev[j0 : j0 + m]
+        a[:m] -= rev[0]
+        a[m:] = -math.inf
+        # a compare pass costs a quarter of the accumulate
+        if a[0] > low or np.any(a[1:] > a[:-1]):
+            a[0] = min(a[0], low)
+            np.minimum.accumulate(a, out=a)
+        low = a[-1]
+        yield j0, a
+        del a  # a fold may free it before the next chunk is made
+        j0, size = j1, min(2 * size, _CHUNK_MAX)
+
+
+def _fold(ct: CanonicalTable, s: float, n: int, term, rest) -> float:
+    """sum of term(j0, a) over the chunks of _survival_chunks, stopping at
+    the first chunk after which rest(j1, a_{j1}), a bound on the terms
+    still to come, is at most 2^-53 of the sum. term may overwrite a."""
+    total = 0.0
+    for j0, a in _survival_chunks(ct, s, n):
+        j1, last = j0 + len(a) - 1, float(a[-1])
+        total += term(j0, a)
+        del a
+        if rest(j1, last) <= _STOP * total:
+            break
+    return total
+
+
+def _decreasing_survival_log(ct: CanonicalTable, k, n: int) -> np.ndarray:
+    """a_j of _survival_chunks for j = 0..n + 1, all in one array."""
+    a = np.empty(n + 2)
+    for j0, chunk in _survival_chunks(ct, ct.beta * ct.gap_of(k), n):
+        a[j0 : j0 + len(chunk)] = chunk
+    return a
 
 
 def occupation_laplace(ct: CanonicalTable, k, n: int, lam: float) -> float:
@@ -353,26 +413,31 @@ def occupation_laplace(ct: CanonicalTable, k, n: int, lam: float) -> float:
 
     For lam > 0 it is the positive-term sum sum_j e^{-lam j} P(N_k = j),
     with P(N_k = j) = e^{a_j} (1 - e^{a_{j+1} - a_j}) from the log
-    survival probabilities a_j (_decreasing_survival_log) as in
-    occupation_pmf, so a transform that underflows comes out 0, never
-    negative. For lam <= 0 it is
+    survival probabilities a_j (_survival_chunks) as in occupation_pmf, so
+    a transform that underflows comes out 0, never negative. The terms
+    from j = J on sum to at most e^{-lam J} P(N_k >= J) = e^{a_J - lam J},
+    so the sum stops at the first chunk after which that is at most 2^-53
+    of it. For lam <= 0 it is
     1 - (e^lam - 1) sum_{j=1..n} e^{-j(beta eta_k + lam)} Z'(n-j)/Z'(n),
     two nonnegative terms, with the sum taken in the log domain.
     """
     n = _check_n(ct, n)
     if n == 0:
         return 1.0
+    s = ct.beta * ct.gap_of(k)
     if lam > 0.0:
-        a = np.append(_decreasing_survival_log(ct, k, n), -math.inf)
-        exponents = a[:-1] - lam * np.arange(n + 1, dtype=float)
-        # the exponents decrease, and the terms from e^-745 on round to 0
-        top = int(np.searchsorted(-exponents, _EXP_FLOOR))
-        terms = np.exp(exponents[:top]) * -np.expm1(a[1 : top + 1] - a[:top])
-        return float(terms.sum())
-    eta = ct.gap_of(k)
+
+        def term(j0, a):
+            drop = np.subtract(a[1:], a[:-1])
+            e = np.arange(j0, j0 + len(drop), dtype=float)
+            e *= -lam
+            a[:-1] += e
+            return -float(np.exp(a[:-1], out=a[:-1]).dot(np.expm1(drop, out=drop)))
+
+        return _fold(ct, s, n, term, lambda j, a: math.exp(a - lam * j))
     j = np.arange(1, n + 1, dtype=float)
     lz = ct.log_z_shifted
-    terms = -j * (ct.beta * eta + lam) + lz[n - 1 :: -1] - lz[n]
+    terms = -j * (s + lam) + lz[n - 1 :: -1] - lz[n]
     return 1.0 - math.expm1(lam) * sum_exp(terms)
 
 
@@ -380,11 +445,8 @@ def occupation_pmf(ct: CanonicalTable, k, n: int) -> DiscreteDistribution:
     """Distribution of one mode's occupation at n particles."""
     n = _check_n(ct, n)
     a = _decreasing_survival_log(ct, k, n)
-    mass = np.empty(n + 1, dtype=float)
-    if n >= 1:
-        drop = a[:-1] - a[1:]  # >= 0: survival probabilities decrease
-        mass[:-1] = np.exp(a[:-1]) * (-np.expm1(-drop))
-    mass[-1] = math.exp(a[-1])
+    # a_{j+1} - a_j <= 0: survival probabilities decrease; a_{n+1} = -inf
+    mass = np.exp(a[:-1]) * -np.expm1(a[1:] - a[:-1])
     return DiscreteDistribution(support=np.arange(n + 1), mass=mass)
 
 
@@ -392,39 +454,81 @@ def occupation_moment(ct: CanonicalTable, k, n: int, r: int) -> float:
     """r-th moment of one mode's occupation, r in 1..4.
 
     Summation by parts over survival probabilities: sum_j (j^r - (j-1)^r)
-    P(N_k >= j); the integer weights are exact, and all terms are positive.
+    P(N_k >= j), all terms positive. With x = j - 1/2 the weights are
+    (x + 1/2)^r - (x - 1/2)^r = 1, 2x, 3x^2 + 1/4, x (4x^2 + 1), taken in
+    float, exact while below 2^53: integer powers j^r would wrap an int64
+    at r = 4 from j = 1.33e6 on. The survival probabilities do not
+    increase, so the terms past j = J sum to at most P(N_k >= J)
+    (n^r - J^r), and the sum stops at the first chunk after which that is
+    at most 2^-53 of it.
     """
     if r not in (1, 2, 3, 4):
         raise DomainError(f"moment order must be 1..4, got {r!r}")
     n = _check_n(ct, n)
     if n == 0:
         return 0.0
-    a = occupation_survival_log(ct, k, n)
-    j = np.arange(1, n + 1, dtype=np.int64)
-    weights = (j**r - (j - 1) ** r).astype(float)
-    return float(np.sum(weights * np.exp(a[1:])))
+
+    def term(j0, a):
+        # j = j0 + 1..j1: a_{j0} is j = 0 or closed the previous chunk
+        p = np.exp(a[1:], out=a[1:])
+        if r == 1:
+            return float(p.sum())
+        x = np.arange(j0 + 0.5, j0 + len(a) - 0.5)
+        if r == 2:
+            return 2.0 * float(x.dot(p))
+        if r == 4:
+            p *= x
+        x *= x
+        x *= 4.0 if r == 4 else 3.0
+        x += 1.0 if r == 4 else 0.25
+        return float(x.dot(p))
+
+    top = float(n) ** r
+    s = ct.beta * ct.gap_of(k)
+    return _fold(ct, s, n, term, lambda j, a: math.exp(a) * (top - float(j) ** r))
 
 
 def generalized_condensate(ct: CanonicalTable, n: int, epsilon: float) -> float:
     """Density held by all modes with gap below epsilon at n particles: the
-    mean occupations sum_{j=1..n} exp(-j beta eta_i) Z'(n-j)/Z'(n) of
-    occupation_moment, summed over the modes (a box lists only those).
+    mean occupations sum_{j=1..n} exp(-j s_i) Z'(n-j)/Z'(n) of
+    occupation_moment, s_i = beta eta_i, summed over the modes (a box lists
+    only those).
 
     The ratios Z'(n-j)/Z'(n) fall with j (a particle added to the ground
     mode maps the states of n-j-1 particles into those of n-j), so the terms
-    of a mode with s = beta eta_i > 0 past j = J sum to at most
-    exp(-J s)/(1 - exp(-s)) of its first term. Each mode stops at the
-    first J where that is below 2^-53; the ground mode keeps all n."""
+    of a mode with s_i > 0 past j = J sum to at most
+    exp(-J s_i)/(1 - exp(-s_i)) of its first term: a mode drops out of the
+    sum at the first chunk (_survival_chunks, s = 0) that starts past the
+    J where that is below 2^-53; the ground mode stays. All modes together
+    past J hold at most (n - J) Z'(n-J)/Z'(n) sum_i exp(-J s_i), and the
+    sum stops at the first chunk after which that is at most 2^-53 of it.
+    Within a chunk, with j = j0 + q B + m + 1, B = _CONDENSATE_BLOCK, and
+    m < B, the terms are one product: E[i, m] = exp(-(m + 1) s_i) against
+    the ratios R[q, m], weighted by exp(-(j0 + q B) s_i), so a chunk of
+    length L costs modes x L / B exponentials, not modes x L.
+    """
     n = _check_n(ct, n)
     if epsilon <= 0.0:
         raise DomainError(f"gap window must be positive, got {epsilon!r}")
     gaps = ct.gaps_up_to(epsilon)
-    scaled = ct.beta * gaps[gaps < epsilon]
-    lz = ct.log_z_shifted
-    ratios = np.exp(lz[n - 1 :: -1] - lz[n])  # j = 1..n
+    scaled = ct.beta * gaps[gaps < epsilon]  # ascending
     with np.errstate(divide="ignore"):
         reach = (53.0 * math.log(2.0) - log1mexp(scaled)) / scaled
-    cuts = np.where(scaled > 0.0, np.minimum(np.floor(reach) + 1.0, n), n).astype(np.int64)
-    j = np.arange(1.0, n + 1.0)
-    per_mode = (np.sum(ratios[:c] * np.exp(-s * j[:c])) for s, c in zip(scaled, cuts))
-    return math.fsum(per_mode) / ct.volume
+    # minus each mode's cut, ascending as the gaps are
+    cuts = -np.where(scaled > 0.0, np.floor(reach) + 1.0, n)
+    powers = np.multiply.outer(scaled, -np.arange(1.0, _CONDENSATE_BLOCK + 1.0))
+    np.exp(powers, out=powers)
+
+    def term(j0, a):
+        live = int(np.searchsorted(cuts, -j0))  # the modes with cut > j0
+        ratios = np.zeros(-((1 - len(a)) // _CONDENSATE_BLOCK) * _CONDENSATE_BLOCK)
+        np.exp(a[1:], out=ratios[: len(a) - 1])
+        inner = powers[:live].dot(ratios.reshape(-1, _CONDENSATE_BLOCK).T)
+        starts = np.arange(j0, j0 + len(ratios), _CONDENSATE_BLOCK, dtype=float)
+        outer = np.multiply.outer(scaled[:live], -starts)
+        return float(np.vdot(np.exp(outer, out=outer), inner))
+
+    def rest(j, a):
+        return (n - j) * math.exp(a) * float(np.exp(-j * scaled).sum())
+
+    return _fold(ct, 0.0, n, term, rest) / ct.volume

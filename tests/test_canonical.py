@@ -27,7 +27,9 @@ from bosebox import (
     occupation_pmf,
 )
 import bosebox.canonical as canonical
-from bosebox.canonical import occupation_survival_log
+from bosebox.cli import N_MAX_HARD_CAP
+from bosebox.grandcanonical import critical_density
+from bosebox.numerics import log1mexp, sum_exp
 from bosebox.spectrum import _EXP_FLOOR, eigenvalue, ground_energy, mode_gaps
 from bosebox.spectrum import _NODES, _TAIL, _compress
 from bosebox.spectrum import log_power_sums as box_log_power_sums
@@ -176,7 +178,8 @@ def test_occupation_statistics_match_brute_force(beta):
 def test_survival_probabilities_match_brute_force():
     modes, brute, _ = brute_box(150.0)
     ct = build_canonical(BRUTE_BOX, 150.0, 4)
-    a = occupation_survival_log(ct, modes[1], 4)
+    a = canonical._decreasing_survival_log(ct, modes[1], 4)
+    assert a[5] == -math.inf
     for j in range(5):
         want = brute.expectation(4, lambda occ: occ >= j, 1)
         assert math.exp(a[j]) == pytest.approx(want, rel=1e-11)
@@ -334,6 +337,157 @@ def test_cut_condensate_matches_full_sum(rho_c_value, volume):
     ct = build_canonical(geometry, 1.0, n)
     want = full_condensate(ct, n, 0.05)
     assert abs(generalized_condensate(ct, n, 0.05) - want) <= 1e-15 * want
+
+
+# ----------------------------------------- readers against full-length oracles
+
+
+def oracle_survival_log(ct, k, n):
+    """log P(N_k >= j) for j = 0..n via the stripping identity, every j at
+    once and with no running minimum."""
+    j = np.arange(n + 1, dtype=float)
+    lz = ct.log_z_shifted
+    return -j * (ct.beta * ct.gap_of(k)) + lz[n::-1] - lz[n]
+
+
+def oracle_decreasing_survival_log(ct, k, n):
+    """log P(N_k >= j) for every j = 0..n at once, made nonincreasing by one
+    running minimum where it rises."""
+    a = oracle_survival_log(ct, k, n)
+    return np.minimum.accumulate(a) if np.any(a[1:] > a[:-1]) else a
+
+
+def oracle_moment(ct, k, n, r):
+    """occupation_moment over all n terms, with integer weights, exact while
+    they fit an int64 (j < 1.3e6 at r = 4)."""
+    a = oracle_survival_log(ct, k, n)
+    j = np.arange(1, n + 1, dtype=np.int64)
+    weights = (j**r - (j - 1) ** r).astype(float)
+    return float(np.sum(weights * np.exp(a[1:])))
+
+
+def oracle_laplace(ct, k, n, lam):
+    """occupation_laplace over all n terms: the masses' sum for lam > 0,
+    cut only where its terms round to 0, and the log-domain sum else."""
+    if lam > 0.0:
+        a = np.append(oracle_decreasing_survival_log(ct, k, n), -math.inf)
+        exponents = a[:-1] - lam * np.arange(n + 1, dtype=float)
+        top = int(np.searchsorted(-exponents, _EXP_FLOOR))
+        terms = np.exp(exponents[:top]) * -np.expm1(a[1 : top + 1] - a[:top])
+        return float(terms.sum())
+    j = np.arange(1, n + 1, dtype=float)
+    lz = ct.log_z_shifted
+    terms = -j * (ct.beta * ct.gap_of(k) + lam) + lz[n - 1 :: -1] - lz[n]
+    return 1.0 - math.expm1(lam) * sum_exp(terms)
+
+
+def oracle_condensate(ct, n, epsilon):
+    """generalized_condensate as one sum per mode, each over all j up to
+    the mode's cut, the ratios Z'(n-j)/Z'(n) taken for all n."""
+    gaps = ct.gaps_up_to(epsilon)
+    scaled = ct.beta * gaps[gaps < epsilon]
+    lz = ct.log_z_shifted
+    ratios = np.exp(lz[n - 1 :: -1] - lz[n])  # j = 1..n
+    with np.errstate(divide="ignore"):
+        reach = (53.0 * math.log(2.0) - log1mexp(scaled)) / scaled
+    cuts = np.where(scaled > 0.0, np.minimum(np.floor(reach) + 1.0, n), n).astype(np.int64)
+    j = np.arange(1.0, n + 1.0)
+    per_mode = (np.sum(ratios[:c] * np.exp(-s * j[:c])) for s, c in zip(scaled, cuts))
+    return math.fsum(per_mode) / ct.volume
+
+
+# n on both sides of the first chunk boundaries of the readers (2^10, 3 2^10)
+_CHUNK_EDGES = (1023, 1024, 1025, 3071, 3072, 3073)
+
+
+@functools.lru_cache(maxsize=None)
+def _reader_table(case):
+    """(table, particle numbers): regimes I-III at rho = 2 rho_c with
+    n_max = 3073; III at the benchmark's largest volume, n = 48 102; and a
+    flat ground mode, BRUTE_BOX at beta = 500, whose log Z' rows are equal
+    to rounding, so its survival log rises within and across chunks."""
+    rho = 2.0 * critical_density(1.0).value
+    if case == "flat":
+        return build_canonical(BRUTE_BOX, 500.0, 3073), _CHUNK_EDGES
+    if case == "III-48102":
+        geom = BoxGeometry(REGIME_ALPHAS["III"], 1.45e5)
+        n = round(rho * geom.volume)
+        return build_canonical(geom, 1.0, n), (n,)
+    geom = BoxGeometry(REGIME_ALPHAS[case], 3073 / rho)
+    return build_canonical(geom, 1.0, 3073), _CHUNK_EDGES
+
+
+def _assert_rel(got, want, rel):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "III-48102", "flat"])
+def test_readers_match_full_length_oracles(case):
+    """The chunked folds against the full-length readers they replace, on
+    ladder modes (n, 1, 1) and off it, for every reader and lam in {0, < 0,
+    small, large}. The survival logs and masses are the same numbers; a
+    fold may differ by its order of summation and by the rest it leaves
+    out, at most 2^-53 of it."""
+    ct, ns = _reader_table(case)
+    if case == "flat":  # the running minimum must carry over j = 1024
+        a = oracle_survival_log(ct, (1, 1, 1), 3073)
+        assert np.any(np.minimum.accumulate(a)[1024:] != np.minimum.accumulate(a[1024:]))
+    for n in ns:
+        for k in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)):
+            want = oracle_decreasing_survival_log(ct, k, n)
+            got = canonical._decreasing_survival_log(ct, k, n)
+            assert np.array_equal(got[:-1], want) and got[-1] == -math.inf
+            np.testing.assert_array_equal(
+                occupation_pmf(ct, k, n).mass,
+                np.exp(want) * -np.expm1(np.append(want[1:], -math.inf) - want),
+            )
+            for r in (1, 2, 3, 4):
+                _assert_rel(occupation_moment(ct, k, n, r), oracle_moment(ct, k, n, r), 4e-15)
+            for lam in (0.0, -0.01, 1e-4, 0.3, 10.0):
+                _assert_rel(occupation_laplace(ct, k, n, lam), oracle_laplace(ct, k, n, lam),
+                            4e-15)
+        for epsilon in (0.05, 1.0):
+            _assert_rel(generalized_condensate(ct, n, epsilon), oracle_condensate(ct, n, epsilon),
+                        4e-15)
+
+
+def test_moment_weights_do_not_wrap():
+    """A table whose Z' is 1 at every n, the law of a ground mode that holds
+    every particle: P(N >= j) = 1, so the r-th moment is n^r. At
+    n = 2e6 = N_MAX_HARD_CAP, j^r - (j-1)^r passes an int64 for r = 4 from
+    j = 1.33e6 on, where integer weights would come out near -9e18."""
+    n = 2_000_000
+    assert n == N_MAX_HARD_CAP
+    ct = canonical.CanonicalTable(BRUTE_BOX, 1.0, n, np.zeros(n + 1))
+    for r in (1, 2, 3, 4):
+        _assert_rel(occupation_moment(ct, (1, 1, 1), n, r), float(n) ** r, 1e-13)
+
+
+def test_readers_peak_memory_is_a_few_chunks(rho_c_value):
+    """At n = 1 658 692 (regime II, V = 5e6) no reader but occupation_pmf
+    holds an n-length array: on the ground
+    mode, whose folds run far (lam = 1e-6 to the end), the moments, the
+    transform and the condensate each peak within three chunk arrays of
+    _CHUNK_MAX doubles (25 MB) above the table. The full-length readers
+    peaked at 66 MB."""
+    geom = BoxGeometry(REGIME_ALPHAS["II"], 5.0e6)
+    n = int(round(2.0 * rho_c_value * geom.volume))
+    ct = build_canonical(geom, 1.0, n)
+    readers = (
+        lambda: occupation_moment(ct, (1, 1, 1), n, 1),
+        lambda: occupation_moment(ct, (1, 1, 1), n, 4),
+        lambda: occupation_laplace(ct, (1, 1, 1), n, 1e-6),
+        lambda: generalized_condensate(ct, n, 0.05),
+    )
+    tracemalloc.start()
+    try:
+        for reader in readers:
+            tracemalloc.reset_peak()
+            reader()
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= 3 * 8 * canonical._CHUNK_MAX
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------- semi-relaxed recursion
@@ -760,7 +914,7 @@ def test_far_rule_is_a_positive_gauss_compression(case, rho_c_value, monkeypatch
     spectrum, n, ls = _oracle_case(case, rho_c_value)
     _, weights, nodes = _far_rule_of(monkeypatch, spectrum, 1.0, n)
     assert np.all(weights > 0.0) and len(weights) <= 400
-    x = _listed_atoms(spectrum, canonical._EXP_FLOOR / (canonical._P0 + 1))
+    x = _listed_atoms(spectrum, _EXP_FLOOR / (canonical._P0 + 1))
     atoms = x.astype(np.longdouble)
     w, s = weights.astype(np.longdouble), nodes.astype(np.longdouble)
     ulp = np.finfo(np.longdouble).eps
@@ -772,7 +926,7 @@ def test_far_rule_is_a_positive_gauss_compression(case, rho_c_value, monkeypatch
         rule = np.sum(w * np.exp(-k * s))
         assert direct - 1e-18 * direct - rounding <= rule <= direct + rounding
     p0 = canonical._P0
-    cap = min(canonical._EXP_FLOOR / (p0 + 1), (ls[1] + _TAIL) / p0)
+    cap = min(_EXP_FLOOR / (p0 + 1), (ls[1] + _TAIL) / p0)
     kept = x[(x > 0.0) & (x <= cap)]
     bins, node_bins = np.frexp(kept)[1], np.frexp(nodes)[1]
     small = [e for e in np.unique(bins) if np.count_nonzero(bins == e) <= _NODES]
