@@ -95,8 +95,8 @@ class CanonicalTable:
     It holds the whole box spectrum through its power sums and names modes
     by quantum numbers; no mode is listed to build it. ``log_z_shifted[n]``
     is log Z'(n), the log partition function with the ground energy
-    subtracted from every level, as the recursion computes it; ``log_z`` is
-    the true log Z(n), derived from it on each read.
+    subtracted from every level, as the recursion computes it; the true
+    log Z(n) is log Z'(n) - n beta E_1.
     """
 
     geometry: BoxGeometry
@@ -114,11 +114,6 @@ class CanonicalTable:
     @property
     def ground_energy(self) -> float:
         return ground_energy(self.geometry)
-
-    @property
-    def log_z(self) -> np.ndarray:
-        n = np.arange(self.n_max + 1, dtype=float)
-        return self.log_z_shifted - n * self.beta * self.ground_energy
 
     def gap_of(self, k) -> float:
         """Gap above the ground level of the mode with quantum numbers k."""
@@ -152,9 +147,6 @@ class DiscreteDistribution:
         object.__setattr__(self, "support", np.asarray(self.support))
         self.mass.setflags(write=False)
         self.support.setflags(write=False)
-
-    def moment(self, r: int) -> float:
-        return float(np.sum(self.support.astype(float) ** r * self.mass))
 
 
 def _log_partition_shifted(ls, n_max, weights, nodes) -> np.ndarray:

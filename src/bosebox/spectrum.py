@@ -54,7 +54,11 @@ IDS_PREFACTOR = math.sqrt(2.0) / (3.0 * math.pi**2)
 # Constant 3 pi / sqrt(2) entering the finite-volume lower bound.
 SANDWICH_CONSTANT = 3.0 * math.pi / math.sqrt(2.0)
 
-DEFAULT_MODE_BUDGET = 20_000_000
+# The most modes a lattice walk (_lattice_rows) may hold: count_modes_at_most,
+# enumerate_below and ids refuse a longer one before any large allocation.
+MODE_BUDGET = 20_000_000
+# suggest_energy_cutoff's bound on the tail of exp(-beta eta) per volume.
+CUTOFF_TAIL_TOL = 1e-12
 
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal double scale
 # Both ensembles read S'_k exactly for k = 1.._NEAR (near_log_power_sums)
@@ -207,23 +211,23 @@ def mode_gap(geometry: BoxGeometry, mode) -> float:
     return gap
 
 
-def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
+def _lattice_rows(geometry: BoxGeometry, e_max: float):
     """Walk the modes with energy <= e_max in blocks of at most _PAIRS
     consecutive (n1, n2) pairs, in lexicographic order.
 
     Yields per block the arrays n1 and n2 (as floats) and the largest n3
     of each pair. Raises CutoffTooLarge once the blocks hold more than
-    ``mode_budget`` modes, and before listing the pairs of _PAIRS rows
-    whose widest row would take the count past it.
+    MODE_BUDGET modes, and before listing the pairs of _PAIRS rows whose
+    widest row would take the count past it.
     """
     c1, c2, c3 = geometry.level_coefficients
     if e_max < c1 + c2 + c3:
         return
-    over = CutoffTooLarge(f"more than {mode_budget} modes lie below e_max={e_max!r}")
+    over = CutoffTooLarge(f"more than {MODE_BUDGET} modes lie below e_max={e_max!r}")
     # Rows n1 <= n1_top - 1 hold a mode each, as do n2 <= n2_top - 1 of a
     # row, so a walk that long is refused before it starts.
     n1_top = math.sqrt((e_max - c2 - c3) / c1)
-    if n1_top - 2.0 > mode_budget:
+    if n1_top - 2.0 > MODE_BUDGET:
         raise over
     n1_end = math.floor(n1_top) + 1
     total = 0
@@ -235,7 +239,7 @@ def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
         if len(n1) == 0:
             return
         n2_top = np.sqrt((rest - c3) / c2)
-        if total + n2_top[0] - 2.0 > mode_budget:  # the widest row comes first
+        if total + n2_top[0] - 2.0 > MODE_BUDGET:  # the widest row comes first
             raise over
         widths = np.floor(n2_top).astype(np.int64)
         ends = np.cumsum(widths)
@@ -250,23 +254,19 @@ def _lattice_rows(geometry: BoxGeometry, e_max: float, mode_budget: int):
             n3_max = np.floor(np.sqrt(np.maximum(
                 (np.repeat(rest[rows], span) - c2 * n2 * n2) / c3, 0.0)))
             total += int(n3_max.sum())
-            if total > mode_budget:
+            if total > MODE_BUDGET:
                 raise over
             yield np.repeat(n1[rows], span), n2, n3_max.astype(np.int64)
 
 
-def count_modes_at_most(
-    geometry: BoxGeometry, e_max: float, *, mode_budget: int = DEFAULT_MODE_BUDGET
-) -> int:
+def count_modes_at_most(geometry: BoxGeometry, e_max: float) -> int:
     """Exact number of modes with energy <= e_max (no enumeration storage:
     the walk's blocks of at most 8192 rows and 8192 pairs take about 1 MB
     at any e_max).
 
-    Raises CutoffTooLarge if it exceeds ``mode_budget``.
+    Raises CutoffTooLarge if it exceeds MODE_BUDGET.
     """
-    return sum(
-        int(n3_max.sum()) for *_, n3_max in _lattice_rows(geometry, e_max, mode_budget)
-    )
+    return sum(int(n3_max.sum()) for *_, n3_max in _lattice_rows(geometry, e_max))
 
 
 @dataclass(frozen=True)
@@ -287,23 +287,18 @@ class SpectrumTable:
         return len(self.energies)
 
 
-def enumerate_below(
-    geometry: BoxGeometry,
-    e_max: float,
-    *,
-    mode_budget: int = DEFAULT_MODE_BUDGET,
-) -> SpectrumTable:
+def enumerate_below(geometry: BoxGeometry, e_max: float) -> SpectrumTable:
     """Build the spectrum table of all modes with energy <= e_max.
 
     The exact mode count is computed first; CutoffTooLarge is raised before
-    any large allocation when it exceeds ``mode_budget``.
+    any large allocation when it exceeds MODE_BUDGET.
     """
-    count = count_modes_at_most(geometry, e_max, mode_budget=mode_budget)
+    count = count_modes_at_most(geometry, e_max)
     c1, c2, c3 = geometry.level_coefficients
     mode_chunks = []
     energy_chunks = []
     if count > 0:
-        for n1, n2, n3_max in _lattice_rows(geometry, e_max, mode_budget):
+        for n1, n2, n3_max in _lattice_rows(geometry, e_max):
             # all modes n3 = 1..n3_max of each pair, in lexicographic order
             starts = np.repeat(np.cumsum(n3_max) - n3_max, n3_max)
             n3 = np.arange(1, len(starts) + 1, dtype=np.int64) - starts
@@ -393,13 +388,9 @@ def _gamma_upper_32(x: float) -> float:
     return math.erfc(math.sqrt(x)) + 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
 
 
-def suggest_energy_cutoff(
-    geometry: BoxGeometry,
-    beta: float,
-    *,
-    tail_tol: float = 1e-12,
-) -> float:
-    """Smallest convenient E_max whose exponential-weight tail is below tail_tol.
+def suggest_energy_cutoff(geometry: BoxGeometry, beta: float) -> float:
+    """Smallest convenient E_max whose exponential-weight tail is below
+    CUTOFF_TAIL_TOL.
 
     The tail is measured per volume against the counting upper envelope with
     weight exp(-beta eta); monotone weights bounded by it inherit the bound.
@@ -407,19 +398,19 @@ def suggest_energy_cutoff(
     """
     eta = 1.0
     for _ in range(200):
-        if exponential_tail_integral(geometry, beta, eta) < tail_tol:
+        if exponential_tail_integral(geometry, beta, eta) < CUTOFF_TAIL_TOL:
             # refine downward a little so cutoffs do not balloon
             lo, hi = eta / 2.0, eta
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                if exponential_tail_integral(geometry, beta, mid) < tail_tol:
+                if exponential_tail_integral(geometry, beta, mid) < CUTOFF_TAIL_TOL:
                     hi = mid
                 else:
                     lo = mid
             return ground_energy(geometry) + hi
         eta *= 2.0
     raise CutoffTooLarge(
-        f"no gap cutoff below {eta!r} meets tail tolerance {tail_tol!r}"
+        f"no gap cutoff below {eta!r} meets tail tolerance {CUTOFF_TAIL_TOL!r}"
     )
 
 

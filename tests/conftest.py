@@ -3,7 +3,8 @@
 One canonical build on the box geometry and one moderately deep listing of
 its spectrum (for oracles that sum over listed modes) are reused by several
 test files; both are session scoped because the canonical recursion is the
-only genuinely expensive setup in the suite. ``index_of`` and ``gaps`` look
+only genuinely expensive setup in the suite. ``tail_cutoff`` picks a
+listing cutoff at any tail tolerance; ``index_of`` and ``gaps`` look
 a mode's row and the gaps up in such a listing for those oracles,
 ``low_modes`` lists the few modes of a small box that the brute-force
 oracles sum over, and ``unit_box_gap_values`` lists the unit-box lattice gaps that the
@@ -23,6 +24,7 @@ from bosebox import (
     critical_density,
     enumerate_below,
     numerics,
+    spectrum,
 )
 from bosebox.spectrum import _as_mode_tuple, ground_energy, log_power_sums, mode_gaps
 
@@ -55,6 +57,15 @@ def mixture_ct(geom_aniso):
 @pytest.fixture(scope="session")
 def rho_c_value():
     return critical_density(BETA).value
+
+
+def tail_cutoff(geometry, beta, tail_tol):
+    """suggest_energy_cutoff with its tail tolerance set to ``tail_tol``:
+    a cutoff whose exponential tail, bisected on exponential_tail_integral,
+    is below tail_tol per volume."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "CUTOFF_TAIL_TOL", tail_tol)
+        return spectrum.suggest_energy_cutoff(geometry, beta)
 
 
 def index_of(table, mode) -> int:

@@ -27,7 +27,7 @@ from bosebox import (
     occupation_pmf,
 )
 import bosebox.canonical as canonical
-from bosebox.cli import N_MAX_HARD_CAP
+from bosebox.cli import N_MAX_HARD_CAP, main
 from bosebox.grandcanonical import critical_density
 from bosebox.numerics import log1mexp, sum_exp
 from bosebox.spectrum import _EXP_FLOOR, eigenvalue, ground_energy, mode_gaps
@@ -100,9 +100,10 @@ def test_box_partition_matches_brute_force(beta):
     modes, brute, dropped = brute_box(beta)
     assert dropped < 1e-15
     ct = build_canonical(BRUTE_BOX, beta, 6)
-    assert ct.log_z[0] == 0.0
+    log_z = ct.log_z_shifted - np.arange(7.0) * ct.beta * ct.ground_energy
+    assert log_z[0] == 0.0
     for n in range(7):
-        assert ct.log_z[n] == pytest.approx(brute.log_partition(n), rel=1e-12, abs=1e-12)
+        assert log_z[n] == pytest.approx(brute.log_partition(n), rel=1e-12, abs=1e-12)
 
 
 SPECTRA = [
@@ -449,6 +450,40 @@ def test_readers_match_full_length_oracles(case):
         for epsilon in (0.05, 1.0):
             _assert_rel(generalized_condensate(ct, n, epsilon), oracle_condensate(ct, n, epsilon),
                         4e-15)
+
+
+@pytest.mark.parametrize(
+    "case, volume", [("II", 1000.0), ("II", 1.0e4), ("III", 1.0e4)]
+)
+def test_canonical_rows_are_within_their_budgets_of_the_oracles(
+    capsys, rho_c_value, case, volume
+):
+    """`bosebox canonical`'s moment, density and condensate rows against
+    the full-length oracles at rho = 2 rho_c, each within its printed
+    error_budget, 4e-16 n |value|. The budget is relative: the second
+    moment of the ground mode is near (n/2)^2, and here the two sums
+    differ by 11 to 175 times 4e-16 n."""
+    rho = 2.0 * rho_c_value
+    code = main(["canonical", "--override", f"geometry.alphas={list(REGIME_ALPHAS[case])}",
+                 "--override", f"geometry.volume={volume!r}", "--override", f"rho={rho!r}"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    header = lines[0].split(",")
+    rows = {row["quantity"]: row for row in (dict(zip(header, line.split(",")))
+                                             for line in lines[1:])}
+    ct = build_canonical(BoxGeometry(REGIME_ALPHAS[case], volume), 1.0, round(rho * volume))
+    n = ct.n_max
+    mean = oracle_moment(ct, (1, 1, 1), n, 1)
+    want = {
+        "occupation_mean": mean,
+        "occupation_second_moment": oracle_moment(ct, (1, 1, 1), n, 2),
+        "occupation_density": mean / volume,
+        "condensate_share": oracle_condensate(ct, n, 0.05),
+    }
+    printed = {q: (float(rows[q]["value"]), float(rows[q]["error_budget"])) for q in want}
+    for quantity, (got, budget) in printed.items():
+        assert abs(got - want[quantity]) <= budget, (quantity, got, want[quantity], budget)
+    assert all(budget == 4e-16 * n * abs(got) for got, budget in printed.values())
 
 
 def test_moment_weights_do_not_wrap():

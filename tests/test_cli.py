@@ -119,6 +119,8 @@ def test_missing_or_invalid_config_file(tmp_path):
         "solver.tol=0",
         "solver.max_iter=0",
         "cutoffs.series_M=1",
+        "cutoffs.mode_budget=1000",
+        "cutoffs.energy_tail_tol=1e-9",
         "ladder_count=1001",  # above 1000
         "output.path=5",
     ],
@@ -127,7 +129,8 @@ def test_bad_configuration_exits_two(capsys, override):
     code, _, err = run_cli(capsys, "gc", "--override", override)
     assert code == 2
     assert "error:" in err
-    if override.startswith(("solver.", "cutoffs.series_M=")):
+    if override.startswith(("solver.", "cutoffs.series_M=", "cutoffs.mode_budget=",
+                            "cutoffs.energy_tail_tol=")):
         assert "does not exist" in err
 
 
@@ -199,12 +202,17 @@ def test_fluct_needs_fast_gap_regime(capsys):
     assert "fast-gap" in err
 
 
+# why `gc` at V = 1e308 fails, by exit code
+_HUGE_VOLUME_ERRORS = {
+    # the far rule's cut takes in more levels than an axis may list
+    3: "CutoffTooLarge: an axis holds more than 4194304 levels",
+    # V**(2 a_1) overflows a double
+    2: "out of range for double-precision levels",
+}
+
+
 @pytest.mark.parametrize(
-    "alphas, expected",
-    [
-        ("[0.4, 0.35, 0.25]", 3),  # the spectrum exceeds cutoffs.mode_budget
-        ("[0.6, 0.25, 0.15]", 2),  # V**(2 a_1) overflows a double
-    ],
+    "alphas, expected", [("[0.4, 0.35, 0.25]", 3), ("[0.6, 0.25, 0.15]", 2)]
 )
 def test_huge_volume_exits_cleanly(capsys, alphas, expected):
     code, out, err = run_cli(
@@ -213,6 +221,7 @@ def test_huge_volume_exits_cleanly(capsys, alphas, expected):
         "--override", f"geometry.alphas={alphas}",
     )
     assert code == expected
+    assert _HUGE_VOLUME_ERRORS[expected] in err
     assert "Traceback" not in err
     assert out == ""
 
@@ -315,14 +324,13 @@ def test_canonical_tables_list_only_the_condensate_window(
 
 
 def test_canonical_runs_beyond_the_old_mode_budget(capsys):
-    # listing the spectrum up to the suggested cutoff at V = 5e4 exceeds
-    # 1000 modes; the table reads the power sums and lists only the few
-    # modes below ground + 0.05
+    # more than 1000 modes lie below the suggested cutoff at V = 5e4; the
+    # table reads the power sums and lists only the few modes below
+    # ground + 0.05
     code, out, err = run_cli(
         capsys, "canonical",
         "--override", "geometry.volume=50000",
         "--override", "rho=0.3317384186260446",
-        "--override", "cutoffs.mode_budget=1000",
     )
     assert code == 0, err
     rows = {line.split(",")[6]: line.split(",") for line in out.splitlines()[1:]}
@@ -485,7 +493,7 @@ def test_spectrum_lists_the_first_thousand_modes(
     """The printed rows are the first 1000 of the full table up to e_max,
     also where equal energies straddle the last printed row."""
     geom = BoxGeometry(alphas, volume)
-    e_max = emax if emax is not None else suggest_energy_cutoff(geom, 1.0, tail_tol=1e-12)
+    e_max = emax if emax is not None else suggest_energy_cutoff(geom, 1.0)
     table = enumerate_below(geom, e_max)
     assert len(table) > 1000
     assert (table.energies[999] == table.energies[1000]) == tie_at_row_1000
@@ -529,14 +537,17 @@ def test_spectrum_lists_only_the_printed_window(capsys, monkeypatch):
     assert len(listed) == 1 and 1000 <= listed[0] < 5000
 
 
-def test_spectrum_mode_budget_counts_every_mode_below_the_cutoff(capsys):
-    code, out, err = run_cli(
-        capsys, "spectrum", "--override", "cutoffs.mode_budget=1000"
-    )
-    assert code == 3
-    assert "more than 1000 modes lie below e_max=" in err
-    assert "Traceback" not in err
-    assert out == ""
+def test_spectrum_counts_no_mode_above_the_printed_window(capsys):
+    """More than 20 M modes lie below e_max = 1e6 at V = 1000; the listing
+    window stops below e_max, so the run prints the same first 1000 modes
+    as at the default cutoff."""
+    rows = {}
+    for argv in ((), ("--emax", "1e6")):
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == 0, err
+        rows[argv] = [line for line in out.splitlines() if ",eigenvalue," in line]
+    assert len(rows[()]) == 1000
+    assert rows[("--emax", "1e6")] == rows[()]
 
 
 def test_json_output_parses(capsys):
@@ -1231,6 +1242,25 @@ _FUZZED_KEYS = {
 }
 
 
+_FUZZED_COMMANDS = ["spectrum", "gc", "canonical", "limits", "fluct"]
+
+
+def _fuzz_argv(command, alphas):
+    """The part of a fuzzed argv that every example shares."""
+    return [command, "--override", f"geometry.alphas={alphas}",
+            "--override", "cutoffs.n_max=3000"]
+
+
+@pytest.mark.parametrize("command", _FUZZED_COMMANDS)
+def test_fuzz_base_argv_exits_zero(capsys, command):
+    """The shared part of the fuzzed argv runs as it stands, so that exit 2
+    in the fuzz test comes from a fuzzed override (a key that is no longer
+    a setting would turn every example into exit 2)."""
+    code, out, err = run_cli(capsys, *_fuzz_argv(command, "[0.4, 0.35, 0.25]"))
+    assert code == 0, err
+    assert len(out.splitlines()) > 1
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -1239,7 +1269,7 @@ _FUZZED_KEYS = {
 @example(command="limits", alphas="[0.5, 0.3, 0.2]", overrides=_UNDERFLOWING_RHO_C)
 @example(command="limits", alphas="[0.6, 0.25, 0.15]", overrides=_UNDERFLOWING_RHO_C)
 @given(
-    command=st.sampled_from(["spectrum", "gc", "canonical", "limits", "fluct"]),
+    command=st.sampled_from(_FUZZED_COMMANDS),
     alphas=st.sampled_from(["[0.4, 0.35, 0.25]", "[0.5, 0.3, 0.2]", "[0.6, 0.25, 0.15]"]),
     overrides=st.dictionaries(
         st.sampled_from(sorted(_FUZZED_KEYS)), st.just(None), max_size=4
@@ -1250,12 +1280,7 @@ _FUZZED_KEYS = {
 def test_fuzzed_overrides_exit_cleanly(command, alphas, overrides):
     """Any override set ends in exit 0, 2 or 3, with no traceback and with
     finite numbers in every float cell."""
-    argv = [
-        command,
-        "--override", f"geometry.alphas={alphas}",
-        "--override", "cutoffs.mode_budget=300000",
-        "--override", "cutoffs.n_max=3000",
-    ]
+    argv = _fuzz_argv(command, alphas)
     for key, value in overrides.items():
         argv += ["--override", f"{key}={value}"]
     out, err = io.StringIO(), io.StringIO()

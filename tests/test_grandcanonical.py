@@ -26,10 +26,10 @@ from bosebox import (
     mean_occupation,
     solve_ladder_coefficient,
     solve_mu,
-    suggest_energy_cutoff,
 )
 from bosebox import grandcanonical
 from bosebox.spectrum import log_power_sums
+from conftest import tail_cutoff
 
 REGIME_ALPHAS = {
     "I": (0.4, 0.35, 0.25),
@@ -69,7 +69,7 @@ def table_log_xi(table, mu, beta):
 def deep_table(request):
     """A regime's table whose own cutoff tail is below 1e-17 per volume."""
     g = BoxGeometry(REGIME_ALPHAS[request.param], 2000.0)
-    return enumerate_below(g, suggest_energy_cutoff(g, 1.0, tail_tol=1e-17))
+    return enumerate_below(g, tail_cutoff(g, 1.0, 1e-17))
 
 
 # ------------------------------------------------------- saturation density

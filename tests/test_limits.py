@@ -43,8 +43,8 @@ from bosebox.limits import (
     rho_c_finite,
 )
 from bosebox.numerics import gauss_panels, sum_exp
-from bosebox.spectrum import BoxGeometry, classify, enumerate_below, suggest_energy_cutoff
-from conftest import gaps, reference_refined_panels, unit_box_gap_values
+from bosebox.spectrum import BoxGeometry, classify, enumerate_below
+from conftest import gaps, reference_refined_panels, tail_cutoff, unit_box_gap_values
 
 RC = 0.1658692093130223
 
@@ -696,7 +696,7 @@ def test_saturation_density_matches_table_sum(alphas):
     """The power-sum series at mu_bar = 0 against the excited modes of a
     table whose own cutoff tail is below 1e-17 per volume."""
     geom = BoxGeometry(alphas, 2000.0)
-    table = enumerate_below(geom, suggest_energy_cutoff(geom, 1.0, tail_tol=1e-17))
+    table = enumerate_below(geom, tail_cutoff(geom, 1.0, 1e-17))
     brute = float(np.sum(1.0 / np.expm1(gaps(table)[1:]))) / geom.volume
     assert rho_c_finite(geom, 1.0) == pytest.approx(brute, rel=1e-13)
 

@@ -32,7 +32,7 @@ from bosebox.spectrum import (
     log_power_sums,
     mode_gaps,
 )
-from conftest import gaps, index_of, unit_box_gap_values
+from conftest import gaps, index_of, tail_cutoff, unit_box_gap_values
 
 
 # ---------------------------------------------------------------- geometry
@@ -181,10 +181,11 @@ def test_enumerate_below_matches_reference_loop(alphas, volume, e_max):
     assert t.energies.tobytes() == energies.tobytes()
 
 
-def test_enumerate_below_budget_guard():
+def test_enumerate_below_budget_guard(monkeypatch):
+    monkeypatch.setattr(spectrum, "MODE_BUDGET", 100)
     g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
     with pytest.raises(CutoffTooLarge):
-        enumerate_below(g, 45.0, mode_budget=100)
+        enumerate_below(g, 45.0)
 
 
 def test_index_of_unknown_mode_raises():
@@ -207,12 +208,14 @@ def test_index_of_takes_row_index_or_quantum_numbers():
             index_of(t, bad)
 
 
-def test_count_modes_at_most_respects_budget():
+def test_count_modes_at_most_respects_budget(monkeypatch):
     g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
     count = count_modes_at_most(g, 45.0)
-    assert count_modes_at_most(g, 45.0, mode_budget=count) == count
+    monkeypatch.setattr(spectrum, "MODE_BUDGET", count)
+    assert count_modes_at_most(g, 45.0) == count
+    monkeypatch.setattr(spectrum, "MODE_BUDGET", count - 1)
     with pytest.raises(CutoffTooLarge):
-        count_modes_at_most(g, 45.0, mode_budget=count - 1)
+        count_modes_at_most(g, 45.0)
 
 
 def test_huge_volume_is_refused_before_allocation():
@@ -325,15 +328,17 @@ def test_mode_budget_is_checked_in_every_block(monkeypatch):
     monkeypatch.setattr(spectrum, "_PAIRS", 7)
     g = BoxGeometry((0.4, 0.35, 0.25), 1000.0)
     count = count_modes_at_most(g, 45.0)
-    blocks = [int(n3.sum()) for *_, n3 in spectrum._lattice_rows(g, 45.0, count)]
+    monkeypatch.setattr(spectrum, "MODE_BUDGET", count)
+    blocks = [int(n3.sum()) for *_, n3 in spectrum._lattice_rows(g, 45.0)]
     assert len(blocks) > 10 and sum(blocks) == count
     assert blocks[0] + blocks[1] < count - 1
-    assert len(enumerate_below(g, 45.0, mode_budget=count)) == count
+    assert len(enumerate_below(g, 45.0)) == count
     for budget in (count - 1, blocks[0] + blocks[1]):
+        monkeypatch.setattr(spectrum, "MODE_BUDGET", budget)
         with pytest.raises(CutoffTooLarge):
-            count_modes_at_most(g, 45.0, mode_budget=budget)
+            count_modes_at_most(g, 45.0)
         with pytest.raises(CutoffTooLarge):
-            enumerate_below(g, 45.0, mode_budget=budget)
+            enumerate_below(g, 45.0)
 
 
 def test_count_modes_holds_no_per_mode_array():
@@ -342,9 +347,9 @@ def test_count_modes_holds_no_per_mode_array():
     them allocates the walk's blocks only: its tracemalloc peak stays
     under 2 MB, where one array of a float per mode takes 3.2 MB."""
     g = BoxGeometry((0.5, 0.3, 0.2), 64000.0)
-    e_max = suggest_energy_cutoff(g, 1.0, tail_tol=1e-12)
+    e_max = suggest_energy_cutoff(g, 1.0)
     assert e_max == pytest.approx(26.72, abs=0.01)
-    pairs = sum(len(n2) for _, n2, _ in spectrum._lattice_rows(g, e_max, 10**6))
+    pairs = sum(len(n2) for _, n2, _ in spectrum._lattice_rows(g, e_max))
     assert pairs == 29_375
     tracemalloc.start()
     try:
@@ -498,7 +503,7 @@ def test_upper_incomplete_gamma_closed_form_matches_mpmath():
 def test_suggested_cutoff_meets_tail_tolerance(vol, log_tol):
     g = BoxGeometry((0.4, 0.35, 0.25), vol)
     tol = 10.0**log_tol
-    e_max = suggest_energy_cutoff(g, 1.0, tail_tol=tol)
+    e_max = tail_cutoff(g, 1.0, tol)
     eta = e_max - ground_energy(g)
     assert exponential_tail_integral(g, 1.0, eta) < tol
     # not wastefully deep either: half the gap cutoff must violate the target

@@ -1,7 +1,8 @@
 """The library holds no code and no option that only the tests use.
 
-Every module-level function or class in ``src/bosebox`` must be read by
-some other code of the library or the command line, and every keyword-only
+Every module-level function or class in ``src/bosebox``, and every method
+and property of such a class but the dunders, must be read by some other
+code of the library or the command line, and every keyword-only
 parameter of a module-level function must be passed by name by some call
 in it; ``__init__`` re-exports do not count. A result that only a test
 checks against belongs in that test file as its oracle, and a setting that
@@ -34,19 +35,28 @@ def _modules():
     return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
-def test_every_library_definition_has_a_library_caller():
-    defs, referenced = {}, set()
+def _read_names():
+    """(names, attribute names) that the library's code reads, outside
+    ``__init__``."""
+    names, attributes = set(), set()
     for name, tree in _modules():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[node.name] = name
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_library_definition_has_a_library_caller():
+    defs = {}
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[node.name] = name
+    referenced = set.union(*_read_names())
     uncalled = sorted(
         f"{module}:{name}"
         for name, module in defs.items()
@@ -55,6 +65,23 @@ def test_every_library_definition_has_a_library_caller():
     assert uncalled == []
     # a keep-list entry that is gone, or has since gained a caller, is stale
     assert sorted(n for n in KEEP if n not in defs or n in referenced) == []
+
+
+def test_every_library_method_has_a_library_reader():
+    """Every method and property of a library class but the dunders is
+    read as an attribute by some code of the library."""
+    members = {}
+    for name, tree in _modules():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    members[f"{name}:{cls.name}.{node.name}"] = node.name
+    _, attributes = _read_names()
+    assert sorted(m for m, attr in members.items() if attr not in attributes) == []
 
 
 def test_every_keyword_option_is_passed_by_the_library():
