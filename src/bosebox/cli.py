@@ -62,10 +62,10 @@ from .limits import (
     occupation_limit_typeII,
 )
 
-# Largest particle number run without cutoffs.allow_large_n: `bosebox
-# canonical` at n = 1 990 431 (V = 6e6, rho = 2 rho_c, regime I) takes
-# 0.9-1.8 s and 68 MB peak RSS on a 2-core x86-64 VM.
-N_MAX_HARD_CAP = 2_000_000
+# Default cutoffs.n_max, the bound on every canonical table's length:
+# `bosebox canonical` at n = 1 990 431 (V = 6e6, rho = 2 rho_c, regime I)
+# takes 0.9-1.8 s and 68 MB peak RSS on a 2-core x86-64 VM.
+N_MAX_DEFAULT = 2_000_000
 
 # `spectrum` prints the SPECTRUM_ROWS lowest modes up to e_max (by energy,
 # ties in lexicographic order), but lists only those up to a cutoff
@@ -95,9 +95,8 @@ DEFAULT_CONFIG = {
     "ladder_count": 5,
     "sweep_target": "gc",
     "cutoffs": {
-        "n_max": N_MAX_HARD_CAP,
+        "n_max": N_MAX_DEFAULT,
         "e_max": None,
-        "allow_large_n": False,
     },
     "output": {"format": "csv", "path": None},
 }
@@ -201,12 +200,7 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"ladder_count={ladder_count} exceeds {LADDER_COUNT_MAX}")
     if cfg["cutoffs"]["e_max"] is not None:
         _coerce_number(cfg, "cutoffs.e_max")
-    n_max = _coerce_number(cfg, "cutoffs.n_max", int)
-    if n_max > N_MAX_HARD_CAP and not cfg["cutoffs"]["allow_large_n"]:
-        raise ConfigError(
-            f"cutoffs.n_max={n_max} exceeds the {N_MAX_HARD_CAP} budget; "
-            "set cutoffs.allow_large_n to proceed"
-        )
+    _coerce_number(cfg, "cutoffs.n_max", int)
     mode = cfg["mode"]
     try:
         entries = [int(v) for v in mode]
@@ -229,7 +223,7 @@ def _particle_number(cfg: dict, volume: float) -> int:
     if n > n_max:
         raise ConfigError(
             f"n = round(rho*V) = {n} exceeds cutoffs.n_max = {n_max}; "
-            "raise n_max (and allow_large_n beyond the budget) or lower rho/V"
+            "raise n_max or lower rho/V"
         )
     if n < 1:
         raise ConfigError(f"n = round(rho*V) = {n} must be at least 1")
@@ -349,8 +343,9 @@ def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
     ct = build_canonical(geom, beta, n)
     mode = tuple(int(v) for v in cfg["mode"])
     # each ratio of the recursion's rows is within a relative 4e-16 n, and
-    # so is a sum of such positive terms; the transform rows keep 4e-16 n
-    # as an absolute budget
+    # so is a sum of such positive terms; a transform row's budget is
+    # 4e-16 n absolute for lam >= 0, where the value lies in (0, 1], and
+    # relative for lam < 0, where it exceeds 1
     roundoff = 4e-16 * n
     rows = [row(quantity="particle_number", value=float(n), error_budget=0.0)]
     mean = occupation_moment(ct, mode, n, 1)
@@ -364,7 +359,7 @@ def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
     for lam in cfg["lambda_grid"]:
         value = occupation_laplace(ct, mode, n, float(lam))
         rows.append(row(quantity="occupation_laplace", lam=float(lam), value=value,
-                        error_budget=roundoff))
+                        error_budget=roundoff * max(1.0, value)))
     return rows
 
 
@@ -375,8 +370,7 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     row = _row_builder(cfg, geom, "quantity", "lam", "lhs", "rhs", "value",
                        "error_budget")
     sol = solve_mu(geom, rho, beta)
-    rc = critical_density(beta).value
-    ct, kw = _mixture_table(cfg, geom, sol.mu, _mixture_n_max(cfg, rho, rc, geom.volume))
+    ct, kw = _mixture_table(cfg, geom, sol.mu, rho, critical_density(beta).value)
     mass = float(kw.weights.sum())
     mode = tuple(int(v) for v in cfg["mode"])
     rows = [
@@ -395,36 +389,31 @@ def cmd_kac(cfg: dict, volume: float | None = None) -> list[dict]:
     return rows
 
 
-def _mixture_n_max(cfg: dict, rho: float, rho_c: float, volume: float) -> int:
-    excess = max(rho - rho_c, 0.0)
-    base = volume * (min(rho, rho_c) + 35.0 * excess)
-    n_max = int(math.ceil(base + 25.0 * math.sqrt(rho * volume) + 300.0))
-    cap = int(cfg["cutoffs"]["n_max"])
-    if n_max > cap and not cfg["cutoffs"]["allow_large_n"]:
-        raise ConfigError(
-            f"mixture weights need n_max about {n_max}, above cutoffs.n_max="
-            f"{cap}; raise it (and allow_large_n beyond the budget)"
-        )
-    return n_max
+def _mixture_table(cfg: dict, geom: BoxGeometry, mu: float, rho: float, rho_c: float):
+    """The canonical table and the mixture weights at mu.
 
-
-def _mixture_table(cfg: dict, geom: BoxGeometry, mu: float, n_max: int):
-    """The canonical table of ``n_max`` rows and the mixture weights at mu.
-
-    Where the weights' tail does not fit (CutoffInsufficient, as near
-    saturation), the table is built again at twice the length, up to
-    cutoffs.n_max unless cutoffs.allow_large_n is set. The build is linear
-    in n, so that costs at most about twice the last build.
+    The table's length is first estimated from rho, rho_c and V; an
+    estimate above cutoffs.n_max is refused (ConfigError). Where the
+    weights' tail does not fit (CutoffInsufficient, as near saturation),
+    the table is built again at twice the length, but never past
+    cutoffs.n_max. The build is linear in n, so that costs at most about
+    twice the last build.
     """
-    cap = math.inf if cfg["cutoffs"]["allow_large_n"] else int(cfg["cutoffs"]["n_max"])
+    base = geom.volume * (min(rho, rho_c) + 35.0 * max(rho - rho_c, 0.0))
+    n = int(math.ceil(base + 25.0 * math.sqrt(rho * geom.volume) + 300.0))
+    n_max = int(cfg["cutoffs"]["n_max"])
+    if n > n_max:
+        raise ConfigError(
+            f"mixture weights need n_max about {n}, above cutoffs.n_max={n_max}; raise it"
+        )
     while True:
-        ct = build_canonical(geom, float(cfg["beta"]), n_max)
+        ct = build_canonical(geom, float(cfg["beta"]), n)
         try:
             return ct, kac_weights(ct, mu)
         except CutoffInsufficient:
-            if n_max >= cap:
+            if n >= n_max:
                 raise
-            n_max = min(2 * n_max, cap)
+            n = min(2 * n, n_max)
 
 
 def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
@@ -687,8 +676,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, OverflowError) as exc:
-        # OverflowError: arithmetic on inputs that leave double range
+    except (NumericsError, OverflowError, MemoryError) as exc:
+        # OverflowError: arithmetic on inputs that leave double range;
+        # MemoryError: a table longer than memory holds
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = render_csv(rows) if cfg["output"]["format"] == "csv" else render_json(rows)

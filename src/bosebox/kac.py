@@ -52,12 +52,14 @@ class KacWeights:
 def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     """Mixture weights w_n for n = 0..n_cut with a geometric tail bound.
 
-    n_cut is the first index past the weight peak where the step ratio has
-    dropped below 1 and the geometric remainder w_n r/(1-r) is below
-    _TAIL_TARGET; CutoffInsufficient reports the best achievable bound
-    when the table is too short. The reported tail_bound also carries the
-    truncation error of the grand partition log, which also refuses a mu
-    at or above the ground energy.
+    n_cut is the first index past the weight peak where the step ratio r
+    has dropped below 1 and the geometric remainder w_n r/(1-r) is below
+    _TAIL_TARGET, found in one numpy pass over the table. Only the tail
+    that is reported is evaluated again with math.exp: at n_cut, or, when
+    the table is too short (CutoffInsufficient), at the last index past the
+    peak where r < 1. The reported tail_bound also carries the truncation
+    error of the grand partition log, which also refuses a mu at or above
+    the ground energy.
     """
     log_xi, xi_tail = grand_partition_log(ct.geometry, mu, ct.beta)
     beta_mu_bar = ct.beta * (mu - ct.ground_energy)
@@ -66,38 +68,31 @@ def kac_weights(ct: CanonicalTable, mu: float) -> KacWeights:
     # step ratios are e^{beta mu_bar} times the (nonincreasing) Z ratios
     log_ratio = np.diff(ct.log_z_shifted) + beta_mu_bar
     peak = int(np.argmax(log_w))
-    # The scalar scan below decides n_cut and the tail. It starts where the
-    # same tail, computed for the whole table at once, first drops below
-    # twice the target: before that index every tail is above the target,
-    # so the scan stops where one started at the peak would, with the same
-    # tail, and fails with the same last tail.
     tail_ratios = log_ratio[peak:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r = np.exp(tail_ratios)
         screened = np.exp(log_w[peak:-1]) * r / (1.0 - r)
-    hits = np.flatnonzero((tail_ratios < 0.0) & (screened < 2.0 * _TAIL_TARGET))
-    start = peak + int(hits[0]) if len(hits) else peak
-    n_cut = None
-    tail = math.inf
-    for m in range(start, ct.n_max):
-        lr = log_ratio[m]  # ratio w_{m+1}/w_m
-        if lr >= 0.0:
-            continue
-        r = math.exp(lr)
-        tail = math.exp(log_w[m]) * r / (1.0 - r)
-        if tail < _TAIL_TARGET:
-            n_cut = m
-            break
-    if n_cut is None:
-        raise CutoffInsufficient(
-            f"weights reach tail bound {tail!r} at n_max={ct.n_max}, "
-            f"target {_TAIL_TARGET!r}"
+    below = (tail_ratios < 0.0) & (screened < _TAIL_TARGET)
+    if below.any():
+        n_cut = peak + int(np.argmax(below))
+        return KacWeights(
+            weights=np.exp(log_w[: n_cut + 1]),
+            tail_bound=_geometric_tail(log_w, log_ratio, n_cut) + abs(math.expm1(xi_tail)),
+            n_cut=n_cut,
         )
-    return KacWeights(
-        weights=np.exp(log_w[: n_cut + 1]),
-        tail_bound=tail + abs(math.expm1(xi_tail)),
-        n_cut=n_cut,
+    falling = np.flatnonzero(tail_ratios < 0.0)
+    tail = _geometric_tail(log_w, log_ratio, peak + int(falling[-1])) if len(falling) else math.inf
+    raise CutoffInsufficient(
+        f"weights reach tail bound {tail!r} at n_max={ct.n_max}, "
+        f"target {_TAIL_TARGET!r}"
     )
+
+
+def _geometric_tail(log_w: np.ndarray, log_ratio: np.ndarray, m: int) -> float:
+    """w_m r/(1-r), r = exp(log_ratio[m]) < 1: the geometric bound on the
+    weights past m."""
+    r = math.exp(log_ratio[m])
+    return math.exp(log_w[m]) * r / (1.0 - r)
 
 
 def decomposition_check(

@@ -158,7 +158,7 @@ class RegimeLabel:
     gamma: float
 
 
-def classify(geometry_or_alpha, tol: float = ALPHA_TOL) -> RegimeLabel:
+def classify(geometry_or_alpha) -> RegimeLabel:
     """Classify a geometry (or alpha triple) into regime and symmetry case."""
     if isinstance(geometry_or_alpha, BoxGeometry):
         a = geometry_or_alpha.alpha
@@ -166,13 +166,13 @@ def classify(geometry_or_alpha, tol: float = ALPHA_TOL) -> RegimeLabel:
         a = tuple(float(x) for x in geometry_or_alpha)
         if len(a) != 3 or not (a[0] >= a[1] >= a[2] > 0.0):
             raise DomainError(f"alpha must be three sorted positive reals, got {a}")
-    if abs(a[0] - 0.5) <= tol:
+    if abs(a[0] - 0.5) <= ALPHA_TOL:
         condensation = "II"
     elif a[0] < 0.5:
         condensation = "I"
     else:
         condensation = "III"
-    multiplicity = sum(1 for x in a if abs(x - a[0]) <= tol)
+    multiplicity = sum(1 for x in a if abs(x - a[0]) <= ALPHA_TOL)
     symmetry = {1: "distinct", 2: "two_equal", 3: "isotropic"}[multiplicity]
     return RegimeLabel(condensation=condensation, symmetry=symmetry, gamma=1.0 - 2.0 * a[0])
 

@@ -27,7 +27,7 @@ from bosebox import (
     occupation_pmf,
 )
 import bosebox.canonical as canonical
-from bosebox.cli import N_MAX_HARD_CAP, main
+from bosebox.cli import N_MAX_DEFAULT, main
 from bosebox.grandcanonical import critical_density
 from bosebox.numerics import log1mexp, sum_exp
 from bosebox.spectrum import _EXP_FLOOR, eigenvalue, ground_energy, mode_gaps
@@ -458,19 +458,22 @@ def test_readers_match_full_length_oracles(case):
 def test_canonical_rows_are_within_their_budgets_of_the_oracles(
     capsys, rho_c_value, case, volume
 ):
-    """`bosebox canonical`'s moment, density and condensate rows against
-    the full-length oracles at rho = 2 rho_c, each within its printed
-    error_budget, 4e-16 n |value|. The budget is relative: the second
-    moment of the ground mode is near (n/2)^2, and here the two sums
-    differ by 11 to 175 times 4e-16 n."""
+    """`bosebox canonical`'s moment, density, condensate and transform rows
+    against the full-length oracles at rho = 2 rho_c, each within its
+    printed error_budget, 4e-16 n max(1, |value|) for a transform and
+    4e-16 n |value| else. The budget is relative: the second moment of the
+    ground mode is near (n/2)^2, and here the two sums differ by 11 to 175
+    times 4e-16 n; at lam < 0 the transform exceeds 1."""
     rho = 2.0 * rho_c_value
+    lams = [-0.01, 0.1, 1.0, 10.0]
     code = main(["canonical", "--override", f"geometry.alphas={list(REGIME_ALPHAS[case])}",
-                 "--override", f"geometry.volume={volume!r}", "--override", f"rho={rho!r}"])
+                 "--override", f"geometry.volume={volume!r}", "--override", f"rho={rho!r}",
+                 "--override", f"lambda_grid={lams}"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     header = lines[0].split(",")
-    rows = {row["quantity"]: row for row in (dict(zip(header, line.split(",")))
-                                             for line in lines[1:])}
+    parsed = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = {row["quantity"]: row for row in parsed}
     ct = build_canonical(BoxGeometry(REGIME_ALPHAS[case], volume), 1.0, round(rho * volume))
     n = ct.n_max
     mean = oracle_moment(ct, (1, 1, 1), n, 1)
@@ -484,15 +487,22 @@ def test_canonical_rows_are_within_their_budgets_of_the_oracles(
     for quantity, (got, budget) in printed.items():
         assert abs(got - want[quantity]) <= budget, (quantity, got, want[quantity], budget)
     assert all(budget == 4e-16 * n * abs(got) for got, budget in printed.values())
+    transforms = [row for row in parsed if row["quantity"] == "occupation_laplace"]
+    assert [float(row["lam"]) for row in transforms] == lams
+    for row in transforms:
+        lam, got, budget = (float(row[c]) for c in ("lam", "value", "error_budget"))
+        assert abs(got - oracle_laplace(ct, (1, 1, 1), n, lam)) <= budget, (lam, got, budget)
+        assert budget == 4e-16 * n * (got if lam < 0.0 else 1.0)
+        assert (got > 1.0) == (lam < 0.0)
 
 
 def test_moment_weights_do_not_wrap():
     """A table whose Z' is 1 at every n, the law of a ground mode that holds
     every particle: P(N >= j) = 1, so the r-th moment is n^r. At
-    n = 2e6 = N_MAX_HARD_CAP, j^r - (j-1)^r passes an int64 for r = 4 from
+    n = 2e6 = N_MAX_DEFAULT, j^r - (j-1)^r passes an int64 for r = 4 from
     j = 1.33e6 on, where integer weights would come out near -9e18."""
     n = 2_000_000
-    assert n == N_MAX_HARD_CAP
+    assert n == N_MAX_DEFAULT
     ct = canonical.CanonicalTable(BRUTE_BOX, 1.0, n, np.zeros(n + 1))
     for r in (1, 2, 3, 4):
         _assert_rel(occupation_moment(ct, (1, 1, 1), n, r), float(n) ** r, 1e-13)

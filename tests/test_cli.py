@@ -110,7 +110,6 @@ def test_missing_or_invalid_config_file(tmp_path):
         "rho=0.0",
         "mode=[0, 1, 1]",
         "output.format=\"xml\"",
-        "cutoffs.n_max=2000001",  # beyond the budget without allow_large_n
         "rho=",  # empty value falls back to the empty string
         "lambda_grid=5",  # scalar where a list is required
         "lambda_grid=\"123\"",  # a string is not a list of numbers
@@ -121,6 +120,7 @@ def test_missing_or_invalid_config_file(tmp_path):
         "cutoffs.series_M=1",
         "cutoffs.mode_budget=1000",
         "cutoffs.energy_tail_tol=1e-9",
+        "cutoffs.allow_large_n=true",
         "ladder_count=1001",  # above 1000
         "output.path=5",
     ],
@@ -130,7 +130,7 @@ def test_bad_configuration_exits_two(capsys, override):
     assert code == 2
     assert "error:" in err
     if override.startswith(("solver.", "cutoffs.series_M=", "cutoffs.mode_budget=",
-                            "cutoffs.energy_tail_tol=")):
+                            "cutoffs.energy_tail_tol=", "cutoffs.allow_large_n=")):
         assert "does not exist" in err
 
 
@@ -1038,6 +1038,32 @@ def test_kac_rebuild_stops_at_the_n_max_cutoff(capsys, monkeypatch):
     assert "CutoffInsufficient" in err and "n_max=900" in err
     assert out == ""
     assert lengths[-1] == 900 and len(lengths) == 2
+
+
+def test_kac_builds_one_table_under_a_raised_n_max(capsys, monkeypatch):
+    """cutoffs.n_max above its default is accepted on its own, and it only
+    bounds the table: kac still builds the one table its estimate asks for."""
+    lengths = []
+    build = bosebox.cli.build_canonical
+    monkeypatch.setattr(bosebox.cli, "build_canonical",
+                        lambda g, beta, n: lengths.append(n) or build(g, beta, n))
+    code, out, err = run_cli(capsys, "kac", "--override", "cutoffs.n_max=3000000")
+    assert code == 0, err
+    assert out.count("weight_cutoff") == 1
+    assert len(lengths) == 1 and lengths[0] < 3_000_000
+
+
+def test_table_longer_than_memory_exits_three(capsys):
+    """n = round(rho V) = 1.02e15 is within cutoffs.n_max = 2e15, but its
+    table of 7 PiB cannot be allocated: a numerical failure, no traceback."""
+    code, out, err = run_cli(
+        capsys, "canonical", "--override", "cutoffs.n_max=2e15",
+        "--override", "geometry.volume=3.4e15",
+    )
+    assert code == 3
+    assert "numerical failure" in err and "MemoryError" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("alphas, rho", [("[0.5, 0.3, 0.2]", "0.3317384186260446"),

@@ -8,15 +8,21 @@ in it; ``__init__`` re-exports do not count. A result that only a test
 checks against belongs in that test file as its oracle, and a setting that
 only a test changes is a constant. The keep-lists name the few public
 entry points and options that nothing in the library uses, each with the
-reason it stays.
+reason it stays. Conversely, every setting of the default configuration
+must be changed by some test.
 """
 
 import ast
 import pathlib
 
 import bosebox
+from bosebox.cli import DEFAULT_CONFIG
 
 PACKAGE = pathlib.Path(bosebox.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+
+# the command-line flags that set a configuration entry without --override
+FLAGS = {"cutoffs.e_max": "--emax", "output.format": "--format", "output.path": "--out"}
 
 KEEP = {
     "occupation_pmf": "AC2 compares it with the exhaustive small-system oracle",
@@ -106,3 +112,30 @@ def test_every_keyword_option_is_passed_by_the_library():
     assert unset == []
     # a keep-list entry that is gone, or is now passed, is stale
     assert sorted(o for o in KEEP_OPTIONS if o not in options or o in passed) == []
+
+
+def _leaves(config, prefix=""):
+    """The dotted paths of a configuration's non-dict entries."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_setting_is_set_by_a_test():
+    """Every leaf of the default configuration is set by some test, with an
+    ``--override <path>=...`` argument or with its flag: a setting that no
+    test changes is either unchecked or a constant."""
+    strings = {
+        node.value
+        for path in sorted(TESTS.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    unset = sorted(
+        leaf
+        for leaf in _leaves(DEFAULT_CONFIG)
+        if FLAGS.get(leaf) not in strings and not any(s.startswith(f"{leaf}=") for s in strings)
+    )
+    assert unset == []
