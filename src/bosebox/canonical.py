@@ -12,7 +12,8 @@ one-dimensional theta sums, each O(1) through its Jacobi dual where it
 converges slowly (spectrum.log_power_sums), so the recursion needs no
 spectral cutoff; the far rule (spectrum.far_rule) drops only levels whose
 share of every S'_k it stands for is under e^-50. The grand-canonical sums
-read the same two: the exact S'_k for k < 512 and the same far rule.
+read the same two: the exact S'_k for k < 512 and, beyond, the same rule
+or (the density) the level measure it compresses.
 
 The recursion is evaluated semi-relaxed (van der Hoeven, J. Symb. Comput.
 34 (2002) 479): the power sums are known in advance and only the rows

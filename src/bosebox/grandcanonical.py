@@ -7,13 +7,14 @@ condensation regimes, and the self-consistent ladder coefficient that governs
 the anisotropy-critical case.
 
 Sums over all modes read what the canonical recursion reads, so no mode
-is listed: the power sums S'_k of spectrum.log_power_sums for k < 512 and
-spectrum.far_rule beyond. With mu_bar = mu - E_1 < 0, ground mode apart,
+is listed: the power sums S'_k of spectrum.log_power_sums for k < 512 and,
+beyond, the level measure spectrum.far_rule compresses (the density) or
+the rule itself (log Xi). With mu_bar = mu - E_1 < 0, ground mode apart,
 
     rho V = 1/(exp(-beta mu_bar) - 1) + sum_{k>=1} (S'_k - 1) exp(k beta mu_bar),
 
 and log Xi is the same with -log(1 - exp(beta mu_bar)) and a 1/k weight.
-The terms k >= 512, summed per node of the rule (_far_rest), are added only
+The terms k >= 512, summed per node (_far_rest), are added only
 where their geometric bound is not below 2^-53 of the sum (_excited_sum).
 The limiting densities are closed forms in zeta(3/2) and Li_{3/2}.
 """
@@ -39,6 +40,7 @@ from .spectrum import (
     mode_gap,
     near_log_power_sums,
     _as_mode_tuple,
+    _level_measure,
 )
 
 __all__ = [
@@ -76,9 +78,9 @@ _ZETA_32 = _ZETA[0]
 # like (x / 2 pi)^j, so 30 of them reach roundoff.
 _ROBINSON = [z / math.factorial(j) for j, z in enumerate(_ZETA)]
 # A grand sum takes its first _NEAR terms exactly; past _SERIES_RTOL its
-# rest is the far rule's, whose nodes' mass went through at most
-# _GAUSS_LAYERS compressions (three _compress calls in a row, each two
-# deep at most for boxes up to V = 1e10).
+# rest is the level measure's or the far rule's, whose nodes' mass went
+# through at most _GAUSS_LAYERS compressions (three _compress calls in a
+# row, each two deep at most for boxes up to V = 1e10).
 _SERIES_RTOL = 2.0**-53
 _GAUSS_LAYERS = 6
 _SOLVE_TOL = 1e-12  # largest residual accepted: by rho in solve_mu, absolute for the ladder
@@ -151,7 +153,9 @@ def _excited_sum(geometry, beta, mu_bar, *, over_k=False, far=True):
     rate = beta (eta_1 - mu_bar) (with the 1/k weight it shrinks at least
     as fast), raised by 1e-9 of itself to cover rounding where one level
     dominates and the bound is exact. If ``far`` is set and that bound is
-    not below _SERIES_RTOL of the sum, _far_rest adds the rest, and its bound.
+    not below _SERIES_RTOL of the sum, _far_rest adds the rest, and its
+    bound: over the cached level measure, or with the 1/k weight over the
+    far rule.
     """
     excess = _near_excess(geometry, beta)
     rate = beta * (3.0 * min(geometry.level_coefficients) - mu_bar)
@@ -196,12 +200,17 @@ def _log_rest(y):
 
 def _far_rest(geometry, beta, beta_mu_bar, s1, over_k):
     """sum_{k > _NEAR} (S'_k - 1) z^k, z = exp(beta mu_bar), divided by k
-    if ``over_k``, from spectrum.far_rule, and a bound on what the rule
-    leaves out. Node 0, the ground, is summed apart, exactly.
+    if ``over_k``, and a bound on what it leaves out. Without the 1/k weight
+    it sums the level measure far_rule compresses (spectrum._level_measure),
+    cheaper for a root solve's ~20 calls than building the rule; with it,
+    the rule (spectrum.far_rule), whose few nodes keep _log_rest's ~41/y
+    terms per node few. Node 0, the ground, is summed apart, exactly.
 
     Per excited node, z_r = exp(beta mu_bar - s_r), the rest is
     w_r z_r^512/(1 - z_r), and with the 1/k weight that of _log_rest. The
-    rule is below the exact rest by at most:
+    sum is below the exact rest by at most (on the measure the Gauss term
+    bounds only the nodes of factors _box_measure compressed, and more, as
+    a plain atom has no Gauss error):
     - S'_1 e^{x_c} (z e^{-x_c})^512/(1 - z e^{-x_c}) from the atoms above
       its cut x_c, since sum_{x > x_c} e^{-kx} <= e^{-(k-1) x_c} S'_1;
     - 4 mu 16^-q (1 + 1/(X + a)), a = -beta mu_bar, from a bin [X, 2X) of
@@ -214,7 +223,10 @@ def _far_rest(geometry, beta, beta_mu_bar, s1, over_k):
     With the 1/k weight both are divided by 512. CutoffTooLarge if an
     excited node rounds to z_r = 1.
     """
-    weights, nodes, cut = far_rule(geometry, beta)
+    if over_k:
+        weights, nodes, cut = far_rule(geometry, beta)
+    else:
+        weights, nodes, _, cut = _level_measure(geometry, beta)
     w, y = weights[1:], nodes[1:] - beta_mu_bar
     if not np.all(y > 0.0):
         raise CutoffTooLarge("excited levels round to the ground level at this beta")
@@ -248,7 +260,8 @@ def solve_mu(geometry: BoxGeometry, rho: float, beta: float) -> GcSolution:
     The first pass sums the _NEAR exact terms only, lower bounds, so its
     root lies at or above the true one, where the rest is largest. Only if
     the rest's bound there is not negligible is the solve repeated below
-    that root with the far rule; a deep-subcritical solve never builds it.
+    that root with the rest over the level measure (_far_rest); a
+    deep-subcritical solve never builds the measure, nor any Gauss rule.
     """
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")

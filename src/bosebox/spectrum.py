@@ -10,7 +10,8 @@ splits the model into three condensation regimes (a_1 < 1/2, = 1/2, > 1/2).
 This module owns geometry/spectrum data types, exact lattice counting of the
 integrated density of states, its closed-form limit and two-sided bounds,
 and the spectral primitive both ensembles read: the power sums S'_k
-(near_log_power_sums) for k < 512 and the far rule (far_rule) beyond.
+(near_log_power_sums) for k < 512 and, beyond, the far rule (far_rule)
+and the level measure it compresses (_level_measure).
 """
 
 from __future__ import annotations
@@ -508,13 +509,34 @@ def far_rule(geometry: BoxGeometry, beta: float):
     delta < 1e-18 (2^-64 per compression, a handful at most, plus e^-50).
     Lanczos rounds a term e^{-k s_r} by a few k s_r u, as the atoms do (at
     V = 5e6 within 6e-17 of long-double theta sums for all k >= 1e5).
+
+    The canonical recursion reads the rule, and so does log Xi
+    (grandcanonical._far_rest with the 1/k weight), whose rest costs about
+    41/y terms per node: on the R nodes, not on the thousands of levels of
+    the measure. The 1/k-free grand sums, a root solve's ~20 evaluations,
+    read the measure itself (_level_measure), which costs less than the
+    compression.
     """
-    ls1 = float(near_log_power_sums(geometry, beta)[0])
-    cut = min(_EXP_FLOOR / 257.0, (ls1 + _TAIL) / 256.0)
-    weights, nodes, _ = _compress(*_box_measure(geometry, beta, cut))
+    w, x, low, cut = _level_measure(geometry, beta)
+    weights, nodes, _ = _compress(w, x, low)
     weights.setflags(write=False)
     nodes.setflags(write=False)
     return weights, nodes, cut
+
+
+@functools.lru_cache(maxsize=32)
+def _level_measure(geometry: BoxGeometry, beta: float):
+    """Read-only (weights, atoms x, lower bounds) of _box_measure up to the
+    far rule's cut x_c, and x_c, built once per box and beta: the measure
+    far_rule compresses. Entry 0 is the ground, x = 0, weight 1. The
+    entries are plain levels, up to 2^16 of them, or Gauss nodes where more
+    would be listed and _box_measure compressed its factors first."""
+    ls1 = float(near_log_power_sums(geometry, beta)[0])
+    cut = min(_EXP_FLOOR / 257.0, (ls1 + _TAIL) / 256.0)
+    measure = _box_measure(geometry, beta, cut)
+    for a in measure:
+        a.setflags(write=False)
+    return (*measure, cut)
 
 
 def _compress(w, s, low, q=None):

@@ -27,7 +27,7 @@ from bosebox import (
     solve_ladder_coefficient,
     solve_mu,
 )
-from bosebox import grandcanonical
+from bosebox import grandcanonical, spectrum
 from bosebox.spectrum import log_power_sums
 from conftest import tail_cutoff
 
@@ -182,9 +182,10 @@ def series_oracle(geometry, beta, mu_bar, over_k):
 @pytest.mark.parametrize("mu_bar", [0.0, -1e-4, -0.05])
 def test_series_tail_bound_covers_remainder(regime, mu_bar):
     """The geometric bound after the 511 exact terms covers the long
-    series' terms k >= 512; the far-rule sum that replaces them is within
-    its own bound, under 1e-18 of it, of the long series, and below it up
-    to a few ulp of rounding."""
+    series' terms k >= 512; the far sum that replaces them (over the level
+    measure, or with the 1/k weight over the far rule) is within its own
+    bound, under 1e-18 of it, of the long series, and below it up to a few
+    ulp of rounding."""
     g = BoxGeometry(REGIME_ALPHAS[regime], 5000.0)
     s1 = math.exp(log_power_sums(g, 1.0, 1)[0])
     for over_k in (False, True):
@@ -197,7 +198,7 @@ def test_series_tail_bound_covers_remainder(regime, mu_bar):
         assert 0.0 < bound < 1e-18 * value
         rounding = 4.0 * 2.0**-52 * oracle
         assert oracle - bound - rounding <= value <= oracle + rounding
-        # the full sum reads the rule exactly where the 511-term bound is not negligible
+        # the full sum reads the far sum exactly where the 511-term bound is not negligible
         far = tail > 2.0**-53 * head
         assert grandcanonical._excited_sum(g, 1.0, mu_bar, over_k=over_k) == (
             (value, bound) if far else (head, tail))
@@ -244,6 +245,43 @@ def test_far_rest_of_a_regime_two_box_is_within_its_bound():
     assert abs(rest - want) <= bound + rest_rounding(rest)
 
 
+def density_rest_oracle(weights, nodes, beta_mu_bar):
+    """sum_r w_r z_r^512/(1 - z_r), z_r = e^{beta mu_bar - s_r}, over the
+    excited nodes at 30 digits, and the rounding of the same sum in double:
+    u (512 y + 4) per term, as e^{-512 y} rounds by 512 y u where y = s -
+    beta mu_bar rounds by u."""
+    y = nodes[1:] - beta_mu_bar
+    terms = weights[1:] * np.exp(-512.0 * y) / -np.expm1(-y)
+    with mpmath.workdps(30):
+        total = mpmath.fsum(
+            mpmath.mpf(float(w)) * mpmath.exp(-512 * t) / -mpmath.expm1(-t)
+            for w, t in ((w, mpmath.mpf(float(s)) - mpmath.mpf(beta_mu_bar))
+                         for w, s in zip(weights[1:], nodes[1:])))
+    return total, 2.0**-52 * float(np.sum(terms * (512.0 * y + 4.0)))
+
+
+@pytest.mark.parametrize("regime, volume", [
+    ("I", 5e3), ("II", 5e3), ("III", 5e3), ("I", 5e5), ("II", 5e5), ("III", 5e5),
+    ("II", 3e7),
+])
+@pytest.mark.parametrize("mu_bar", [0.0, -1e-4, -0.05])
+def test_density_rest_on_the_level_measure_is_within_its_bound(regime, volume, mu_bar):
+    """The 1/k-free rest that solve_mu reads sums the level measure: it is
+    the 30-digit sum over the measure's own entries, and the same sum over
+    the far rule's nodes, within the returned bound and their rounding.
+    At regime II, V = 3e7, _box_measure compressed its factors, so most
+    entries are Gauss nodes themselves."""
+    g = BoxGeometry(REGIME_ALPHAS[regime], volume)
+    s1 = math.exp(log_power_sums(g, 1.0, 1)[0])
+    weights, x, low, _ = grandcanonical._level_measure(g, 1.0)
+    assert (np.count_nonzero(x != low) > len(x) // 2) == (volume == 3e7)
+    rest, bound = grandcanonical._far_rest(g, 1.0, mu_bar, s1, False)
+    exact, rounding = density_rest_oracle(weights, x, mu_bar)
+    assert abs(rest - exact) <= bound + rounding
+    rule, rule_rounding = density_rest_oracle(*grandcanonical.far_rule(g, 1.0)[:2], mu_bar)
+    assert rest - bound - rounding - rule_rounding <= rule <= rest + rounding + rule_rounding
+
+
 def test_solve_mu_reaches_large_volumes(rho_c_value):
     """Regime II at rho = 2 rho_c and V up to 3e8: each solve meets its
     residual within a second, beta V A |mu_bar| (AC8) rises toward 1, and
@@ -270,13 +308,16 @@ def test_solve_mu_reaches_large_volumes(rho_c_value):
 
 
 def test_solve_mu_builds_no_far_rule_deep_below_saturation(monkeypatch):
-    """At beta = 1e-12 the far rule would list millions of levels, but the
-    511 exact terms already pin the root, so solve_mu never asks for it."""
+    """At beta = 1e-12 the level measure would list millions of levels, but
+    the 511 exact terms already pin the root, so solve_mu asks neither for
+    the measure nor for the far rule that compresses it."""
 
     def refuse(*args):
-        raise AssertionError("far rule built")
+        raise AssertionError("level measure or far rule built")
 
     monkeypatch.setattr(grandcanonical, "far_rule", refuse)
+    monkeypatch.setattr(grandcanonical, "_level_measure", refuse)
+    monkeypatch.setattr(spectrum, "_box_measure", refuse)
     sol = solve_mu(BoxGeometry(REGIME_ALPHAS["I"], 1000.0), 0.3, 1e-12)
     assert sol.residual <= 1e-12 * 0.3
 

@@ -24,7 +24,8 @@ from bosebox import (
     ids_limit,
     suggest_energy_cutoff,
 )
-from bosebox import canonical, grandcanonical, spectrum
+from bosebox import canonical, grandcanonical, solve_mu, spectrum
+from bosebox.cli import main
 from bosebox.spectrum import (
     IDS_PREFACTOR,
     _gamma_upper_32,
@@ -613,18 +614,28 @@ def test_log_theta_shifted_is_the_loop_at_the_edges(t):
     assert np.array_equal(spectrum._log_theta_shifted(t), looped_log_theta_shifted(t))
 
 
+SPECTRAL_CACHES = (spectrum.near_log_power_sums, spectrum._level_measure, spectrum.far_rule,
+                   grandcanonical._near_excess)
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of module.name from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_both_ensembles_read_one_near_table(monkeypatch):
     """build_canonical, the grand sums and far_rule read log S'_k for
     k <= 511 from one table, log_power_sums(geometry, beta, 511), computed
-    once per box and beta."""
+    once per box and beta, and the levels beyond from one level measure,
+    built once, whose cut is the far rule's."""
     g, beta = BoxGeometry((0.5, 0.3, 0.2), 3000.0), 0.75
     want = log_power_sums(g, beta, 511)
-    for cached in (spectrum.near_log_power_sums, spectrum.far_rule,
-                   grandcanonical._near_excess):
+    for cached in SPECTRAL_CACHES:
         cached.cache_clear()
-    lengths = []
-    monkeypatch.setattr(spectrum, "log_power_sums",
-                        lambda *args: lengths.append(args[2]) or log_power_sums(*args))
+    lengths = count_calls(monkeypatch, spectrum, "log_power_sums")
+    measures = count_calls(monkeypatch, spectrum, "_box_measure")
     read = []
     recursion = canonical._log_partition_shifted
     monkeypatch.setattr(canonical, "_log_partition_shifted",
@@ -636,7 +647,53 @@ def test_both_ensembles_read_one_near_table(monkeypatch):
     assert np.array_equal(grandcanonical._near_excess(g, beta), np.expm1(want))
     assert spectrum.far_rule(g, beta)[2] == min(745.0 / 257.0, (want[0] + 50.0) / 256.0)
     grandcanonical.solve_mu(g, 0.3, beta)
-    assert lengths == [511]
+    assert [args[2] for args in lengths] == [511]
+    cut = spectrum.far_rule(g, beta)[2]
+    assert [args[2] for args in measures] == [cut] and spectrum._level_measure(g, beta)[3] == cut
+
+
+# the gc-spectrum benchmark's boxes: regime III at V = 6.4e4 and 5.12e5,
+# regime I at V = 5.12e5, all at rho = 2 rho_c
+GC_BOXES = [((0.6, 0.25, 0.15), 64000.0), ((0.6, 0.25, 0.15), 512000.0),
+            ((0.4, 0.35, 0.25), 512000.0)]
+
+
+@pytest.mark.parametrize("alphas, volume", GC_BOXES)
+def test_density_solve_builds_no_gauss_rule(alphas, volume, rho_c_value, tmp_path,
+                                            monkeypatch):
+    """Above saturation solve_mu, and `bosebox gc`, sum the rest k >= 512
+    over the cached level measure: it is built once and never compressed.
+    build_canonical then compresses the same measure into its far rule,
+    once."""
+    for cached in SPECTRAL_CACHES:
+        cached.cache_clear()
+    rules = count_calls(monkeypatch, spectrum, "_gauss_rules")
+    measures = count_calls(monkeypatch, spectrum, "_box_measure")
+    g, rho = BoxGeometry(alphas, volume), 2.0 * rho_c_value
+    assert solve_mu(g, rho, 1.0).tail_bound > 0.0
+    argv = ["gc", "--out", str(tmp_path / "gc.csv"),
+            "--override", f"geometry.alphas={list(alphas)}",
+            "--override", f"geometry.volume={volume}", "--override", f"rho={rho!r}"]
+    assert main(argv) == 0
+    assert len(measures) == 1 and rules == []
+    assert spectrum.far_rule.cache_info().misses == 0
+    canonical.build_canonical(g, 1.0, 2 * canonical._P0)
+    canonical.build_canonical(g, 1.0, 3 * canonical._P0)
+    assert len(measures) == 1 and rules
+    assert spectrum.far_rule.cache_info().misses == 1
+
+
+def test_gc_canonical_and_kac_share_one_level_measure(tmp_path, monkeypatch):
+    """One box and beta: `bosebox gc`, `canonical` and `kac` together build
+    its level measure once."""
+    for cached in SPECTRAL_CACHES:
+        cached.cache_clear()
+    measures = count_calls(monkeypatch, spectrum, "_box_measure")
+    box = ["--override", "geometry.alphas=[0.5, 0.3, 0.2]",
+           "--override", "geometry.volume=2000", "--override", "rho=0.3317384186260446"]
+    for command in ("gc", "canonical", "kac"):
+        assert main([command, "--out", str(tmp_path / f"{command}.csv"), *box]) == 0
+    assert len(measures) == 1
 
 
 def test_power_sum_overflow_raises_wherever_the_table_is_read():
