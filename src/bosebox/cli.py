@@ -196,8 +196,11 @@ def _validate(cfg: dict) -> None:
     _coerce_number(cfg, "lambda_grid", list)
     _coerce_number(cfg, "eta_grid", list)
     ladder_count = _coerce_number(cfg, "ladder_count", int)
-    if ladder_count > LADDER_COUNT_MAX:
-        raise ConfigError(f"ladder_count={ladder_count} exceeds {LADDER_COUNT_MAX}")
+    if not 0 <= ladder_count <= LADDER_COUNT_MAX:
+        raise ConfigError(f"ladder_count must be in 0..{LADDER_COUNT_MAX}, got {ladder_count}")
+    target = cfg["sweep_target"]
+    if target not in _SWEEPABLE:
+        raise ConfigError(f"sweep_target must be one of {_SWEEPABLE}, got {target!r}")
     if cfg["cutoffs"]["e_max"] is not None:
         _coerce_number(cfg, "cutoffs.e_max")
     _coerce_number(cfg, "cutoffs.n_max", int)
@@ -472,8 +475,8 @@ def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
     return rows
 
 
-def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
-    geom = _geometry(cfg, volume)
+def cmd_fluct(cfg: dict) -> list[dict]:
+    geom = _geometry(cfg)
     beta = float(cfg["beta"])
     rho = float(cfg["rho"])
     row = _row_builder(cfg, geom, "quantity", "lam", "value", "limit", "gap",
@@ -491,7 +494,7 @@ def cmd_fluct(cfg: dict, volume: float | None = None) -> list[dict]:
         gs = [g_with_budget(d, lam, beta) for d in (1, 2, 3)]
         for d, (value, budget) in enumerate(gs, start=1):
             rows.append(row(quantity=f"g{d}", lam=lam, value=value, error_budget=budget))
-        law = fluctuation_law(regime.symmetry, lam, beta, sums=[g for g, _ in gs])
+        law = fluctuation_law(regime.symmetry, lam, beta)
         # exp(g + e) - exp(g) = exp(g) expm1(e): the exponent's budget on the law
         spread = math.expm1(sum(w * b for w, (_, b) in zip(weights, gs)))
         rows.append(row(quantity="law", lam=lam, value=law, error_budget=law * spread))
@@ -514,14 +517,9 @@ def cmd_sweep(cfg: dict) -> list[dict]:
     sweep = cfg["geometry"]["volume_sweep"]
     if not sweep:
         raise ConfigError("sweep needs geometry.volume_sweep, a list of volumes")
-    target = cfg["sweep_target"]
-    if target not in _SWEEPABLE:
-        raise ConfigError(
-            f"sweep_target must be one of {sorted(_SWEEPABLE)}, got {target!r}"
-        )
     rows = []
     for v in sweep:
-        rows.extend(COMMANDS[target](cfg, float(v)))
+        rows.extend(COMMANDS[cfg["sweep_target"]](cfg, float(v)))
     return rows
 
 
@@ -627,8 +625,9 @@ COMMANDS = {
     "fluct": cmd_fluct,
     "sweep": cmd_sweep,
 }
-# the commands a sweep runs once per volume
-_SWEEPABLE = COMMANDS.keys() - {"spectrum", "sweep"}
+# the commands a sweep runs once per volume (fluct sweeps geometry.volume_sweep
+# itself); a list, so that an unhashable sweep_target tests as absent
+_SWEEPABLE = sorted(COMMANDS.keys() - {"spectrum", "fluct", "sweep"})
 
 
 # parse_args leaves the parser as it is, so one serves every main call

@@ -281,7 +281,7 @@ def solve_mu(geometry: BoxGeometry, rho: float, beta: float) -> GcSolution:
             excited, _ = _excited_sum(geometry, beta, mu_bar_of(n0), far=far)
             return (n0 - rho_v + excited) / volume
 
-        root, _ = solve_bracketed(excess_density, lo, hi, what="chemical potential")
+        root = solve_bracketed(excess_density, lo, hi, what="chemical potential")
         mu_bar = mu_bar_of(root)
         excited, tail = _excited_sum(geometry, beta, mu_bar, far=far)
         if far or tail <= _SERIES_RTOL * excited:
@@ -327,7 +327,8 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
     """Infinite-volume shifted chemical potential for a subcritical density.
 
     Solves (2 pi beta)^(-3/2) Li_{3/2}(exp(beta mu_bar)) = rho; returns 0 at
-    saturation and raises DomainError above it.
+    saturation and raises DomainError above it. As z <= Li_{3/2}(z) <=
+    zeta(3/2) z, the root lies in [lo, 0] with exp(beta lo) = rho/rho_c.
     """
     rc = critical_density(beta).value
     if rho > rc:
@@ -343,10 +344,11 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
     def fn(mu_bar: float) -> float:
         return front * _polylog_32(beta * mu_bar) - rho
 
-    root, _ = solve_bracketed(
-        fn, -1.0 / beta, 0.0, expand="down", what="limiting chemical potential"
-    )
-    return float(root)
+    ratio = rho / rc
+    # the ratio underflows to 0 for tiny rho, and log(rho) - log(rc) rounds
+    # to 0 near saturation, which would leave no sign change on [lo, 0]
+    lo = (math.log(ratio) if ratio > 0.0 else math.log(rho) - math.log(rc)) / beta
+    return float(solve_bracketed(fn, lo, 0.0, what="limiting chemical potential"))
 
 
 def solve_ladder_coefficient(rho: float, rho_c: float, beta: float = 1.0) -> LadderCoefficient:
@@ -422,9 +424,7 @@ def _ladder_coefficient(rho, rho_c, beta) -> LadderCoefficient:
     def fn(a: float) -> float:
         return a + rest(a) - excess
 
-    root, _ = solve_bracketed(
-        fn, 1e-300, excess * (1.0 + 1e-12), what="ladder coefficient"
-    )
+    root = solve_bracketed(fn, 1e-300, excess * (1.0 + 1e-12), what="ladder coefficient")
     rounding = 2.0**-52 * (4.0 * rest(root) + 2.0 * excess)
     residual = abs(fn(root)) + rounding
     if residual > _SOLVE_TOL:

@@ -340,19 +340,16 @@ def law_weights(symmetry: str) -> tuple[float, float, float]:
     return _LAW_WEIGHTS[symmetry]
 
 
-def fluctuation_law(symmetry: str, lam: float, beta: float, *, sums=None) -> float:
+def fluctuation_law(symmetry: str, lam: float, beta: float) -> float:
     """Laplace transform of the scaled ground-occupation fluctuation.
 
     exp(g_1), exp(2 g_1 + g_2) or exp(3 g_1 + 3 g_2 + g_3) according to how
     many axes share the largest anisotropy exponent (``symmetry``, as
-    classify labels it). ``sums`` passes (g_1, g_2, g_3) at this lam when
-    they are known already.
+    classify labels it).
     """
     weights = law_weights(symmetry)
-    if sums is None:
-        sums = [g_function(d, lam, beta) if w else 0.0
-                for d, w in enumerate(weights, start=1)]
-    return math.exp(sum(w * g for w, g in zip(weights, sums) if w))
+    return math.exp(sum(w * g_function(d, lam, beta)
+                        for d, w in enumerate(weights, start=1) if w))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,8 +1,8 @@
 """Shared low-level numerical helpers.
 
-Everything here is elementary: stable special-function shims, bracketed
-root finding and composite Gauss-Legendre rules. Model-specific formulas
-live in the topical modules.
+Everything here is elementary: stable special-function shims, Brent's
+root finder on a bracket the caller supplies, and composite Gauss-Legendre
+rules. Model-specific formulas live in the topical modules.
 """
 
 from __future__ import annotations
@@ -57,53 +57,34 @@ def sum_exp(terms, *, log=False) -> float:
     return peak + math.log(scaled) if log else math.exp(peak) * scaled
 
 
-# solve_bracketed doubles the bracket, and takes Brent steps, at most this often
-_MAX_EXPAND = _MAX_ITER = 200
-
-
-def solve_bracketed(fn, lo, hi, *, expand="none", what="root"):
-    """Find a sign change of ``fn`` on [lo, hi], expanding the bracket if asked.
-
-    ``expand`` is "none" or "down" (double the bracket's length by moving
-    lo). Raises NoConvergence reporting the bracket when no sign change is
-    found or the root is not pinned within _MAX_ITER iterations.
-    """
-    flo, fhi = fn(lo), fn(hi)
-    n_expand = 0
-    # signs, not the product, which underflows to 0 for tiny values
-    while (flo > 0.0 and fhi > 0.0) or (flo < 0.0 and fhi < 0.0):
-        if expand != "down":
-            raise NoConvergence(
-                f"no sign change for {what} on bracket [{lo!r}, {hi!r}]"
-            )
-        lo = hi - 2.0 * (hi - lo)
-        flo = fn(lo)
-        n_expand += 1
-        if n_expand > _MAX_EXPAND:
-            raise NoConvergence(
-                f"bracket expansion for {what} exhausted after {_MAX_EXPAND} "
-                f"steps; last bracket [{lo!r}, {hi!r}]"
-            )
-    if flo == 0.0:
-        return lo, (lo, hi)
-    if fhi == 0.0:
-        return hi, (lo, hi)
-    return _brent(fn, lo, hi, float(flo), float(fhi), what), (lo, hi)
-
-
-# Brent's tolerance on the root is xtol + rtol |x|; rtol is 4 eps rounded up.
+# Brent's method takes at most _MAX_ITER steps; its tolerance on the root is
+# xtol + rtol |x|, where rtol is 4 eps rounded up.
+_MAX_ITER = 200
 _XTOL = 1e-300
 _RTOL = 8.9e-16
 
 
-def _brent(fn, xpre, xcur, fpre, fcur, what):
-    """Root of fn on [xpre, xcur], where fpre = fn(xpre) and fcur = fn(xcur)
-    are nonzero and of opposite sign: Brent's method (R. P. Brent,
-    "Algorithms for Minimization without Derivatives", 1973, ch. 4), step
-    for step as in the widely used C routine brentq.c, so that both return
-    the same root to the bit. Where C divides by zero in a trial step it
-    gets inf or nan and bisects; here the ZeroDivisionError bisects."""
-    bracket = f"[{xpre!r}, {xcur!r}]"
+def solve_bracketed(fn, lo, hi, *, what="root"):
+    """Root of ``fn`` on the caller's bracket [lo, hi], which must hold a
+    sign change: Brent's method (R. P. Brent, "Algorithms for Minimization
+    without Derivatives", 1973, ch. 4), step for step as in the widely used
+    C routine brentq.c, so that both return the same root to the bit. Where
+    C divides by zero in a trial step it gets inf or nan and bisects; here
+    the ZeroDivisionError bisects.
+
+    Raises NoConvergence reporting the bracket when fn has one sign at both
+    ends or is nan, or the root is not pinned within _MAX_ITER steps.
+    """
+    bracket = f"[{lo!r}, {hi!r}]"
+    fpre, fcur = fn(lo), fn(hi)
+    # signs, not the product, which underflows to 0 for tiny values
+    if (fpre > 0.0 and fcur > 0.0) or (fpre < 0.0 and fcur < 0.0):
+        raise NoConvergence(f"no sign change for {what} on bracket {bracket}")
+    if fpre == 0.0:
+        return lo
+    if fcur == 0.0:
+        return hi
+    xpre, xcur, fpre, fcur = lo, hi, float(fpre), float(fcur)
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAX_ITER):
         if math.isnan(fpre) or math.isnan(fcur):

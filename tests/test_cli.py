@@ -122,6 +122,9 @@ def test_missing_or_invalid_config_file(tmp_path):
         "cutoffs.energy_tail_tol=1e-9",
         "cutoffs.allow_large_n=true",
         "ladder_count=1001",  # above 1000
+        "ladder_count=-1",
+        "sweep_target=\"fluct\"",  # fluct sweeps geometry.volume_sweep itself
+        "sweep_target=[1]",  # unhashable: `sweep` exited 1 with a TypeError traceback
         "output.path=5",
     ],
 )
@@ -169,6 +172,15 @@ def test_sweep_without_volumes_exits_two(capsys):
         "--override", "sweep_target=\"nope\"",
     )
     assert code == 2
+
+
+def test_limits_at_the_smallest_density_exits_zero(capsys):
+    """rho/rho_c underflows to 0 at rho = 5e-324, beta = 1e-8; the limiting
+    mu_bar is still solved."""
+    code, out, _ = run_cli(capsys, "limits", "--override", "rho=5e-324",
+                           "--override", "beta=1e-8")
+    assert code == 0
+    assert ",mu_bar_limit," in out
 
 
 def test_transform_pole_exits_three(capsys):
@@ -796,17 +808,22 @@ def test_fluct_law_rows_and_convergence_sweep(capsys):
         assert r["gap"] == pytest.approx(abs(r["value"] - r["limit"]), abs=1e-15)
 
 
-def test_sweep_single_volume_matches_direct_run(capsys):
-    code1, direct, _ = run_cli(
-        capsys, "gc", "--override", "geometry.volume=250.0"
-    )
-    code2, swept, _ = run_cli(
+@pytest.mark.parametrize("target", bosebox.cli._SWEEPABLE)
+def test_sweep_matches_direct_runs(capsys, target):
+    """A sweep prints the direct run at its first volume, then the data
+    rows of the direct run at each further one."""
+    outs = []
+    for volume in (250.0, 500.0):
+        code, out, _ = run_cli(capsys, target, "--override", f"geometry.volume={volume}")
+        assert code == 0
+        outs.append(out)
+    code, swept, _ = run_cli(
         capsys, "sweep",
-        "--override", "geometry.volume_sweep=[250.0]",
-        "--override", "sweep_target=\"gc\"",
+        "--override", "geometry.volume_sweep=[250.0, 500.0]",
+        "--override", f"sweep_target={target}",
     )
-    assert code1 == code2 == 0
-    assert swept == direct
+    assert code == 0
+    assert swept == outs[0] + outs[1].split("\n", 1)[1]
 
 
 def _child_env(**extra):

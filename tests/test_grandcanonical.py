@@ -371,6 +371,51 @@ def test_limiting_mu_bar_saturates_at_critical():
         limiting_mu_bar(1.5 * rc, 1.0)
 
 
+def _limiting_mu_bar_oracle(rho, beta):
+    """40-digit root of (2 pi beta)^(-3/2) Li_{3/2}(exp(beta mu_bar)) = rho,
+    solved for s = log(-beta mu_bar): bisection on [-200, 10], which spans
+    rho/rho_c from 1e-300 to 1 - 1e-15, then secant steps. In mu_bar itself
+    the secant stalls at its start point for tiny rho."""
+    with mpmath.workdps(40):
+        target = mpmath.log(mpmath.mpf(rho) * (2 * mpmath.pi * mpmath.mpf(beta)) ** 1.5)
+
+        def excess(s):
+            return mpmath.log(mpmath.polylog(1.5, mpmath.exp(-mpmath.exp(s)))) - target
+
+        lo, hi = mpmath.mpf(-200), mpmath.mpf(10)
+        for _ in range(10):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        return -mpmath.exp(mpmath.findroot(excess, (lo, hi), solver="secant")) / beta
+
+
+def test_limiting_mu_bar_matches_mpmath():
+    """Within 16 eps / (1 - rho/rho_c) relative, the conditioning of the
+    density equation: d log|mu_bar| / d log(rho_c - rho) reaches 2 at
+    saturation, and rho_c carries 8 ulp of roundoff."""
+    for beta in (1e-30, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e30):
+        rc = critical_density(beta).value
+        for ratio in (1e-300, 1e-10, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-9, 1 - 1e-15):
+            rho = ratio * rc
+            if rho == 0.0:  # 1e-300 rho_c underflows at beta = 1e30
+                continue
+            got = limiting_mu_bar(rho, beta)
+            want = _limiting_mu_bar_oracle(rho, beta)
+            assert abs(got - want) <= 16 * 2.0**-53 / (1 - ratio) * abs(want), (beta, ratio)
+
+
+def test_limiting_mu_bar_brackets_extreme_inputs():
+    """The closed-form bracket [log(rho/rho_c)/beta, 0] holds the root from
+    the smallest subnormal density to the double just below saturation,
+    where rho/rho_c underflows and log(rho) - log(rho_c) rounds to 0."""
+    for beta in 10.0 ** np.arange(-60, 61, 30):
+        rc = critical_density(beta).value
+        inner = np.exp(np.linspace(math.log(5e-324), math.log(rc), 77)[1:-1])
+        for rho in (5e-324, *inner, rc * (1 - 1e-9), rc * (1 - 1e-15), math.nextafter(rc, 0.0)):
+            mu_bar = limiting_mu_bar(float(rho), float(beta))
+            assert math.isfinite(mu_bar) and mu_bar <= 0.0, (beta, rho)
+
+
 def test_polylog_matches_mpmath():
     """Li_{3/2}(e^x) from Robinson's series (x >= -1) and the direct sum."""
     mpmath.mp.dps = 30

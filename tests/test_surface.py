@@ -4,9 +4,10 @@ Every module-level function or class in ``src/bosebox``, and every method
 and property of such a class but the dunders, must be read by some other
 code of the library or the command line, and every keyword-only
 parameter of a module-level function must be passed by name by some call
-in it; ``__init__`` re-exports do not count. A result that only a test
-checks against belongs in that test file as its oracle, and a setting that
-only a test changes is a constant. The keep-lists name the few public
+in it, at some value other than its default; ``__init__`` re-exports do
+not count. A result that only a test checks against belongs in that test
+file as its oracle, and a setting that only a test changes, or that the
+library sets to one value only, is a constant. The keep-lists name the few public
 entry points and options that nothing in the library uses, each with the
 reason it stays. Conversely, every setting of the default configuration
 must be changed by some test.
@@ -90,26 +91,47 @@ def test_every_library_method_has_a_library_reader():
     assert sorted(m for m, attr in members.items() if attr not in attributes) == []
 
 
+def _literal(node):
+    """(type, value) of a literal node; anything else gets a fresh object,
+    equal to no other."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return object()
+    return type(value), value
+
+
 def test_every_keyword_option_is_passed_by_the_library():
-    options, passed = {}, set()
+    """Every keyword-only option is passed by some library call, and not
+    only at its default: a non-constant argument counts as another value."""
+    options, passed = {}, {}
     for name, tree in _modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for arg in node.args.kwonlyargs:
-                    options[f"{node.name}({arg.arg}=)"] = name
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    options[f"{node.name}({arg.arg}=)"] = name, default
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                passed.update(f"{callee}({kw.arg}=)" for kw in node.keywords if kw.arg)
+                for kw in node.keywords:
+                    if kw.arg:
+                        passed.setdefault(f"{callee}({kw.arg}=)", []).append(kw.value)
     unset = sorted(
         f"{module}:{option}"
-        for option, module in options.items()
+        for option, (module, _) in options.items()
         if option not in passed and option not in KEEP_OPTIONS
     )
     assert unset == []
+    at_default = sorted(
+        f"{module}:{option}"
+        for option, (module, default) in options.items()
+        if default is not None and option in passed
+        and all(_literal(v) == _literal(default) for v in passed[option])
+    )
+    assert at_default == []
     # a keep-list entry that is gone, or is now passed, is stale
     assert sorted(o for o in KEEP_OPTIONS if o not in options or o in passed) == []
 
