@@ -1,21 +1,13 @@
-"""Command line front end.
+"""Command line front end: ``bosebox COMMAND [options]``, as _HELP sets out.
 
-Subcommands mirror the library layers: ``spectrum``, ``gc``, ``canonical``,
-``kac``, ``limits``, ``fluct`` and ``sweep``. Configuration comes from an
-optional JSON file plus ``--override key=value`` entries; results go to
-stdout or to ``--out`` as CSV (17 significant digits, LF line endings) or
-JSON. Every row echoes the inputs it was computed from and carries an
-``error_budget`` column. Output files are written atomically.
-
-Exit codes: 0 success (possibly with warnings on stderr), 1 output
-interrupted by a closed pipe, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success (possibly with warnings on stderr), 1 output interrupted
+by a closed pipe, 2 configuration or command-line error (stderr then ends with
+the usage line), 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
-import functools
 import itertools
 import json
 import math
@@ -102,14 +94,12 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
+def _merge(cfg: dict, extra: dict) -> None:
     for key, value in extra.items():
-        if key in out and isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(cfg.get(key), dict) and isinstance(value, dict):
+            _merge(cfg[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            cfg[key] = value
 
 
 def _apply_override(cfg: dict, entry: str) -> None:
@@ -143,7 +133,7 @@ def load_config(path: str | None, overrides) -> dict:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
-        cfg = _deep_merge(cfg, user)
+        _merge(cfg, user)
     for entry in overrides or []:
         _apply_override(cfg, entry)
     return cfg
@@ -321,8 +311,8 @@ def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
         row(quantity="mode_occupation", value=occupation, error_budget=sol.tail_bound),
     ]
     if rho <= rc.value:
-        rows.append(row(quantity="mu_bar_limit", value=limiting_mu_bar(rho, beta),
-                        error_budget=rc.roundoff))
+        value, budget = _mu_bar_limit(rho, rc.value, beta)
+        rows.append(row(quantity="mu_bar_limit", value=value, error_budget=budget))
         return rows
     regime = classify(geom)
     if regime.condensation == "II":
@@ -336,6 +326,17 @@ def cmd_gc(cfg: dict, volume: float | None = None) -> list[dict]:
         rows.append(row(quantity="laplace_limit", lam=float(lam), value=value,
                         error_budget=rc.roundoff))
     return rows
+
+
+def _mu_bar_limit(rho: float, rho_c: float, beta: float) -> tuple[float, float]:
+    """The limiting mu_bar below saturation and its budget, 16 eps
+    |mu_bar| / (1 - rho/rho_c): the density equation turns a relative error
+    in its terms into up to 2/(1 - rho/rho_c) of it in mu_bar, and the solve
+    is in logs, so a subnormal rho adds nothing."""
+    mu_bar = limiting_mu_bar(rho, beta)
+    if rho == rho_c:
+        return mu_bar, 0.0
+    return mu_bar, 16.0 * 2.0**-53 * abs(mu_bar) / (1.0 - rho / rho_c)
 
 
 def cmd_canonical(cfg: dict, volume: float | None = None) -> list[dict]:
@@ -435,8 +436,8 @@ def cmd_limits(cfg: dict, volume: float | None = None) -> list[dict]:
     regime = classify(geom)
     rc = critical_density(beta).value
     if rho <= rc:
-        return [row(quantity="mu_bar_limit", grand_value=limiting_mu_bar(rho, beta),
-                    error_budget=0.0)]
+        value, budget = _mu_bar_limit(rho, rc, beta)
+        return [row(quantity="mu_bar_limit", grand_value=value, error_budget=budget)]
 
     def pair(quantity, n, lam, canonical, grand, budget):
         return row(quantity=quantity, n=n, lam=lam, canonical_value=canonical,
@@ -541,21 +542,18 @@ def _cell_format(kind):
 
 
 def _format_column(cells: list) -> list[str]:
-    """The cells of one column as text. Each object is formatted once: a
-    value that every row shares (an echoed input) yields one string, as do
-    the small ints that many rows hold. Each type's format is looked up
-    once."""
+    """The cells of one column as text. A value that every row shares (an
+    echoed input) is formatted once and a column of strs is itself; a
+    column of one type is one pass of its format, and any other column is
+    formatted cell by cell by type."""
     first = cells[0]
     if all(map(operator.is_, cells, itertools.repeat(first))):
         return [_cell_format(type(first))(first)] * len(cells)
-    distinct = dict(zip(map(id, cells), cells))
-    formats = {kind: _cell_format(kind) for kind in set(map(type, distinct.values()))}
-    if len(formats) == 1:
-        (fmt,) = formats.values()
-        text = dict(zip(distinct, map(fmt, distinct.values())))
-    else:
-        text = {key: formats[type(cell)](cell) for key, cell in distinct.items()}
-    return list(map(text.__getitem__, map(id, cells)))
+    formats = {kind: _cell_format(kind) for kind in set(map(type, cells))}
+    if len(formats) > 1:
+        return [formats[type(cell)](cell) for cell in cells]
+    ((kind, fmt),) = formats.items()
+    return cells if kind is str else list(map(fmt, cells))
 
 
 def render_csv(rows: list[dict]) -> str:
@@ -573,10 +571,6 @@ def render_csv(rows: list[dict]) -> str:
         columns.append(_format_column(cells))
     # the empty last line ends the text with a newline, without a copy
     return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
-
-
-def render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
 
 
 def _write_stdout(text: str) -> None:
@@ -630,59 +624,76 @@ COMMANDS = {
 _SWEEPABLE = sorted(COMMANDS.keys() - {"spectrum", "fluct", "sweep"})
 
 
-# parse_args leaves the parser as it is, so one serves every main call
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bosebox",
-        description="Finite-volume Bose gas numerics in anisotropic boxes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} computation")
-        p.add_argument("--config", default=None, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format", default=None, choices=("csv", "json"), help="output format"
-        )
-        p.add_argument(
-            "--override",
-            action="append",
-            default=None,
-            metavar="KEY=VALUE",
-            help="override a config entry by dotted path (repeatable)",
-        )
-        if name == "spectrum":
-            p.add_argument(
-                "--emax", type=float, default=None, help="energy cutoff override"
-            )
-    return parser
+_HELP = """\
+usage: bosebox COMMAND [--config PATH] [--out PATH] [--format csv|json] [--override KEY=VALUE]... [--emax E]
+
+Finite-volume Bose gas numerics in anisotropic boxes. Commands:
+  spectrum   eigenvalues, regime label, counting function
+  gc         chemical potential, occupations, condensate limits
+  canonical  fixed-n occupation statistics
+  kac        mixture weights and decomposition residuals
+  limits     canonical vs grand-canonical limit laws
+  fluct      fluctuation generating functions and sweeps
+  sweep      gc, canonical, kac or limits across geometry.volume_sweep
+Options (--NAME VALUE or --NAME=VALUE; of a repeated option the last counts, --override excepted):
+  --config PATH         JSON configuration, merged over the defaults
+  --override KEY=VALUE  set a config entry by dotted path to a JSON value (repeatable, in order)
+  --format csv|json     CSV (17 significant digits, LF line endings; the default) or JSON
+  --out PATH            write to PATH atomically instead of stdout
+  --emax E              energy cutoff (spectrum only)
+  -h, --help            print this help
+"""
+_USAGE = _HELP.partition("\n")[0]
+_OPTIONS = ("--config", "--out", "--format", "--override", "--emax")
+# the config entry each option sets, after every --override; _validate converts it
+_SETS = {"--out": ("output", "path"), "--format": ("output", "format"), "--emax": ("cutoffs", "e_max")}
+
+
+def _parse_argv(argv) -> tuple[str, dict]:
+    """The command, and each option given with the list of its values in
+    order (see _HELP). Any other argv raises ConfigError."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ConfigError(f"expected a command ({', '.join(COMMANDS)}), got {(argv or [None])[0]!r}")
+    accepted = _OPTIONS if argv[0] == "spectrum" else _OPTIONS[:-1]
+    options = {}
+    args = iter(argv[1:])
+    for arg in args:
+        name, has_value, value = arg.partition("=")
+        if name not in accepted:
+            raise ConfigError(f"unrecognized argument {arg!r}")
+        if not has_value:
+            value = next(args, None)
+            if value is None or value.partition("=")[0] in _OPTIONS:
+                raise ConfigError(f"{name} expects a value")
+        options.setdefault(name, []).append(value)
+    return argv[0], options
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = load_config(args.config, args.override)
-        if getattr(args, "emax", None) is not None:
-            cfg["cutoffs"]["e_max"] = float(args.emax)
-        if args.format is not None:
-            cfg["output"]["format"] = args.format
-        if args.out is not None:
-            cfg["output"]["path"] = args.out
-        _validate(cfg)
-        rows = COMMANDS[args.command](cfg)
+        if "-h" in argv or "--help" in argv:
+            text, path = _HELP, None
+        else:
+            command, options = _parse_argv(argv)
+            cfg = load_config(options.get("--config", [None])[-1], options.get("--override"))
+            for name, (section, key) in _SETS.items():
+                if name in options:
+                    cfg[section][key] = options[name][-1]
+            _validate(cfg)
+            rows = COMMANDS[command](cfg)
+            path, csv = cfg["output"]["path"], cfg["output"]["format"] == "csv"
+            text = render_csv(rows) if csv else json.dumps(rows, indent=2) + "\n"
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}\n{_USAGE}", file=sys.stderr)
         return 2
     except (NumericsError, OverflowError, MemoryError) as exc:
         # OverflowError: arithmetic on inputs that leave double range;
         # MemoryError: a table longer than memory holds
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = render_csv(rows) if cfg["output"]["format"] == "csv" else render_json(rows)
     try:
-        write_output(text, cfg["output"]["path"])
+        write_output(text, path)
     except BrokenPipeError:
         # The stdout reader went away (e.g. piped into head). Point the
         # descriptor at devnull so the interpreter's exit flush stays quiet.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,7 @@ _ZETA = (
     -78486.148569218, 331023.6487454514, 1448811.370582732,
 )
 _ZETA_32 = _ZETA[0]
+_LOG_ZETA_32 = math.log(_ZETA_32)
 # Robinson's expansion Li_{3/2}(e^x) = -2 sqrt(pi) sqrt(-x) + sum_j zeta(3/2 - j) x^j / j!
 # (Phys. Rev. 83, 678 (1951)), used for -1 <= x <= 0; its terms fall off
 # like (x / 2 pi)^j, so 30 of them reach roundoff.
@@ -304,15 +306,17 @@ def solve_mu(geometry: BoxGeometry, rho: float, beta: float) -> GcSolution:
     )
 
 
-def _polylog_32(x: float) -> float:
-    """Li_{3/2}(e^x) for x <= 0."""
+def _log_density_share(x: float) -> float:
+    """log(Li_{3/2}(e^x) / zeta(3/2)) for x <= 0: the log of the limiting
+    density at beta mu_bar = x as a share of rho_c, 0 at x = 0. Below -1 it
+    is x plus the log of the series over e^x, so no term underflows."""
     if x >= -1.0:
         total = 0.0
         for c in reversed(_ROBINSON):
             total = total * x + c
-        return total - 2.0 * math.sqrt(-math.pi * x)
-    k = np.arange(1.0, math.ceil(40.0 / -x) + 2.0)
-    return float(np.sum(np.exp(k * x) / k**1.5))
+        return math.log((total - 2.0 * math.sqrt(-math.pi * x)) / _ZETA_32)
+    k = np.arange(2.0, math.ceil(40.0 / -x) + 2.0)
+    return x + math.log1p(float(np.sum(np.exp((k - 1.0) * x) / k**1.5))) - _LOG_ZETA_32
 
 
 def critical_density(beta: float) -> CriticalDensity:
@@ -327,8 +331,10 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
     """Infinite-volume shifted chemical potential for a subcritical density.
 
     Solves (2 pi beta)^(-3/2) Li_{3/2}(exp(beta mu_bar)) = rho; returns 0 at
-    saturation and raises DomainError above it. As z <= Li_{3/2}(z) <=
-    zeta(3/2) z, the root lies in [lo, 0] with exp(beta lo) = rho/rho_c.
+    saturation and raises DomainError above it. The equation is solved in
+    logs, log(Li_{3/2}(z) / zeta(3/2)) = log(rho/rho_c), so a subnormal rho
+    is resolved as finely as any other. As z <= Li_{3/2}(z) <= zeta(3/2) z,
+    the root lies in [lo, 0] with exp(beta lo) = rho/rho_c.
     """
     rc = critical_density(beta).value
     if rho > rc:
@@ -339,16 +345,18 @@ def limiting_mu_bar(rho: float, beta: float) -> float:
         raise DomainError(f"density must be positive, got {rho!r}")
     if rho == rc:
         return 0.0
-    front = (2.0 * math.pi * beta) ** -1.5
+    ratio = rho / rc
+    # the ratio loses digits below the normal range, and log(rho) - log(rc)
+    # rounds to 0 near saturation, which would leave no sign change on [lo, 0]
+    if ratio >= sys.float_info.min:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(rho) - math.log(rc)
 
     def fn(mu_bar: float) -> float:
-        return front * _polylog_32(beta * mu_bar) - rho
+        return _log_density_share(beta * mu_bar) - log_ratio
 
-    ratio = rho / rc
-    # the ratio underflows to 0 for tiny rho, and log(rho) - log(rc) rounds
-    # to 0 near saturation, which would leave no sign change on [lo, 0]
-    lo = (math.log(ratio) if ratio > 0.0 else math.log(rho) - math.log(rc)) / beta
-    return float(solve_bracketed(fn, lo, 0.0, what="limiting chemical potential"))
+    return float(solve_bracketed(fn, log_ratio / beta, 0.0, what="limiting chemical potential"))
 
 
 def solve_ladder_coefficient(rho: float, rho_c: float, beta: float = 1.0) -> LadderCoefficient:

@@ -27,6 +27,8 @@ from bosebox import BoxGeometry, enumerate_below, suggest_energy_cutoff
 from bosebox.cli import (
     DEFAULT_CONFIG,
     _apply_override,
+    _cell_format,
+    _format_column,
     load_config,
     main,
     render_csv,
@@ -576,6 +578,90 @@ def test_json_output_parses(capsys):
         assert r["volume"] == 250.0
 
 
+# ---------------------------------------------------------------------------
+# the argv grammar
+
+_COMMAND_NAMES = ("spectrum", "gc", "canonical", "kac", "limits", "fluct", "sweep")
+_OPTION_NAMES = ("--config", "--out", "--format", "--override", "--emax", "--help")
+_SMALL = ("--override", "geometry.volume=250")
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # accepted: --name value and --name=value, the last one given wins
+    (["gc", *_SMALL], 0, "alpha1,"),
+    (["gc", "--override=geometry.volume=250"], 0, "alpha1,"),
+    (["gc", "--format=json", *_SMALL], 0, "[\n"),
+    (["gc", "--format", "json", "--format", "csv", *_SMALL], 0, "alpha1,"),
+    (["gc", "--format", "csv", "--format=json", *_SMALL], 0, "[\n"),
+    (["spectrum", "--emax", "1.0"], 0, "alpha1,"),
+    (["spectrum", "--emax=1.0", "--emax", "2.0"], 0, "alpha1,"),
+    (["spectrum", "--emax", "-1"], 0, "alpha1,"),  # a negative number is a value
+    # -h or --help anywhere
+    (["--help"], 0, "usage: bosebox COMMAND"),
+    (["-h"], 0, "usage: bosebox COMMAND"),
+    (["gc", "--help"], 0, "usage: bosebox COMMAND"),
+    (["nosuch", *_SMALL, "-h"], 0, "usage: bosebox COMMAND"),
+    # refused: no command, or an unknown one
+    ([], 2, "expected a command"),
+    (["nosuch"], 2, "expected a command"),
+    (["--override", "rho=0.1", "gc"], 2, "expected a command"),
+    # an unknown option, abbreviations included
+    (["gc", "--over", "rho=0.1"], 2, "unrecognized argument '--over'"),
+    (["gc", "--conf=run.json"], 2, "unrecognized argument '--conf=run.json'"),
+    (["spectrum", "--em", "1.0"], 2, "unrecognized argument '--em'"),
+    (["gc", "--emax", "1"], 2, "unrecognized argument '--emax'"),
+    (["gc", "-x"], 2, "unrecognized argument '-x'"),
+    (["gc", "--", "x"], 2, "unrecognized argument '--'"),
+    # a missing value, or a value that is another option's name
+    (["gc", "--override"], 2, "--override expects a value"),
+    (["gc", "--out", "--format", "json"], 2, "--out expects a value"),
+    (["gc", "--config", "--override=rho=0.1"], 2, "--config expects a value"),
+    (["spectrum", "--format", "--emax", "1"], 2, "--format expects a value"),
+    # an extra positional argument
+    (["gc", "extra"], 2, "unrecognized argument 'extra'"),
+    (["gc", *_SMALL, "rho=0.1"], 2, "unrecognized argument 'rho=0.1'"),
+    # a bad --format or --emax
+    (["gc", "--format", "xml"], 2, "output.format must be csv or json, got 'xml'"),
+    (["gc", "--format="], 2, "output.format must be csv or json, got ''"),
+    (["spectrum", "--emax", "abc"], 2, "cutoffs.e_max must be a finite number, got 'abc'"),
+    (["spectrum", "--emax=nan"], 2, "cutoffs.e_max must be a finite number"),
+])
+def test_argv_grammar(capsys, argv, code, text):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert out.startswith(text)
+        if text.startswith("usage:"):
+            assert err == ""
+            assert all(f"\n  {name} " in out for name in _COMMAND_NAMES)
+            assert all(name in out for name in _OPTION_NAMES)
+    else:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert text in err
+        assert err.endswith("\n" + bosebox.cli._USAGE + "\n")
+
+
+def test_out_with_equals_writes_the_same_bytes(capsys, tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli(capsys, "gc", *_SMALL, "--out", str(spaced))[:2] == (0, "")
+    assert run_cli(capsys, "gc", *_SMALL, f"--out={joined}")[:2] == (0, "")
+    assert joined.read_bytes() == spaced.read_bytes()
+    assert spaced.read_bytes().startswith(b"alpha1,")
+
+
+def test_repeated_override_keeps_the_last_value(capsys):
+    code, out, _ = run_cli(capsys, "gc", "--format", "json", *_SMALL,
+                           "--override", "rho=0.5", "--override=rho=0.1")
+    assert code == 0
+    assert {row["rho"] for row in json.loads(out)} == {0.1}
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
 def test_render_csv_empty():
     assert render_csv([]) == "\n"
 
@@ -678,6 +764,48 @@ def test_render_csv_matches_the_oracle_on_a_listing(monkeypatch):
     assert out.getvalue() == render_csv_oracle(rows)
 
 
+def format_column_oracle(cells: list) -> list[str]:
+    """_format_column one cell at a time, each by its type's format."""
+    return [_cell_format(type(cell))(cell) for cell in cells]
+
+
+_COLUMN_KINDS = {
+    "str": st.text(alphabet="ab_- 0.e", max_size=4),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "float": st.floats(),
+    "np.float64": st.floats().map(np.float64),
+    "None": st.none(),
+}
+
+
+@st.composite
+def _columns(draw):
+    """A column of cells of one to three kinds: one object shared by many
+    rows, equal but distinct copies of it, and fresh values."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=3,
+                          unique=True))
+    cell = st.one_of(*(_COLUMN_KINDS[kind] for kind in kinds))
+    shared = draw(cell)
+    cells = []
+    for _ in range(draw(st.integers(1, 30))):
+        how = draw(st.sampled_from(["shared", "copy", "fresh"]))
+        cells.append(shared if how == "shared" else
+                     _distinct_copy(shared) if how == "copy" else draw(cell))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_columns())
+@example(cells=["a", "b", "a"])
+@example(cells=[0.1, _distinct_copy(0.1), 0.1])
+@example(cells=[np.float64(0.5), np.float64(0.5), np.float64(-0.0)])
+@example(cells=[True, 1, 0, False])
+@example(cells=["", 1.5, "", None, 3])
+def test_format_column_matches_the_per_cell_oracle(cells):
+    assert _format_column(cells) == format_column_oracle(cells)
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = ("gc", "--override", "geometry.volume=250.0")
     code1, out1, _ = run_cli(capsys, *args)
@@ -747,6 +875,14 @@ def test_limits_subcritical_single_row(capsys):
     assert len(rows) == 1
     assert rows[0]["quantity"] == "mu_bar_limit"
     assert rows[0]["grand_value"] < 0.0
+    # gc prints the same row with the same budget, 16 eps |mu_bar| / (1 - rho/rho_c)
+    code, out, _ = run_cli(capsys, "gc", "--format", "json", "--override", "rho=0.1")
+    assert code == 0
+    (gc_row,) = [r for r in json.loads(out) if r["quantity"] == "mu_bar_limit"]
+    assert gc_row["value"] == rows[0]["grand_value"]
+    assert gc_row["error_budget"] == rows[0]["error_budget"] > 0.0
+    rc = bosebox.critical_density(1.0).value
+    assert rows[0]["error_budget"] == 16 * 2.0**-53 * abs(gc_row["value"]) / (1 - 0.1 / rc)
 
 
 @pytest.mark.parametrize(
@@ -998,8 +1134,18 @@ def test_import_after_numpy_leaves_its_blas_pool():
 # work done once per command
 
 
-def test_parser_is_built_once():
-    assert bosebox.cli.build_parser() is bosebox.cli.build_parser()
+def test_cli_import_leaves_argparse_out():
+    """argv is parsed by a loop over the five options, so importing the
+    command line (and running a command) loads no argparse or gettext."""
+    script = ("import contextlib, io, sys\n"
+              "from bosebox.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['gc', '--override', 'geometry.volume=250']) == 0\n"
+              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fluct_evaluates_theta_once_per_grid(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from bosebox import (
     solve_mu,
 )
 from bosebox import grandcanonical, spectrum
+from bosebox.cli import _mu_bar_limit
 from bosebox.spectrum import log_power_sums
 from conftest import tail_cutoff
 
@@ -390,18 +391,21 @@ def _limiting_mu_bar_oracle(rho, beta):
 
 
 def test_limiting_mu_bar_matches_mpmath():
-    """Within 16 eps / (1 - rho/rho_c) relative, the conditioning of the
-    density equation: d log|mu_bar| / d log(rho_c - rho) reaches 2 at
-    saturation, and rho_c carries 8 ulp of roundoff."""
+    """The `mu_bar_limit` row's value lies within its printed budget,
+    16 eps |mu_bar| / (1 - rho/rho_c), of a 40-digit root, with no slack:
+    d log|mu_bar| / d log(rho_c - rho) reaches 2 at saturation, and rho_c
+    carries 8 ulp of roundoff. The subnormal densities are resolved too,
+    though rho_c's share of them underflows."""
     for beta in (1e-30, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e30):
         rc = critical_density(beta).value
-        for ratio in (1e-300, 1e-10, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-9, 1 - 1e-15):
-            rho = ratio * rc
+        ratios = (1e-300, 1e-10, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-9, 1 - 1e-15)
+        for rho in (5e-324, 1e-310, *(ratio * rc for ratio in ratios)):
             if rho == 0.0:  # 1e-300 rho_c underflows at beta = 1e30
                 continue
-            got = limiting_mu_bar(rho, beta)
+            got, budget = _mu_bar_limit(rho, rc, beta)
+            assert got == limiting_mu_bar(rho, beta)
             want = _limiting_mu_bar_oracle(rho, beta)
-            assert abs(got - want) <= 16 * 2.0**-53 / (1 - ratio) * abs(want), (beta, ratio)
+            assert abs(got - want) <= budget, (beta, rho)
 
 
 def test_limiting_mu_bar_brackets_extreme_inputs():
@@ -417,14 +421,18 @@ def test_limiting_mu_bar_brackets_extreme_inputs():
 
 
 def test_polylog_matches_mpmath():
-    """Li_{3/2}(e^x) from Robinson's series (x >= -1) and the direct sum."""
+    """log(Li_{3/2}(e^x) / zeta(3/2)) from Robinson's series (x >= -1) and
+    the direct sum over e^x, within 1e-14 absolute (relative on the share)
+    or relative, past x = -745, where e^x underflows."""
     mpmath.mp.dps = 30
-    xs = np.concatenate((-np.logspace(-12, math.log10(40.0), 400), [-1.0, -1.0 - 1e-12]))
+    xs = np.concatenate((-np.logspace(-12, math.log10(40.0), 400),
+                         [-1.0, -1.0 - 1e-12, -745.2, -1000.0, -1e5]))
     worst = 0.0
     for x in xs:
-        want = mpmath.polylog(1.5, mpmath.exp(mpmath.mpf(float(x))))
-        got = grandcanonical._polylog_32(float(x))
-        worst = max(worst, float(abs((got - want) / want)))
+        z = mpmath.exp(mpmath.mpf(float(x)))
+        want = mpmath.log(mpmath.polylog(1.5, z) / mpmath.zeta(1.5))
+        got = grandcanonical._log_density_share(float(x))
+        worst = max(worst, float(abs(got - want) / max(1, abs(want))))
     mpmath.mp.dps = 15
     assert worst <= 1e-14
 
